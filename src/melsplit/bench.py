@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .signal_io import (
     AudioBuffer,
     _entropy,
     corpus_seed,
+    noise_scale,
     read_manifest,
     read_wav,
     synth_speaker,
@@ -80,6 +81,8 @@ class ExperimentPlan:
             raise ConfigError("need at least 2 profiles for impostor trials")
         if not 1 <= self.calib_words < self.words:
             raise ConfigError("calib_words must leave at least one trial word")
+        if self.anc_lead_s < 0:
+            raise ConfigError("anc_lead_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,7 @@ def _mix_with_lead(plan: ExperimentPlan, utt: _Utterance, snr_db: float) -> _Mix
     seed = corpus_seed(plan.master_seed, utt.profile_id, utt.word_id, 0xA01E)
     rng = np.random.default_rng(_entropy(seed))
     unit = rng.standard_normal(n + lead)
-    clean_power = float(np.mean(clean.samples**2))
-    unit_power = float(np.mean(unit[:n] ** 2))
-    scale = np.sqrt(clean_power / (unit_power * 10.0 ** (snr_db / 10.0)))
+    scale = noise_scale(float(np.mean(clean.samples**2)), unit[:n], snr_db)
     noisy = AudioBuffer(clean.samples + scale * unit[:n], rate)
     primary = AudioBuffer(
         np.concatenate([scale * unit[n:], noisy.samples]), rate
@@ -401,52 +402,17 @@ def report_to_dict(report: SweepReport, include_timing: bool = True) -> dict:
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
-    data = {
-        "snr_points_db": ["clean" if s >= CLEAN_SNR_DB else s for s in plan.snr_points_db],
-        "methods": list(plan.methods),
-        "anc": list(plan.anc),
-        "corpus": plan.corpus,
-        "trials": plan.trials,
-        "master_seed": plan.master_seed,
-        "profiles": plan.profiles,
-        "words": plan.words,
-        "duration_s": plan.duration_s,
-        "sample_rate_hz": plan.sample_rate_hz,
-        "calib_words": plan.calib_words,
-        "anc_taps": plan.anc_taps,
-        "anc_mu": plan.anc_mu,
-        "anc_mu_fraction": plan.anc_mu_fraction,
-        "kmeans_k": plan.kmeans_k,
-        "extraction": vars(plan.extraction).copy(),
-    }
+    """JSON-ready form of every plan field; the clean SNR point becomes "clean"."""
+    data = asdict(plan)
+    data["snr_points_db"] = ["clean" if s >= CLEAN_SNR_DB else s for s in plan.snr_points_db]
     return data
-
-
-_PLAN_FIELDS = {
-    "snr_points_db",
-    "methods",
-    "anc",
-    "corpus",
-    "trials",
-    "master_seed",
-    "profiles",
-    "words",
-    "duration_s",
-    "sample_rate_hz",
-    "calib_words",
-    "anc_taps",
-    "anc_mu",
-    "anc_mu_fraction",
-    "kmeans_k",
-    "extraction",
-}
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from parsed JSON, rejecting unknown or malformed fields."""
     if not isinstance(data, dict):
         raise ConfigError("plan must be a JSON object")
-    unknown = set(data) - _PLAN_FIELDS
+    unknown = set(data) - {f.name for f in fields(ExperimentPlan)}
     if unknown:
         raise ConfigError(f"unknown plan field(s): {sorted(unknown)}")
     kwargs = dict(data)
@@ -464,12 +430,12 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
         extraction = kwargs["extraction"]
         if not isinstance(extraction, dict):
             raise ConfigError("extraction must be an object of extraction settings")
-        known = set(vars(ExtractionConfig()))
-        unknown = set(extraction) - known
+        unknown = set(extraction) - {f.name for f in fields(ExtractionConfig)}
         if unknown:
             raise ConfigError(f"unknown extraction field(s): {sorted(unknown)}")
-        kwargs["extraction"] = replace(ExtractionConfig(), **extraction)
     try:
+        if "extraction" in kwargs:
+            kwargs["extraction"] = ExtractionConfig(**kwargs["extraction"])
         return ExperimentPlan(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"invalid plan: {exc}") from exc

@@ -3,7 +3,7 @@
 One binary with subcommands mirroring the processing stages: synth, mix,
 anc, filter, extract, verdict, bench. Exit codes: 0 success, 2 usage error,
 1 runtime/pipeline error. Tunables resolve as CLI flag > config file >
-built-in default.
+built-in default; bench reads its settings from a --plan file instead.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
@@ -27,9 +25,8 @@ from .fir import (
     export_taps_csv,
     filter_zero_phase,
 )
-from .mfcc import ExtractionConfig, extract_dual_channel, extract_single_channel
+from .mfcc import ExtractionConfig, _check_fields
 from .signal_io import (
-    AudioBuffer,
     NoiseSpec,
     corpus_seed,
     measure_snr_db,
@@ -42,89 +39,37 @@ from .signal_io import (
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Every tunable in one place, loadable from a JSON config file."""
+class PipelineConfig(ExtractionConfig):
+    """Every tunable in one place, loadable from a JSON config file.
+
+    The feature-extraction fields and their checks come from
+    ExtractionConfig, so a PipelineConfig goes wherever one is expected.
+    """
 
     sample_rate_hz: int = 16000
-    frame_len: int = 400
-    frame_shift: int = 160
-    fft_size: int = 512
-    filters_single: int = 26
-    filters_per_channel: int = 13
-    num_coeffs: int = 12
-    split_hz: float = 1000.0
-    band_top_hz: float = 4000.0
-    fir_taps: int = 101
-    log_floor: float = 1e-12
     anc_taps: int = 31
     anc_mu: float = 0.005
     kmeans_k: int = 2
-    kmeans_tol: float = 1e-9
-    kmeans_max_iter: int = 100
     threshold: float = 1.0
     seed: int = 1234
 
-    def validate(self) -> None:
-        checks = [
+    def __post_init__(self):
+        super().__post_init__()
+        _check_fields(
             ("sample_rate_hz", self.sample_rate_hz > 0, "must be positive"),
-            ("frame_shift", self.frame_shift > 0, "must be positive"),
-            (
-                "frame_len",
-                self.frame_len >= self.frame_shift,
-                "must be >= frame_shift",
-            ),
-            (
-                "fft_size",
-                self.fft_size >= 1 and self.fft_size & (self.fft_size - 1) == 0,
-                "must be a power of two",
-            ),
-            (
-                "fft_size",
-                self.fft_size >= self.frame_len,
-                "must be >= frame_len",
-            ),
-            ("filters_single", self.filters_single >= 1, "must be >= 1"),
-            ("filters_per_channel", self.filters_per_channel >= 1, "must be >= 1"),
-            (
-                "num_coeffs",
-                1 <= self.num_coeffs <= min(self.filters_single, self.filters_per_channel),
-                "must be between 1 and the smallest filter count",
-            ),
-            ("split_hz", 0 < self.split_hz < self.band_top_hz, "must lie in (0, band_top_hz)"),
             (
                 "band_top_hz",
                 self.band_top_hz < self.sample_rate_hz / 2,
                 f"must be below the Nyquist frequency ({self.sample_rate_hz / 2:g} Hz)",
             ),
-            ("fir_taps", self.fir_taps % 2 == 1 and self.fir_taps >= 3, "must be odd and >= 3"),
-            ("log_floor", self.log_floor > 0, "must be positive"),
             ("anc_taps", self.anc_taps >= 0, "must be >= 0"),
             ("anc_mu", self.anc_mu > 0, "must be positive"),
             ("kmeans_k", self.kmeans_k >= 1, "must be >= 1"),
-            ("kmeans_tol", self.kmeans_tol > 0, "must be positive"),
-            ("kmeans_max_iter", self.kmeans_max_iter >= 1, "must be >= 1"),
             ("threshold", self.threshold >= 0, "must be >= 0"),
-        ]
-        for name, ok, message in checks:
-            if not ok:
-                raise ConfigError(f"config field {name}: {message}")
-
-    def extraction_config(self) -> ExtractionConfig:
-        return ExtractionConfig(
-            frame_len=self.frame_len,
-            frame_shift=self.frame_shift,
-            fft_size=self.fft_size,
-            filters_single=self.filters_single,
-            filters_per_channel=self.filters_per_channel,
-            num_coeffs=self.num_coeffs,
-            split_hz=self.split_hz,
-            band_top_hz=self.band_top_hz,
-            fir_taps=self.fir_taps,
-            log_floor=self.log_floor,
         )
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 def load_config(path) -> PipelineConfig:
@@ -139,9 +84,7 @@ def load_config(path) -> PipelineConfig:
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config field(s): {sorted(unknown)}")
-    cfg = replace(PipelineConfig(), **data)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(**data)
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
@@ -155,10 +98,7 @@ def _effective_config(args) -> PipelineConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        cfg.validate()
-    return cfg
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _positive_int(text: str) -> int:
@@ -166,13 +106,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
-
-
-def _features_for(buffer, method, extraction, source_id):
-    if method == "single":
-        return {"single": extract_single_channel(buffer, extraction, source_id)}
-    ch1, ch2 = extract_dual_channel(buffer, extraction, source_id)
-    return {"ch1": ch1, "ch2": ch2}
 
 
 def _write_feature_csv(fm, bank_meta: dict, csv_path: Path) -> None:
@@ -194,7 +127,7 @@ def cmd_synth(args) -> int:
     for p in range(args.profiles):
         for w in range(args.words):
             for r in range(args.replicates):
-                seed = corpus_seed(args.seed if args.seed is not None else cfg.seed, p, w, r)
+                seed = corpus_seed(cfg.seed, p, w, r)
                 buffer = synth_speaker(p, w, args.duration, seed, cfg.sample_rate_hz)
                 name = f"p{p:02d}_w{w:02d}_r{r}.wav"
                 write_wav(buffer, out_dir / name)
@@ -214,7 +147,7 @@ def cmd_mix(args) -> int:
     spec = NoiseSpec(
         "recorded" if noise is not None else "white-gaussian",
         args.snr_db,
-        args.seed if args.seed is not None else cfg.seed,
+        cfg.seed,
         noise,
     )
     noisy, noise_only = mix_at_snr(clean, spec)
@@ -263,16 +196,15 @@ def cmd_filter(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _effective_config(args)
     buffer = read_wav(args.infile)
-    extraction = cfg.extraction_config()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
-    feats = _features_for(buffer, args.method, extraction, stem)
+    feats = bench_mod._features(buffer, args.method, cfg, stem)
     meta_common = {
-        "N": extraction.frame_len,
-        "M": extraction.frame_shift,
-        "K": extraction.fft_size,
-        "Q": extraction.num_coeffs,
+        "N": cfg.frame_len,
+        "M": cfg.frame_shift,
+        "K": cfg.fft_size,
+        "Q": cfg.num_coeffs,
         "sample_rate": buffer.sample_rate_hz,
     }
     if args.method == "single":
@@ -280,23 +212,23 @@ def cmd_extract(args) -> int:
         meta = dict(
             meta_common,
             channel_id="single",
-            P=extraction.filters_single,
+            P=cfg.filters_single,
             band_lo=0.0,
-            band_hi=extraction.band_top_hz,
+            band_hi=cfg.band_top_hz,
         )
         _write_feature_csv(fm, meta, out_dir / f"{stem}.csv")
         print(f"wrote {out_dir / (stem + '.csv')} ({fm.rows.shape[0]} rows)")
     else:
         bands = {
-            "ch1": (0.0, extraction.split_hz),
-            "ch2": (extraction.split_hz, extraction.band_top_hz),
+            "ch1": (0.0, cfg.split_hz),
+            "ch2": (cfg.split_hz, cfg.band_top_hz),
         }
         for channel in ("ch1", "ch2"):
             fm = feats[channel]
             meta = dict(
                 meta_common,
                 channel_id=channel,
-                P=extraction.filters_per_channel,
+                P=cfg.filters_per_channel,
                 band_lo=bands[channel][0],
                 band_hi=bands[channel][1],
             )
@@ -307,17 +239,15 @@ def cmd_extract(args) -> int:
 
 def cmd_verdict(args) -> int:
     cfg = _effective_config(args)
-    extraction = cfg.extraction_config()
     test = read_wav(args.test)
     ref = read_wav(args.ref)
     if args.anc:
         reference = read_wav(args.reference)
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
         test = result.error_signal
-    threshold = args.threshold if args.threshold is not None else cfg.threshold
-    test_feats = _features_for(test, args.method, extraction, Path(args.test).stem)
-    ref_feats = _features_for(ref, args.method, extraction, Path(args.ref).stem)
-    v = verdict(test_feats, ref_feats, cfg.kmeans_k, threshold, cfg.seed)
+    test_feats = bench_mod._features(test, args.method, cfg, Path(args.test).stem)
+    ref_feats = bench_mod._features(ref, args.method, cfg, Path(args.ref).stem)
+    v = verdict(test_feats, ref_feats, cfg.kmeans_k, cfg.threshold, cfg.seed)
     payload = {
         "test_id": Path(args.test).stem,
         "ref_id": Path(args.ref).stem,
@@ -364,7 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="melsplit",
         description="Noise-robust word-sample identification pipeline",
     )
-    parser.add_argument("--config", help="JSON config file with pipeline tunables")
+    parser.add_argument(
+        "--config", help="JSON config file with pipeline tunables (not read by bench)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic word-sample corpus")
@@ -434,6 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.config:
+        parser.error("bench does not read --config; put sweep settings in a --plan file")
     if args.command == "verdict" and args.anc and not args.reference:
         parser.error("--anc requires --reference")
     if args.command == "filter":

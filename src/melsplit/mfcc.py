@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fir
-from .errors import DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 from .signal_io import AudioBuffer
 
 CHANNEL_SINGLE = "single"
@@ -27,7 +27,11 @@ _LOG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Tunables for the feature pipeline; defaults suit 16 kHz input."""
+    """Tunables for the feature pipeline; defaults suit 16 kHz input.
+
+    Construction validates every field and raises ConfigError naming the
+    first one that is out of range.
+    """
 
     frame_len: int = 400
     frame_shift: int = 160
@@ -39,6 +43,35 @@ class ExtractionConfig:
     band_top_hz: float = 4000.0
     fir_taps: int = 101
     log_floor: float = 1e-12
+
+    def __post_init__(self):
+        _check_fields(
+            ("frame_shift", self.frame_shift > 0, "must be positive"),
+            ("frame_len", self.frame_len >= self.frame_shift, "must be >= frame_shift"),
+            (
+                "fft_size",
+                self.fft_size >= 1 and self.fft_size & (self.fft_size - 1) == 0,
+                "must be a power of two",
+            ),
+            ("fft_size", self.fft_size >= self.frame_len, "must be >= frame_len"),
+            ("filters_single", self.filters_single >= 1, "must be >= 1"),
+            ("filters_per_channel", self.filters_per_channel >= 1, "must be >= 1"),
+            (
+                "num_coeffs",
+                1 <= self.num_coeffs <= min(self.filters_single, self.filters_per_channel),
+                "must be between 1 and the smallest filter count",
+            ),
+            ("split_hz", 0 < self.split_hz < self.band_top_hz, "must lie in (0, band_top_hz)"),
+            ("fir_taps", self.fir_taps % 2 == 1 and self.fir_taps >= 3, "must be odd and >= 3"),
+            ("log_floor", self.log_floor > 0, "must be positive"),
+        )
+
+
+def _check_fields(*checks: tuple[str, bool, str]) -> None:
+    """Raise ConfigError for the first (field, ok, message) check that fails."""
+    for name, ok, message in checks:
+        if not ok:
+            raise ConfigError(f"config field {name}: {message}")
 
 
 @dataclass(frozen=True)
@@ -116,45 +149,16 @@ def hamming_window(frame: np.ndarray) -> np.ndarray:
     return frame * window
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def _radix2_fft(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT along the last axis."""
-    n = x.shape[-1]
-    out = np.asarray(x, dtype=np.complex128)[..., _bit_reversal(n)].copy()
-    span = 2
-    while span <= n:
-        half = span // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / span)
-        blocks = out.reshape(out.shape[:-1] + (n // span, span))
-        upper = blocks[..., :half].copy()
-        lower = blocks[..., half:] * twiddle
-        blocks[..., :half] = upper + lower
-        blocks[..., half:] = upper - lower
-        span *= 2
-    return out
-
-
 def fft_magnitude_sq(frame: np.ndarray, fft_size_k: int) -> np.ndarray:
-    """|X(k)|^2 for k = 0..K/2 of the zero-padded frame, radix-2 FFT."""
+    """|X(k)|^2 for k = 0..K/2 of the zero-padded frame, via numpy rfft."""
     k = int(fft_size_k)
     if k < 1 or k & (k - 1):
         raise ParameterError("fft_size_k must be a power of two")
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > k:
         raise DimensionError("frame longer than the FFT size")
-    padded = np.zeros(frame.shape[:-1] + (k,))
-    padded[..., : frame.shape[-1]] = frame
-    spectrum = _radix2_fft(padded)
-    half = spectrum[..., : k // 2 + 1]
-    return (half.real**2 + half.imag**2).astype(np.float64)
+    half = np.fft.rfft(frame, n=k)
+    return half.real**2 + half.imag**2
 
 
 def hz_to_mel(f_lin: float) -> float:
@@ -215,7 +219,9 @@ def build_filterbank(
     )
 
 
-def log_mel_energies(power_spectrum: np.ndarray, bank: MelFilterbank) -> np.ndarray:
+def log_mel_energies(
+    power_spectrum: np.ndarray, bank: MelFilterbank, floor: float = _LOG_FLOOR
+) -> np.ndarray:
     """ln of each filter's weighted power sum, floored to keep the log finite."""
     power_spectrum = np.asarray(power_spectrum, dtype=np.float64)
     if power_spectrum.shape[-1] != bank.weights.shape[1]:
@@ -224,7 +230,7 @@ def log_mel_energies(power_spectrum: np.ndarray, bank: MelFilterbank) -> np.ndar
             f"bank expects {bank.weights.shape[1]}"
         )
     energies = power_spectrum @ bank.weights.T
-    return np.log(np.maximum(energies, _LOG_FLOOR))
+    return np.log(np.maximum(energies, floor))
 
 
 def dct_basis(num_filters_p: int, num_coeffs_q: int) -> np.ndarray:
@@ -249,9 +255,8 @@ def _extract_with_bank(
     frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
     windowed = hamming_window(frames.frames)
     power = fft_magnitude_sq(windowed, cfg.fft_size)
-    energies = np.log(np.maximum(power @ bank.weights.T, cfg.log_floor))
-    rows = energies @ dct_basis(bank.num_filters_p, cfg.num_coeffs).T
-    return FeatureMatrix(rows, bank.channel_id, source_id)
+    energies = log_mel_energies(power, bank, cfg.log_floor)
+    return FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), bank.channel_id, source_id)
 
 
 def extract_single_channel(

@@ -167,6 +167,18 @@ def measure_snr_db(clean: AudioBuffer, noisy: AudioBuffer) -> float:
     return 10.0 * np.log10(clean_power / noise_power)
 
 
+def noise_scale(clean_power: float, unit: np.ndarray, snr_db: float) -> float:
+    """Gain g such that g * unit sits at `snr_db` against a signal of `clean_power`.
+
+    The noise power is measured over all of `unit`; a zero-power noise
+    source cannot reach any finite SNR and raises.
+    """
+    unit_power = float(np.mean(unit**2))
+    if unit_power == 0.0:
+        raise UndefinedSnrError("noise source has zero power")
+    return np.sqrt(clean_power / (unit_power * 10.0 ** (snr_db / 10.0)))
+
+
 def mix_at_snr(clean: AudioBuffer, spec: NoiseSpec) -> tuple[AudioBuffer, AudioBuffer]:
     """Add noise so the mixture hits `spec.target_snr_db` against `clean`.
 
@@ -192,10 +204,7 @@ def mix_at_snr(clean: AudioBuffer, spec: NoiseSpec) -> tuple[AudioBuffer, AudioB
         reps = -(-len(clean) // len(source))
         unit = np.tile(source.samples, reps)[: len(clean)]
 
-    unit_power = float(np.mean(unit**2))
-    if unit_power == 0.0:
-        raise UndefinedSnrError("noise source has zero power")
-    scale = np.sqrt(clean_power / (unit_power * 10.0 ** (spec.target_snr_db / 10.0)))
+    scale = noise_scale(clean_power, unit, spec.target_snr_db)
     noisy_samples = clean.samples + scale * unit
     noisy = AudioBuffer(noisy_samples, clean.sample_rate_hz)
     noise_only = AudioBuffer(noisy_samples - clean.samples, clean.sample_rate_hz)

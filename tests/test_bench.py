@@ -1,12 +1,16 @@
 """Benchmark harness tests on a desk-scale plan."""
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
+    _mix_with_lead,
+    _Utterance,
     emit_curves,
     load_plan,
     plan_from_dict,
@@ -16,7 +20,14 @@ from melsplit.bench import (
 )
 from melsplit.cluster import ConfusionCounts, accuracy
 from melsplit.errors import ConfigError
-from melsplit.signal_io import corpus_seed, synth_speaker, write_manifest, write_wav
+from melsplit.mfcc import ExtractionConfig
+from melsplit.signal_io import (
+    corpus_seed,
+    measure_snr_db,
+    synth_speaker,
+    write_manifest,
+    write_wav,
+)
 
 
 def mini_plan(**overrides):
@@ -148,10 +159,53 @@ class TestEmitCurves:
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
+# A valid value other than the default for every ExperimentPlan field.
+NON_DEFAULT_PLAN_VALUES = {
+    "snr_points_db": (CLEAN_SNR_DB, -3.0),
+    "methods": ("dual",),
+    "anc": ("on",),
+    "corpus": "corpus/manifest.json",
+    "trials": 12,
+    "master_seed": 9,
+    "profiles": 4,
+    "words": 5,
+    "duration_s": 0.4,
+    "sample_rate_hz": 8000,
+    "calib_words": 3,
+    "anc_taps": 17,
+    "anc_mu": 0.01,
+    "anc_mu_fraction": 0.05,
+    "anc_lead_s": 0.1,
+    "kmeans_k": 3,
+    "extraction": ExtractionConfig(num_coeffs=10, fir_taps=51),
+}
+
+
 class TestPlanSerialization:
     def test_round_trip(self):
         plan = mini_plan()
         assert plan_from_dict(plan_to_dict(plan)) == plan
+
+    def test_non_default_values_cover_every_field(self):
+        assert set(NON_DEFAULT_PLAN_VALUES) == {f.name for f in fields(ExperimentPlan)}
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT_PLAN_VALUES))
+    def test_every_field_round_trips(self, name):
+        plan = ExperimentPlan(**{name: NON_DEFAULT_PLAN_VALUES[name]})
+        assert plan != ExperimentPlan()
+        assert plan_from_dict(plan_to_dict(plan)) == plan
+        assert plan_from_dict(json.loads(json.dumps(plan_to_dict(plan)))) == plan
+
+    def test_negative_anc_lead_rejected(self):
+        with pytest.raises(ConfigError, match="anc_lead_s"):
+            plan_from_dict({"anc_lead_s": -0.1})
+
+    def test_extraction_settings_validated(self):
+        with pytest.raises(ConfigError, match="fft_size"):
+            plan_from_dict({"extraction": {"fft_size": 500}})
+
+    def test_report_echoes_every_plan_field(self, mini_report):
+        assert {f.name for f in fields(ExperimentPlan)} <= set(mini_report.config_echo)
 
     def test_clean_marker_parsed(self):
         plan = plan_from_dict({"snr_points_db": ["clean", 0, -6]})
@@ -182,3 +236,18 @@ class TestPlanSerialization:
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(methods=("triple",))
+
+
+class TestMixWithLead:
+    def test_hits_target_snr(self):
+        plan = mini_plan()
+        clean = synth_speaker(1, 2, 0.3, seed=4)
+        mixed = _mix_with_lead(plan, _Utterance(1, 2, 1, 4, clean), -6.0)
+        assert measure_snr_db(clean, mixed.noisy) == pytest.approx(-6.0, abs=1e-9)
+        lead = len(mixed.primary_ext) - len(clean)
+        assert lead == round(plan.anc_lead_s * clean.sample_rate_hz)
+        # the canceller's primary ends in the noisy take and its reference
+        # carries exactly the noise that was added
+        assert np.array_equal(mixed.primary_ext.samples[lead:], mixed.noisy.samples)
+        noise = mixed.reference_ext.samples[lead:]
+        assert np.array_equal(clean.samples + noise, mixed.noisy.samples)

@@ -8,7 +8,8 @@ import pytest
 
 from melsplit.cli import PipelineConfig, load_config, main, save_config
 from melsplit.errors import ConfigError
-from melsplit.signal_io import AudioBuffer, read_wav, write_wav
+from melsplit.mfcc import ExtractionConfig
+from melsplit.signal_io import AudioBuffer, corpus_seed, read_wav, write_wav
 
 SR = 16000
 
@@ -206,6 +207,15 @@ class TestBench:
         lines = curves_path.read_text().strip().split("\n")
         assert len(lines) == 3
 
+    def test_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        save_config(PipelineConfig(), cfg_path)
+        code = usage_exit_code("--config", cfg_path, "bench",
+                               "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
+        assert code == 2
+        assert "--plan" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_plan_nonzero_exit(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"snr_pts": [0]}))
@@ -235,6 +245,38 @@ class TestPipelineConfig:
         path.write_text(json.dumps({"bogus_knob": 1}))
         with pytest.raises(ConfigError, match="bogus_knob"):
             load_config(path)
+
+    def test_dropped_kmeans_knobs_rejected(self, tmp_path):
+        for knob, value in (("kmeans_tol", 1e-9), ("kmeans_max_iter", 100)):
+            path = tmp_path / f"{knob}.json"
+            path.write_text(json.dumps({knob: value}))
+            with pytest.raises(ConfigError, match=knob):
+                load_config(path)
+
+    def test_is_an_extraction_config(self):
+        assert isinstance(PipelineConfig(), ExtractionConfig)
+        with pytest.raises(ConfigError, match="fft_size"):
+            PipelineConfig(fft_size=500)
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        save_config(PipelineConfig(seed=5), cfg_path)
+        out = tmp_path / "corpus"
+        assert run_cli("--config", cfg_path, "synth", "--out", out, "--profiles", 1,
+                       "--words", 1, "--duration", 0.2, "--seed", 9) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest[0]["seed"] == corpus_seed(9, 0, 0, 0)
+
+    def test_threshold_flag_overrides_config(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        save_config(PipelineConfig(threshold=3.0), cfg_path)
+        src = make_word_wav(tmp_path / "w.wav", duration=0.3)
+        out = tmp_path / "v.json"
+        assert run_cli("--config", cfg_path, "verdict", "--test", src, "--ref", src,
+                       "--threshold", 0.5, "--out", out) == 0
+        payload = json.loads(out.read_text())
+        assert payload["threshold"] == 0.5
+        assert payload["config"]["threshold"] == 0.5
 
     def test_config_flows_into_extract(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -7,7 +7,7 @@ direct summations of their defining formulas.
 import numpy as np
 import pytest
 
-from melsplit.errors import DimensionError, ParameterError
+from melsplit.errors import ConfigError, DimensionError, ParameterError
 from melsplit.mfcc import (
     CHANNEL_ONE,
     CHANNEL_TWO,
@@ -261,6 +261,18 @@ class TestLogMelEnergies:
         with pytest.raises(DimensionError):
             log_mel_energies(np.zeros(16), bank)
 
+    def test_floor_argument(self):
+        bank = build_filterbank(0.0, 4000.0, 8, 256, SR)
+        energies = log_mel_energies(np.zeros(129), bank, floor=1e-6)
+        assert np.allclose(energies, np.log(1e-6))
+
+    def test_extractor_uses_config_floor(self):
+        silence = buf(np.zeros(4000))
+        floored = extract_single_channel(silence, ExtractionConfig(log_floor=1e-6))
+        default = extract_single_channel(silence)
+        # every filter energy of a silent frame sits on the floor
+        assert not np.allclose(floored.rows, default.rows)
+
 
 class TestDctCepstra:
     def test_all_equal_energies_closed_form(self):
@@ -296,6 +308,27 @@ class TestDctCepstra:
     def test_too_many_coeffs(self):
         with pytest.raises(ParameterError):
             dct_cepstra(np.zeros(5), 6)
+
+
+class TestExtractionConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_shift", 0),
+            ("frame_len", 100),  # shorter than the 160-sample shift
+            ("fft_size", 500),
+            ("fft_size", 256),  # shorter than the 400-sample frame
+            ("filters_single", 0),
+            ("filters_per_channel", 0),
+            ("num_coeffs", 14),  # more than the 13 filters per channel
+            ("split_hz", 5000.0),
+            ("fir_taps", 100),
+            ("log_floor", 0.0),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExtractionConfig(**{field: value})
 
 
 class TestExtractSingleChannel:
