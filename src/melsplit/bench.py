@@ -14,15 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .anc import LmsConfig, run_anc
-from .cluster import ConfusionCounts, accuracy, calibrate_threshold, verdict
+from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, verdict
 from .errors import ConfigError, ParameterError
-from .mfcc import ExtractionConfig, extract_dual_channel, extract_single_channel
+from .mfcc import ExtractionConfig, _check_fields, extract_dual_channel, extract_single_channel
 from .signal_io import (
     AudioBuffer,
     _entropy,
@@ -33,12 +33,28 @@ from .signal_io import (
     synth_speaker,
 )
 
-# The clean condition rides the same code path as the noisy ones; it is
-# reported at this sentinel SNR and skips the actual mixing.
+# The clean condition is reported at this sentinel SNR. Its cells score the
+# clean test takes as they are, with no mixing and no cancellation.
 CLEAN_SNR_DB = 60.0
 
 METHODS = ("single", "dual")
 ANC_MODES = ("off", "on")
+
+
+def check_shared_fields(
+    sample_rate_hz: int, band_top_hz: float, anc_taps: int, kmeans_k: int
+) -> None:
+    """Checks common to ExperimentPlan and the CLI's PipelineConfig."""
+    _check_fields(
+        ("sample_rate_hz", sample_rate_hz > 0, "must be positive"),
+        (
+            "band_top_hz",
+            band_top_hz < sample_rate_hz / 2,
+            f"must be below the Nyquist frequency ({sample_rate_hz / 2:g} Hz)",
+        ),
+        ("anc_taps", anc_taps >= 0, "must be >= 0"),
+        ("kmeans_k", kmeans_k >= 1, "must be >= 1"),
+    )
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,13 @@ class ExperimentPlan:
             raise ConfigError("calib_words must leave at least one trial word")
         if self.anc_lead_s < 0:
             raise ConfigError("anc_lead_s must be >= 0")
+        check_shared_fields(
+            self.sample_rate_hz, self.extraction.band_top_hz, self.anc_taps, self.kmeans_k
+        )
+        _check_fields(
+            ("anc_mu", self.anc_mu is None or self.anc_mu > 0, "must be positive"),
+            ("anc_mu_fraction", self.anc_mu_fraction > 0, "must be positive"),
+        )
 
 
 @dataclass(frozen=True)
@@ -211,6 +234,18 @@ def _make_pairs(
     return pairs
 
 
+def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_TrialPair]:
+    """Each clean calibration take against its own reference and against the
+    same word of another profile, rotating through the others word by word."""
+    n = len(profile_ids)
+    return [
+        _TrialPair(test=(p, w), ref=(q, w), genuine=q == p)
+        for idx, w in enumerate(calib_words)
+        for i, p in enumerate(profile_ids)
+        for q in (p, profile_ids[(i + 1 + idx % (n - 1)) % n])
+    ]
+
+
 def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str):
     if method == "single":
         return {"single": extract_single_channel(buffer, cfg, source_id)}
@@ -248,10 +283,6 @@ def _mix_with_lead(plan: ExperimentPlan, utt: _Utterance, snr_db: float) -> _Mix
     rate = clean.sample_rate_hz
     n = len(clean)
     lead = int(round(plan.anc_lead_s * rate))
-    if snr_db >= CLEAN_SNR_DB:
-        zeros_ext = AudioBuffer(np.zeros(lead + n), rate)
-        primary = AudioBuffer(np.concatenate([np.zeros(lead), clean.samples]), rate)
-        return _MixedSignals(clean, primary, zeros_ext)
     seed = corpus_seed(plan.master_seed, utt.profile_id, utt.word_id, 0xA01E)
     rng = np.random.default_rng(_entropy(seed))
     unit = rng.standard_normal(n + lead)
@@ -262,6 +293,23 @@ def _mix_with_lead(plan: ExperimentPlan, utt: _Utterance, snr_db: float) -> _Mix
     )
     reference = AudioBuffer(scale * np.concatenate([unit[n:], unit[:n]]), rate)
     return _MixedSignals(noisy, primary, reference)
+
+
+def _score_pairs(
+    takes: dict, pairs: list[_TrialPair], method: str, ref_feats: dict, plan: ExperimentPlan
+) -> tuple[list[float], list[float]]:
+    """Score each pair's test take (from `takes`, extracted once) against its
+    reference. Returns (genuine_scores, impostor_scores); verdict's
+    threshold does not affect a score."""
+    feats = {
+        key: _features(utt.buffer, method, plan.extraction, utt.uid)
+        for key, utt in takes.items()
+    }
+    scores: dict[bool, list[float]] = {True: [], False: []}
+    for pair in pairs:
+        v = verdict(feats[pair.test], ref_feats[pair.ref], plan.kmeans_k, 0.0, plan.master_seed)
+        scores[pair.genuine].append(v.score)
+    return scores[True], scores[False]
 
 
 def run_sweep(plan: ExperimentPlan) -> SweepReport:
@@ -280,7 +328,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     pair_rng = np.random.default_rng(_entropy(plan.master_seed, 0xBA1A))
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
-    verdict_seed = plan.master_seed
+    calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
     cfg = plan.extraction
     ref_feats = {
@@ -293,70 +341,35 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     }
 
     # Per-method threshold from clean calibration words, frozen for the sweep.
-    thresholds: dict[str, float] = {}
-    for method in plan.methods:
-        genuine_scores, impostor_scores = [], []
-        for idx, w in enumerate(calib_words):
-            for p in profile_ids:
-                test = corpus[(p, w, 1)]
-                feats = _features(test.buffer, method, cfg, test.uid)
-                genuine_scores.append(
-                    verdict(feats, ref_feats[method][(p, w)], plan.kmeans_k, 0.0, verdict_seed).score
-                )
-                q = profile_ids[(profile_ids.index(p) + 1 + idx) % len(profile_ids)]
-                impostor_scores.append(
-                    verdict(feats, ref_feats[method][(q, w)], plan.kmeans_k, 0.0, verdict_seed).score
-                )
-        thresholds[method] = calibrate_threshold(genuine_scores, impostor_scores)
+    calib_takes = {pair.test: corpus[pair.test + (1,)] for pair in calib_pairs}
+    thresholds = {
+        m: calibrate_threshold(*_score_pairs(calib_takes, calib_pairs, m, ref_feats[m], plan))
+        for m in plan.methods
+    }
 
-    test_keys = sorted({pair.test for pair in pairs})
+    clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
     cells: list[CellResult] = []
     for snr_db in plan.snr_points_db:
-        mixed: dict[tuple[int, int], _MixedSignals] = {
-            key: _mix_with_lead(plan, corpus[key + (1,)], snr_db) for key in test_keys
-        }
+        mixed = {}
+        if snr_db < CLEAN_SNR_DB:
+            mixed = {key: _mix_with_lead(plan, utt, snr_db) for key, utt in clean_takes.items()}
         for anc_mode in plan.anc:
-            processed: dict[tuple[int, int], AudioBuffer] = {}
+            takes = dict(clean_takes)
             for key, m in mixed.items():
+                buffer = m.noisy
                 if anc_mode == "on":
                     config = LmsConfig(plan.anc_taps, _auto_mu(plan, m.reference_ext))
                     denoised = run_anc(m.primary_ext, m.reference_ext, config).error_signal
                     trimmed = denoised.samples[len(m.primary_ext) - len(m.noisy) :]
-                    processed[key] = AudioBuffer(trimmed, m.noisy.sample_rate_hz)
-                else:
-                    processed[key] = m.noisy
+                    buffer = AudioBuffer(trimmed, m.noisy.sample_rate_hz)
+                takes[key] = replace(takes[key], buffer=buffer)
             for method in plan.methods:
                 start = time.perf_counter()
-                feats = {
-                    key: _features(processed[key], method, cfg, corpus[key + (1,)].uid)
-                    for key in test_keys
-                }
-                tp = tn = fp = fn = 0
-                for pair in pairs:
-                    v = verdict(
-                        feats[pair.test],
-                        ref_feats[method][pair.ref],
-                        plan.kmeans_k,
-                        thresholds[method],
-                        verdict_seed,
-                    )
-                    identical = v.decision == "identical"
-                    if pair.genuine:
-                        tp += identical
-                        fn += not identical
-                    else:
-                        fp += identical
-                        tn += not identical
-                counts = ConfusionCounts(tp, tn, fp, fn)
+                scores = _score_pairs(takes, pairs, method, ref_feats[method], plan)
+                counts = confusion(*scores, thresholds[method])
+                elapsed = time.perf_counter() - start
                 cells.append(
-                    CellResult(
-                        method,
-                        anc_mode,
-                        snr_db,
-                        counts,
-                        accuracy(counts),
-                        time.perf_counter() - start,
-                    )
+                    CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
                 )
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))

@@ -55,16 +55,11 @@ class PipelineConfig(ExtractionConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        bench_mod.check_shared_fields(
+            self.sample_rate_hz, self.band_top_hz, self.anc_taps, self.kmeans_k
+        )
         _check_fields(
-            ("sample_rate_hz", self.sample_rate_hz > 0, "must be positive"),
-            (
-                "band_top_hz",
-                self.band_top_hz < self.sample_rate_hz / 2,
-                f"must be below the Nyquist frequency ({self.sample_rate_hz / 2:g} Hz)",
-            ),
-            ("anc_taps", self.anc_taps >= 0, "must be >= 0"),
             ("anc_mu", self.anc_mu > 0, "must be positive"),
-            ("kmeans_k", self.kmeans_k >= 1, "must be >= 1"),
             ("threshold", self.threshold >= 0, "must be >= 0"),
         )
 
@@ -163,9 +158,7 @@ def cmd_anc(args) -> int:
     cfg = _effective_config(args)
     primary = read_wav(args.primary)
     reference = read_wav(args.reference)
-    taps = args.taps if args.taps is not None else cfg.anc_taps
-    mu = args.mu if args.mu is not None else cfg.anc_mu
-    result = run_anc(primary, reference, LmsConfig(taps, mu))
+    result = run_anc(primary, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
     clipped = write_wav(result.error_signal, args.out)
     if args.mse_csv:
         lines = ["window_index,mse"]
@@ -178,13 +171,12 @@ def cmd_anc(args) -> int:
 def cmd_filter(args) -> int:
     cfg = _effective_config(args)
     buffer = read_wav(args.infile)
-    taps = args.taps if args.taps is not None else cfg.fir_taps
     if args.kind == "lp":
-        kernel = design_lowpass(args.hi, taps, buffer.sample_rate_hz)
+        kernel = design_lowpass(args.hi, cfg.fir_taps, buffer.sample_rate_hz)
     elif args.kind == "hp":
-        kernel = design_highpass(args.lo, taps, buffer.sample_rate_hz)
+        kernel = design_highpass(args.lo, cfg.fir_taps, buffer.sample_rate_hz)
     else:
-        kernel = design_bandpass(args.lo, args.hi, taps, buffer.sample_rate_hz)
+        kernel = design_bandpass(args.lo, args.hi, cfg.fir_taps, buffer.sample_rate_hz)
     filtered = filter_zero_phase(buffer, kernel)
     clipped = write_wav(filtered, args.out)
     if args.taps_csv:
@@ -320,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anc", help="adaptive noise cancellation")
     p.add_argument("--primary", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--taps", type=int, default=None, help="filter order L")
-    p.add_argument("--mu", type=float, default=None, help="LMS step size")
+    p.add_argument("--taps", dest="anc_taps", type=int, default=None, help="filter order L")
+    p.add_argument("--mu", dest="anc_mu", type=float, default=None, help="LMS step size")
     p.add_argument("--out", required=True)
     p.add_argument("--mse-csv", help="write the windowed MSE trace")
     p.set_defaults(handler=cmd_anc)
@@ -330,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("lp", "hp", "bp"), required=True)
     p.add_argument("--lo", type=float, help="low cutoff (hp, bp)")
     p.add_argument("--hi", type=float, help="high cutoff (lp, bp)")
-    p.add_argument("--taps", type=int, default=None)
+    p.add_argument("--taps", dest="fir_taps", type=int, default=None)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--taps-csv", help="export kernel coefficients")

@@ -198,6 +198,14 @@ def calibrate_threshold(genuine_scores, impostor_scores) -> float:
     return float(values[0] - 1.0)  # reject everything
 
 
+def confusion(genuine_scores, impostor_scores, threshold: float) -> ConfusionCounts:
+    """Tally trials at a threshold; a pair counts as identical when its score
+    is at or below the threshold, as in verdict."""
+    tp = int(np.count_nonzero(np.asarray(genuine_scores, dtype=np.float64) <= threshold))
+    fp = int(np.count_nonzero(np.asarray(impostor_scores, dtype=np.float64) <= threshold))
+    return ConfusionCounts(tp, len(impostor_scores) - fp, fp, len(genuine_scores) - tp)
+
+
 def accuracy(counts: ConfusionCounts) -> float:
     """(TP + TN) / (TP + TN + FP + FN)."""
     if counts.total <= 0:

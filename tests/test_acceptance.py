@@ -171,6 +171,7 @@ def test_criterion_6_kmeans_matches_brute_force():
                 "best-of-16 seeds matches the exhaustive optimum on 50 instances")
 
 
+@pytest.mark.slow
 def test_criterion_7_degradation_orderings(sweep_reports):
     reports, _, _ = sweep_reports
     snrs_ascending = sorted(ExperimentPlan().snr_points_db)
@@ -200,6 +201,7 @@ def test_criterion_7_degradation_orderings(sweep_reports):
     report_line("criterion 7 (degradation orderings)", summary)
 
 
+@pytest.mark.slow
 def test_criterion_8_byte_identical_curves(sweep_reports):
     _, curves, dup_path = sweep_reports
     original = curves[SWEEP_SEEDS[0]].read_bytes()
@@ -210,6 +212,7 @@ def test_criterion_8_byte_identical_curves(sweep_reports):
                 f"({len(original)} bytes)")
 
 
+@pytest.mark.slow
 def test_criterion_9_accuracy_accounting(sweep_reports):
     reports, _, _ = sweep_reports
     checked = 0

@@ -6,9 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import melsplit.bench
 from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
+    _calibration_pairs,
     _mix_with_lead,
     _Utterance,
     emit_curves,
@@ -127,6 +129,43 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(mini_plan(trials=1000))
 
+    def test_clean_condition_runs_no_canceller(self, monkeypatch):
+        calls = []
+        real_run_anc = melsplit.bench.run_anc
+
+        def counting_run_anc(*args, **kwargs):
+            calls.append(1)
+            return real_run_anc(*args, **kwargs)
+
+        monkeypatch.setattr(melsplit.bench, "run_anc", counting_run_anc)
+        report = run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,), anc=("on",)))
+        assert len(report.cells) == 2
+        assert calls == []
+
+    def test_clean_counts_same_with_and_without_anc(self, mini_report):
+        for method in ("single", "dual"):
+            on = mini_report.cell(method, "on", CLEAN_SNR_DB).counts
+            off = mini_report.cell(method, "off", CLEAN_SNR_DB).counts
+            assert on == off
+
+
+class TestCalibrationPairs:
+    def test_impostor_never_scores_own_profile(self):
+        # two profiles, two calibration words: the rotation must skip the
+        # test's own profile on the second word
+        pairs = _calibration_pairs([0, 1], [1, 2])
+        impostors = [pair for pair in pairs if not pair.genuine]
+        assert len(impostors) == 4
+        assert all(pair.ref[0] != pair.test[0] for pair in impostors)
+
+    def test_one_genuine_and_one_impostor_per_take(self):
+        pairs = _calibration_pairs([0, 1, 2], [3, 4])
+        for genuine in (True, False):
+            tests = sorted(pair.test for pair in pairs if pair.genuine == genuine)
+            assert tests == sorted((p, w) for p in range(3) for w in (3, 4))
+        assert all(pair.ref == pair.test for pair in pairs if pair.genuine)
+        assert all(pair.ref[1] == pair.test[1] for pair in pairs)
+
 
 class TestEmitCurves:
     def test_row_count_and_header(self, mini_report, tmp_path):
@@ -170,7 +209,7 @@ NON_DEFAULT_PLAN_VALUES = {
     "profiles": 4,
     "words": 5,
     "duration_s": 0.4,
-    "sample_rate_hz": 8000,
+    "sample_rate_hz": 22050,
     "calib_words": 3,
     "anc_taps": 17,
     "anc_mu": 0.01,
@@ -199,6 +238,20 @@ class TestPlanSerialization:
     def test_negative_anc_lead_rejected(self):
         with pytest.raises(ConfigError, match="anc_lead_s"):
             plan_from_dict({"anc_lead_s": -0.1})
+
+    @pytest.mark.parametrize(
+        "field_name, value, named",
+        [
+            ("kmeans_k", 0, "kmeans_k"),
+            ("anc_mu_fraction", -1, "anc_mu_fraction"),
+            ("anc_taps", -1, "anc_taps"),
+            ("sample_rate_hz", 8000, "band_top_hz"),
+            ("anc_mu", 0.0, "anc_mu"),
+        ],
+    )
+    def test_bad_setting_named_on_load(self, field_name, value, named):
+        with pytest.raises(ConfigError, match=named):
+            plan_from_dict({field_name: value})
 
     def test_extraction_settings_validated(self):
         with pytest.raises(ConfigError, match="fft_size"):

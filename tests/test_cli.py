@@ -98,6 +98,36 @@ class TestAnc:
         assert len(lines) == 1 + int(np.ceil(len(original) / 256))
 
 
+    def test_taps_flag_overrides_config(self, tmp_path):
+        src = make_word_wav(tmp_path / "w.wav", duration=0.3)
+        noise = AudioBuffer(0.1 * np.random.default_rng(2).standard_normal(len(read_wav(src))), SR)
+        ref = tmp_path / "ref.wav"
+        write_wav(noise, ref)
+        outputs = {}
+        for name, cfg_taps, flags in (
+            ("flag", 9, ("--taps", 3)),
+            ("config", 3, ()),
+            ("config_only", 9, ()),
+        ):
+            cfg_path = tmp_path / f"{name}.json"
+            save_config(PipelineConfig(anc_taps=cfg_taps), cfg_path)
+            out = tmp_path / f"{name}.wav"
+            assert run_cli("--config", cfg_path, "anc", "--primary", src,
+                           "--reference", ref, *flags, "--out", out) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["flag"] == outputs["config"]
+        assert outputs["flag"] != outputs["config_only"]
+
+    def test_bad_flag_names_config_field(self, tmp_path, capsys):
+        src = make_word_wav(tmp_path / "w.wav", duration=0.3)
+        assert run_cli("anc", "--primary", src, "--reference", src,
+                       "--taps", -1, "--out", tmp_path / "out.wav") == 1
+        assert "anc_taps" in capsys.readouterr().err
+        assert run_cli("filter", "--kind", "lp", "--hi", 1000, "--taps", 4,
+                       "--in", src, "--out", tmp_path / "f.wav") == 1
+        assert "fir_taps" in capsys.readouterr().err
+
+
 class TestFilter:
     def test_lowpass_passes_low_sine(self, tmp_path):
         t = np.arange(8000) / SR

@@ -6,6 +6,7 @@ can be checked against the true optimum at desk scale.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from melsplit.cluster import (
     IdentityVerdict,
     accuracy,
     calibrate_threshold,
+    confusion,
     euclidean,
     kmeans,
     verdict,
@@ -233,6 +235,42 @@ class TestCalibrateThreshold:
     def test_empty_set_rejected(self):
         with pytest.raises(ParameterError):
             calibrate_threshold([], [1.0])
+
+
+class TestConfusion:
+    def test_score_at_threshold_is_identical(self):
+        counts = confusion([1.0, 1.5], [1.0, 0.5, 2.0], threshold=1.0)
+        assert counts == ConfusionCounts(tp=1, tn=1, fp=2, fn=1)
+
+    def test_matches_verdict_decisions(self):
+        rng = np.random.default_rng(13)
+        sides = [
+            (
+                {"single": fm(rng.standard_normal((12, 2)), source=f"t{i}")},
+                {"single": fm(rng.standard_normal((12, 2)) + rng.uniform(0, 2), source=f"r{i}")},
+            )
+            for i in range(40)
+        ]
+        scores = [verdict(t, r, k=2, threshold=0.0, seed=3).score for t, r in sides]
+        threshold = sorted(scores)[20]  # one score sits exactly on the threshold
+        identical = [
+            verdict(t, r, k=2, threshold=threshold, seed=3).decision == "identical"
+            for t, r in sides
+        ]
+        assert 0 < sum(identical) < len(identical)
+        genuine, impostor = identical[::2], identical[1::2]
+        expected = ConfusionCounts(
+            tp=sum(genuine),
+            tn=len(impostor) - sum(impostor),
+            fp=sum(impostor),
+            fn=len(genuine) - sum(genuine),
+        )
+        assert confusion(scores[::2], scores[1::2], threshold) == expected
+
+    def test_counts_are_python_ints(self):
+        counts = confusion(np.array([0.1, 2.0]), np.array([0.3]), np.float64(1.0))
+        assert all(type(getattr(counts, f)) is int for f in ("tp", "tn", "fp", "fn"))
+        assert json.dumps(counts.__dict__)
 
 
 class TestAccuracy:
