@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,8 @@ import numpy as np
 from .anc import LmsConfig, run_anc
 from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, verdict
 from .errors import ConfigError, ParameterError
-from .mfcc import ExtractionConfig, _check_fields, extract_dual_channel, extract_single_channel
+from .mfcc import METHODS, ExtractionConfig, _check_fields
+from .mfcc import extract_dual_channel, extract_single_channel
 from .signal_io import (
     AudioBuffer,
     _entropy,
@@ -37,7 +41,6 @@ from .signal_io import (
 # clean test takes as they are, with no mixing and no cancellation.
 CLEAN_SNR_DB = 60.0
 
-METHODS = ("single", "dual")
 ANC_MODES = ("off", "on")
 
 
@@ -55,6 +58,49 @@ def check_shared_fields(
         ("anc_taps", anc_taps >= 0, "must be >= 0"),
         ("kmeans_k", kmeans_k >= 1, "must be >= 1"),
     )
+
+
+def read_settings(path):
+    """Parse a JSON settings file (a pipeline config or an experiment plan)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _json_matches(value, hint) -> bool:
+    """Whether a parsed JSON value has the type a dataclass field annotates."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_matches(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_json_matches(v, args[0]) for v in value)
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def settings_from_dict(cls, data, what: str):
+    """Build settings dataclass `cls` from parsed JSON, checking each value's
+    type against its field's annotation; a nested dataclass field takes an
+    object built the same way. Raises ConfigError naming the field."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        hint = hints[name]
+        if is_dataclass(hint):
+            kwargs[name] = settings_from_dict(hint, value, name)
+        elif _json_matches(value, hint):
+            kwargs[name] = value
+        else:
+            type_name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{what} field {name}: expected {type_name}, got {value!r}")
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -85,6 +131,10 @@ class ExperimentPlan:
         object.__setattr__(self, "anc", tuple(self.anc))
         if self.trials <= 0:
             raise ConfigError("trials must be positive")
+        if not all(math.isfinite(s) and s <= CLEAN_SNR_DB for s in self.snr_points_db):
+            raise ConfigError(
+                f"snr_points_db entries must be finite and at most {CLEAN_SNR_DB:g} (clean)"
+            )
         if len(set(self.snr_points_db)) != len(self.snr_points_db):
             raise ConfigError("snr_points_db must be distinct")
         bad = set(self.methods) - set(METHODS)
@@ -200,7 +250,10 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
             wav_path = Path(e["path"])
             if not wav_path.is_absolute():
                 wav_path = manifest_path.parent / wav_path
-            corpus[(p, w, r)] = _Utterance(p, w, r, int(e["seed"]), read_wav(wav_path))
+            buffer = read_wav(wav_path)
+            if not np.any(buffer.samples):
+                raise ConfigError(f"corpus entry {wav_path} (profile {p}, word {w}) is silent")
+            corpus[(p, w, r)] = _Utterance(p, w, r, int(e["seed"]), buffer)
     return corpus, hashlib.sha256(manifest_path.read_bytes()).hexdigest()
 
 
@@ -247,10 +300,12 @@ def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_
 
 
 def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str):
-    if method == "single":
-        return {"single": extract_single_channel(buffer, cfg, source_id)}
-    ch1, ch2 = extract_dual_channel(buffer, cfg, source_id)
-    return {"ch1": ch1, "ch2": ch2}
+    """One take's feature matrices, keyed by channel_id."""
+    if method == "dual":
+        matrices = extract_dual_channel(buffer, cfg, source_id)
+    else:
+        matrices = (extract_single_channel(buffer, cfg, source_id),)
+    return {fm.channel_id: fm for fm in matrices}
 
 
 def _auto_mu(plan: ExperimentPlan, reference: AudioBuffer) -> float:
@@ -258,8 +313,6 @@ def _auto_mu(plan: ExperimentPlan, reference: AudioBuffer) -> float:
     if plan.anc_mu is not None:
         return plan.anc_mu
     power = float(np.mean(reference.samples**2))
-    if power == 0.0:
-        return LmsConfig().step_mu  # zero reference: the filter never adapts
     return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
 
 
@@ -351,7 +404,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     cells: list[CellResult] = []
     for snr_db in plan.snr_points_db:
         mixed = {}
-        if snr_db < CLEAN_SNR_DB:
+        if snr_db != CLEAN_SNR_DB:
             mixed = {key: _mix_with_lead(plan, utt, snr_db) for key, utt in clean_takes.items()}
         for anc_mode in plan.anc:
             takes = dict(clean_takes)
@@ -417,46 +470,18 @@ def report_to_dict(report: SweepReport, include_timing: bool = True) -> dict:
 def plan_to_dict(plan: ExperimentPlan) -> dict:
     """JSON-ready form of every plan field; the clean SNR point becomes "clean"."""
     data = asdict(plan)
-    data["snr_points_db"] = ["clean" if s >= CLEAN_SNR_DB else s for s in plan.snr_points_db]
+    data["snr_points_db"] = ["clean" if s == CLEAN_SNR_DB else s for s in plan.snr_points_db]
     return data
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
-    """Build a plan from parsed JSON, rejecting unknown or malformed fields."""
-    if not isinstance(data, dict):
-        raise ConfigError("plan must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(ExperimentPlan)}
-    if unknown:
-        raise ConfigError(f"unknown plan field(s): {sorted(unknown)}")
-    kwargs = dict(data)
-    if "snr_points_db" in kwargs:
-        points = []
-        for s in kwargs["snr_points_db"]:
-            if s == "clean":
-                points.append(CLEAN_SNR_DB)
-            elif isinstance(s, (int, float)):
-                points.append(float(s))
-            else:
-                raise ConfigError(f"snr_points_db entries must be numbers or 'clean', got {s!r}")
-        kwargs["snr_points_db"] = tuple(points)
-    if "extraction" in kwargs:
-        extraction = kwargs["extraction"]
-        if not isinstance(extraction, dict):
-            raise ConfigError("extraction must be an object of extraction settings")
-        unknown = set(extraction) - {f.name for f in fields(ExtractionConfig)}
-        if unknown:
-            raise ConfigError(f"unknown extraction field(s): {sorted(unknown)}")
-    try:
-        if "extraction" in kwargs:
-            kwargs["extraction"] = ExtractionConfig(**kwargs["extraction"])
-        return ExperimentPlan(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid plan: {exc}") from exc
+    """Build a plan from parsed JSON, where an SNR point may be "clean"."""
+    points = data.get("snr_points_db") if isinstance(data, dict) else None
+    if isinstance(points, (list, tuple)):
+        clean = [CLEAN_SNR_DB if s == "clean" else s for s in points]
+        data = dict(data, snr_points_db=clean)
+    return settings_from_dict(ExperimentPlan, data, "plan")
 
 
 def load_plan(path) -> ExperimentPlan:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return plan_from_dict(data)
+    return plan_from_dict(read_settings(path))

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
 from .cluster import verdict
-from .errors import ConfigError, PipelineError
+from .errors import PipelineError
 from .fir import (
     design_bandpass,
     design_highpass,
@@ -25,7 +25,7 @@ from .fir import (
     export_taps_csv,
     filter_zero_phase,
 )
-from .mfcc import ExtractionConfig, _check_fields
+from .mfcc import METHODS, ExtractionConfig, _check_fields, channel_bands
 from .signal_io import (
     NoiseSpec,
     corpus_seed,
@@ -69,17 +69,7 @@ class PipelineConfig(ExtractionConfig):
 
 def load_config(path) -> PipelineConfig:
     """Load and validate a JSON config file; unknown fields are an error."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config field(s): {sorted(unknown)}")
-    return PipelineConfig(**data)
+    return bench_mod.settings_from_dict(PipelineConfig, bench_mod.read_settings(path), "config")
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
@@ -101,17 +91,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
-
-
-def _write_feature_csv(fm, bank_meta: dict, csv_path: Path) -> None:
-    header = "frame_index," + ",".join(f"c{i + 1}" for i in range(fm.rows.shape[1]))
-    lines = [header]
-    for i, row in enumerate(fm.rows):
-        lines.append(f"{i}," + ",".join(repr(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    csv_path.with_suffix(".json").write_text(
-        json.dumps(bank_meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def cmd_synth(args) -> int:
@@ -192,40 +171,28 @@ def cmd_extract(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
     feats = bench_mod._features(buffer, args.method, cfg, stem)
-    meta_common = {
-        "N": cfg.frame_len,
-        "M": cfg.frame_shift,
-        "K": cfg.fft_size,
-        "Q": cfg.num_coeffs,
-        "sample_rate": buffer.sample_rate_hz,
-    }
-    if args.method == "single":
-        fm = feats["single"]
-        meta = dict(
-            meta_common,
-            channel_id="single",
-            P=cfg.filters_single,
-            band_lo=0.0,
-            band_hi=cfg.band_top_hz,
-        )
-        _write_feature_csv(fm, meta, out_dir / f"{stem}.csv")
-        print(f"wrote {out_dir / (stem + '.csv')} ({fm.rows.shape[0]} rows)")
-    else:
-        bands = {
-            "ch1": (0.0, cfg.split_hz),
-            "ch2": (cfg.split_hz, cfg.band_top_hz),
+    bands = channel_bands(args.method, cfg)
+    for channel_id, (band_lo, band_hi, filters) in bands.items():
+        fm = feats[channel_id]
+        meta = {
+            "N": cfg.frame_len,
+            "M": cfg.frame_shift,
+            "K": cfg.fft_size,
+            "Q": cfg.num_coeffs,
+            "sample_rate": buffer.sample_rate_hz,
+            "channel_id": channel_id,
+            "P": filters,
+            "band_lo": band_lo,
+            "band_hi": band_hi,
         }
-        for channel in ("ch1", "ch2"):
-            fm = feats[channel]
-            meta = dict(
-                meta_common,
-                channel_id=channel,
-                P=cfg.filters_per_channel,
-                band_lo=bands[channel][0],
-                band_hi=bands[channel][1],
-            )
-            _write_feature_csv(fm, meta, out_dir / f"{stem}.{channel}.csv")
-        print(f"wrote {out_dir / (stem + '.ch1.csv')} and .ch2.csv")
+        lines = ["frame_index," + ",".join(f"c{i + 1}" for i in range(fm.rows.shape[1]))]
+        lines += [f"{i}," + ",".join(repr(v) for v in row) for i, row in enumerate(fm.rows)]
+        csv_path = out_dir / (f"{stem}.csv" if len(bands) == 1 else f"{stem}.{channel_id}.csv")
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        csv_path.with_suffix(".json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(f"wrote {csv_path} ({fm.rows.shape[0]} rows)")
     return 0
 
 
@@ -272,7 +239,7 @@ def cmd_bench(args) -> int:
     )
     bench_mod.emit_curves(report, args.curves)
     for cell in report.cells:
-        label = "clean" if cell.snr_db >= bench_mod.CLEAN_SNR_DB else f"{cell.snr_db:g} dB"
+        label = "clean" if cell.snr_db == bench_mod.CLEAN_SNR_DB else f"{cell.snr_db:g} dB"
         print(
             f"{cell.method:6s} anc={cell.anc:3s} {label:>7s}: "
             f"accuracy {cell.accuracy:.4f}"
@@ -329,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_filter)
 
     p = sub.add_parser("extract", help="extract cepstral features to CSV")
-    p.add_argument("--method", choices=("single", "dual"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_extract)
@@ -337,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="compare two recordings")
     p.add_argument("--test", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--method", choices=("single", "dual"), default="dual")
+    p.add_argument("--method", choices=METHODS, default="dual")
     p.add_argument("--anc", action="store_true", help="denoise the test input first")
     p.add_argument("--reference", help="noise reference WAV for --anc")
     p.add_argument("--threshold", type=float, default=None)

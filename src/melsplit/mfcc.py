@@ -22,6 +22,8 @@ CHANNEL_SINGLE = "single"
 CHANNEL_ONE = "ch1"
 CHANNEL_TWO = "ch2"
 
+METHODS = ("single", "dual")
+
 _LOG_FLOOR = 1e-12
 
 
@@ -249,14 +251,33 @@ def dct_cepstra(log_energies: np.ndarray, num_coeffs_q: int) -> np.ndarray:
     return log_energies @ dct_basis(p, num_coeffs_q).T
 
 
-def _extract_with_bank(
-    buffer: AudioBuffer, bank: MelFilterbank, cfg: ExtractionConfig, source_id: str
-) -> FeatureMatrix:
-    frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
-    windowed = hamming_window(frames.frames)
-    power = fft_magnitude_sq(windowed, cfg.fft_size)
-    energies = log_mel_energies(power, bank, cfg.log_floor)
-    return FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), bank.channel_id, source_id)
+def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, float, int]]:
+    """The mel layout of an extraction method: {channel_id: (band_lo_hz,
+    band_hi_hz, filters)}, in the order the channels are extracted."""
+    if method == "single":
+        return {CHANNEL_SINGLE: (0.0, cfg.band_top_hz, cfg.filters_single)}
+    if method == "dual":
+        return {
+            CHANNEL_ONE: (0.0, cfg.split_hz, cfg.filters_per_channel),
+            CHANNEL_TWO: (cfg.split_hz, cfg.band_top_hz, cfg.filters_per_channel),
+        }
+    raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+
+
+def _extract_channels(
+    signals: tuple[AudioBuffer, ...], method: str, cfg: ExtractionConfig, source_id: str
+) -> tuple[FeatureMatrix, ...]:
+    """Cepstra of each channel signal through its bank from channel_bands."""
+    matrices = []
+    for signal, (channel_id, (lo, hi, filters)) in zip(
+        signals, channel_bands(method, cfg).items(), strict=True
+    ):
+        bank = build_filterbank(lo, hi, filters, cfg.fft_size, signal.sample_rate_hz, channel_id)
+        frames = frame_blocking(signal, cfg.frame_len, cfg.frame_shift)
+        power = fft_magnitude_sq(hamming_window(frames.frames), cfg.fft_size)
+        energies = log_mel_energies(power, bank, cfg.log_floor)
+        matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
+    return tuple(matrices)
 
 
 def extract_single_channel(
@@ -265,15 +286,8 @@ def extract_single_channel(
     source_id: str = "",
 ) -> FeatureMatrix:
     """Full-band features: one mel bank spanning 0 to band_top_hz."""
-    bank = build_filterbank(
-        0.0,
-        cfg.band_top_hz,
-        cfg.filters_single,
-        cfg.fft_size,
-        buffer.sample_rate_hz,
-        CHANNEL_SINGLE,
-    )
-    return _extract_with_bank(buffer, bank, cfg, source_id)
+    (features,) = _extract_channels((buffer,), "single", cfg, source_id)
+    return features
 
 
 def extract_dual_channel(
@@ -287,26 +301,5 @@ def extract_dual_channel(
     channel 2 is the bandpassed signal with a bank over [split_hz,
     band_top_hz]. The channels stay time-aligned, so row counts match.
     """
-    ch1_signal, ch2_signal = fir.split_channels(
-        buffer, cfg.split_hz, cfg.band_top_hz, cfg.fir_taps
-    )
-    bank1 = build_filterbank(
-        0.0,
-        cfg.split_hz,
-        cfg.filters_per_channel,
-        cfg.fft_size,
-        buffer.sample_rate_hz,
-        CHANNEL_ONE,
-    )
-    bank2 = build_filterbank(
-        cfg.split_hz,
-        cfg.band_top_hz,
-        cfg.filters_per_channel,
-        cfg.fft_size,
-        buffer.sample_rate_hz,
-        CHANNEL_TWO,
-    )
-    return (
-        _extract_with_bank(ch1_signal, bank1, cfg, source_id),
-        _extract_with_bank(ch2_signal, bank2, cfg, source_id),
-    )
+    signals = fir.split_channels(buffer, cfg.split_hz, cfg.band_top_hz, cfg.fir_taps)
+    return _extract_channels(signals, "dual", cfg, source_id)

@@ -11,6 +11,7 @@ from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
     _calibration_pairs,
+    _features,
     _mix_with_lead,
     _Utterance,
     emit_curves,
@@ -22,8 +23,9 @@ from melsplit.bench import (
 )
 from melsplit.cluster import ConfusionCounts, accuracy
 from melsplit.errors import ConfigError
-from melsplit.mfcc import ExtractionConfig
+from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.signal_io import (
+    AudioBuffer,
     corpus_seed,
     measure_snr_db,
     synth_speaker,
@@ -125,6 +127,23 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(mini_plan(corpus=str(manifest)))
 
+    def test_silent_manifest_entry_named(self, tmp_path):
+        entries = []
+        for p in range(3):
+            for w in range(4):
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    buf = synth_speaker(p, w, 0.3, seed)
+                    if (p, w, r) == (1, 2, 1):
+                        buf = AudioBuffer(np.zeros(len(buf)), buf.sample_rate_hz)
+                    name = f"p{p}_w{w}_r{r}.wav"
+                    write_wav(buf, tmp_path / name)
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": name})
+        manifest = tmp_path / "manifest.json"
+        write_manifest(entries, manifest)
+        with pytest.raises(ConfigError, match=r"p1_w2_r1\.wav \(profile 1, word 2\)"):
+            run_sweep(mini_plan(corpus=str(manifest)))
+
     def test_too_many_trials_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(mini_plan(trials=1000))
@@ -147,6 +166,15 @@ class TestRunSweep:
             on = mini_report.cell(method, "on", CLEAN_SNR_DB).counts
             off = mini_report.cell(method, "off", CLEAN_SNR_DB).counts
             assert on == off
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_keyed_by_channel_id(self, method):
+        cfg = ExtractionConfig(split_hz=1500.0)
+        feats = _features(synth_speaker(0, 1, 0.3, seed=2), method, cfg, "u")
+        assert list(feats) == list(channel_bands(method, cfg))
+        assert all(fm.channel_id == key for key, fm in feats.items())
 
 
 class TestCalibrationPairs:
@@ -252,6 +280,25 @@ class TestPlanSerialization:
     def test_bad_setting_named_on_load(self, field_name, value, named):
         with pytest.raises(ConfigError, match=named):
             plan_from_dict({field_name: value})
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"kmeans_k": 2.0}, "kmeans_k"),
+            ({"trials": 4.0}, "trials"),
+            ({"corpus": 5}, "corpus"),
+            ({"master_seed": True}, "master_seed"),
+            ({"extraction": {"fft_size": 512.0}}, "fft_size"),
+        ],
+    )
+    def test_wrong_type_named_on_load(self, data, named):
+        with pytest.raises(ConfigError, match=named):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("points", ["[70]", "[60, 70]", "[NaN]", "[-Infinity]"])
+    def test_snr_point_must_be_finite_and_at_most_clean(self, points):
+        with pytest.raises(ConfigError, match="snr_points_db"):
+            plan_from_dict(json.loads(f'{{"snr_points_db": {points}}}'))
 
     def test_extraction_settings_validated(self):
         with pytest.raises(ConfigError, match="fft_size"):

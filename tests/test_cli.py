@@ -8,7 +8,7 @@ import pytest
 
 from melsplit.cli import PipelineConfig, load_config, main, save_config
 from melsplit.errors import ConfigError
-from melsplit.mfcc import ExtractionConfig
+from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.signal_io import AudioBuffer, corpus_seed, read_wav, write_wav
 
 SR = 16000
@@ -174,6 +174,21 @@ class TestExtract:
                        "--in", tmp_path / "no.wav", "--out", tmp_path)
         assert code == 1  # not 0 (success), not 2 (usage)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sidecars_follow_the_config_table(self, tmp_path, method):
+        cfg = PipelineConfig(split_hz=1500.0)
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        src = make_word_wav(tmp_path / "w.wav", duration=0.5)
+        out = tmp_path / "features"
+        assert run_cli("--config", cfg_path, "extract", "--method", method,
+                       "--in", src, "--out", out) == 0
+        sidecars = {}
+        for path in out.glob("*.json"):
+            meta = json.loads(path.read_text())
+            sidecars[meta["channel_id"]] = (meta["band_lo"], meta["band_hi"], meta["P"])
+        assert sidecars == channel_bands(method, cfg)
+
 
 class TestVerdict:
     def test_file_against_itself(self, tmp_path, capsys):
@@ -282,6 +297,21 @@ class TestPipelineConfig:
             path.write_text(json.dumps({knob: value}))
             with pytest.raises(ConfigError, match=knob):
                 load_config(path)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("threshold", "1"), ("fft_size", "512"), ("seed", 1.5), ("anc_taps", 3.0), ("seed", True)],
+    )
+    def test_wrong_type_named_on_load(self, tmp_path, knob, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({knob: value}))
+        with pytest.raises(ConfigError, match=knob):
+            load_config(path)
+
+    def test_integer_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"split_hz": 1500, "threshold": 2}))
+        assert load_config(path) == PipelineConfig(split_hz=1500.0, threshold=2.0)
 
     def test_is_an_extraction_config(self):
         assert isinstance(PipelineConfig(), ExtractionConfig)

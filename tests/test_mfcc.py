@@ -7,12 +7,15 @@ direct summations of their defining formulas.
 import numpy as np
 import pytest
 
+import melsplit.mfcc
 from melsplit.errors import ConfigError, DimensionError, ParameterError
 from melsplit.mfcc import (
     CHANNEL_ONE,
     CHANNEL_TWO,
+    METHODS,
     ExtractionConfig,
     build_filterbank,
+    channel_bands,
     dct_cepstra,
     extract_dual_channel,
     extract_single_channel,
@@ -329,6 +332,48 @@ class TestExtractionConfig:
     def test_bad_field_named(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExtractionConfig(**{field: value})
+
+
+class TestChannelBands:
+    CFG = ExtractionConfig(
+        split_hz=1500.0,
+        band_top_hz=3800.0,
+        filters_single=20,
+        filters_per_channel=10,
+        num_coeffs=8,
+    )
+
+    def test_single_spans_the_whole_band(self):
+        assert channel_bands("single", self.CFG) == {"single": (0.0, 3800.0, 20)}
+
+    def test_dual_splits_at_split_hz(self):
+        assert channel_bands("dual", self.CFG) == {
+            CHANNEL_ONE: (0.0, 1500.0, 10),
+            CHANNEL_TWO: (1500.0, 3800.0, 10),
+        }
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError, match="triple"):
+            channel_bands("triple", self.CFG)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_extractors_build_the_table(self, method, monkeypatch):
+        built = {}
+        real_build = melsplit.mfcc.build_filterbank
+
+        def recording_build(lo, hi, filters, fft_size, rate, channel_id):
+            built[channel_id] = (lo, hi, filters)
+            return real_build(lo, hi, filters, fft_size, rate, channel_id)
+
+        monkeypatch.setattr(melsplit.mfcc, "build_filterbank", recording_build)
+        x = buf(np.random.default_rng(12).standard_normal(4000))
+        if method == "dual":
+            matrices = extract_dual_channel(x, self.CFG)
+        else:
+            matrices = (extract_single_channel(x, self.CFG),)
+        table = channel_bands(method, self.CFG)
+        assert built == table
+        assert [fm.channel_id for fm in matrices] == list(table)
 
 
 class TestExtractSingleChannel:
