@@ -17,7 +17,7 @@ import math
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,10 @@ def settings_from_dict(cls, data, what: str):
         if is_dataclass(hint):
             kwargs[name] = settings_from_dict(hint, value, name)
         elif _json_matches(value, hint):
-            kwargs[name] = value
+            # A JSON integer in a float field loads as a float, so equal
+            # settings echo the same bytes however they were spelled.
+            float_field = hint in (float, float | None) and value is not None
+            kwargs[name] = float(value) if float_field else value
         else:
             type_name = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{what} field {name}: expected {type_name}, got {value!r}")
@@ -184,49 +187,41 @@ class SweepReport:
 
 
 @dataclass(frozen=True)
-class _Utterance:
-    profile_id: int
-    word_id: int
-    replicate: int
-    seed: int
-    buffer: AudioBuffer
-
-    @property
-    def uid(self) -> str:
-        return f"p{self.profile_id}.w{self.word_id}.r{self.replicate}"
-
-
-@dataclass(frozen=True)
 class _TrialPair:
     test: tuple[int, int]
     ref: tuple[int, int]
     genuine: bool
 
 
+def _take_id(p: int, w: int, r: int) -> str:
+    """Source id of a corpus take; it seeds k-means, so it shapes the scores."""
+    return f"p{p}.w{w}.r{r}"
+
+
 def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
     """Synthesize the corpus in memory, or load it from a manifest.
 
-    Returns ({(profile, word, replicate): _Utterance}, digest). A benchmark
+    Returns ({(profile, word, replicate): AudioBuffer}, digest). A benchmark
     corpus needs two replicates per (profile, word): the first (lowest seed)
     is the enrolled reference, the second the test recording.
     """
-    corpus: dict[tuple[int, int, int], _Utterance] = {}
+    corpus: dict[tuple[int, int, int], AudioBuffer] = {}
     if plan.corpus is None:
+        seeds = []
         for p in range(plan.profiles):
             for w in range(plan.words):
                 for r in (0, 1):
-                    seed = corpus_seed(plan.master_seed, p, w, r)
-                    buffer = synth_speaker(
-                        p, w, plan.duration_s, seed, plan.sample_rate_hz
+                    seeds.append(corpus_seed(plan.master_seed, p, w, r))
+                    corpus[(p, w, r)] = synth_speaker(
+                        p, w, plan.duration_s, seeds[-1], plan.sample_rate_hz
                     )
-                    corpus[(p, w, r)] = _Utterance(p, w, r, seed, buffer)
         blob = json.dumps(
             {
                 "profiles": plan.profiles,
                 "words": plan.words,
                 "duration_s": plan.duration_s,
                 "sample_rate_hz": plan.sample_rate_hz,
-                "seeds": [u.seed for u in corpus.values()],
+                "seeds": seeds,
             },
             sort_keys=True,
         ).encode()
@@ -251,9 +246,14 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
             if not wav_path.is_absolute():
                 wav_path = manifest_path.parent / wav_path
             buffer = read_wav(wav_path)
+            if buffer.sample_rate_hz != plan.sample_rate_hz:
+                raise ConfigError(
+                    f"corpus entry {wav_path} (profile {p}, word {w}) is sampled at "
+                    f"{buffer.sample_rate_hz} Hz, but plan sample_rate_hz is {plan.sample_rate_hz}"
+                )
             if not np.any(buffer.samples):
                 raise ConfigError(f"corpus entry {wav_path} (profile {p}, word {w}) is silent")
-            corpus[(p, w, r)] = _Utterance(p, w, r, int(e["seed"]), buffer)
+            corpus[(p, w, r)] = buffer
     return corpus, hashlib.sha256(manifest_path.read_bytes()).hexdigest()
 
 
@@ -316,36 +316,24 @@ def _auto_mu(plan: ExperimentPlan, reference: AudioBuffer) -> float:
     return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
 
 
-@dataclass(frozen=True)
-class _MixedSignals:
-    """One test utterance's noisy take plus the canceller's extended view.
+def _mix_with_lead(
+    plan: ExperimentPlan, key: tuple[int, int], clean: AudioBuffer, snr_db: float
+) -> tuple[AudioBuffer, AudioBuffer]:
+    """The canceller's (primary, reference) inputs for test take `key`.
 
-    primary_ext and reference_ext carry a noise-only lead-in ahead of the
-    word so the adaptive filter converges before speech starts; the lead-in
-    is trimmed after cancellation. The utterance portion of the noise is
-    bit-identical to the ANC-off cell's.
+    Both open with a noise-only lead-in so the adaptive filter converges
+    before speech starts; the reference is exactly the noise in the primary.
+    The primary's last len(clean) samples are the noisy take at `snr_db`.
     """
-
-    noisy: AudioBuffer
-    primary_ext: AudioBuffer
-    reference_ext: AudioBuffer
-
-
-def _mix_with_lead(plan: ExperimentPlan, utt: _Utterance, snr_db: float) -> _MixedSignals:
-    clean = utt.buffer
     rate = clean.sample_rate_hz
     n = len(clean)
     lead = int(round(plan.anc_lead_s * rate))
-    seed = corpus_seed(plan.master_seed, utt.profile_id, utt.word_id, 0xA01E)
-    rng = np.random.default_rng(_entropy(seed))
+    rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key, 0xA01E)))
     unit = rng.standard_normal(n + lead)
     scale = noise_scale(float(np.mean(clean.samples**2)), unit[:n], snr_db)
-    noisy = AudioBuffer(clean.samples + scale * unit[:n], rate)
-    primary = AudioBuffer(
-        np.concatenate([scale * unit[n:], noisy.samples]), rate
-    )
-    reference = AudioBuffer(scale * np.concatenate([unit[n:], unit[:n]]), rate)
-    return _MixedSignals(noisy, primary, reference)
+    noise = scale * np.concatenate([unit[n:], unit[:n]])
+    primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
+    return AudioBuffer(primary, rate), AudioBuffer(noise, rate)
 
 
 def _score_pairs(
@@ -355,8 +343,8 @@ def _score_pairs(
     reference. Returns (genuine_scores, impostor_scores); verdict's
     threshold does not affect a score."""
     feats = {
-        key: _features(utt.buffer, method, plan.extraction, utt.uid)
-        for key, utt in takes.items()
+        key: _features(buffer, method, plan.extraction, _take_id(*key, 1))
+        for key, buffer in takes.items()
     }
     scores: dict[bool, list[float]] = {True: [], False: []}
     for pair in pairs:
@@ -386,7 +374,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     cfg = plan.extraction
     ref_feats = {
         method: {
-            (p, w): _features(corpus[(p, w, 0)].buffer, method, cfg, corpus[(p, w, 0)].uid)
+            (p, w): _features(corpus[(p, w, 0)], method, cfg, _take_id(p, w, 0))
             for p in profile_ids
             for w in word_ids
         }
@@ -405,17 +393,18 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     for snr_db in plan.snr_points_db:
         mixed = {}
         if snr_db != CLEAN_SNR_DB:
-            mixed = {key: _mix_with_lead(plan, utt, snr_db) for key, utt in clean_takes.items()}
+            mixed = {
+                key: _mix_with_lead(plan, key, clean, snr_db)
+                for key, clean in clean_takes.items()
+            }
         for anc_mode in plan.anc:
             takes = dict(clean_takes)
-            for key, m in mixed.items():
-                buffer = m.noisy
+            for key, (primary, reference) in mixed.items():
                 if anc_mode == "on":
-                    config = LmsConfig(plan.anc_taps, _auto_mu(plan, m.reference_ext))
-                    denoised = run_anc(m.primary_ext, m.reference_ext, config).error_signal
-                    trimmed = denoised.samples[len(m.primary_ext) - len(m.noisy) :]
-                    buffer = AudioBuffer(trimmed, m.noisy.sample_rate_hz)
-                takes[key] = replace(takes[key], buffer=buffer)
+                    config = LmsConfig(plan.anc_taps, _auto_mu(plan, reference))
+                    primary = run_anc(primary, reference, config).error_signal
+                n = len(clean_takes[key])
+                takes[key] = AudioBuffer(primary.samples[-n:], primary.sample_rate_hz)
             for method in plan.methods:
                 start = time.perf_counter()
                 scores = _score_pairs(takes, pairs, method, ref_feats[method], plan)
@@ -451,10 +440,7 @@ def report_to_dict(report: SweepReport, include_timing: bool = True) -> dict:
             "method": c.method,
             "anc": c.anc,
             "snr_db": c.snr_db,
-            "tp": c.counts.tp,
-            "tn": c.counts.tn,
-            "fp": c.counts.fp,
-            "fn": c.counts.fn,
+            **asdict(c.counts),
             "accuracy": c.accuracy,
         }
         if include_timing:

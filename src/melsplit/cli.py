@@ -336,10 +336,7 @@ def main(argv=None) -> int:
                 parser.error(f"--kind {args.kind} requires --{flag}")
     try:
         return args.handler(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, OSError) as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

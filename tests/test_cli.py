@@ -189,6 +189,20 @@ class TestExtract:
             sidecars[meta["channel_id"]] = (meta["band_lo"], meta["band_hi"], meta["P"])
         assert sidecars == channel_bands(method, cfg)
 
+    def test_integer_spelled_float_gives_same_sidecars(self, tmp_path):
+        src = make_word_wav(tmp_path / "w.wav", duration=0.5)
+        sidecars = []
+        for spelling in ("1500", "1500.0"):
+            cfg_path = tmp_path / f"config_{spelling}.json"
+            cfg_path.write_text(f'{{"split_hz": {spelling}}}')
+            assert repr(load_config(cfg_path)) == repr(PipelineConfig(split_hz=1500.0))
+            out = tmp_path / spelling
+            assert run_cli("--config", cfg_path, "extract", "--method", "dual",
+                           "--in", src, "--out", out) == 0
+            sidecars.append({path.name: path.read_bytes() for path in out.glob("*.json")})
+        assert len(sidecars[0]) == 2
+        assert sidecars[0] == sidecars[1]
+
 
 class TestVerdict:
     def test_file_against_itself(self, tmp_path, capsys):
