@@ -5,6 +5,12 @@ correlated noise. Each step the combiner predicts the noise component from
 the reference delay line, subtracts it, and nudges its weights along the
 error gradient: w' = w + 2*mu*e_k*x_k. The running error signal is the
 denoised output.
+
+Two loops run it. run_anc steps one recording serially with scalar
+arithmetic, which is the fastest way through a single take. run_anc_batch
+steps a (B, n) stack of independent cancellers in lockstep, one vectorised
+update per sample, which is how a sweep cancels all takes of an SNR point at
+once. lms_step is the scalar reference both are tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DivergenceError, ParameterError
 from .signal_io import AudioBuffer
@@ -22,6 +29,10 @@ MSE_WINDOW = 256
 # |e| or |y| beyond this means the filter is blowing up; from here on every
 # weight is checked so the exact divergence step is reported.
 _GUARD = 1e100
+
+# run_anc_batch checks its error signals for divergence once per this many
+# steps rather than on every step.
+_CHECK_EVERY = 512
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,66 @@ def run_anc(
         mse_trace=mse_trace(errors, MSE_WINDOW),
         final_weights=weights,
     )
+
+
+def run_anc_batch(
+    primaries: np.ndarray, references: np.ndarray, order_l: int, mus
+) -> np.ndarray:
+    """Run B zero-start LMS cancellers in lockstep, one per row.
+
+    Row i cancels references[i] out of primaries[i] with step size mus[i]
+    and gives run_anc's error signal for LmsConfig(order_l, mus[i]) up to
+    the float summation order of the combiner output; rows never interact.
+    Returns the (B, n) error signals. Raises DivergenceError carrying the
+    row and the first step at which that row's error went non-finite (the
+    earliest such step, then the lowest row).
+    """
+    d = np.asarray(primaries, dtype=np.float64)
+    x = np.asarray(references, dtype=np.float64)
+    if d.ndim != 2 or d.shape != x.shape:
+        raise DimensionError(
+            f"primaries {d.shape} and references {x.shape} must be equal (B, n) stacks"
+        )
+    b, n = d.shape
+    if n == 0:
+        raise DimensionError("empty input")
+    if order_l < 0:
+        raise ParameterError("order_l must be >= 0")
+    two_mu = 2.0 * np.asarray(mus, dtype=np.float64)
+    if two_mu.shape != (b,):
+        raise DimensionError(f"need one step size per row ({b}), got shape {two_mu.shape}")
+    if not np.all(two_mu > 0):
+        raise ParameterError("every step size must be positive")
+
+    taps = order_l + 1
+    # Step k's delay line is x[:, k-L : k+1], oldest sample first, so the
+    # weights are stored oldest tap first too. Steps k < L read a window of
+    # a short zero-led head; the rest are windows of x itself, not of a
+    # padded copy of it.
+    lead = min(n, order_l)
+    if lead:
+        head = np.concatenate([np.zeros((b, order_l)), x[:, :lead]], axis=1)
+        head = sliding_window_view(head, taps, axis=1)
+    if n > order_l:
+        body = sliding_window_view(x, taps, axis=1)
+    weights = np.zeros((b, taps))
+    errors = np.empty((b, n))
+    einsum = np.einsum
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _CHECK_EVERY):
+            stop = min(n, start + _CHECK_EVERY)
+            for k in range(start, stop):
+                window = head[:, k] if k < order_l else body[:, k - order_l]
+                e = d[:, k] - einsum("ij,ij->i", weights, window)
+                errors[:, k] = e
+                weights += (two_mu * e)[:, None] * window
+            steps, rows = np.nonzero(~np.isfinite(errors[:, start:stop].T))
+            if len(steps):
+                raise DivergenceError(start + int(steps[0]), row=int(rows[0]))
+    finite = np.all(np.isfinite(weights), axis=1)
+    if not np.all(finite):
+        raise DivergenceError(n - 1, row=int(np.argmin(finite)))
+    return errors
 
 
 def mse_trace(errors: np.ndarray, window: int) -> np.ndarray:

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .anc import LmsConfig, run_anc
+from .anc import run_anc_batch
 from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, verdict
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import METHODS, ExtractionConfig, _check_fields
 from .mfcc import extract_dual_channel, extract_single_channel
 from .signal_io import (
@@ -233,14 +233,14 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
     entries = read_manifest(manifest_path)
     groups: dict[tuple[int, int], list[dict]] = {}
     for e in entries:
-        groups.setdefault((int(e["profile_id"]), int(e["word_id"])), []).append(e)
+        groups.setdefault((e["profile_id"], e["word_id"]), []).append(e)
     for (p, w), group in sorted(groups.items()):
         if len(group) < 2:
             raise ConfigError(
                 f"corpus needs >= 2 replicates per (profile, word); "
                 f"profile {p} word {w} has {len(group)}"
             )
-        group.sort(key=lambda e: int(e["seed"]))
+        group.sort(key=lambda e: e["seed"])
         for r, e in enumerate(group[:2]):
             wav_path = Path(e["path"])
             if not wav_path.is_absolute():
@@ -308,12 +308,17 @@ def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id
     return {fm.channel_id: fm for fm in matrices}
 
 
-def _auto_mu(plan: ExperimentPlan, reference: AudioBuffer) -> float:
+def _auto_mu(plan: ExperimentPlan, reference: np.ndarray) -> float:
     """Step size targeting a fixed misadjustment against the reference power."""
     if plan.anc_mu is not None:
         return plan.anc_mu
-    power = float(np.mean(reference.samples**2))
+    power = float(np.mean(reference**2))
     return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
+
+
+def _lead_samples(plan: ExperimentPlan) -> int:
+    """Length of the noise-only lead-in that opens each canceller input."""
+    return int(round(plan.anc_lead_s * plan.sample_rate_hz))
 
 
 def _mix_with_lead(
@@ -327,13 +332,51 @@ def _mix_with_lead(
     """
     rate = clean.sample_rate_hz
     n = len(clean)
-    lead = int(round(plan.anc_lead_s * rate))
+    lead = _lead_samples(plan)
     rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key, 0xA01E)))
     unit = rng.standard_normal(n + lead)
     scale = noise_scale(float(np.mean(clean.samples**2)), unit[:n], snr_db)
     noise = scale * np.concatenate([unit[n:], unit[:n]])
     primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
     return AudioBuffer(primary, rate), AudioBuffer(noise, rate)
+
+
+def _noisy_takes(plan: ExperimentPlan, clean_takes: dict, snr_db: float) -> dict[str, dict]:
+    """The test takes at `snr_db` for each of the plan's ANC modes, as
+    {anc_mode: {key: AudioBuffer}}.
+
+    The canceller inputs of equal-length takes are mixed straight into one
+    (B, n) pair of arrays, and their B cancellers run in one batched call.
+    The ANC-off take is the primary's last len(clean) samples; the ANC-on
+    take is the same slice of the canceller's error signal.
+    """
+    rate = plan.sample_rate_hz
+    by_length: dict[int, list] = {}
+    for key, clean in clean_takes.items():
+        by_length.setdefault(len(clean), []).append(key)
+    takes: dict[str, dict] = {mode: {} for mode in plan.anc}
+    for n, keys in by_length.items():
+        primaries = np.empty((len(keys), n + _lead_samples(plan)))
+        references = np.empty_like(primaries)
+        for row, key in enumerate(keys):
+            primary, reference = _mix_with_lead(plan, key, clean_takes[key], snr_db)
+            primaries[row] = primary.samples
+            references[row] = reference.samples
+        signals = {"off": primaries}
+        if "on" in plan.anc:
+            mus = [_auto_mu(plan, reference) for reference in references]
+            try:
+                signals["on"] = run_anc_batch(primaries, references, plan.anc_taps, mus)
+            except DivergenceError as exc:
+                take = _take_id(*keys[exc.row], 1)
+                raise DivergenceError(
+                    exc.step_index,
+                    f"ANC diverged on take {take} at SNR {snr_db:g} dB, step {exc.step_index}",
+                ) from exc
+        for mode in plan.anc:
+            for row, key in enumerate(keys):
+                takes[mode][key] = AudioBuffer(signals[mode][row, -n:], rate)
+    return takes
 
 
 def _score_pairs(
@@ -391,28 +434,21 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
     cells: list[CellResult] = []
     for snr_db in plan.snr_points_db:
-        mixed = {}
-        if snr_db != CLEAN_SNR_DB:
-            mixed = {
-                key: _mix_with_lead(plan, key, clean, snr_db)
-                for key, clean in clean_takes.items()
-            }
+        if snr_db == CLEAN_SNR_DB:
+            takes = {mode: clean_takes for mode in plan.anc}
+        else:
+            takes = _noisy_takes(plan, clean_takes, snr_db)
         for anc_mode in plan.anc:
-            takes = dict(clean_takes)
-            for key, (primary, reference) in mixed.items():
-                if anc_mode == "on":
-                    config = LmsConfig(plan.anc_taps, _auto_mu(plan, reference))
-                    primary = run_anc(primary, reference, config).error_signal
-                n = len(clean_takes[key])
-                takes[key] = AudioBuffer(primary.samples[-n:], primary.sample_rate_hz)
             for method in plan.methods:
                 start = time.perf_counter()
-                scores = _score_pairs(takes, pairs, method, ref_feats[method], plan)
+                scores = _score_pairs(takes[anc_mode], pairs, method, ref_feats[method], plan)
                 counts = confusion(*scores, thresholds[method])
                 elapsed = time.perf_counter() - start
                 cells.append(
                     CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
                 )
+        # Free this point's canceller signals before the next point mixes its own.
+        del takes
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

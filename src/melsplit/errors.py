@@ -26,11 +26,18 @@ class UndefinedSnrError(PipelineError):
 
 
 class DivergenceError(PipelineError):
-    """Adaptive filter weights went non-finite."""
+    """Adaptive filter weights went non-finite.
 
-    def __init__(self, step_index: int, message: str | None = None):
+    row is the diverging canceller's row in a batched run, else None.
+    """
+
+    def __init__(self, step_index: int, message: str | None = None, row: int | None = None):
         self.step_index = step_index
-        super().__init__(message or f"adaptive filter diverged at step {step_index}")
+        self.row = row
+        if message is None:
+            where = "" if row is None else f" in batch row {row}"
+            message = f"adaptive filter diverged at step {step_index}{where}"
+        super().__init__(message)
 
 
 class ConfigError(PipelineError):

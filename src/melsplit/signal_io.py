@@ -372,15 +372,32 @@ def write_manifest(entries: list[dict], path) -> None:
 
 
 def read_manifest(path) -> list[dict]:
-    """Read a corpus manifest written by :func:`write_manifest`."""
+    """Read a corpus manifest written by :func:`write_manifest`.
+
+    Each entry must be an object with integer profile_id, word_id and seed
+    and a string path; a FormatError names the first entry and field that
+    are not.
+    """
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise FormatError(f"{path}: manifest entry {i} must be a JSON object, got {e!r}")
         missing = {"profile_id", "word_id", "seed", "path"} - set(e)
         if missing:
-            raise FormatError(f"{path}: manifest entry missing {sorted(missing)}")
+            raise FormatError(f"{path}: manifest entry {i} missing {sorted(missing)}")
+        for name in ("profile_id", "word_id", "seed"):
+            if not isinstance(e[name], int) or isinstance(e[name], bool):
+                raise FormatError(
+                    f"{path}: manifest entry {i} field {name} must be an integer, "
+                    f"got {e[name]!r}"
+                )
+        if not isinstance(e["path"], str):
+            raise FormatError(
+                f"{path}: manifest entry {i} field path must be a string, got {e['path']!r}"
+            )
     return entries

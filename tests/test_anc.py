@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from melsplit.anc import LmsConfig, LmsState, combiner_output, lms_step, mse_trace, run_anc
+from melsplit.anc import (
+    LmsConfig,
+    LmsState,
+    combiner_output,
+    lms_step,
+    mse_trace,
+    run_anc,
+    run_anc_batch,
+)
 from melsplit.errors import DimensionError, DivergenceError, ParameterError
 from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_snr
 
@@ -165,6 +173,72 @@ class TestRunAnc:
             state, errors[k], _ = lms_step(state, primary[k], reference[k], 0.02)
         assert np.allclose(result.error_signal.samples, errors, atol=1e-12)
         assert np.allclose(result.final_weights, state.weights, atol=1e-12)
+
+
+class TestRunAncBatch:
+    MUS = np.array([0.002, 0.01, 0.03])
+
+    def serial(self, primary, reference, order_l, mu):
+        config = LmsConfig(order_l=order_l, step_mu=float(mu))
+        return run_anc(buf(primary), buf(reference), config).error_signal.samples
+
+    @pytest.mark.parametrize("order_l", [0, 4, 31])
+    @pytest.mark.parametrize("n", [600, 20])
+    def test_rows_match_run_anc(self, order_l, n):
+        # n=20 is shorter than the 32-tap delay line
+        rng = np.random.default_rng(order_l + n)
+        references = rng.standard_normal((3, n))
+        primaries = 0.7 * references + 0.3 * rng.standard_normal((3, n))
+        errors = run_anc_batch(primaries, references, order_l, self.MUS)
+        assert errors.shape == (3, n)
+        for row in range(3):
+            expected = self.serial(primaries[row], references[row], order_l, self.MUS[row])
+            assert np.allclose(errors[row], expected, rtol=0, atol=1e-12)
+
+    def test_batch_of_one_matches_run_anc(self):
+        clean, noisy, noise = sine_noise_fixture(seconds=0.3)
+        errors = run_anc_batch(noisy.samples[None], noise.samples[None], 15, [0.004])
+        expected = self.serial(noisy.samples, noise.samples, 15, 0.004)
+        assert np.allclose(errors[0], expected, rtol=0, atol=1e-12)
+
+    def test_zero_reference_row_returns_primary(self):
+        rng = np.random.default_rng(2)
+        primaries = rng.standard_normal((3, 500))
+        references = rng.standard_normal((3, 500))
+        references[1] = 0.0
+        errors = run_anc_batch(primaries, references, 8, self.MUS)
+        assert np.array_equal(errors[1], primaries[1])
+
+    @pytest.mark.parametrize(
+        "primaries, references",
+        [
+            (np.zeros((2, 10)), np.zeros((2, 9))),
+            (np.zeros((2, 10)), np.zeros((3, 10))),
+            (np.zeros(10), np.zeros(10)),
+            (np.zeros((2, 0)), np.zeros((2, 0))),
+        ],
+    )
+    def test_bad_shapes(self, primaries, references):
+        with pytest.raises(DimensionError):
+            run_anc_batch(primaries, references, 4, np.full(len(primaries), 0.01))
+
+    def test_step_size_per_row(self):
+        with pytest.raises(DimensionError):
+            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01])
+        with pytest.raises(ParameterError):
+            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01, 0.0])
+
+    def test_diverging_row_named(self):
+        clean, noisy, noise = sine_noise_fixture(seconds=0.5)
+        primaries = np.stack([noisy.samples] * 3)
+        references = np.stack([noise.samples] * 3)
+        with pytest.raises(DivergenceError) as serial:
+            run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=1e3))
+        with pytest.raises(DivergenceError) as batch:
+            run_anc_batch(primaries, references, 31, [0.005, 1e3, 0.005])
+        assert batch.value.row == 1
+        assert abs(batch.value.step_index - serial.value.step_index) <= 1
+        assert "batch row 1" in str(batch.value)
 
 
 class TestMseTrace:

@@ -21,7 +21,7 @@ from melsplit.bench import (
     run_sweep,
 )
 from melsplit.cluster import ConfusionCounts, accuracy
-from melsplit.errors import ConfigError
+from melsplit.errors import ConfigError, DivergenceError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.signal_io import (
     AudioBuffer,
@@ -177,16 +177,36 @@ class TestRunSweep:
 
     def test_clean_condition_runs_no_canceller(self, monkeypatch):
         calls = []
-        real_run_anc = melsplit.bench.run_anc
+        real_run_anc_batch = melsplit.bench.run_anc_batch
 
-        def counting_run_anc(*args, **kwargs):
+        def counting_run_anc_batch(*args, **kwargs):
             calls.append(1)
-            return real_run_anc(*args, **kwargs)
+            return real_run_anc_batch(*args, **kwargs)
 
-        monkeypatch.setattr(melsplit.bench, "run_anc", counting_run_anc)
+        monkeypatch.setattr(melsplit.bench, "run_anc_batch", counting_run_anc_batch)
         report = run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,), anc=("on",)))
         assert len(report.cells) == 2
         assert calls == []
+
+    def test_one_canceller_batch_per_noisy_snr_point(self, monkeypatch):
+        batches = []
+        real_run_anc_batch = melsplit.bench.run_anc_batch
+
+        def recording_run_anc_batch(primaries, *args):
+            batches.append(primaries.shape)
+            return real_run_anc_batch(primaries, *args)
+
+        monkeypatch.setattr(melsplit.bench, "run_anc_batch", recording_run_anc_batch)
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
+        run_sweep(plan)
+        n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
+        assert len(batches) == 2
+        assert batches[0] == batches[1] and batches[0][1] == n
+
+    def test_divergence_names_take_and_snr_point(self):
+        plan = mini_plan(anc_mu=1000.0, anc=("on",))
+        with pytest.raises(DivergenceError, match=r"take p\d\.w\d\.r1 at SNR -16 dB, step \d+"):
+            run_sweep(plan)
 
     def test_clean_counts_same_with_and_without_anc(self, mini_report):
         for method in ("single", "dual"):

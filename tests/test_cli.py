@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,38 @@ class TestBench:
                        "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
         assert code == 1
         assert "snr_pts" in capsys.readouterr().err
+
+    def test_divergence_names_take(self, tmp_path, capsys):
+        plan = {
+            "snr_points_db": [-16],
+            "methods": ["single"],
+            "anc": ["on"],
+            "anc_mu": 1000,
+            "trials": 6,
+            "profiles": 3,
+            "words": 3,
+            "duration_s": 0.3,
+            "calib_words": 1,
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code = run_cli("bench", "--plan", plan_path,
+                       "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: ANC diverged on take p\d\.w\d\.r1 at SNR -16 dB", err, re.M)
+
+    def test_malformed_manifest_is_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            [{"profile_id": "x", "word_id": 0, "seed": 1, "path": "a.wav"}]
+        ))
+        code = run_cli("bench", "--corpus", manifest,
+                       "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "entry 0 field profile_id" in err
+        assert "Traceback" not in err
 
 
 class TestPipelineConfig:

@@ -1,5 +1,7 @@
 """Audio I/O, noise mixing, and synthetic corpus tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,24 @@ class TestManifest:
         path = tmp_path / "bad.json"
         path.write_text('[{"profile_id": 0}]')
         with pytest.raises(FormatError):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ([3], r"entry 1 must be a JSON object"),
+            ({"profile_id": "x"}, r"entry 1 field profile_id must be an integer"),
+            ({"word_id": 0.5}, r"entry 1 field word_id must be an integer"),
+            ({"seed": True}, r"entry 1 field seed must be an integer"),
+            ({"path": 7}, r"entry 1 field path must be a string"),
+        ],
+    )
+    def test_malformed_entry_named(self, tmp_path, entry, named):
+        path = tmp_path / "bad.json"
+        good = {"profile_id": 0, "word_id": 0, "seed": 1, "path": "a.wav"}
+        bad = entry if isinstance(entry, list) else {**good, **entry}
+        path.write_text(json.dumps([good, bad]))
+        with pytest.raises(FormatError, match=named):
             read_manifest(path)
 
     def test_corpus_seed_deterministic(self):
