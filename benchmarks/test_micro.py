@@ -1,0 +1,66 @@
+"""Micro-benchmarks of the sweep's inner stages, kept out of the test suite.
+
+Run from the repository root with
+
+    python -m pytest benchmarks --benchmark-only
+
+Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
+canceller lead-in and k = 2. The canceller batch holds 52 takes, the number
+of distinct test takes in a default sweep on master seed 1.
+"""
+
+import numpy as np
+import pytest
+
+from melsplit.anc import run_anc_batch
+from melsplit.bench import ExperimentPlan, _auto_mu, _features, _mix_with_lead
+from melsplit.cluster import enroll, kmeans
+from melsplit.mfcc import extract_dual_channel
+from melsplit.signal_io import corpus_seed, synth_speaker
+
+PLAN = ExperimentPlan(master_seed=1)
+BATCH_ROWS = 52
+
+
+def _take(p: int, w: int):
+    return synth_speaker(
+        p, w, PLAN.duration_s, corpus_seed(PLAN.master_seed, p, w, 1), PLAN.sample_rate_hz
+    )
+
+
+@pytest.fixture(scope="module")
+def take():
+    return _take(0, 0)
+
+
+@pytest.fixture(scope="module")
+def dual_features(take):
+    return _features(take, "dual", PLAN.extraction, "p0.w0.r1")
+
+
+def test_kmeans(benchmark, dual_features):
+    rows = dual_features["ch1"].rows
+    model = benchmark(kmeans, rows, PLAN.kmeans_k, 7)
+    assert model.centroids.shape == (PLAN.kmeans_k, rows.shape[1])
+
+
+def test_enroll_dual_take(benchmark, dual_features):
+    models = benchmark(enroll, dual_features, PLAN.kmeans_k, PLAN.master_seed)
+    assert sorted(models) == ["ch1", "ch2"]
+
+
+def test_extract_dual_channel(benchmark, take):
+    ch1, ch2 = benchmark(extract_dual_channel, take, PLAN.extraction, "p0.w0.r1")
+    assert ch1.rows.shape == ch2.rows.shape
+
+
+def test_run_anc_batch_52_rows(benchmark):
+    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
+    mixed = [_mix_with_lead(PLAN, key, _take(*key), -6.0) for key in keys]
+    primaries = np.stack([primary.samples for primary, _ in mixed])
+    references = np.stack([reference.samples for _, reference in mixed])
+    mus = [_auto_mu(PLAN, row) for row in references]
+    errors = benchmark.pedantic(
+        run_anc_batch, args=(primaries, references, PLAN.anc_taps, mus), rounds=3
+    )
+    assert errors.shape == primaries.shape

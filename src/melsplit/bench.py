@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .anc import run_anc_batch
-from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, verdict
+from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, enroll, score
 from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import METHODS, ExtractionConfig, _check_fields
 from .mfcc import extract_dual_channel, extract_single_channel
@@ -379,20 +379,30 @@ def _noisy_takes(plan: ExperimentPlan, clean_takes: dict, snr_db: float) -> dict
     return takes
 
 
-def _score_pairs(
-    takes: dict, pairs: list[_TrialPair], method: str, ref_feats: dict, plan: ExperimentPlan
-) -> tuple[list[float], list[float]]:
-    """Score each pair's test take (from `takes`, extracted once) against its
-    reference. Returns (genuine_scores, impostor_scores); verdict's
-    threshold does not affect a score."""
-    feats = {
-        key: _features(buffer, method, plan.extraction, _take_id(*key, 1))
+def _enroll_takes(
+    takes: dict, method: str, plan: ExperimentPlan, replicate: int
+) -> dict[tuple[int, int], dict]:
+    """Extract and enroll each take once: {(profile, word): {channel_id:
+    ClusterModel}}. `replicate` names the takes' source ids, which seed
+    k-means."""
+    return {
+        key: enroll(
+            _features(buffer, method, plan.extraction, _take_id(*key, replicate)),
+            plan.kmeans_k,
+            plan.master_seed,
+        )
         for key, buffer in takes.items()
     }
+
+
+def _score_pairs(
+    test_models: dict, ref_models: dict, pairs: list[_TrialPair]
+) -> tuple[list[float], list[float]]:
+    """Score each pair from the enrolled models of its two takes.
+    Returns (genuine_scores, impostor_scores) in pair order."""
     scores: dict[bool, list[float]] = {True: [], False: []}
     for pair in pairs:
-        v = verdict(feats[pair.test], ref_feats[pair.ref], plan.kmeans_k, 0.0, plan.master_seed)
-        scores[pair.genuine].append(v.score)
+        scores[pair.genuine].append(score(test_models[pair.test], ref_models[pair.ref]))
     return scores[True], scores[False]
 
 
@@ -401,6 +411,11 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     Noise realizations and trial pairs are fixed per master seed and shared
     across cells, so conditions differ only in the treatment under test.
+    Each reference take is enrolled once per method and each test take once
+    per condition; every trial pair is then scored from the cached models.
+    The clean condition scores the same takes under every ANC mode, so it is
+    scored once per method and reported in each mode's cell, with its wall
+    time split evenly between them.
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -414,20 +429,15 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
     calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
-    cfg = plan.extraction
-    ref_feats = {
-        method: {
-            (p, w): _features(corpus[(p, w, 0)], method, cfg, _take_id(p, w, 0))
-            for p in profile_ids
-            for w in word_ids
-        }
-        for method in plan.methods
-    }
+    references = {(p, w): corpus[(p, w, 0)] for p in profile_ids for w in word_ids}
+    ref_models = {method: _enroll_takes(references, method, plan, 0) for method in plan.methods}
 
     # Per-method threshold from clean calibration words, frozen for the sweep.
     calib_takes = {pair.test: corpus[pair.test + (1,)] for pair in calib_pairs}
     thresholds = {
-        m: calibrate_threshold(*_score_pairs(calib_takes, calib_pairs, m, ref_feats[m], plan))
+        m: calibrate_threshold(
+            *_score_pairs(_enroll_takes(calib_takes, m, plan, 1), ref_models[m], calib_pairs)
+        )
         for m in plan.methods
     }
 
@@ -435,20 +445,24 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     cells: list[CellResult] = []
     for snr_db in plan.snr_points_db:
         if snr_db == CLEAN_SNR_DB:
-            takes = {mode: clean_takes for mode in plan.anc}
+            conditions = [(plan.anc, clean_takes)]
         else:
-            takes = _noisy_takes(plan, clean_takes, snr_db)
-        for anc_mode in plan.anc:
+            conditions = [
+                ((mode,), takes) for mode, takes in _noisy_takes(plan, clean_takes, snr_db).items()
+            ]
+        for modes, takes in conditions:
             for method in plan.methods:
                 start = time.perf_counter()
-                scores = _score_pairs(takes[anc_mode], pairs, method, ref_feats[method], plan)
+                test_models = _enroll_takes(takes, method, plan, 1)
+                scores = _score_pairs(test_models, ref_models[method], pairs)
                 counts = confusion(*scores, thresholds[method])
-                elapsed = time.perf_counter() - start
-                cells.append(
-                    CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
-                )
+                elapsed = (time.perf_counter() - start) / len(modes)
+                for anc_mode in modes:
+                    cells.append(
+                        CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
+                    )
         # Free this point's canceller signals before the next point mixes its own.
-        del takes
+        del conditions, takes
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

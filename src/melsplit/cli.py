@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -76,13 +76,25 @@ def save_config(cfg: PipelineConfig, path) -> None:
     Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+# The flags that override a config field: {argparse dest: PipelineConfig
+# field}. Any other parsed flag leaves the config alone, even under a
+# field's name.
+CONFIG_FLAGS = {
+    "seed": "seed",
+    "anc_taps": "anc_taps",
+    "anc_mu": "anc_mu",
+    "fir_taps": "fir_taps",
+    "threshold": "threshold",
+}
+
+
 def _effective_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
+    overrides = {
+        field_name: getattr(args, dest)
+        for dest, field_name in CONFIG_FLAGS.items()
+        if getattr(args, dest, None) is not None
+    }
     return replace(cfg, **overrides) if overrides else cfg
 
 

@@ -1,10 +1,11 @@
 """K-means over feature rows, centroid-distance verdicts, and accuracy.
 
-Identity decisions compare two utterances channel by channel: cluster each
-side's feature rows, take the smallest distance between any pair of
-centroids, average the per-channel scores, and call the pair identical when
-the combined score falls at or below a threshold. The threshold comes from
-an equal-error scan over genuine and impostor calibration scores.
+Identity decisions compare two utterances channel by channel: enroll each
+side (cluster its feature rows per channel), take the smallest distance
+between any pair of centroids, average the per-channel scores, and call the
+pair identical when the combined score falls at or below a threshold. A take
+enrolled once can be scored against any number of others. The threshold
+comes from an equal-error scan over genuine and impostor calibration scores.
 """
 
 from __future__ import annotations
@@ -128,6 +129,45 @@ def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def enroll(features: Mapping[str, FeatureMatrix], k: int, seed: int) -> dict[str, ClusterModel]:
+    """Cluster each channel's feature rows: {channel_id: ClusterModel}.
+
+    Each fit is seeded from (seed, source id, channel), so a take enrolls to
+    the same centroids whichever side of a comparison it sits on, and a
+    cached model scores exactly as a fresh fit would.
+    """
+    return {
+        channel: kmeans(fm.rows, k, _side_seed(seed, fm.source_id, channel))
+        for channel, fm in sorted(features.items())
+    }
+
+
+def _check_channels(test: Mapping, ref: Mapping) -> None:
+    if set(test) != set(ref):
+        raise ConfigError(f"channel sets differ: {sorted(test)} vs {sorted(ref)}")
+
+
+def channel_scores(
+    test_models: Mapping[str, ClusterModel], ref_models: Mapping[str, ClusterModel]
+) -> dict[str, float]:
+    """Per channel, the minimum distance over (test, reference) centroid pairs."""
+    _check_channels(test_models, ref_models)
+    per_channel: dict[str, float] = {}
+    for channel in sorted(test_models):
+        test_c = test_models[channel].centroids
+        ref_c = ref_models[channel].centroids
+        pairwise = np.sqrt(np.sum((test_c[:, None, :] - ref_c[None, :, :]) ** 2, axis=2))
+        per_channel[channel] = float(pairwise.min())
+    return per_channel
+
+
+def score(
+    test_models: Mapping[str, ClusterModel], ref_models: Mapping[str, ClusterModel]
+) -> float:
+    """Combined score of two enrolled takes: the mean of the channel scores."""
+    return float(np.mean(list(channel_scores(test_models, ref_models).values())))
+
+
 def verdict(
     test_features: Mapping[str, FeatureMatrix],
     ref_features: Mapping[str, FeatureMatrix],
@@ -137,30 +177,16 @@ def verdict(
 ) -> IdentityVerdict:
     """Compare two utterances by nearest-centroid distance per channel.
 
-    Both sides are clustered independently; the per-channel score is the
-    minimum distance over centroid pairs, and the combined score is the mean
-    across channels. Identical means score <= threshold.
+    Both sides are enrolled independently and scored as in score: the
+    per-channel score is the minimum distance over centroid pairs, and the
+    combined score is the mean across channels. Identical means
+    score <= threshold.
     """
-    if set(test_features) != set(ref_features):
-        raise ConfigError(
-            f"channel sets differ: {sorted(test_features)} vs {sorted(ref_features)}"
-        )
-    per_channel: dict[str, float] = {}
-    for channel in sorted(test_features):
-        test_fm = test_features[channel]
-        ref_fm = ref_features[channel]
-        test_model = kmeans(test_fm.rows, k, _side_seed(seed, test_fm.source_id, channel))
-        ref_model = kmeans(ref_fm.rows, k, _side_seed(seed, ref_fm.source_id, channel))
-        pairwise = np.sqrt(
-            np.sum(
-                (test_model.centroids[:, None, :] - ref_model.centroids[None, :, :]) ** 2,
-                axis=2,
-            )
-        )
-        per_channel[channel] = float(pairwise.min())
-    score = float(np.mean(list(per_channel.values())))
-    decision = "identical" if score <= threshold else "non-identical"
-    return IdentityVerdict(score, float(threshold), decision, per_channel)
+    _check_channels(test_features, ref_features)
+    per_channel = channel_scores(enroll(test_features, k, seed), enroll(ref_features, k, seed))
+    combined = float(np.mean(list(per_channel.values())))
+    decision = "identical" if combined <= threshold else "non-identical"
+    return IdentityVerdict(combined, float(threshold), decision, per_channel)
 
 
 def calibrate_threshold(genuine_scores, impostor_scores) -> float:

@@ -11,6 +11,7 @@ own full filter resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,7 @@ def mel_to_hz(m: float) -> float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache
 def build_filterbank(
     band_lo_hz: float,
     band_hi_hz: float,
@@ -190,6 +192,8 @@ def build_filterbank(
     P+2 boundary points are laid out on the mel axis, mapped back to Hz and
     then to FFT bins; filter m rises over [b(m-1), b(m)] and falls over
     [b(m), b(m+1)]. Raises if the band is too narrow for P distinct bins.
+    Banks are memoized per argument tuple, so the returned arrays are shared
+    and read-only.
     """
     p, k = int(num_filters_p), int(fft_size_k)
     if p < 1:
@@ -216,8 +220,10 @@ def build_filterbank(
         falling = (cols > peak) & (cols < right)
         weights[m, rising] = (cols[rising] - left) / (peak - left)
         weights[m, falling] = (right - cols[falling]) / (right - peak)
+    peak_bins = bins[1:-1]
+    weights.flags.writeable = peak_bins.flags.writeable = False
     return MelFilterbank(
-        weights, p, float(band_lo_hz), float(band_hi_hz), k, channel_id, bins[1:-1]
+        weights, p, float(band_lo_hz), float(band_hi_hz), k, channel_id, peak_bins
     )
 
 
@@ -235,11 +241,15 @@ def log_mel_energies(
     return np.log(np.maximum(energies, floor))
 
 
+@lru_cache
 def dct_basis(num_filters_p: int, num_coeffs_q: int) -> np.ndarray:
-    """Cosine basis: entry (q, m) = cos((m+1)*(q+1/2)*pi/P), zero-based q, m."""
+    """Cosine basis: entry (q, m) = cos((m+1)*(q+1/2)*pi/P), zero-based q, m.
+    Memoized like build_filterbank; the returned array is read-only."""
     q = np.arange(1, num_coeffs_q + 1)[:, None]
     m = np.arange(1, num_filters_p + 1)[None, :]
-    return np.cos(m * (q - 0.5) * np.pi / num_filters_p)
+    basis = np.cos(m * (q - 0.5) * np.pi / num_filters_p)
+    basis.flags.writeable = False
+    return basis
 
 
 def dct_cepstra(log_energies: np.ndarray, num_coeffs_q: int) -> np.ndarray:

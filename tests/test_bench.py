@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import melsplit.bench
+import melsplit.cluster
 from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
@@ -202,6 +203,30 @@ class TestRunSweep:
         n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
         assert len(batches) == 2
         assert batches[0] == batches[1] and batches[0][1] == n
+
+    def test_one_kmeans_fit_per_take_channel_and_condition(self, monkeypatch):
+        fits = []
+        real_kmeans = melsplit.cluster.kmeans
+
+        def recording_kmeans(points, k, seed, *args, **kwargs):
+            fits.append((np.asarray(points).tobytes(), seed))
+            return real_kmeans(points, k, seed, *args, **kwargs)
+
+        monkeypatch.setattr(melsplit.cluster, "kmeans", recording_kmeans)
+        # Twice the genuine pool, so every (profile, trial word) is a test take.
+        plan = mini_plan(trials=2 * 3 * 3)
+        run_sweep(plan)
+        channels = sum(len(channel_bands(m, plan.extraction)) for m in plan.methods)
+        references = plan.profiles * plan.words
+        calibration_takes = plan.profiles * plan.calib_words
+        test_takes = plan.profiles * (plan.words - plan.calib_words)
+        # The clean point is one condition whatever the ANC modes; each noisy
+        # point is one condition per mode.
+        noisy_points = sum(s != CLEAN_SNR_DB for s in plan.snr_points_db)
+        conditions = 1 + noisy_points * len(plan.anc)
+        expected = channels * (references + calibration_takes + test_takes * conditions)
+        assert len(fits) == expected
+        assert len(set(fits)) == len(fits)
 
     def test_divergence_names_take_and_snr_point(self):
         plan = mini_plan(anc_mu=1000.0, anc=("on",))

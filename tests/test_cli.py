@@ -1,13 +1,23 @@
 """Command-line interface tests: subcommands, exit codes, config handling."""
 
+import argparse
 import hashlib
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from melsplit.cli import PipelineConfig, load_config, main, save_config
+from melsplit.cli import (
+    CONFIG_FLAGS,
+    PipelineConfig,
+    _build_parser,
+    _effective_config,
+    load_config,
+    main,
+    save_config,
+)
 from melsplit.errors import ConfigError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.signal_io import AudioBuffer, corpus_seed, read_wav, write_wav
@@ -383,6 +393,23 @@ class TestPipelineConfig:
         payload = json.loads(out.read_text())
         assert payload["threshold"] == 0.5
         assert payload["config"]["threshold"] == 0.5
+
+    def test_flag_table_names_real_dests_and_fields(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
+        assert set(CONFIG_FLAGS) <= dests
+        assert set(CONFIG_FLAGS.values()) <= {f.name for f in fields(PipelineConfig)}
+
+    def test_dest_outside_the_table_does_not_override(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        save_config(PipelineConfig(kmeans_k=3, split_hz=1500.0), cfg_path)
+        # a later flag whose dest happens to be a config field's name
+        args = argparse.Namespace(config=str(cfg_path), kmeans_k=5, split_hz=900.0, threshold=2.5)
+        assert {"kmeans_k", "split_hz"}.isdisjoint(CONFIG_FLAGS)
+        cfg = _effective_config(args)
+        assert (cfg.kmeans_k, cfg.split_hz) == (3, 1500.0)
+        assert cfg.threshold == 2.5
 
     def test_config_flows_into_extract(self, tmp_path):
         cfg_path = tmp_path / "config.json"

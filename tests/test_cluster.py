@@ -16,13 +16,17 @@ from melsplit.cluster import (
     IdentityVerdict,
     accuracy,
     calibrate_threshold,
+    channel_scores,
     confusion,
+    enroll,
     euclidean,
     kmeans,
+    score,
     verdict,
 )
 from melsplit.errors import ConfigError, DimensionError, ParameterError
-from melsplit.mfcc import FeatureMatrix
+from melsplit.mfcc import FeatureMatrix, extract_dual_channel, extract_single_channel
+from melsplit.signal_io import synth_speaker
 
 
 def brute_force_inertia(points, k):
@@ -196,6 +200,45 @@ class TestVerdict:
         genuine = verdict(t, g, k=2, threshold=1.0, seed=2).score
         impostor = verdict(t, i, k=2, threshold=1.0, seed=2).score
         assert impostor > genuine
+
+
+def take_features(method, profile, word, replicate):
+    """A synthetic take's features keyed by channel, as the sweep builds them."""
+    buffer = synth_speaker(profile, word, 0.4, seed=100 * profile + 10 * word + replicate)
+    source = f"p{profile}.w{word}.r{replicate}"
+    if method == "dual":
+        matrices = extract_dual_channel(buffer, source_id=source)
+    else:
+        matrices = (extract_single_channel(buffer, source_id=source),)
+    return {m.channel_id: m for m in matrices}
+
+
+class TestEnrollScore:
+    @pytest.mark.parametrize("method", ["single", "dual"])
+    @pytest.mark.parametrize("other_profile", [0, 1])
+    def test_score_of_enrolled_takes_is_verdict_score(self, method, other_profile):
+        test = take_features(method, 0, 3, 1)
+        ref = take_features(method, other_profile, 3, 0)
+        v = verdict(test, ref, k=2, threshold=1.0, seed=4)
+        assert score(enroll(test, 2, 4), enroll(ref, 2, 4)) == v.score
+        assert channel_scores(enroll(test, 2, 4), enroll(ref, 2, 4)) == v.per_channel_scores
+
+    @pytest.mark.parametrize("method", ["single", "dual"])
+    def test_enrolling_twice_gives_identical_centroids(self, method):
+        feats = take_features(method, 2, 1, 1)
+        first, second = enroll(feats, 2, 9), enroll(feats, 2, 9)
+        assert list(first) == list(second) == sorted(feats)
+        for channel in feats:
+            assert np.array_equal(first[channel].centroids, second[channel].centroids)
+            assert first[channel].seed == second[channel].seed
+
+    def test_channel_set_mismatch_raises(self):
+        single = enroll(take_features("single", 0, 0, 0), 2, 1)
+        dual = enroll(take_features("dual", 0, 0, 1), 2, 1)
+        with pytest.raises(ConfigError, match="channel sets differ"):
+            score(single, dual)
+        with pytest.raises(ConfigError, match="channel sets differ"):
+            verdict(take_features("single", 0, 0, 0), take_features("dual", 0, 0, 1), 2, 1.0, 1)
 
 
 class TestCalibrateThreshold:

@@ -16,6 +16,7 @@ from melsplit.mfcc import (
     ExtractionConfig,
     build_filterbank,
     channel_bands,
+    dct_basis,
     dct_cepstra,
     extract_dual_channel,
     extract_single_channel,
@@ -228,6 +229,17 @@ class TestFilterbank:
             # the next filter is zero at this filter's peak and rises after
             assert bank.weights[m + 1, peak] == 0.0
             assert bank.weights[m, peak] == 1.0
+
+    def test_memoized_and_read_only(self):
+        bank = build_filterbank(1000.0, 4000.0, 13, 512, SR, CHANNEL_TWO)
+        assert build_filterbank(1000.0, 4000.0, 13, 512, SR, CHANNEL_TWO) is bank
+        assert not bank.weights.flags.writeable
+        assert not bank.peak_bins.flags.writeable
+        with pytest.raises(ValueError):
+            bank.weights[0, 0] = 5.0
+        basis = dct_basis(13, 12)
+        assert dct_basis(13, 12) is basis
+        assert not basis.flags.writeable
 
     def test_too_narrow_band_rejected(self):
         with pytest.raises(ParameterError):
