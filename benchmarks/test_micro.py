@@ -5,7 +5,8 @@ Run from the repository root with
     python -m pytest benchmarks --benchmark-only
 
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
-canceller lead-in and k = 2. The canceller batch holds 52 takes, the number
+canceller lead-in and k = 2; synthesis is also timed on the 2 s takes that
+``verify_stream`` writes. The canceller batch holds 52 takes, the number
 of distinct test takes in a default sweep on master seed 1.
 """
 
@@ -36,6 +37,13 @@ def take():
 @pytest.fixture(scope="module")
 def dual_features(take):
     return _features(take, "dual", PLAN.extraction, "p0.w0.r1")
+
+
+@pytest.mark.parametrize("duration_s", [0.6, 2.0])
+def test_synth_speaker(benchmark, duration_s):
+    # Profile 5 draws the largest harmonic stack (41 harmonics).
+    buf = benchmark(synth_speaker, 5, 0, duration_s, 1, PLAN.sample_rate_hz)
+    assert len(buf) == round(duration_s * PLAN.sample_rate_hz)
 
 
 def test_kmeans(benchmark, dual_features):

@@ -411,8 +411,9 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     Noise realizations and trial pairs are fixed per master seed and shared
     across cells, so conditions differ only in the treatment under test.
-    Each reference take is enrolled once per method and each test take once
-    per condition; every trial pair is then scored from the cached models.
+    Each reference take that a trial or calibration pair uses is enrolled
+    once per method, and each test take once per condition; every trial pair
+    is then scored from the cached models.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell, with its wall
     time split evenly between them.
@@ -429,7 +430,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
     calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
-    references = {(p, w): corpus[(p, w, 0)] for p in profile_ids for w in word_ids}
+    references = {key: corpus[key + (0,)] for key in sorted({p.ref for p in pairs + calib_pairs})}
     ref_models = {method: _enroll_takes(references, method, plan, 0) for method in plan.methods}
 
     # Per-method threshold from clean calibration words, frozen for the sweep.

@@ -265,6 +265,26 @@ def _resonance_envelope(freqs, formants, gains, bw_factor):
     return env
 
 
+def _harmonic_stack(base_phase, phases, amps_a, amps_b, blend):
+    """Blend of two harmonic stacks on one fundamental phase track.
+
+    Returns ``(1 - blend) * A + blend * B`` with
+    ``A = sum_h amps_a[h-1] * sin(h * base_phase + phases[h-1])`` and B the
+    same over ``amps_b``, for h = 1..H. Each sum is
+    ``Im(sum_h c_h * r**h)`` with ``r = exp(1j * base_phase)`` and
+    ``c_h = amps[h-1] * exp(1j * phases[h-1])``, evaluated by Horner's rule
+    for both coefficient rows at once: H complex multiply-adds per sample,
+    one ``exp`` per sample and no (H, n) table.
+    """
+    rotor = np.exp(1j * base_phase)
+    coeffs = np.stack([amps_a, amps_b]) * np.exp(1j * phases)
+    acc = coeffs[:, -1:] * rotor
+    for h in range(coeffs.shape[1] - 2, -1, -1):
+        acc += coeffs[:, h : h + 1]
+        acc *= rotor
+    return (1.0 - blend) * acc[0].imag + blend * acc[1].imag
+
+
 def synth_speaker(
     profile_id: int,
     word_id: int,
@@ -305,10 +325,11 @@ def synth_speaker(
 
     glide = np.linspace(1.0, word["glide"], n)
     base_phase = 2.0 * np.pi * np.cumsum(f0 * glide) / sample_rate_hz
-    waves = np.sin(harmonic_numbers[:, None] * base_phase[None, :] + phases[:, None])
 
     # Source rolloff times the resonance envelope of each segment gives the
     # per-harmonic amplitude; a raised-cosine blend moves between segments.
+    # Both segments' stacks are summed as polynomials in the phase rotor
+    # exp(1j * base_phase) by Horner's rule (see _harmonic_stack).
     harmonic_freqs = harmonic_numbers * f0
     source = harmonic_numbers ** (-prof["source_slope"])
     amps_a = source * _resonance_envelope(harmonic_freqs, formants, gains_a, prof["bw_factor"])
@@ -318,8 +339,7 @@ def synth_speaker(
     ramp_halfwidth = max(2.0, 0.04 * n)
     blend = np.clip((np.arange(n) - edge) / (2.0 * ramp_halfwidth) + 0.5, 0.0, 1.0)
     blend = 0.5 - 0.5 * np.cos(np.pi * blend)
-    amps = amps_a[:, None] * (1.0 - blend) + amps_b[:, None] * blend
-    signal = np.sum(amps * waves, axis=0)
+    signal = _harmonic_stack(base_phase, phases, amps_a, amps_b, blend)
 
     # Envelope: raised-cosine attack and decay with a dip at the segment
     # boundary (a consonant-like gap).

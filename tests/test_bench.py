@@ -228,6 +228,27 @@ class TestRunSweep:
         assert len(fits) == expected
         assert len(set(fits)) == len(fits)
 
+    def test_only_used_references_enrolled(self, monkeypatch):
+        enrolled, scored = set(), set()
+        real_enroll = melsplit.bench.enroll
+        real_score_pairs = melsplit.bench._score_pairs
+
+        def recording_enroll(features, *args):
+            enrolled.add(next(iter(features.values())).source_id)
+            return real_enroll(features, *args)
+
+        def recording_score_pairs(test_models, ref_models, pairs):
+            scored.update(melsplit.bench._take_id(*pair.ref, 0) for pair in pairs)
+            return real_score_pairs(test_models, ref_models, pairs)
+
+        monkeypatch.setattr(melsplit.bench, "enroll", recording_enroll)
+        monkeypatch.setattr(melsplit.bench, "_score_pairs", recording_score_pairs)
+        plan = mini_plan(trials=2, methods=("single",), snr_points_db=(CLEAN_SNR_DB,))
+        run_sweep(plan)
+        references = {s for s in enrolled if s.endswith(".r0")}
+        assert references == scored
+        assert len(references) < plan.profiles * plan.words
+
     def test_divergence_names_take_and_snr_point(self):
         plan = mini_plan(anc_mu=1000.0, anc=("on",))
         with pytest.raises(DivergenceError, match=r"take p\d\.w\d\.r1 at SNR -16 dB, step \d+"):

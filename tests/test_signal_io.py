@@ -1,5 +1,6 @@
 """Audio I/O, noise mixing, and synthetic corpus tests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from melsplit.errors import (
 from melsplit.mfcc import extract_single_channel
 from melsplit.signal_io import (
     AudioBuffer,
+    _harmonic_stack,
     NoiseSpec,
     corpus_seed,
     measure_snr_db,
@@ -259,6 +261,50 @@ class TestSynthSpeaker:
     def test_bad_duration(self):
         with pytest.raises(ParameterError):
             synth_speaker(0, 0, 0.0, seed=1)
+
+    # sha256 of write_wav's bytes for (profile, word, duration_s, seed), as
+    # the sine-table stack wrote them; profile 5 has 41 harmonics.
+    PCM_DIGESTS = {
+        (5, 3, 2.0, 5114376373710434768): (
+            "bfa74c1471515eadcf19017ea81a5ee8c488048e9e325db1d3810c3b1e56904b"
+        ),
+        (0, 0, 0.6, 10): "d1ec06750705e60521ea38d2a035e833d3a8c2364509987d615beed9e659d89e",
+        (7, 2, 0.6, 2813907391940782196): (
+            "e18e034d8139d91a9040a4b951fed5039fccf2210348e7dea9829c426f378e2b"
+        ),
+        (3, 9, 1.0, 123): "0acb3680bbff6680836030e7988c8302c7474fc4327c047c0c2168a481235af7",
+    }
+
+    @pytest.mark.parametrize("take", sorted(PCM_DIGESTS))
+    def test_pcm_bytes_pinned(self, take, tmp_path):
+        path = tmp_path / "take.wav"
+        write_wav(synth_speaker(*take), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PCM_DIGESTS[take]
+
+
+class TestHarmonicStack:
+    @staticmethod
+    def direct(base_phase, phases, amps_a, amps_b, blend):
+        h = np.arange(1, len(phases) + 1)
+        waves = np.sin(h[:, None] * base_phase[None, :] + phases[:, None])
+        amps = amps_a[:, None] * (1.0 - blend) + amps_b[:, None] * blend
+        return np.sum(amps * waves, axis=0)
+
+    @pytest.mark.parametrize("num_harmonics", [1, 2, 41])
+    def test_matches_sine_table(self, num_harmonics):
+        # H = 1 never enters the Horner loop; 41 is the largest stack a
+        # profile draws. Phases run to about 1000 rad, as in a 2 s take.
+        rng = np.random.default_rng(num_harmonics)
+        n = 32000
+        base_phase = np.cumsum(rng.uniform(0.9, 1.1, n)) * (1000.0 / n)
+        phases = 2.0 * np.pi * rng.random(num_harmonics)
+        amps_a = rng.random(num_harmonics)
+        amps_b = rng.random(num_harmonics)
+        blend = np.linspace(0.0, 1.0, n)
+        expected = self.direct(base_phase, phases, amps_a, amps_b, blend)
+        actual = _harmonic_stack(base_phase, phases, amps_a, amps_b, blend)
+        assert actual.shape == (n,)
+        assert np.max(np.abs(actual - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 class TestManifest:
