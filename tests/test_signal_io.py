@@ -16,8 +16,8 @@ from melsplit.errors import (
 from melsplit.mfcc import extract_single_channel
 from melsplit.signal_io import (
     AudioBuffer,
-    _harmonic_stack,
     NoiseSpec,
+    _harmonic_stack,
     corpus_seed,
     measure_snr_db,
     mix_at_snr,
@@ -262,8 +262,9 @@ class TestSynthSpeaker:
         with pytest.raises(ParameterError):
             synth_speaker(0, 0, 0.0, seed=1)
 
-    # sha256 of write_wav's bytes for (profile, word, duration_s, seed), as
-    # the sine-table stack wrote them; profile 5 has 41 harmonics.
+    # sha256 of write_wav's bytes for (profile, word, duration_s, seed).
+    # perfbench's recorded verify_stream outputs come from WAVs synthesized
+    # this way, so these bytes must not move. Profile 5 has 41 harmonics.
     PCM_DIGESTS = {
         (5, 3, 2.0, 5114376373710434768): (
             "bfa74c1471515eadcf19017ea81a5ee8c488048e9e325db1d3810c3b1e56904b"
