@@ -5,19 +5,20 @@ Run from the repository root with
     python -m pytest benchmarks --benchmark-only
 
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
-canceller lead-in and k = 2; synthesis is also timed on the 2 s takes that
-``verify_stream`` writes. The canceller batch holds 52 takes, the number
-of distinct test takes in a default sweep on master seed 1.
+canceller lead-in and k = 2; synthesis and the single-recording canceller
+are also timed on the 2 s takes that ``verify_stream`` writes, the latter
+with the CLI's 32 taps. The canceller batch holds 52 takes, the number of
+distinct test takes in a default sweep on master seed 1.
 """
 
 import numpy as np
 import pytest
 
-from melsplit.anc import run_anc_batch
+from melsplit.anc import LmsConfig, run_anc, run_anc_batch
 from melsplit.bench import ExperimentPlan, _auto_mu, _features, _mix_with_lead
 from melsplit.cluster import enroll, kmeans
 from melsplit.mfcc import extract_dual_channel
-from melsplit.signal_io import corpus_seed, synth_speaker
+from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
 BATCH_ROWS = 52
@@ -72,3 +73,9 @@ def test_run_anc_batch_52_rows(benchmark):
         run_anc_batch, args=(primaries, references, PLAN.anc_taps, mus), rounds=3
     )
     assert errors.shape == primaries.shape
+
+
+def test_run_anc_2s_32_taps(benchmark):
+    noisy, noise = mix_at_snr(synth_speaker(5, 0, 2.0, 1), NoiseSpec("white-gaussian", -6.0, 3))
+    result = benchmark(run_anc, noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
+    assert len(result.error_signal) == len(noisy)

@@ -6,16 +6,20 @@ the reference delay line, subtracts it, and nudges its weights along the
 error gradient: w' = w + 2*mu*e_k*x_k. The running error signal is the
 denoised output.
 
-Two loops run it. run_anc steps one recording serially with scalar
-arithmetic, which is the fastest way through a single take. run_anc_batch
-steps a (B, n) stack of independent cancellers in lockstep, one vectorised
-update per sample, which is how a sweep cancels all takes of an SNR point at
-once. lms_step is the scalar reference both are tested against.
+Two loops run it. run_anc cancels one recording with exact block LMS: the
+errors of a block of steps solve a triangular system whose matrix does not
+depend on the weights, so a chunk of blocks is solved at once and only a
+short chain of block updates runs serially. It gives the same errors and
+weights as stepping the recursion, up to float summation order.
+run_anc_batch steps a (B, n) stack of independent cancellers in lockstep,
+one vectorised update per sample, which is how a sweep cancels all takes of
+an SNR point at once. lms_step is the scalar reference both are tested
+against, and run_anc falls back on it to name the step a diverging
+recording fails at.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +30,10 @@ from .signal_io import AudioBuffer
 
 MSE_WINDOW = 256
 
-# |e| or |y| beyond this means the filter is blowing up; from here on every
-# weight is checked so the exact divergence step is reported.
-_GUARD = 1e100
+# run_anc steps a recording in blocks of this many samples and solves this
+# many blocks' triangular systems at once.
+_BLOCK = 32
+_CHUNK_BLOCKS = 64
 
 # run_anc_batch checks its error signals for divergence once per this many
 # steps rather than on every step.
@@ -141,43 +146,102 @@ def run_anc(
     if len(primary) == 0:
         raise DimensionError("empty input")
 
-    taps = config.order_l + 1
-    mu = config.step_mu
-    weights = config.start_weights()
+    order_l = config.order_l
     d = primary.samples
-    # Delay-line views: padded[k : k + taps][::-1] is [x_k, x_{k-1}, ..., x_{k-L}].
-    padded = np.concatenate([np.zeros(taps - 1), reference.samples])
-    n = len(d)
-    errors = np.empty(n)
-    outputs = np.empty(n)
-
-    dot = np.dot
-    isfinite = math.isfinite
-    check_weights = False
+    # Row k is step k's delay line, oldest sample first.
+    windows = sliding_window_view(
+        np.concatenate([np.zeros(order_l), reference.samples]), order_l + 1
+    )
+    errors = np.empty(len(d))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            x_vec = padded[k : k + taps][::-1]
-            y = dot(weights, x_vec)
-            e = d[k] - y
-            if not (isfinite(e) and isfinite(y)):
-                raise DivergenceError(k)
-            weights += (2.0 * mu * e) * x_vec
-            if not check_weights and (e > _GUARD or e < -_GUARD or y > _GUARD or y < -_GUARD):
-                check_weights = True
-            if check_weights and not np.all(np.isfinite(weights)):
-                raise DivergenceError(k)
-            errors[k] = e
-            outputs[k] = y
-
-    if not np.all(np.isfinite(weights)):
-        raise DivergenceError(n - 1)
+        weights = _block_lms(d, windows, config.start_weights(), config.step_mu, errors)
     rate = primary.sample_rate_hz
     return AncResult(
         error_signal=AudioBuffer(errors, rate),
-        combiner_output=AudioBuffer(outputs, rate),
+        combiner_output=AudioBuffer(d - errors, rate),
         mse_trace=mse_trace(errors, MSE_WINDOW),
         final_weights=weights,
     )
+
+
+def _block_lms(
+    d: np.ndarray, windows: np.ndarray, weights: np.ndarray, mu: float, errors: np.ndarray
+) -> np.ndarray:
+    """Exact LMS in blocks of _BLOCK steps; fills errors, returns the final weights.
+
+    The weights are kept oldest tap first here, to match the windows. A
+    block that starts at weights w has errors e = sol @ [1, -w], sol its
+    _block_solves solution, and ends at w + 2*mu * X^T e. If a block yields
+    a non-finite error or weight, lms_step finishes the recording, so a
+    DivergenceError names the step the scalar recursion fails at. It starts
+    one block early: a block sums its weight updates in another order than
+    lms_step does, so within rounding of the float64 limit lms_step can
+    overflow a block before the block form does.
+    """
+    n = len(d)
+    taps = windows.shape[1]
+    span = _BLOCK * _CHUNK_BLOCKS
+    full = n - n % _BLOCK
+    chunks = [(s, min(full, s + span), _BLOCK) for s in range(0, full, span)]
+    if full < n:
+        chunks.append((full, n, n - full))
+    # omega = [1, -w], so a block's errors are one product with it.
+    omega = np.concatenate([[1.0], -weights[::-1]])
+    minus_w = omega[1:]
+    # The step and omega of the last block that came out finite.
+    back = (0, omega.copy())
+    dot = np.dot
+    for start, stop, m in chunks:
+        x = windows[start:stop].reshape(-1, m, taps)
+        sol = _block_solves(x, d[start:stop].reshape(-1, m), 2.0 * mu)
+        step = (-2.0 * mu) * x
+        out = errors[start:stop].reshape(-1, m)
+        starts = np.empty((len(x) + 1, taps + 1))
+        for b in range(len(x)):
+            starts[b] = omega
+            minus_w += dot(dot(sol[b], omega, out=out[b]), step[b])
+        starts[-1] = omega
+        ok = np.isfinite(out).all(axis=1) & np.isfinite(starts[1:]).all(axis=1)
+        if not ok.all():
+            b = int(np.argmin(ok))
+            k, restart = (start + (b - 1) * m, starts[b - 1]) if b else back
+            return _scalar_tail(d, windows, -restart[1:][::-1], mu, errors, k)
+        back = (stop - m, starts[-2])
+    return -minus_w[::-1]
+
+
+def _block_solves(x: np.ndarray, d: np.ndarray, two_mu: float) -> np.ndarray:
+    """Forward substitution for a stack of blocks' LMS systems at once.
+
+    Block b's errors e, from start weights w, solve the unit lower
+    triangular system (I + 2*mu*tril(X X^T, -1)) e = d_b - X w, X = x[b]
+    its delay lines (Benesty and Duhamel, "A fast exact least mean square
+    adaptive algorithm", IEEE Trans. SP 40(12), 1992). The matrix does not
+    depend on w, so the solution sol[b] against [d_b | X] gives
+    e = sol[b] @ [1, -w].
+    """
+    gram = x @ x.transpose(0, 2, 1)
+    gram *= two_mu
+    sol = np.concatenate([d[:, :, None], x], axis=2)
+    for i in range(1, x.shape[1]):
+        sol[:, i] -= (gram[:, i, None, :i] @ sol[:, :i])[:, 0]
+    return sol
+
+
+def _scalar_tail(
+    d: np.ndarray,
+    windows: np.ndarray,
+    weights: np.ndarray,
+    mu: float,
+    errors: np.ndarray,
+    start: int,
+) -> np.ndarray:
+    """Finish the recording with lms_step from step start and the given weights."""
+    delay = windows[start - 1][::-1] if start else np.zeros(len(weights))
+    state = LmsState(weights, delay, start)
+    for k in range(start, len(d)):
+        state, errors[k], _ = lms_step(state, d[k], windows[k][-1], mu)
+    return state.weights
 
 
 def run_anc_batch(

@@ -22,6 +22,15 @@ def buf(x, rate=SR):
     return AudioBuffer(np.asarray(x, dtype=np.float64), rate)
 
 
+def lms_step_run(primary, reference, config):
+    """Errors and final weights of lms_step iterated over a whole recording."""
+    state = LmsState(config.start_weights(), np.zeros(config.order_l + 1))
+    errors = np.empty(len(primary))
+    for k in range(len(primary)):
+        state, errors[k], _ = lms_step(state, primary[k], reference[k], config.step_mu)
+    return errors, state.weights
+
+
 def sine_noise_fixture(seconds=5.0, snr_db=0.0, seed=42):
     t = np.arange(int(seconds * SR)) / SR
     clean = buf(0.5 * np.sin(2 * np.pi * 500 * t))
@@ -120,7 +129,25 @@ class TestRunAnc:
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
         with pytest.raises(DivergenceError) as info:
             run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=1e3))
-        assert info.value.step_index >= 0
+        assert info.value.step_index == 128
+
+    @pytest.mark.parametrize("mu", [0.01, 0.03, 0.08])
+    def test_mid_recording_divergence_names_lms_step_index(self, mu):
+        # The reference jumps a hundredfold at sample 5000, which makes a
+        # step size that was stable unstable; the weights overflow more than
+        # a hundred blocks in. At mu = 0.03 the block that first overflows
+        # in float64 is the one after the block lms_step overflows in.
+        rng = np.random.default_rng(3)
+        reference = 0.1 * rng.standard_normal(8000)
+        reference[5000:] *= 100
+        primary = 0.5 * reference + 0.05 * rng.standard_normal(8000)
+        config = LmsConfig(order_l=31, step_mu=mu)
+        with pytest.raises(DivergenceError) as scalar, np.errstate(over="ignore", invalid="ignore"):
+            lms_step_run(primary, reference, config)
+        with pytest.raises(DivergenceError) as block:
+            run_anc(buf(primary), buf(reference), config)
+        assert scalar.value.step_index > 5000
+        assert block.value.step_index == scalar.value.step_index
 
     def test_mse_trace_monotone_on_noise_dominated_fixture(self):
         # At -10 dB input SNR the initial error power dwarfs the converged
@@ -167,12 +194,48 @@ class TestRunAnc:
         reference = rng.standard_normal(300)
         config = LmsConfig(order_l=4, step_mu=0.02)
         result = run_anc(buf(primary), buf(reference), config)
-        state = LmsState(config.start_weights(), np.zeros(5))
-        errors = np.empty(300)
-        for k in range(300):
-            state, errors[k], _ = lms_step(state, primary[k], reference[k], 0.02)
+        errors, weights = lms_step_run(primary, reference, config)
         assert np.allclose(result.error_signal.samples, errors, atol=1e-12)
-        assert np.allclose(result.final_weights, state.weights, atol=1e-12)
+        assert np.allclose(result.final_weights, weights, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, order_l, initial",
+        [
+            (20, 31, False),  # shorter than the delay line
+            (31, 31, False),  # one step short of a block
+            (32, 31, False),  # one block
+            (33, 31, False),  # one step into a second block
+            (2 * 32 * 64 + 17, 31, False),  # two chunks of blocks and a partial block
+            (500, 0, False),  # a one-tap canceller
+            (700, 31, True),
+            (45, 6, True),
+        ],
+    )
+    def test_edge_lengths_match_lms_step(self, n, order_l, initial):
+        rng = np.random.default_rng(n + order_l)
+        reference = 0.5 * rng.standard_normal(n)
+        primary = 0.8 * reference + 0.2 * rng.standard_normal(n)
+        weights = 0.3 * rng.standard_normal(order_l + 1) if initial else None
+        config = LmsConfig(order_l=order_l, step_mu=0.01, initial_weights=weights)
+        result = run_anc(buf(primary), buf(reference), config)
+        errors, weights = lms_step_run(primary, reference, config)
+        assert np.allclose(result.error_signal.samples, errors, rtol=0, atol=1e-12)
+        assert np.allclose(result.combiner_output.samples, primary - errors, rtol=0, atol=1e-12)
+        assert np.allclose(result.final_weights, weights, rtol=0, atol=1e-12)
+
+    def test_initial_weights_honoured(self):
+        # A canceller that starts at the coupling gain cancels from the
+        # first sample; one that starts at zero does not.
+        rng = np.random.default_rng(11)
+        reference = rng.standard_normal(1000)
+        primary = 0.6 * reference
+        start = np.zeros(5)
+        start[0] = 0.6
+        warm = run_anc(buf(primary), buf(reference), LmsConfig(4, 0.001, start))
+        cold = run_anc(buf(primary), buf(reference), LmsConfig(4, 0.001))
+        assert np.max(np.abs(warm.error_signal.samples)) <= 1e-12
+        assert np.allclose(warm.final_weights, start, rtol=0, atol=1e-12)
+        assert abs(cold.error_signal.samples[0]) == pytest.approx(abs(primary[0]))
 
 
 class TestRunAncBatch:

@@ -42,6 +42,18 @@ def make_word_wav(path, profile=0, word=0, seed=5, duration=1.0):
     return path
 
 
+def noisy_take_wavs(tmp_path):
+    """A 2 s take mixed with white noise at -6 dB, and that noise, as WAVs."""
+    from melsplit.signal_io import NoiseSpec, mix_at_snr, synth_speaker
+
+    clean = AudioBuffer(0.25 * synth_speaker(2, 4, 2.0, 17).samples, SR)
+    noisy, noise = mix_at_snr(clean, NoiseSpec("white-gaussian", -6.0, seed=23))
+    paths = tmp_path / "noisy.wav", tmp_path / "noise.wav"
+    assert write_wav(noisy, paths[0]) == 0
+    assert write_wav(noise, paths[1]) == 0
+    return paths
+
+
 class TestSynth:
     def test_default_counts(self, tmp_path):
         out = tmp_path / "corpus"
@@ -128,6 +140,16 @@ class TestAnc:
             outputs[name] = out.read_bytes()
         assert outputs["flag"] == outputs["config"]
         assert outputs["flag"] != outputs["config_only"]
+
+    def test_output_wav_pinned(self, tmp_path):
+        # Recorded with the serial LMS loop; the block form must write the
+        # same 16-bit samples.
+        noisy, noise = noisy_take_wavs(tmp_path)
+        out = tmp_path / "out.wav"
+        assert run_cli("anc", "--primary", noisy, "--reference", noise, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c56cdc531e59914db78be165e60778ca076f465ee0f195d9c1cf7d99a40c3c78"
+        )
 
     def test_bad_flag_names_config_field(self, tmp_path, capsys):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)
@@ -247,6 +269,18 @@ class TestVerdict:
         assert run_cli("verdict", "--test", src, "--ref", src, "--anc",
                        "--reference", ref_noise, "--out", out) == 0
         assert json.loads(out.read_text())["decision"] == "identical"
+
+    def test_anc_verdict_pinned(self, tmp_path):
+        # Recorded with the serial LMS loop, as perfbench's verify_stream
+        # expectations were; its gate allows 1e-9 relative on the score.
+        noisy, noise = noisy_take_wavs(tmp_path)
+        ref = make_word_wav(tmp_path / "ref.wav", profile=2, word=4, seed=18, duration=2.0)
+        out = tmp_path / "v.json"
+        assert run_cli("verdict", "--test", noisy, "--ref", ref, "--anc",
+                       "--reference", noise, "--out", out) == 0
+        payload = json.loads(out.read_text())
+        assert payload["score"] == pytest.approx(7.700066451541162, rel=1e-9)
+        assert payload["decision"] == "non-identical"
 
 
 class TestBench:
