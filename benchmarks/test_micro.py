@@ -8,7 +8,8 @@ Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
 canceller lead-in and k = 2; synthesis and the single-recording canceller
 are also timed on the 2 s takes that ``verify_stream`` writes, the latter
 with the CLI's 32 taps. The canceller batch holds 52 takes, the number of
-distinct test takes in a default sweep on master seed 1.
+distinct test takes in a default sweep on master seed 1. The lockstep
+k-means case enrolls 64 dual-channel takes in one call.
 """
 
 import numpy as np
@@ -16,12 +17,13 @@ import pytest
 
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
 from melsplit.bench import ExperimentPlan, _auto_mu, _features, _mix_with_lead
-from melsplit.cluster import enroll, kmeans
+from melsplit.cluster import enroll, enroll_many, kmeans
 from melsplit.mfcc import extract_dual_channel
 from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
 BATCH_ROWS = 52
+ENROLL_TAKES = 64
 
 
 def _take(p: int, w: int):
@@ -56,6 +58,13 @@ def test_kmeans(benchmark, dual_features):
 def test_enroll_dual_take(benchmark, dual_features):
     models = benchmark(enroll, dual_features, PLAN.kmeans_k, PLAN.master_seed)
     assert sorted(models) == ["ch1", "ch2"]
+
+
+def test_enroll_many_64_dual_takes(benchmark):
+    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:ENROLL_TAKES]
+    takes = [_features(_take(p, w), "dual", PLAN.extraction, f"p{p}.w{w}.r1") for p, w in keys]
+    models = benchmark(enroll_many, takes, PLAN.kmeans_k, PLAN.master_seed)
+    assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
 
 
 def test_extract_dual_channel(benchmark, take):

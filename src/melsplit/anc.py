@@ -39,6 +39,13 @@ _CHUNK_BLOCKS = 64
 # steps rather than on every step.
 _CHECK_EVERY = 512
 
+# A finished run has diverged if an error passed this multiple of its
+# primary's peak. A stable canceller's error is the primary minus a
+# prediction of part of it, so it stays within a few times that peak, while
+# an unstable one grows geometrically: a margin this wide flags no stable
+# run, yet an unstable one crosses it long before float64 overflows.
+_DIVERGED = 1e6
+
 
 @dataclass(frozen=True)
 class LmsConfig:
@@ -134,8 +141,10 @@ def run_anc(
     """Run the LMS canceller over a whole recording.
 
     The reference should carry the noise that contaminates the primary; a
-    zero reference leaves the primary untouched. Raises DivergenceError with
-    the offending step index if the weights go non-finite.
+    zero reference leaves the primary untouched. Raises DivergenceError
+    naming the step at which the recursion overflows, as lms_step does, or,
+    in a run that stays finite, the first step whose error passed _DIVERGED
+    times the primary's peak.
     """
     if len(primary) != len(reference):
         raise DimensionError(
@@ -155,6 +164,9 @@ def run_anc(
     errors = np.empty(len(d))
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _block_lms(d, windows, config.start_weights(), config.step_mu, errors)
+    found = _first_divergent(errors[None], _DIVERGED * max(d.max(), -d.min()))
+    if found:
+        raise DivergenceError(found[0])
     rate = primary.sample_rate_hz
     return AncResult(
         error_signal=AudioBuffer(errors, rate),
@@ -254,7 +266,8 @@ def run_anc_batch(
     the float summation order of the combiner output; rows never interact.
     Returns the (B, n) error signals. Raises DivergenceError carrying the
     row and the first step at which that row's error went non-finite (the
-    earliest such step, then the lowest row).
+    earliest such step, then the lowest row), or, in a run that stays
+    finite, passed _DIVERGED times that row's primary peak.
     """
     d = np.asarray(primaries, dtype=np.float64)
     x = np.asarray(references, dtype=np.float64)
@@ -286,6 +299,9 @@ def run_anc_batch(
         body = sliding_window_view(x, taps, axis=1)
     weights = np.zeros((b, taps))
     errors = np.empty((b, n))
+    # Per-row bounds, from reductions that allocate no (B, n) temporary.
+    limits = _DIVERGED * np.maximum(d.max(axis=1), -d.min(axis=1))[:, None]
+    unbounded = None
     einsum = np.einsum
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _CHECK_EVERY):
@@ -295,13 +311,30 @@ def run_anc_batch(
                 e = d[:, k] - einsum("ij,ij->i", weights, window)
                 errors[:, k] = e
                 weights += (two_mu * e)[:, None] * window
-            steps, rows = np.nonzero(~np.isfinite(errors[:, start:stop].T))
-            if len(steps):
-                raise DivergenceError(start + int(steps[0]), row=int(rows[0]))
+            found = _first_divergent(errors[:, start:stop], np.inf)
+            if found:
+                raise DivergenceError(start + found[0], row=found[1])
+            if unbounded is None:
+                found = _first_divergent(errors[:, start:stop], limits)
+                if found:
+                    unbounded = DivergenceError(start + found[0], row=found[1])
     finite = np.all(np.isfinite(weights), axis=1)
     if not np.all(finite):
         raise DivergenceError(n - 1, row=int(np.argmin(finite)))
+    if unbounded:
+        raise unbounded
     return errors
+
+
+def _first_divergent(errors: np.ndarray, limits) -> tuple[int, int] | None:
+    """(step, row) of the first error in a (B, n) stack that is non-finite
+    or beyond its row's limit in magnitude, else None. The earliest step
+    wins, then the lowest row; an infinite limit flags only non-finite
+    errors."""
+    steps, rows = np.nonzero((~(np.abs(errors) <= limits)).T)
+    if not len(steps):
+        return None
+    return int(steps[0]), int(rows[0])
 
 
 def mse_trace(errors: np.ndarray, window: int) -> np.ndarray:

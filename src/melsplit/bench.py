@@ -23,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .anc import run_anc_batch
-from .cluster import ConfusionCounts, accuracy, calibrate_threshold, confusion, enroll, score
+from .cluster import (
+    ConfusionCounts,
+    accuracy,
+    calibrate_threshold,
+    confusion,
+    enroll_many,
+    score,
+)
 from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import METHODS, ExtractionConfig, _check_fields
 from .mfcc import extract_dual_channel, extract_single_channel
@@ -382,17 +389,14 @@ def _noisy_takes(plan: ExperimentPlan, clean_takes: dict, snr_db: float) -> dict
 def _enroll_takes(
     takes: dict, method: str, plan: ExperimentPlan, replicate: int
 ) -> dict[tuple[int, int], dict]:
-    """Extract and enroll each take once: {(profile, word): {channel_id:
-    ClusterModel}}. `replicate` names the takes' source ids, which seed
-    k-means."""
-    return {
-        key: enroll(
-            _features(buffer, method, plan.extraction, _take_id(*key, replicate)),
-            plan.kmeans_k,
-            plan.master_seed,
-        )
+    """Extract each take once and enroll them all in one enroll_many call:
+    {(profile, word): {channel_id: ClusterModel}}. `replicate` names the
+    takes' source ids, which seed k-means."""
+    features = [
+        _features(buffer, method, plan.extraction, _take_id(*key, replicate))
         for key, buffer in takes.items()
-    }
+    ]
+    return dict(zip(takes, enroll_many(features, plan.kmeans_k, plan.master_seed)))
 
 
 def _score_pairs(

@@ -6,12 +6,17 @@ between any pair of centroids, average the per-channel scores, and call the
 pair identical when the combined score falls at or below a threshold. A take
 enrolled once can be scored against any number of others. The threshold
 comes from an equal-error scan over genuine and impostor calibration scores.
+
+There is one Lloyd kernel, kmeans_many, which fits a stack of equal-shaped
+point sets in lockstep; kmeans is its one-row case. enroll_many enrolls a
+list of takes with one kernel call per (channel, matrix shape), and enroll
+is its one-take case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,51 +79,109 @@ def kmeans(
     Assignment ties break toward the lowest cluster index. An empty cluster
     is reseeded to the point currently farthest from its assigned centroid.
     Iteration stops when no centroid moves more than tol or at max_iter.
+    This is kmeans_many on a stack of one.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = pts.shape[0]
+    return kmeans_many(pts[None], k, [seed], max_iter, tol)[0]
+
+
+def kmeans_many(
+    points: np.ndarray,
+    k: int,
+    seeds: Sequence[int],
+    max_iter: int = 100,
+    tol: float = 1e-9,
+) -> list[ClusterModel]:
+    """Fit a (T, n, d) stack of point sets in lockstep, one model per row.
+
+    Row t is clustered exactly as kmeans(points[t], k, seeds[t]) describes,
+    and rows never interact: each stops on its own tol or max_iter test, and
+    only rows still moving take part in the next iteration. Centroid sums are
+    one one-hot einsum that adds each cluster's members in point order, the
+    order pts[members].mean(axis=0) sums them in when d > 1, so centroids
+    match that mean bit for bit. (numpy sums a single column pairwise, so
+    for 1-D points they can differ from it in the last bit.)
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    seeds = list(seeds)
+    if pts.ndim != 3 or len(seeds) != len(pts):
+        raise DimensionError(
+            f"need a (T, n, d) stack and one seed per row; got {pts.shape} and {len(seeds)} seeds"
+        )
+    rows, n, d = pts.shape
     if k < 1:
         raise ParameterError("k must be >= 1")
     if k > n:
         raise ParameterError(f"k={k} exceeds the number of points ({n})")
 
-    rng = np.random.default_rng(_entropy(seed))
-    centroids = pts[np.sort(rng.choice(n, size=k, replace=False))].copy()
-    assignments = np.full(n, -1)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        sq_dist = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        assignments = np.argmin(sq_dist, axis=1)
+    centroids = np.empty((rows, k, d))
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(_entropy(seed))
+        centroids[t] = pts[t, np.sort(rng.choice(n, size=k, replace=False))]
+    assignments = np.full((rows, n), -1)
+    iterations = np.zeros(rows, dtype=int)
+    clusters = np.arange(k)
+    live = np.arange(rows)  # rows still iterating; live_pts is pts[live]
+    live_pts = pts
+    for iteration in range(1, max_iter + 1):
+        old = centroids[live]
+        sq_dist = np.empty((len(live), n, k))
+        for j in range(k):  # one (T', n, d) difference at a time keeps the peak small
+            diff = live_pts - old[:, None, j, :]
+            sq_dist[:, :, j] = np.sum(np.square(diff, out=diff), axis=2)
+        labels = np.argmin(sq_dist, axis=2)
+        one_hot = labels[:, :, None] == clusters
+        counts = one_hot.sum(axis=1)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseed_empty(live_pts[r], sq_dist[r], labels[r], counts[r], old[r])
+            one_hot[r] = labels[r, :, None] == clusters
 
-        counts = np.bincount(assignments, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            own = sq_dist[np.arange(n), assignments]
-            # Only steal from clusters that keep at least one point.
-            donors = counts[assignments] > 1
-            if not donors.any():
-                continue
-            own = np.where(donors, own, -np.inf)
-            far = int(np.argmax(own))
-            counts[assignments[far]] -= 1
-            assignments[far] = j
-            counts[j] = 1
-            centroids[j] = pts[far]
-            sq_dist[far, j] = 0.0
+        sums = np.einsum("tnk,tnd->tkd", one_hot.astype(np.float64), live_pts)
+        new = old.copy()
+        filled = counts > 0
+        new[filled] = sums[filled] / counts[filled][:, None]
+        moving = np.max(np.abs(new - old), axis=(1, 2)) >= tol
+        centroids[live] = new
+        assignments[live] = labels
+        iterations[live] = iteration
+        if not moving.all():
+            live = live[moving]
+            if not len(live):
+                break
+            live_pts = pts[live]
 
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = pts[members].mean(axis=0)
-        movement = float(np.max(np.abs(new_centroids - centroids)))
-        centroids = new_centroids
-        if movement < tol:
-            break
+    residuals = pts - centroids[np.arange(rows)[:, None], assignments]
+    inertia = np.sum(np.square(residuals, out=residuals).reshape(rows, -1), axis=1)
+    return [
+        ClusterModel(centroids[t], assignments[t], float(inertia[t]), int(iterations[t]), seed)
+        for t, seed in enumerate(seeds)
+    ]
 
-    inertia = float(np.sum((pts - centroids[assignments]) ** 2))
-    return ClusterModel(centroids, assignments, inertia, iterations, seed)
+
+def _reseed_empty(
+    pts: np.ndarray,
+    sq_dist: np.ndarray,
+    assignments: np.ndarray,
+    counts: np.ndarray,
+    centroids: np.ndarray,
+) -> None:
+    """Give each empty cluster the point farthest from its own centroid, in place."""
+    n = len(pts)
+    for j in np.flatnonzero(counts == 0):
+        own = sq_dist[np.arange(n), assignments]
+        # Only steal from clusters that keep at least one point.
+        donors = counts[assignments] > 1
+        if not donors.any():
+            continue
+        own = np.where(donors, own, -np.inf)
+        far = int(np.argmax(own))
+        counts[assignments[far]] -= 1
+        assignments[far] = j
+        counts[j] = 1
+        centroids[j] = pts[far]
+        sq_dist[far, j] = 0.0
 
 
 def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
@@ -129,17 +192,36 @@ def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def enroll(features: Mapping[str, FeatureMatrix], k: int, seed: int) -> dict[str, ClusterModel]:
-    """Cluster each channel's feature rows: {channel_id: ClusterModel}.
+def enroll_many(
+    takes: Sequence[Mapping[str, FeatureMatrix]], k: int, seed: int
+) -> list[dict[str, ClusterModel]]:
+    """Enroll a list of takes at once: one {channel_id: ClusterModel} each.
 
-    Each fit is seeded from (seed, source id, channel), so a take enrolls to
-    the same centroids whichever side of a comparison it sits on, and a
-    cached model scores exactly as a fresh fit would.
+    Each channel's matrices are grouped by shape and each group is fitted in
+    one kmeans_many call. A fit is seeded from (seed, source id, channel), so
+    a take enrolls to the same centroids whichever side of a comparison it
+    sits on and whichever takes it is enrolled with, and a cached model
+    scores exactly as a fresh fit would.
     """
-    return {
-        channel: kmeans(fm.rows, k, _side_seed(seed, fm.source_id, channel))
-        for channel, fm in sorted(features.items())
-    }
+    models: list[dict[str, ClusterModel]] = [{} for _ in takes]
+    groups: dict[tuple, list[int]] = {}
+    for i, features in enumerate(takes):
+        for channel, fm in features.items():
+            groups.setdefault((channel, fm.rows.shape), []).append(i)
+    for (channel, _), members in sorted(groups.items()):
+        fitted = kmeans_many(
+            np.stack([takes[i][channel].rows for i in members]),
+            k,
+            [_side_seed(seed, takes[i][channel].source_id, channel) for i in members],
+        )
+        for i, model in zip(members, fitted):
+            models[i][channel] = model
+    return [dict(sorted(m.items())) for m in models]
+
+
+def enroll(features: Mapping[str, FeatureMatrix], k: int, seed: int) -> dict[str, ClusterModel]:
+    """Cluster one take's feature rows per channel: enroll_many of one take."""
+    return enroll_many([features], k, seed)[0]
 
 
 def _check_channels(test: Mapping, ref: Mapping) -> None:

@@ -26,7 +26,7 @@ class UndefinedSnrError(PipelineError):
 
 
 class DivergenceError(PipelineError):
-    """Adaptive filter weights went non-finite.
+    """An adaptive filter went non-finite or its error grew without bound.
 
     row is the diverging canceller's row in a batched run, else None.
     """

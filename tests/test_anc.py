@@ -131,6 +131,19 @@ class TestRunAnc:
             run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=1e3))
         assert info.value.step_index == 128
 
+    def test_unbounded_error_without_overflow_diverges(self):
+        # At this step size the errors reach about 1e76 by the end of the
+        # recording without overflowing float64; the first step whose error
+        # passes a million times the primary's peak is named.
+        clean, noisy, noise = sine_noise_fixture(seconds=0.5)
+        with pytest.raises(DivergenceError) as info:
+            run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=0.3))
+        assert info.value.step_index == 700
+        errors, _ = lms_step_run(noisy.samples, noise.samples, LmsConfig(31, 0.3))
+        peak = np.max(np.abs(noisy.samples))
+        assert np.all(np.isfinite(errors))
+        assert np.flatnonzero(np.abs(errors) > 1e6 * peak)[0] == 700
+
     @pytest.mark.parametrize("mu", [0.01, 0.03, 0.08])
     def test_mid_recording_divergence_names_lms_step_index(self, mu):
         # The reference jumps a hundredfold at sample 5000, which makes a
@@ -302,6 +315,18 @@ class TestRunAncBatch:
         assert batch.value.row == 1
         assert abs(batch.value.step_index - serial.value.step_index) <= 1
         assert "batch row 1" in str(batch.value)
+
+
+    def test_unbounded_row_named(self):
+        clean, noisy, noise = sine_noise_fixture(seconds=0.5)
+        primaries = np.stack([noisy.samples] * 3)
+        references = np.stack([noise.samples] * 3)
+        with pytest.raises(DivergenceError) as serial:
+            run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=0.3))
+        with pytest.raises(DivergenceError) as batch:
+            run_anc_batch(primaries, references, 31, [0.005, 0.005, 0.3])
+        assert batch.value.row == 2
+        assert batch.value.step_index == serial.value.step_index
 
 
 class TestMseTrace:

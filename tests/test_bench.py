@@ -114,6 +114,42 @@ class TestRunSweep:
         assert len(report.cells) == 2
         assert report.corpus_digest
 
+    def test_unequal_take_lengths(self, tmp_path, monkeypatch):
+        # Takes of two durations: each condition's takes enroll in groups of
+        # equal row count, and every take's models equal its enrollment alone.
+        entries = []
+        for p in range(3):
+            for w in range(4):
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    buf = synth_speaker(p, w, 0.3 if (p + w + r) % 2 else 0.4, seed)
+                    name = f"p{p}_w{w}_r{r}.wav"
+                    write_wav(buf, tmp_path / name)
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": name})
+        manifest = tmp_path / "manifest.json"
+        write_manifest(entries, manifest)
+        calls = []
+        real_enroll_many = melsplit.bench.enroll_many
+
+        def recording_enroll_many(takes, k, seed):
+            models = real_enroll_many(takes, k, seed)
+            calls.append((takes, k, seed, models))
+            return models
+
+        monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
+        report = run_sweep(mini_plan(corpus=str(manifest)))
+        assert len(report.cells) == 8
+        row_counts = set()
+        for takes, k, seed, models in calls:
+            for features, take_models in zip(takes, models):
+                row_counts.update(fm.rows.shape[0] for fm in features.values())
+                alone = melsplit.cluster.enroll(features, k, seed)
+                assert list(take_models) == list(alone)
+                for channel, model in alone.items():
+                    assert np.array_equal(take_models[channel].centroids, model.centroids)
+                    assert np.array_equal(take_models[channel].assignments, model.assignments)
+        assert len(row_counts) == 2
+
     def test_single_replicate_corpus_rejected(self, tmp_path):
         entries = []
         for p in range(3):
@@ -205,14 +241,15 @@ class TestRunSweep:
         assert batches[0] == batches[1] and batches[0][1] == n
 
     def test_one_kmeans_fit_per_take_channel_and_condition(self, monkeypatch):
-        fits = []
-        real_kmeans = melsplit.cluster.kmeans
+        fits, calls = [], []
+        real_kmeans_many = melsplit.cluster.kmeans_many
 
-        def recording_kmeans(points, k, seed, *args, **kwargs):
-            fits.append((np.asarray(points).tobytes(), seed))
-            return real_kmeans(points, k, seed, *args, **kwargs)
+        def recording_kmeans_many(points, k, seeds, *args, **kwargs):
+            calls.append(np.shape(points))
+            fits.extend((np.asarray(row).tobytes(), seed) for row, seed in zip(points, seeds))
+            return real_kmeans_many(points, k, seeds, *args, **kwargs)
 
-        monkeypatch.setattr(melsplit.cluster, "kmeans", recording_kmeans)
+        monkeypatch.setattr(melsplit.cluster, "kmeans_many", recording_kmeans_many)
         # Twice the genuine pool, so every (profile, trial word) is a test take.
         plan = mini_plan(trials=2 * 3 * 3)
         run_sweep(plan)
@@ -227,21 +264,25 @@ class TestRunSweep:
         expected = channels * (references + calibration_takes + test_takes * conditions)
         assert len(fits) == expected
         assert len(set(fits)) == len(fits)
+        # All takes have one length, so each (take set, method) enrolls each
+        # channel in one kernel call: references, calibration takes, and the
+        # test takes of every condition.
+        assert len(calls) == channels * (2 + conditions)
 
     def test_only_used_references_enrolled(self, monkeypatch):
         enrolled, scored = set(), set()
-        real_enroll = melsplit.bench.enroll
+        real_enroll_many = melsplit.bench.enroll_many
         real_score_pairs = melsplit.bench._score_pairs
 
-        def recording_enroll(features, *args):
-            enrolled.add(next(iter(features.values())).source_id)
-            return real_enroll(features, *args)
+        def recording_enroll_many(takes, *args):
+            enrolled.update(next(iter(features.values())).source_id for features in takes)
+            return real_enroll_many(takes, *args)
 
         def recording_score_pairs(test_models, ref_models, pairs):
             scored.update(melsplit.bench._take_id(*pair.ref, 0) for pair in pairs)
             return real_score_pairs(test_models, ref_models, pairs)
 
-        monkeypatch.setattr(melsplit.bench, "enroll", recording_enroll)
+        monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
         monkeypatch.setattr(melsplit.bench, "_score_pairs", recording_score_pairs)
         plan = mini_plan(trials=2, methods=("single",), snr_points_db=(CLEAN_SNR_DB,))
         run_sweep(plan)

@@ -20,7 +20,14 @@ from melsplit.cli import (
 )
 from melsplit.errors import ConfigError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
-from melsplit.signal_io import AudioBuffer, corpus_seed, read_wav, write_wav
+from melsplit.signal_io import (
+    AudioBuffer,
+    NoiseSpec,
+    corpus_seed,
+    mix_at_snr,
+    read_wav,
+    write_wav,
+)
 
 SR = 16000
 
@@ -150,6 +157,21 @@ class TestAnc:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "c56cdc531e59914db78be165e60778ca076f465ee0f195d9c1cf7d99a40c3c78"
         )
+
+    def test_divergence_exits_nonzero(self, tmp_path, capsys):
+        # A 500 Hz sine in white noise at 0 dB: at mu = 0.3 the canceller's
+        # error grows without bound but stays finite.
+        t = np.arange(SR // 2) / SR
+        clean = AudioBuffer(0.5 * np.sin(2 * np.pi * 500 * t), SR)
+        noisy, noise = mix_at_snr(clean, NoiseSpec("white-gaussian", 0.0, seed=42))
+        write_wav(noisy, tmp_path / "noisy.wav")
+        write_wav(noise, tmp_path / "noise.wav")
+        out = tmp_path / "out.wav"
+        assert run_cli("anc", "--primary", tmp_path / "noisy.wav",
+                       "--reference", tmp_path / "noise.wav",
+                       "--taps", 31, "--mu", 0.3, "--out", out) == 1
+        assert "diverged at step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_flag_names_config_field(self, tmp_path, capsys):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)

@@ -21,12 +21,13 @@ from melsplit.cluster import (
     enroll,
     euclidean,
     kmeans,
+    kmeans_many,
     score,
     verdict,
 )
 from melsplit.errors import ConfigError, DimensionError, ParameterError
 from melsplit.mfcc import FeatureMatrix, extract_dual_channel, extract_single_channel
-from melsplit.signal_io import synth_speaker
+from melsplit.signal_io import _entropy, synth_speaker
 
 
 def brute_force_inertia(points, k):
@@ -137,6 +138,154 @@ class TestKmeans:
         b = kmeans(points, 2, seed=9)
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
+
+
+def serial_lloyd(points, k, seed, max_iter=100):
+    """Reference Lloyd loop, one point set at a time: the seeded start, the
+    empty-cluster reseed and the member means that kmeans_many must match."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    rng = np.random.default_rng(_entropy(seed))
+    centroids = pts[np.sort(rng.choice(n, size=k, replace=False))].copy()
+    for iterations in range(1, max_iter + 1):
+        sq_dist = np.sum((pts[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        assignments = np.argmin(sq_dist, axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            own = sq_dist[np.arange(n), assignments]
+            donors = counts[assignments] > 1
+            if not donors.any():
+                continue
+            far = int(np.argmax(np.where(donors, own, -np.inf)))
+            counts[assignments[far]] -= 1
+            assignments[far] = j
+            counts[j] = 1
+            centroids[j] = pts[far]
+            sq_dist[far, j] = 0.0
+        new = centroids.copy()
+        for j in range(k):
+            if counts[j]:
+                new[j] = pts[assignments == j].mean(axis=0)
+        movement = np.max(np.abs(new - centroids))
+        centroids = new
+        if movement < 1e-9:
+            break
+    inertia = float(np.sum((pts - centroids[assignments]) ** 2))
+    return centroids, assignments, inertia, iterations
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a.assignments, b.assignments)
+    assert a.iterations_run == b.iterations_run
+    assert a.inertia == b.inertia
+    assert a.seed == b.seed
+
+
+def fit_stack_and_rows(points, k, seeds, **kwargs):
+    """Fit the stack in lockstep, check each row against fitting it alone,
+    and return the stacked fit."""
+    many = kmeans_many(points, k, seeds, **kwargs)
+    assert len(many) == len(points)
+    for row, seed, model in zip(points, seeds, many):
+        assert_same_model(model, kmeans(row, k, seed, **kwargs))
+    return many
+
+
+# Two fixed inputs and the kmeans outputs recorded for them with the serial
+# Lloyd loop that kmeans_many replaced. The second opens with two clusters
+# empty, so both are reseeded.
+PINNED_POINTS_A = [
+    [1.029, 1.642], [1.147, -0.973], [-1.393, 0.067], [0.861, 0.509],
+    [1.81, 0.751], [0.64, -0.731], [-1.108, 1.484], [0.049, 0.812],
+    [-1.376, -0.436], [-1.291, -0.776], [0.903, -1.481], [-0.534, 0.164],
+]
+PINNED_POINTS_B = [[0.0, 0.0]] * 6 + [[1.0, 0.5], [2.0, -1.0], [4.0, 3.0], [5.0, 2.5]]
+PINNED_FITS = [
+    (
+        PINNED_POINTS_A, 2, 31,
+        [[-0.9421666666666666, 0.21916666666666665], [1.0649999999999997, -0.04716666666666669]],
+        [1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 0],
+        13.0785905,
+        3,
+    ),
+    (
+        PINNED_POINTS_B, 3, 6,
+        [[0.375, -0.0625], [5.0, 2.5], [4.0, 3.0]],
+        [0, 0, 0, 0, 0, 0, 0, 0, 2, 1],
+        5.09375,
+        2,
+    ),
+]
+
+
+class TestKmeansMany:
+    def test_rows_converge_at_their_own_iteration(self):
+        rng = np.random.default_rng(8)
+        points = rng.standard_normal((12, 40, 3))
+        many = fit_stack_and_rows(points, 3, list(range(100, 112)))
+        assert len({m.iterations_run for m in many}) > 1
+
+    def test_row_capped_by_max_iter(self):
+        rng = np.random.default_rng(9)
+        points = rng.standard_normal((8, 40, 3))
+        capped = [m.iterations_run for m in kmeans_many(points, 3, range(8))]
+        max_iter = sorted(capped)[len(capped) // 2]
+        many = fit_stack_and_rows(points, 3, list(range(8)), max_iter=max_iter)
+        iterations = [m.iterations_run for m in many]
+        assert max_iter in iterations and min(iterations) < max_iter
+
+    def test_reseed_row_beside_plain_rows(self):
+        rng = np.random.default_rng(10)
+        points = rng.standard_normal((3, 10, 2))
+        points[1] = PINNED_POINTS_B
+        many = fit_stack_and_rows(points, 3, [5, 6, 7])
+        assert sorted(set(many[1].assignments.tolist())) == [0, 1, 2]
+
+    @pytest.mark.parametrize("k", [1, 13])
+    def test_k_one_and_k_n(self, k):
+        rng = np.random.default_rng(11)
+        points = rng.standard_normal((5, 13, 4))
+        many = fit_stack_and_rows(points, k, [3, 1, 4, 1, 5])
+        for row, model in zip(points, many):
+            if k == 1:
+                # Members are summed in point order, exactly as numpy's mean.
+                assert np.array_equal(model.centroids[0], row.mean(axis=0))
+            else:
+                assert model.inertia == 0.0
+
+    def test_matches_serial_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            rows, n, d = rng.integers(1, 8), rng.integers(2, 60), rng.integers(2, 16)
+            k = int(rng.integers(1, min(n, 5) + 1))
+            points = rng.standard_normal((rows, n, d)) * rng.uniform(0.1, 100)
+            points[:, : n // 3] = points[:, :1]  # duplicates, so some fits reseed
+            seeds = rng.integers(0, 2**40, rows).tolist()
+            for row, seed, model in zip(points, seeds, kmeans_many(points, k, seeds)):
+                centroids, assignments, inertia, iterations = serial_lloyd(row, k, seed)
+                assert np.array_equal(model.centroids, centroids)
+                assert np.array_equal(model.assignments, assignments)
+                assert model.inertia == inertia
+                assert model.iterations_run == iterations
+
+    @pytest.mark.parametrize("points, k, seed, centroids, assignments, inertia, iterations", PINNED_FITS)
+    def test_outputs_pinned(self, points, k, seed, centroids, assignments, inertia, iterations):
+        model = kmeans(np.array(points), k, seed)
+        assert np.array_equal(model.centroids, centroids)
+        assert np.array_equal(model.assignments, assignments)
+        assert model.inertia == inertia
+        assert model.iterations_run == iterations
+
+    def test_one_seed_per_row(self):
+        with pytest.raises(DimensionError):
+            kmeans_many(np.zeros((3, 5, 2)), 2, [1, 2])
+        with pytest.raises(DimensionError):
+            kmeans_many(np.zeros((5, 2)), 2, [1] * 5)
+
+    def test_k_larger_than_n_rejected(self):
+        with pytest.raises(ParameterError):
+            kmeans_many(np.zeros((2, 3, 2)), 4, [0, 1])
 
 
 def fm(rows, channel="single", source="u"):
