@@ -11,12 +11,12 @@ from .bench import CLEAN_SNR_DB, ExperimentPlan, SweepReport, emit_curves, run_s
 from .cluster import (
     ClusterModel,
     ConfusionCounts,
-    IdentityVerdict,
     accuracy,
     calibrate_threshold,
+    enroll,
     euclidean,
     kmeans,
-    verdict,
+    score,
 )
 from .errors import (
     ConfigError,

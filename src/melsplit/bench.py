@@ -15,9 +15,7 @@ import hashlib
 import json
 import math
 import time
-import types
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +30,9 @@ from .cluster import (
     score,
 )
 from .errors import ConfigError, DivergenceError, ParameterError
-from .mfcc import METHODS, ExtractionConfig, _check_fields
+from .mfcc import METHODS, ExtractionConfig
 from .mfcc import extract_dual_channel, extract_single_channel
+from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     AudioBuffer,
     _entropy,
@@ -49,68 +48,6 @@ from .signal_io import (
 CLEAN_SNR_DB = 60.0
 
 ANC_MODES = ("off", "on")
-
-
-def check_shared_fields(
-    sample_rate_hz: int, band_top_hz: float, anc_taps: int, kmeans_k: int
-) -> None:
-    """Checks common to ExperimentPlan and the CLI's PipelineConfig."""
-    _check_fields(
-        ("sample_rate_hz", sample_rate_hz > 0, "must be positive"),
-        (
-            "band_top_hz",
-            band_top_hz < sample_rate_hz / 2,
-            f"must be below the Nyquist frequency ({sample_rate_hz / 2:g} Hz)",
-        ),
-        ("anc_taps", anc_taps >= 0, "must be >= 0"),
-        ("kmeans_k", kmeans_k >= 1, "must be >= 1"),
-    )
-
-
-def read_settings(path):
-    """Parse a JSON settings file (a pipeline config or an experiment plan)."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def _json_matches(value, hint) -> bool:
-    """Whether a parsed JSON value has the type a dataclass field annotates."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_json_matches(value, arg) for arg in args)
-    if origin is tuple:
-        return isinstance(value, (list, tuple)) and all(_json_matches(v, args[0]) for v in value)
-    if isinstance(value, bool):  # JSON true/false is not a number
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def settings_from_dict(cls, data, what: str):
-    """Build settings dataclass `cls` from parsed JSON, checking each value's
-    type against its field's annotation; a nested dataclass field takes an
-    object built the same way. Raises ConfigError naming the field."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} field(s): {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, value in data.items():
-        hint = hints[name]
-        if is_dataclass(hint):
-            kwargs[name] = settings_from_dict(hint, value, name)
-        elif _json_matches(value, hint):
-            # A JSON integer in a float field loads as a float, so equal
-            # settings echo the same bytes however they were spelled.
-            float_field = hint in (float, float | None) and value is not None
-            kwargs[name] = float(value) if float_field else value
-        else:
-            type_name = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"{what} field {name}: expected {type_name}, got {value!r}")
-    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -162,7 +99,7 @@ class ExperimentPlan:
         check_shared_fields(
             self.sample_rate_hz, self.extraction.band_top_hz, self.anc_taps, self.kmeans_k
         )
-        _check_fields(
+        check_fields(
             ("anc_mu", self.anc_mu is None or self.anc_mu > 0, "must be positive"),
             ("anc_mu_fraction", self.anc_mu_fraction > 0, "must be positive"),
         )

@@ -1,9 +1,11 @@
 """Command-line entry point for the identification pipeline.
 
 One binary with subcommands mirroring the processing stages: synth, mix,
-anc, filter, extract, verdict, bench. Exit codes: 0 success, 2 usage error,
-1 runtime/pipeline error. Tunables resolve as CLI flag > config file >
-built-in default; bench reads its settings from a --plan file instead.
+anc, filter, extract, verdict, bench. verdict enrolls both takes with
+cluster.enroll_many, scores them with cluster.score and applies the
+threshold, the same decision the sweep counts. Exit codes: 0 success, 2
+usage error, 1 runtime/pipeline error. Tunables resolve as CLI flag > config
+file > built-in default; bench reads its settings from a --plan file instead.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
-from .cluster import verdict
-from .errors import PipelineError
+from .cluster import channel_scores, enroll_many, score
+from .errors import DimensionError, PipelineError
 from .fir import (
     design_bandpass,
     design_highpass,
@@ -25,7 +27,8 @@ from .fir import (
     export_taps_csv,
     filter_zero_phase,
 )
-from .mfcc import METHODS, ExtractionConfig, _check_fields, channel_bands
+from .mfcc import METHODS, ExtractionConfig, channel_bands
+from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     NoiseSpec,
     corpus_seed,
@@ -55,10 +58,8 @@ class PipelineConfig(ExtractionConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        bench_mod.check_shared_fields(
-            self.sample_rate_hz, self.band_top_hz, self.anc_taps, self.kmeans_k
-        )
-        _check_fields(
+        check_shared_fields(self.sample_rate_hz, self.band_top_hz, self.anc_taps, self.kmeans_k)
+        check_fields(
             ("anc_mu", self.anc_mu > 0, "must be positive"),
             ("threshold", self.threshold >= 0, "must be >= 0"),
         )
@@ -69,7 +70,7 @@ class PipelineConfig(ExtractionConfig):
 
 def load_config(path) -> PipelineConfig:
     """Load and validate a JSON config file; unknown fields are an error."""
-    return bench_mod.settings_from_dict(PipelineConfig, bench_mod.read_settings(path), "config")
+    return settings_from_dict(PipelineConfig, read_settings(path), "config")
 
 
 def save_config(cfg: PipelineConfig, path) -> None:
@@ -212,20 +213,27 @@ def cmd_verdict(args) -> int:
     cfg = _effective_config(args)
     test = read_wav(args.test)
     ref = read_wav(args.ref)
+    if test.sample_rate_hz != ref.sample_rate_hz:
+        raise DimensionError(
+            f"sample rates differ: {args.test} is at {test.sample_rate_hz} Hz, "
+            f"{args.ref} at {ref.sample_rate_hz} Hz"
+        )
     if args.anc:
         reference = read_wav(args.reference)
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
         test = result.error_signal
-    test_feats = bench_mod._features(test, args.method, cfg, Path(args.test).stem)
-    ref_feats = bench_mod._features(ref, args.method, cfg, Path(args.ref).stem)
-    v = verdict(test_feats, ref_feats, cfg.kmeans_k, cfg.threshold, cfg.seed)
+    test_id, ref_id = Path(args.test).stem, Path(args.ref).stem
+    test_feats = bench_mod._features(test, args.method, cfg, test_id)
+    ref_feats = bench_mod._features(ref, args.method, cfg, ref_id)
+    test_models, ref_models = enroll_many([test_feats, ref_feats], cfg.kmeans_k, cfg.seed)
+    combined = score(test_models, ref_models)
     payload = {
-        "test_id": Path(args.test).stem,
-        "ref_id": Path(args.ref).stem,
-        "per_channel_scores": v.per_channel_scores,
-        "score": v.score,
-        "threshold": v.threshold,
-        "decision": v.decision,
+        "test_id": test_id,
+        "ref_id": ref_id,
+        "per_channel_scores": channel_scores(test_models, ref_models),
+        "score": combined,
+        "threshold": cfg.threshold,
+        "decision": "identical" if combined <= cfg.threshold else "non-identical",
         "config": cfg.to_dict(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

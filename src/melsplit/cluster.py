@@ -1,11 +1,12 @@
-"""K-means over feature rows, centroid-distance verdicts, and accuracy.
+"""K-means over feature rows, centroid-distance scores, and accuracy.
 
 Identity decisions compare two utterances channel by channel: enroll each
 side (cluster its feature rows per channel), take the smallest distance
-between any pair of centroids, average the per-channel scores, and call the
-pair identical when the combined score falls at or below a threshold. A take
-enrolled once can be scored against any number of others. The threshold
-comes from an equal-error scan over genuine and impostor calibration scores.
+between any pair of centroids, and average the per-channel scores. A pair is
+identical when that score is at or below a threshold; the CLI's verdict
+command and the sweep's confusion counts both decide it so. A take enrolled
+once can be scored against any number of others. The threshold comes from
+an equal-error scan over genuine and impostor calibration scores.
 
 There is one Lloyd kernel, kmeans_many, which fits a stack of equal-shaped
 point sets in lockstep; kmeans is its one-row case. enroll_many enrolls a
@@ -34,16 +35,6 @@ class ClusterModel:
     inertia: float
     iterations_run: int
     seed: int
-
-
-@dataclass(frozen=True)
-class IdentityVerdict:
-    """Combined centroid-distance score and the thresholded decision."""
-
-    score: float
-    threshold: float
-    decision: str
-    per_channel_scores: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -115,6 +106,8 @@ def kmeans_many(
         raise ParameterError("k must be >= 1")
     if k > n:
         raise ParameterError(f"k={k} exceeds the number of points ({n})")
+    if max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
 
     centroids = np.empty((rows, k, d))
     for t, seed in enumerate(seeds):
@@ -224,16 +217,12 @@ def enroll(features: Mapping[str, FeatureMatrix], k: int, seed: int) -> dict[str
     return enroll_many([features], k, seed)[0]
 
 
-def _check_channels(test: Mapping, ref: Mapping) -> None:
-    if set(test) != set(ref):
-        raise ConfigError(f"channel sets differ: {sorted(test)} vs {sorted(ref)}")
-
-
 def channel_scores(
     test_models: Mapping[str, ClusterModel], ref_models: Mapping[str, ClusterModel]
 ) -> dict[str, float]:
     """Per channel, the minimum distance over (test, reference) centroid pairs."""
-    _check_channels(test_models, ref_models)
+    if set(test_models) != set(ref_models):
+        raise ConfigError(f"channel sets differ: {sorted(test_models)} vs {sorted(ref_models)}")
     per_channel: dict[str, float] = {}
     for channel in sorted(test_models):
         test_c = test_models[channel].centroids
@@ -248,27 +237,6 @@ def score(
 ) -> float:
     """Combined score of two enrolled takes: the mean of the channel scores."""
     return float(np.mean(list(channel_scores(test_models, ref_models).values())))
-
-
-def verdict(
-    test_features: Mapping[str, FeatureMatrix],
-    ref_features: Mapping[str, FeatureMatrix],
-    k: int,
-    threshold: float,
-    seed: int,
-) -> IdentityVerdict:
-    """Compare two utterances by nearest-centroid distance per channel.
-
-    Both sides are enrolled independently and scored as in score: the
-    per-channel score is the minimum distance over centroid pairs, and the
-    combined score is the mean across channels. Identical means
-    score <= threshold.
-    """
-    _check_channels(test_features, ref_features)
-    per_channel = channel_scores(enroll(test_features, k, seed), enroll(ref_features, k, seed))
-    combined = float(np.mean(list(per_channel.values())))
-    decision = "identical" if combined <= threshold else "non-identical"
-    return IdentityVerdict(combined, float(threshold), decision, per_channel)
 
 
 def calibrate_threshold(genuine_scores, impostor_scores) -> float:
@@ -308,7 +276,7 @@ def calibrate_threshold(genuine_scores, impostor_scores) -> float:
 
 def confusion(genuine_scores, impostor_scores, threshold: float) -> ConfusionCounts:
     """Tally trials at a threshold; a pair counts as identical when its score
-    is at or below the threshold, as in verdict."""
+    is at or below the threshold."""
     tp = int(np.count_nonzero(np.asarray(genuine_scores, dtype=np.float64) <= threshold))
     fp = int(np.count_nonzero(np.asarray(impostor_scores, dtype=np.float64) <= threshold))
     return ConfusionCounts(tp, len(impostor_scores) - fp, fp, len(genuine_scores) - tp)

@@ -103,16 +103,16 @@ def design_bandpass(
 
 
 def filter_zero_phase(buffer: AudioBuffer, kernel: FilterKernel) -> AudioBuffer:
-    """Convolve and trim the group delay so the output aligns with the input."""
+    """Convolve in "same" mode, which trims an odd kernel's group delay from
+    both ends, so the output aligns with the input."""
     if buffer.sample_rate_hz != kernel.sample_rate_hz:
         raise ParameterError("buffer and kernel sample rates differ")
     if len(buffer) <= len(kernel):
         raise DimensionError(
             f"buffer ({len(buffer)}) must be longer than the kernel ({len(kernel)})"
         )
-    delay = (len(kernel) - 1) // 2
-    full = np.convolve(buffer.samples, kernel.taps, mode="full")
-    return AudioBuffer(full[delay : len(full) - delay], buffer.sample_rate_hz)
+    same = np.convolve(buffer.samples, kernel.taps, mode="same")
+    return AudioBuffer(same, buffer.sample_rate_hz)
 
 
 def split_channels(

@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import fir
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
+from .settings import check_fields
 from .signal_io import AudioBuffer
 
 CHANNEL_SINGLE = "single"
@@ -48,7 +49,7 @@ class ExtractionConfig:
     log_floor: float = 1e-12
 
     def __post_init__(self):
-        _check_fields(
+        check_fields(
             ("frame_shift", self.frame_shift > 0, "must be positive"),
             ("frame_len", self.frame_len >= self.frame_shift, "must be >= frame_shift"),
             (
@@ -68,13 +69,6 @@ class ExtractionConfig:
             ("fir_taps", self.fir_taps % 2 == 1 and self.fir_taps >= 3, "must be odd and >= 3"),
             ("log_floor", self.log_floor > 0, "must be positive"),
         )
-
-
-def _check_fields(*checks: tuple[str, bool, str]) -> None:
-    """Raise ConfigError for the first (field, ok, message) check that fails."""
-    for name, ok, message in checks:
-        if not ok:
-            raise ConfigError(f"config field {name}: {message}")
 
 
 @dataclass(frozen=True)

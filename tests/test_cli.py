@@ -277,7 +277,23 @@ class TestVerdict:
         code = run_cli("verdict", "--test", a, "--ref", b, "--method", "single",
                        "--threshold", 1e-9, "--out", out)
         assert code == 0
-        assert json.loads(out.read_text())["decision"] == "non-identical"
+        payload = json.loads(out.read_text())
+        assert payload["decision"] == "non-identical"
+        # A score exactly at the threshold counts as identical.
+        assert run_cli("verdict", "--test", a, "--ref", b, "--method", "single",
+                       "--threshold", payload["score"], "--out", out) == 0
+        assert json.loads(out.read_text())["decision"] == "identical"
+
+    def test_sample_rate_mismatch_is_an_error(self, tmp_path, capsys):
+        from melsplit.signal_io import synth_speaker
+
+        test = make_word_wav(tmp_path / "test.wav", duration=0.5)
+        ref = tmp_path / "ref.wav"
+        write_wav(synth_speaker(0, 0, 0.5, 5, 22050), ref)
+        assert run_cli("verdict", "--test", test, "--ref", ref, "--method", "single") == 1
+        err = capsys.readouterr().err
+        for name in (str(test), str(ref), "16000 Hz", "22050 Hz"):
+            assert name in err
 
     def test_anc_requires_reference(self, tmp_path):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)

@@ -1,4 +1,4 @@
-"""K-means, verdict, calibration, and accuracy tests.
+"""K-means, enrollment and scoring, calibration, and accuracy tests.
 
 The k-means oracle enumerates every assignment of points to clusters and
 takes the best within-cluster sum of squares, so the seeded implementation
@@ -13,17 +13,16 @@ import pytest
 
 from melsplit.cluster import (
     ConfusionCounts,
-    IdentityVerdict,
     accuracy,
     calibrate_threshold,
     channel_scores,
     confusion,
     enroll,
+    enroll_many,
     euclidean,
     kmeans,
     kmeans_many,
     score,
-    verdict,
 )
 from melsplit.errors import ConfigError, DimensionError, ParameterError
 from melsplit.mfcc import FeatureMatrix, extract_dual_channel, extract_single_channel
@@ -282,6 +281,8 @@ class TestKmeansMany:
             kmeans_many(np.zeros((3, 5, 2)), 2, [1, 2])
         with pytest.raises(DimensionError):
             kmeans_many(np.zeros((5, 2)), 2, [1] * 5)
+        with pytest.raises(ParameterError, match="max_iter"):
+            kmeans(np.arange(4.0), 2, 1, max_iter=0)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ParameterError):
@@ -292,22 +293,24 @@ def fm(rows, channel="single", source="u"):
     return FeatureMatrix(np.asarray(rows, dtype=np.float64), channel, source)
 
 
+def pair_score(test, ref, k, seed):
+    """Score a pair as the CLI's verdict does: both takes enrolled in one call."""
+    return score(*enroll_many([test, ref], k, seed))
+
+
 class TestVerdict:
     def test_self_comparison_scores_zero(self):
         rng = np.random.default_rng(7)
         rows = rng.standard_normal((30, 4))
         a = {"single": fm(rows, source="same")}
-        v = verdict(a, a, k=2, threshold=0.5, seed=3)
-        assert v.score == 0.0
-        assert v.decision == "identical"
+        assert pair_score(a, a, k=2, seed=3) == 0.0
 
     def test_score_symmetry(self):
         rng = np.random.default_rng(8)
         a = {"single": fm(rng.standard_normal((25, 4)), source="utt-a")}
         b = {"single": fm(rng.standard_normal((25, 4)) + 2.0, source="utt-b")}
-        v_ab = verdict(a, b, k=2, threshold=1.0, seed=5)
-        v_ba = verdict(b, a, k=2, threshold=1.0, seed=5)
-        assert v_ab.score == pytest.approx(v_ba.score, abs=1e-9)
+        s_ab, s_ba = pair_score(a, b, k=2, seed=5), pair_score(b, a, k=2, seed=5)
+        assert s_ab == pytest.approx(s_ba, abs=1e-9)
 
     def test_combined_score_is_mean_of_channels(self):
         rng = np.random.default_rng(9)
@@ -319,23 +322,26 @@ class TestVerdict:
             "ch1": fm(rng.standard_normal((20, 3)) + 1.0, "ch1", "r"),
             "ch2": fm(rng.standard_normal((20, 3)) - 1.0, "ch2", "r"),
         }
-        v = verdict(test, ref, k=2, threshold=10.0, seed=1)
-        assert v.score == pytest.approx(np.mean(list(v.per_channel_scores.values())))
-        assert set(v.per_channel_scores) == {"ch1", "ch2"}
+        test_models, ref_models = enroll_many([test, ref], 2, 1)
+        per_channel = channel_scores(test_models, ref_models)
+        assert score(test_models, ref_models) == pytest.approx(np.mean(list(per_channel.values())))
+        assert set(per_channel) == {"ch1", "ch2"}
 
     def test_decision_boundary_inclusive(self):
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((20, 3))
         a = {"single": fm(rows, source="a")}
-        v = verdict(a, a, k=1, threshold=0.0, seed=0)
-        assert v.decision == "identical"  # score 0 <= threshold 0
+        self_score = pair_score(a, a, k=1, seed=0)
+        assert self_score == 0.0
+        # score 0 <= threshold 0 counts as identical
+        assert confusion([self_score], [], threshold=0.0) == ConfusionCounts(tp=1)
 
     def test_channel_set_mismatch(self):
         rng = np.random.default_rng(11)
         a = {"ch1": fm(rng.standard_normal((10, 3)), "ch1", "a")}
         b = {"single": fm(rng.standard_normal((10, 3)), "single", "b")}
         with pytest.raises(ConfigError):
-            verdict(a, b, k=1, threshold=1.0, seed=0)
+            pair_score(a, b, k=1, seed=0)
 
     def test_distinct_clusters_separate_sources(self):
         # two synthetic "speakers": clouds at distance 6 vs re-draws nearby
@@ -346,14 +352,14 @@ class TestVerdict:
         t = {"single": fm(base, source="t")}
         g = {"single": fm(same, source="g")}
         i = {"single": fm(other, source="i")}
-        genuine = verdict(t, g, k=2, threshold=1.0, seed=2).score
-        impostor = verdict(t, i, k=2, threshold=1.0, seed=2).score
+        genuine = pair_score(t, g, k=2, seed=2)
+        impostor = pair_score(t, i, k=2, seed=2)
         assert impostor > genuine
 
 
-def take_features(method, profile, word, replicate):
+def take_features(method, profile, word, replicate, duration=0.4):
     """A synthetic take's features keyed by channel, as the sweep builds them."""
-    buffer = synth_speaker(profile, word, 0.4, seed=100 * profile + 10 * word + replicate)
+    buffer = synth_speaker(profile, word, duration, seed=100 * profile + 10 * word + replicate)
     source = f"p{profile}.w{word}.r{replicate}"
     if method == "dual":
         matrices = extract_dual_channel(buffer, source_id=source)
@@ -368,9 +374,23 @@ class TestEnrollScore:
     def test_score_of_enrolled_takes_is_verdict_score(self, method, other_profile):
         test = take_features(method, 0, 3, 1)
         ref = take_features(method, other_profile, 3, 0)
-        v = verdict(test, ref, k=2, threshold=1.0, seed=4)
-        assert score(enroll(test, 2, 4), enroll(ref, 2, 4)) == v.score
-        assert channel_scores(enroll(test, 2, 4), enroll(ref, 2, 4)) == v.per_channel_scores
+        test_models, ref_models = enroll_many([test, ref], 2, 4)
+        assert score(enroll(test, 2, 4), enroll(ref, 2, 4)) == score(test_models, ref_models)
+        assert channel_scores(enroll(test, 2, 4), enroll(ref, 2, 4)) == channel_scores(
+            test_models, ref_models
+        )
+
+    @pytest.mark.parametrize("method", ["single", "dual"])
+    @pytest.mark.parametrize("ref_duration", [0.4, 0.5], ids=["equal_length", "unequal_length"])
+    def test_enroll_many_matches_separate_enrolls(self, method, ref_duration):
+        test = take_features(method, 0, 3, 1)
+        ref = take_features(method, 1, 3, 0, duration=ref_duration)
+        stacked = enroll_many([test, ref], 2, 4)
+        for models, features in zip(stacked, (test, ref)):
+            alone = enroll(features, 2, 4)
+            assert list(models) == list(alone)
+            for channel in alone:
+                assert_same_model(models[channel], alone[channel])
 
     @pytest.mark.parametrize("method", ["single", "dual"])
     def test_enrolling_twice_gives_identical_centroids(self, method):
@@ -387,7 +407,7 @@ class TestEnrollScore:
         with pytest.raises(ConfigError, match="channel sets differ"):
             score(single, dual)
         with pytest.raises(ConfigError, match="channel sets differ"):
-            verdict(take_features("single", 0, 0, 0), take_features("dual", 0, 0, 1), 2, 1.0, 1)
+            pair_score(take_features("single", 0, 0, 0), take_features("dual", 0, 0, 1), 2, 1)
 
 
 class TestCalibrateThreshold:
@@ -443,12 +463,10 @@ class TestConfusion:
             )
             for i in range(40)
         ]
-        scores = [verdict(t, r, k=2, threshold=0.0, seed=3).score for t, r in sides]
+        scores = [pair_score(t, r, k=2, seed=3) for t, r in sides]
         threshold = sorted(scores)[20]  # one score sits exactly on the threshold
-        identical = [
-            verdict(t, r, k=2, threshold=threshold, seed=3).decision == "identical"
-            for t, r in sides
-        ]
+        # The CLI's verdict rule: identical when the score is at or below the threshold.
+        identical = [s <= threshold for s in scores]
         assert 0 < sum(identical) < len(identical)
         genuine, impostor = identical[::2], identical[1::2]
         expected = ConfusionCounts(
