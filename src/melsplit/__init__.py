@@ -39,8 +39,6 @@ from .fir import (
 from .mfcc import (
     ExtractionConfig,
     FeatureMatrix,
-    FrameMatrix,
-    MelFilterbank,
     build_filterbank,
     dct_cepstra,
     extract_dual_channel,

@@ -178,6 +178,15 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
     groups: dict[tuple[int, int], list[dict]] = {}
     for e in entries:
         groups.setdefault((e["profile_id"], e["word_id"]), []).append(e)
+    profile_ids = sorted({p for p, _ in groups})
+    word_ids = sorted({w for _, w in groups})
+    for p in profile_ids:
+        for w in word_ids:
+            if (p, w) not in groups:
+                raise ConfigError(
+                    f"corpus manifest has no takes for profile {p} word {w}; "
+                    f"every profile needs every word"
+                )
     for (p, w), group in sorted(groups.items()):
         if len(group) < 2:
             raise ConfigError(
@@ -301,11 +310,13 @@ def _noisy_takes(plan: ExperimentPlan, clean_takes: dict, snr_db: float) -> dict
     takes: dict[str, dict] = {mode: {} for mode in plan.anc}
     for n, keys in by_length.items():
         primaries = np.empty((len(keys), n + _lead_samples(plan)))
-        references = np.empty_like(primaries)
+        # Only the canceller reads the references.
+        references = np.empty_like(primaries) if "on" in plan.anc else None
         for row, key in enumerate(keys):
             primary, reference = _mix_with_lead(plan, key, clean_takes[key], snr_db)
             primaries[row] = primary.samples
-            references[row] = reference.samples
+            if references is not None:
+                references[row] = reference.samples
         signals = {"off": primaries}
         if "on" in plan.anc:
             mus = [_auto_mu(plan, reference) for reference in references]
@@ -425,19 +436,18 @@ def emit_curves(report: SweepReport, path) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def report_to_dict(report: SweepReport, include_timing: bool = True) -> dict:
-    cells = []
-    for c in report.cells:
-        cell = {
+def report_to_dict(report: SweepReport) -> dict:
+    cells = [
+        {
             "method": c.method,
             "anc": c.anc,
             "snr_db": c.snr_db,
             **asdict(c.counts),
             "accuracy": c.accuracy,
+            "wall_time_s": c.wall_time_s,
         }
-        if include_timing:
-            cell["wall_time_s"] = c.wall_time_s
-        cells.append(cell)
+        for c in report.cells
+    ]
     return {
         "config": report.config_echo,
         "corpus_digest": report.corpus_digest,

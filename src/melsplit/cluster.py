@@ -259,16 +259,11 @@ def calibrate_threshold(genuine_scores, impostor_scores) -> float:
     reject_all_errors = len(genuine)  # any t below the lowest score
     best = min(int(errors.min()), reject_all_errors)
 
-    best_width = -1.0
-    best_threshold = None
-    for i in np.flatnonzero(errors == best):
-        if i + 1 < len(values):
-            width = float(values[i + 1] - values[i])
-            if width > best_width:
-                best_width = width
-                best_threshold = 0.5 * (values[i] + values[i + 1])
-    if best_threshold is not None:
-        return best_threshold
+    minimizers = errors[:-1] == best
+    if minimizers.any():
+        # argmax takes the first of equally wide gaps.
+        i = np.argmax(np.where(minimizers, np.diff(values), -1.0))
+        return 0.5 * (values[i] + values[i + 1])
     if errors[-1] == best:
         return float(values[-1])  # accept everything
     return float(values[0] - 1.0)  # reject everything

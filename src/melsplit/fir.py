@@ -4,7 +4,8 @@ Kernels are odd-length, symmetric (linear phase). The band splitter sends
 everything below the split frequency to channel 1 via a lowpass and the
 split-to-top band to channel 2 via a bandpass built as a difference of
 lowpasses. Filtering compensates the group delay so both channel outputs
-stay time-aligned with the input.
+stay time-aligned with the input. A kernel is its taps plus the sample
+rate they were designed for, which filtering checks against the buffer's.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ DEFAULT_NUM_TAPS = 101
 
 @dataclass(frozen=True)
 class FilterKernel:
-    """Immutable FIR impulse response plus its design metadata."""
+    """Immutable odd-length FIR impulse response and its sample rate."""
 
     taps: np.ndarray
-    kind: str
-    cutoff_low_hz: float | None
-    cutoff_high_hz: float | None
     sample_rate_hz: int
 
     def __post_init__(self):
@@ -72,7 +70,7 @@ def design_lowpass(cutoff_hz: float, num_taps: int, sample_rate_hz: int) -> Filt
     _validate_design(cutoff_hz, num_taps, sample_rate_hz)
     taps = _windowed_sinc(cutoff_hz, num_taps, sample_rate_hz)
     taps /= taps.sum()
-    return FilterKernel(taps, "lowpass", None, float(cutoff_hz), sample_rate_hz)
+    return FilterKernel(taps, sample_rate_hz)
 
 
 def design_highpass(cutoff_hz: float, num_taps: int, sample_rate_hz: int) -> FilterKernel:
@@ -81,7 +79,7 @@ def design_highpass(cutoff_hz: float, num_taps: int, sample_rate_hz: int) -> Fil
     taps = -low.taps
     taps[(num_taps - 1) // 2] += 1.0
     taps /= _amplitude_at(taps, sample_rate_hz / 2.0, sample_rate_hz)
-    return FilterKernel(taps, "highpass", float(cutoff_hz), None, sample_rate_hz)
+    return FilterKernel(taps, sample_rate_hz)
 
 
 def design_bandpass(
@@ -99,7 +97,7 @@ def design_bandpass(
     taps = upper.taps - lower.taps
     center = float(np.sqrt(low_hz * high_hz))
     taps /= _amplitude_at(taps, center, sample_rate_hz)
-    return FilterKernel(taps, "bandpass", float(low_hz), float(high_hz), sample_rate_hz)
+    return FilterKernel(taps, sample_rate_hz)
 
 
 def filter_zero_phase(buffer: AudioBuffer, kernel: FilterKernel) -> AudioBuffer:

@@ -6,6 +6,10 @@ The single-channel variant runs one bank over the full 0-4 kHz band. The
 dual-channel variant first splits the signal at 1 kHz (lowpass / bandpass)
 and runs an independent bank per channel, so the narrow low band keeps its
 own full filter resolution.
+
+The stages pass plain arrays: frame_blocking returns the (L, N) frames and
+build_filterbank the (P, K/2+1) weight matrix. Only the extractors' output,
+FeatureMatrix, carries labels: its channel and source ids.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class ExtractionConfig:
     split_hz: float = 1000.0
     band_top_hz: float = 4000.0
     fir_taps: int = 101
-    log_floor: float = 1e-12
+    log_floor: float = _LOG_FLOOR
 
     def __post_init__(self):
         check_fields(
@@ -72,39 +76,6 @@ class ExtractionConfig:
 
 
 @dataclass(frozen=True)
-class FrameMatrix:
-    """Overlapping analysis frames, one per row."""
-
-    frames: np.ndarray
-    frame_len_n: int
-    shift_m: int
-    sample_rate_hz: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters over FFT power bins, equally spaced in mel.
-
-    weights has one row per filter and one column per bin (0..K/2). Each row
-    rises linearly to 1.0 at its peak bin and falls to the next boundary;
-    adjacent triangles share boundaries, so between the first and last peak
-    the rows sum to one.
-    """
-
-    weights: np.ndarray
-    num_filters_p: int
-    band_lo_hz: float
-    band_hi_hz: float
-    fft_size_k: int
-    channel_id: str
-    peak_bins: np.ndarray
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Per-frame cepstral coefficient rows for one channel of one utterance."""
 
@@ -112,16 +83,12 @@ class FeatureMatrix:
     channel_id: str
     source_id: str = ""
 
-    @property
-    def num_coeffs_q(self) -> int:
-        return self.rows.shape[1]
 
-
-def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> FrameMatrix:
+def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.ndarray:
     """Slice a buffer into overlapping frames of length N shifted by M.
 
-    Frame l (0-based) covers samples [l*M, l*M + N); trailing samples that
-    do not fill a frame are dropped.
+    Returns an (L, N) array whose row l (0-based) holds samples
+    [l*M, l*M + N); trailing samples that do not fill a frame are dropped.
     """
     n, m = int(frame_len_n), int(shift_m)
     if m <= 0 or n < m:
@@ -132,8 +99,7 @@ def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> Frame
         )
     count = (len(buffer) - n) // m + 1
     starts = np.arange(count) * m
-    frames = buffer.samples[starts[:, None] + np.arange(n)[None, :]]
-    return FrameMatrix(frames, n, m, buffer.sample_rate_hz)
+    return buffer.samples[starts[:, None] + np.arange(n)[None, :]]
 
 
 def hamming_window(frame: np.ndarray) -> np.ndarray:
@@ -179,15 +145,17 @@ def build_filterbank(
     num_filters_p: int,
     fft_size_k: int,
     sample_rate_hz: int,
-    channel_id: str = CHANNEL_SINGLE,
-) -> MelFilterbank:
+) -> np.ndarray:
     """Place P unit-peak triangles equally spaced in mel across a band.
 
-    P+2 boundary points are laid out on the mel axis, mapped back to Hz and
-    then to FFT bins; filter m rises over [b(m-1), b(m)] and falls over
-    [b(m), b(m+1)]. Raises if the band is too narrow for P distinct bins.
-    Banks are memoized per argument tuple, so the returned arrays are shared
-    and read-only.
+    Returns a (P, K/2+1) weight matrix, one row per filter and one column
+    per FFT power bin. P+2 boundary points are laid out on the mel axis,
+    mapped back to Hz and then to FFT bins; filter m rises over
+    [b(m-1), b(m)] to exactly 1.0 at bin b(m) and falls over
+    [b(m), b(m+1)]. Adjacent triangles share boundaries, so between the
+    first and last peak the rows sum to one. Raises if the band is too
+    narrow for P distinct bins. Banks are memoized per argument tuple, so
+    the returned matrix is shared and read-only.
     """
     p, k = int(num_filters_p), int(fft_size_k)
     if p < 1:
@@ -214,45 +182,42 @@ def build_filterbank(
         falling = (cols > peak) & (cols < right)
         weights[m, rising] = (cols[rising] - left) / (peak - left)
         weights[m, falling] = (right - cols[falling]) / (right - peak)
-    peak_bins = bins[1:-1]
-    weights.flags.writeable = peak_bins.flags.writeable = False
-    return MelFilterbank(
-        weights, p, float(band_lo_hz), float(band_hi_hz), k, channel_id, peak_bins
-    )
+    weights.flags.writeable = False
+    return weights
 
 
 def log_mel_energies(
-    power_spectrum: np.ndarray, bank: MelFilterbank, floor: float = _LOG_FLOOR
+    power_spectrum: np.ndarray, bank: np.ndarray, floor: float = _LOG_FLOOR
 ) -> np.ndarray:
-    """ln of each filter's weighted power sum, floored to keep the log finite."""
+    """ln of each filter's weighted power sum, floored to keep the log finite.
+    `bank` is a (P, K/2+1) weight matrix from build_filterbank."""
     power_spectrum = np.asarray(power_spectrum, dtype=np.float64)
-    if power_spectrum.shape[-1] != bank.weights.shape[1]:
+    if power_spectrum.shape[-1] != bank.shape[1]:
         raise DimensionError(
-            f"spectrum has {power_spectrum.shape[-1]} bins, "
-            f"bank expects {bank.weights.shape[1]}"
+            f"spectrum has {power_spectrum.shape[-1]} bins, bank expects {bank.shape[1]}"
         )
-    energies = power_spectrum @ bank.weights.T
+    energies = power_spectrum @ bank.T
     return np.log(np.maximum(energies, floor))
 
 
 @lru_cache
-def dct_basis(num_filters_p: int, num_coeffs_q: int) -> np.ndarray:
+def dct_basis(num_filters_p: int, num_coeffs: int) -> np.ndarray:
     """Cosine basis: entry (q, m) = cos((m+1)*(q+1/2)*pi/P), zero-based q, m.
     Memoized like build_filterbank; the returned array is read-only."""
-    q = np.arange(1, num_coeffs_q + 1)[:, None]
+    q = np.arange(1, num_coeffs + 1)[:, None]
     m = np.arange(1, num_filters_p + 1)[None, :]
     basis = np.cos(m * (q - 0.5) * np.pi / num_filters_p)
     basis.flags.writeable = False
     return basis
 
 
-def dct_cepstra(log_energies: np.ndarray, num_coeffs_q: int) -> np.ndarray:
+def dct_cepstra(log_energies: np.ndarray, num_coeffs: int) -> np.ndarray:
     """Project log energies onto the cosine basis, keeping Q coefficients."""
     log_energies = np.asarray(log_energies, dtype=np.float64)
     p = log_energies.shape[-1]
-    if not 1 <= num_coeffs_q <= p:
-        raise ParameterError("need 1 <= num_coeffs_q <= number of energies")
-    return log_energies @ dct_basis(p, num_coeffs_q).T
+    if not 1 <= num_coeffs <= p:
+        raise ParameterError("need 1 <= num_coeffs <= number of energies")
+    return log_energies @ dct_basis(p, num_coeffs).T
 
 
 def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, float, int]]:
@@ -276,9 +241,9 @@ def _extract_channels(
     for signal, (channel_id, (lo, hi, filters)) in zip(
         signals, channel_bands(method, cfg).items(), strict=True
     ):
-        bank = build_filterbank(lo, hi, filters, cfg.fft_size, signal.sample_rate_hz, channel_id)
+        bank = build_filterbank(lo, hi, filters, cfg.fft_size, signal.sample_rate_hz)
         frames = frame_blocking(signal, cfg.frame_len, cfg.frame_shift)
-        power = fft_magnitude_sq(hamming_window(frames.frames), cfg.fft_size)
+        power = fft_magnitude_sq(hamming_window(frames), cfg.fft_size)
         energies = log_mel_energies(power, bank, cfg.log_floor)
         matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
     return tuple(matrices)

@@ -80,8 +80,11 @@ class TestRunSweep:
 
     def test_determinism_excluding_wall_time(self):
         plan = mini_plan()
-        a = report_to_dict(run_sweep(plan), include_timing=False)
-        b = report_to_dict(run_sweep(plan), include_timing=False)
+        a = report_to_dict(run_sweep(plan))
+        b = report_to_dict(run_sweep(plan))
+        for report in (a, b):
+            for cell in report["cells"]:
+                del cell["wall_time_s"]
         assert a == b
 
     def test_clean_beats_noisy_no_anc(self, mini_report):
@@ -162,6 +165,29 @@ class TestRunSweep:
         write_manifest(entries, manifest)
         with pytest.raises(ConfigError):
             run_sweep(mini_plan(corpus=str(manifest)))
+
+    def test_manifest_grid_gap_named(self, tmp_path):
+        # Profile 2 lacks word 0. Whether a trial pair would draw that take
+        # depends on the pair seed, so the gap is rejected before any pair is.
+        entries = []
+        for p in range(3):
+            for w in range(3):
+                if (p, w) == (2, 0):
+                    continue
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    name = f"p{p}_w{w}_r{r}.wav"
+                    write_wav(synth_speaker(p, w, 0.3, seed), tmp_path / name)
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": name})
+        manifest = tmp_path / "manifest.json"
+        write_manifest(entries, manifest)
+        for trials in (4, 12):
+            plan = mini_plan(
+                corpus=str(manifest), words=3, trials=trials,
+                snr_points_db=(CLEAN_SNR_DB,), anc=("off",),
+            )
+            with pytest.raises(ConfigError, match="profile 2 word 0"):
+                run_sweep(plan)
 
     def test_silent_manifest_entry_named(self, tmp_path):
         entries = []

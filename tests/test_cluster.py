@@ -439,6 +439,30 @@ class TestCalibrateThreshold:
             dense = np.unique(np.concatenate([candidates, candidates - 1e-9, candidates + 1e-9]))
             assert errors_at(t) == min(errors_at(x) for x in dense)
 
+    def test_widest_gap_loop_oracle(self):
+        # Reference loop: among the error minimizers, the first strictly
+        # widest gap to the next distinct score wins; scores on a 0.5 grid
+        # make ties in both error count and gap width common.
+        def loop_threshold(genuine, impostor):
+            values = np.unique(np.concatenate([genuine, impostor]))
+            errors = [np.sum(genuine > v) + np.sum(impostor <= v) for v in values]
+            best = min(min(errors), len(genuine))
+            best_width, threshold = -1.0, None
+            for i, e in enumerate(errors[:-1]):
+                width = values[i + 1] - values[i]
+                if e == best and width > best_width:
+                    best_width, threshold = width, 0.5 * (values[i] + values[i + 1])
+            if threshold is not None:
+                return threshold
+            return float(values[-1]) if errors[-1] == best else float(values[0] - 1.0)
+
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            genuine = rng.integers(0, 8, rng.integers(1, 10)) * 0.5
+            impostor = rng.integers(0, 8, rng.integers(1, 10)) * 0.5
+            assert calibrate_threshold(genuine, impostor) == loop_threshold(genuine, impostor)
+        assert calibrate_threshold([1.0, 3.0], [2.0, 4.0]) == 1.5
+
     def test_deterministic(self):
         a = calibrate_threshold([1.0, 3.0, 2.0], [5.0, 4.0, 6.0])
         b = calibrate_threshold([2.0, 1.0, 3.0], [6.0, 5.0, 4.0])

@@ -135,7 +135,7 @@ class TestFilterZeroPhase:
 
         taps = np.zeros(9)
         taps[4] = 1.0
-        kernel = FilterKernel(taps, "lowpass", None, 1000.0, SR)
+        kernel = FilterKernel(taps, SR)
         rng = np.random.default_rng(0)
         x = AudioBuffer(rng.standard_normal(500), SR)
         out = filter_zero_phase(x, kernel)
