@@ -168,7 +168,7 @@ class TestRunSweep:
 
     def test_manifest_grid_gap_named(self, tmp_path):
         # Profile 2 lacks word 0. Whether a trial pair would draw that take
-        # depends on the pair seed, so the gap is rejected before any pair is.
+        # depends on the pair seed, so the gap is rejected before pairs are drawn.
         entries = []
         for p in range(3):
             for w in range(3):
