@@ -5,9 +5,9 @@ Run from the repository root with
     python -m pytest benchmarks --benchmark-only
 
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
-canceller lead-in and k = 2; synthesis and the single-recording canceller
-are also timed on the 2 s takes that ``verify_stream`` writes, the latter
-with the CLI's 32 taps. The canceller batch holds 52 takes, the number of
+canceller lead-in and k = 2; synthesis, extraction and the single-recording
+canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
+canceller with the CLI's 32 taps. The canceller batch holds 52 takes, the number of
 distinct test takes in a default sweep on master seed 1. The lockstep
 k-means case enrolls 64 dual-channel takes in one call.
 """
@@ -18,7 +18,7 @@ import pytest
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
 from melsplit.bench import ExperimentPlan, _auto_mu, _features, _mix_with_lead
 from melsplit.cluster import enroll, enroll_many, kmeans
-from melsplit.mfcc import extract_dual_channel
+from melsplit.mfcc import extract_dual_channel, extract_single_channel
 from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
@@ -67,9 +67,18 @@ def test_enroll_many_64_dual_takes(benchmark):
     assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
 
 
-def test_extract_dual_channel(benchmark, take):
+@pytest.mark.parametrize("duration_s", [0.6, 2.0])
+def test_extract_dual_channel(benchmark, duration_s):
+    take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
     ch1, ch2 = benchmark(extract_dual_channel, take, PLAN.extraction, "p0.w0.r1")
     assert ch1.rows.shape == ch2.rows.shape
+
+
+@pytest.mark.parametrize("duration_s", [0.6, 2.0])
+def test_extract_single_channel(benchmark, duration_s):
+    take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
+    features = benchmark(extract_single_channel, take, PLAN.extraction, "p0.w0.r1")
+    assert features.rows.shape[1] == PLAN.extraction.num_coeffs
 
 
 def test_run_anc_batch_52_rows(benchmark):

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -142,34 +143,58 @@ def _take_id(p: int, w: int, r: int) -> str:
     return f"p{p}.w{w}.r{r}"
 
 
-def _build_corpus(plan: ExperimentPlan) -> tuple[dict, str]:
+class _SynthCorpus(Mapping):
+    """The plan's synthetic corpus, {(profile, word, replicate): AudioBuffer}.
+    A take is synthesized when it is first read, so takes that no pair uses
+    cost nothing."""
+
+    def __init__(self, plan: ExperimentPlan):
+        self._plan = plan
+        self.seeds = {
+            (p, w, r): corpus_seed(plan.master_seed, p, w, r)
+            for p in range(plan.profiles)
+            for w in range(plan.words)
+            for r in (0, 1)
+        }
+        self._takes: dict[tuple[int, int, int], AudioBuffer] = {}
+
+    def __getitem__(self, key):
+        if key not in self._takes:
+            plan = self._plan
+            self._takes[key] = synth_speaker(
+                key[0], key[1], plan.duration_s, self.seeds[key], plan.sample_rate_hz
+            )
+        return self._takes[key]
+
+    def __iter__(self):
+        return iter(self.seeds)
+
+    def __len__(self):
+        return len(self.seeds)
+
+
+def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
     """Synthesize the corpus in memory, or load it from a manifest.
 
     Returns ({(profile, word, replicate): AudioBuffer}, digest). A benchmark
     corpus needs two replicates per (profile, word): the first (lowest seed)
     is the enrolled reference, the second the test recording.
     """
-    corpus: dict[tuple[int, int, int], AudioBuffer] = {}
     if plan.corpus is None:
-        seeds = []
-        for p in range(plan.profiles):
-            for w in range(plan.words):
-                for r in (0, 1):
-                    seeds.append(corpus_seed(plan.master_seed, p, w, r))
-                    corpus[(p, w, r)] = synth_speaker(
-                        p, w, plan.duration_s, seeds[-1], plan.sample_rate_hz
-                    )
+        corpus = _SynthCorpus(plan)
         blob = json.dumps(
             {
                 "profiles": plan.profiles,
                 "words": plan.words,
                 "duration_s": plan.duration_s,
                 "sample_rate_hz": plan.sample_rate_hz,
-                "seeds": seeds,
+                "seeds": list(corpus.seeds.values()),
             },
             sort_keys=True,
         ).encode()
         return corpus, hashlib.sha256(blob).hexdigest()
+
+    corpus: dict[tuple[int, int, int], AudioBuffer] = {}
 
     manifest_path = Path(plan.corpus)
     if not manifest_path.exists():
@@ -270,7 +295,10 @@ def _auto_mu(plan: ExperimentPlan, reference: np.ndarray) -> float:
 
 
 def _lead_samples(plan: ExperimentPlan) -> int:
-    """Length of the noise-only lead-in that opens each canceller input."""
+    """Length of the noise-only lead-in that opens each canceller input;
+    0 when the plan runs no canceller, since only the canceller reads it."""
+    if "on" not in plan.anc:
+        return 0
     return int(round(plan.anc_lead_s * plan.sample_rate_hz))
 
 
@@ -279,8 +307,8 @@ def _mix_with_lead(
 ) -> tuple[AudioBuffer, AudioBuffer]:
     """The canceller's (primary, reference) inputs for test take `key`.
 
-    Both open with a noise-only lead-in so the adaptive filter converges
-    before speech starts; the reference is exactly the noise in the primary.
+    Both open with a noise-only lead-in of _lead_samples(plan) samples so the
+    adaptive filter converges before speech starts; the reference is exactly the noise in the primary.
     The primary's last len(clean) samples are the noisy take at `snr_db`.
     """
     rate = clean.sample_rate_hz

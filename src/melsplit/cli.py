@@ -146,10 +146,31 @@ def cmd_mix(args) -> int:
     return 0
 
 
+def _check_same_rate(path_a, a, path_b, b) -> None:
+    if a.sample_rate_hz != b.sample_rate_hz:
+        raise DimensionError(
+            f"sample rates differ: {path_a} is at {a.sample_rate_hz} Hz, "
+            f"{path_b} at {b.sample_rate_hz} Hz"
+        )
+
+
+def _read_noise_reference(path, primary_path, primary):
+    """Read the canceller's noise reference; it must match the primary
+    sample for sample."""
+    reference = read_wav(path)
+    _check_same_rate(primary_path, primary, path, reference)
+    if len(reference) != len(primary):
+        raise DimensionError(
+            f"lengths differ: {primary_path} has {len(primary)} samples, "
+            f"{path} has {len(reference)}"
+        )
+    return reference
+
+
 def cmd_anc(args) -> int:
     cfg = _effective_config(args)
     primary = read_wav(args.primary)
-    reference = read_wav(args.reference)
+    reference = _read_noise_reference(args.reference, args.primary, primary)
     result = run_anc(primary, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
     clipped = write_wav(result.error_signal, args.out)
     if args.mse_csv:
@@ -213,13 +234,9 @@ def cmd_verdict(args) -> int:
     cfg = _effective_config(args)
     test = read_wav(args.test)
     ref = read_wav(args.ref)
-    if test.sample_rate_hz != ref.sample_rate_hz:
-        raise DimensionError(
-            f"sample rates differ: {args.test} is at {test.sample_rate_hz} Hz, "
-            f"{args.ref} at {ref.sample_rate_hz} Hz"
-        )
+    _check_same_rate(args.test, test, args.ref, ref)
     if args.anc:
-        reference = read_wav(args.reference)
+        reference = _read_noise_reference(args.reference, args.test, test)
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
         test = result.error_signal
     test_id, ref_id = Path(args.test).stem, Path(args.ref).stem

@@ -10,6 +10,14 @@ own full filter resolution.
 The stages pass plain arrays: frame_blocking returns the (L, N) frames and
 build_filterbank the (P, K/2+1) weight matrix. Only the extractors' output,
 FeatureMatrix, carries labels: its channel and source ids.
+
+The single channel runs those stages in turn, with numpy's rfft. The dual
+channels do not call fir.split_channels: the zero-phase FIR, framing, window
+and DFT are all linear, so they fold into one memoized matrix per
+configuration and sample rate, restricted to the FFT bins each channel's
+bank weights. A take then costs one strided gather of extended frames and
+one matrix product. fir.split_channels and the stages above stay the
+reference that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -84,6 +92,22 @@ class FeatureMatrix:
     source_id: str = ""
 
 
+def _frame_count(length: int, frame_len_n: int, shift_m: int) -> int:
+    """Number of whole N-sample frames shifted by M in `length` samples."""
+    if shift_m <= 0 or frame_len_n < shift_m:
+        raise ParameterError("need 0 < shift_m <= frame_len_n")
+    if length < frame_len_n:
+        raise DimensionError(
+            f"buffer of {length} samples is shorter than one frame ({frame_len_n})"
+        )
+    return (length - frame_len_n) // shift_m + 1
+
+
+def _gather_frames(samples: np.ndarray, count: int, frame_len_n: int, shift_m: int) -> np.ndarray:
+    starts = np.arange(count) * shift_m
+    return samples[starts[:, None] + np.arange(frame_len_n)[None, :]]
+
+
 def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.ndarray:
     """Slice a buffer into overlapping frames of length N shifted by M.
 
@@ -91,15 +115,7 @@ def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.nd
     [l*M, l*M + N); trailing samples that do not fill a frame are dropped.
     """
     n, m = int(frame_len_n), int(shift_m)
-    if m <= 0 or n < m:
-        raise ParameterError("need 0 < shift_m <= frame_len_n")
-    if len(buffer) < n:
-        raise DimensionError(
-            f"buffer of {len(buffer)} samples is shorter than one frame ({n})"
-        )
-    count = (len(buffer) - n) // m + 1
-    starts = np.arange(count) * m
-    return buffer.samples[starts[:, None] + np.arange(n)[None, :]]
+    return _gather_frames(buffer.samples, _frame_count(len(buffer), n, m), n, m)
 
 
 def hamming_window(frame: np.ndarray) -> np.ndarray:
@@ -138,6 +154,29 @@ def mel_to_hz(m: float) -> float:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_bin_edges(
+    band_lo_hz: float, band_hi_hz: float, p: int, k: int, sample_rate_hz: int
+) -> np.ndarray:
+    """The P+2 FFT bins that bound a bank's triangles, from build_filterbank.
+    Only bins strictly between the first and the last carry weight."""
+    if p < 1:
+        raise ParameterError("need at least one filter")
+    if not 0 <= band_lo_hz < band_hi_hz:
+        raise ParameterError("need 0 <= band_lo_hz < band_hi_hz")
+    if band_hi_hz > sample_rate_hz / 2.0:
+        raise ParameterError("band_hi_hz must not exceed the Nyquist frequency")
+
+    mel_edges = np.linspace(hz_to_mel(band_lo_hz), hz_to_mel(band_hi_hz), p + 2)
+    hz_edges = mel_to_hz(mel_edges)
+    bins = np.rint(hz_edges * k / sample_rate_hz).astype(int)
+    if np.any(np.diff(bins) < 1):
+        raise ParameterError(
+            f"band [{band_lo_hz}, {band_hi_hz}] Hz too narrow for "
+            f"{p} distinct filter boundaries at K={k}"
+        )
+    return bins
+
+
 @lru_cache
 def build_filterbank(
     band_lo_hz: float,
@@ -158,22 +197,7 @@ def build_filterbank(
     the returned matrix is shared and read-only.
     """
     p, k = int(num_filters_p), int(fft_size_k)
-    if p < 1:
-        raise ParameterError("need at least one filter")
-    if not 0 <= band_lo_hz < band_hi_hz:
-        raise ParameterError("need 0 <= band_lo_hz < band_hi_hz")
-    if band_hi_hz > sample_rate_hz / 2.0:
-        raise ParameterError("band_hi_hz must not exceed the Nyquist frequency")
-
-    mel_edges = np.linspace(hz_to_mel(band_lo_hz), hz_to_mel(band_hi_hz), p + 2)
-    hz_edges = mel_to_hz(mel_edges)
-    bins = np.rint(hz_edges * k / sample_rate_hz).astype(int)
-    if np.any(np.diff(bins) < 1):
-        raise ParameterError(
-            f"band [{band_lo_hz}, {band_hi_hz}] Hz too narrow for "
-            f"{p} distinct filter boundaries at K={k}"
-        )
-
+    bins = _mel_bin_edges(band_lo_hz, band_hi_hz, p, k, sample_rate_hz)
     weights = np.zeros((p, k // 2 + 1))
     cols = np.arange(k // 2 + 1)
     for m in range(p):
@@ -233,18 +257,103 @@ def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, 
     raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 
 
+@lru_cache(maxsize=4)  # each entry is about 1 MB at the defaults
+def _split_spectrum_operator(
+    bands: tuple[tuple[float, float, int], ...],
+    frame_len: int,
+    fft_size: int,
+    fir_taps: int,
+    sample_rate_hz: int,
+) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """The dual channels' band split, Hamming window and DFT as one matrix.
+
+    `bands` is the dual entry of channel_bands: channel 1 is lowpassed at
+    its top edge and channel 2 bandpassed over its band, as in
+    fir.split_channels. Returns (operator, bins). A frame extended by fir_taps - 1 samples,
+    (fir_taps - 1)/2 on each side, times the (frame_len + fir_taps - 1, C)
+    operator gives, per channel in turn, the real then the imaginary parts
+    of the windowed DFT of that channel's filtered frame, at the bins
+    bins[channel] that the channel's bank weights. A column is the
+    windowed DFT basis vector of its bin convolved with the reversed kernel.
+    Memoized like build_filterbank; the returned matrix is read-only.
+    """
+    (_, split_hz, _), (_, top_hz, _) = bands
+    kernels = (
+        fir.design_lowpass(split_hz, fir_taps, sample_rate_hz),
+        fir.design_bandpass(split_hz, top_hz, fir_taps, sample_rate_hz),
+    )
+    t = np.arange(frame_len)
+    window = hamming_window(np.ones(frame_len))
+    blocks, bin_slices = [], []
+    for kernel, (lo, hi, filters) in zip(kernels, bands, strict=True):
+        edges = _mel_bin_edges(lo, hi, filters, fft_size, sample_rate_hz)
+        bins = np.arange(edges[0] + 1, edges[-1])
+        # Reduce k*t modulo K in integers so the angles stay exact.
+        angle = (2.0 * np.pi / fft_size) * (np.outer(t, bins) % fft_size)
+        basis = window[:, None] * np.hstack([np.cos(angle), -np.sin(angle)])
+        block = np.zeros((frame_len + fir_taps - 1, basis.shape[1]))
+        for shift, tap in enumerate(kernel.taps[::-1]):
+            block[shift : shift + frame_len] += tap * basis
+        blocks.append(block)
+        bin_slices.append(slice(int(bins[0]), int(bins[-1]) + 1))
+    operator = np.hstack(blocks)
+    operator.flags.writeable = False
+    return operator, tuple(bin_slices)
+
+
+def _split_power_spectra(
+    buffer: AudioBuffer, cfg: ExtractionConfig, bands: tuple[tuple[float, float, int], ...]
+) -> list[tuple]:
+    """Per dual channel, (power, bins): the (L, C) power spectra of the
+    band-split frames at the slice of FFT bins its bank weights.
+
+    Equal to fir.split_channels, frame_blocking, hamming_window and
+    fft_magnitude_sq in turn, and raises what they raise on the same input.
+    """
+    rate = buffer.sample_rate_hz
+    if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
+        raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
+    if len(buffer) <= cfg.fir_taps:
+        raise DimensionError(
+            f"buffer ({len(buffer)}) must be longer than the kernel ({cfg.fir_taps})"
+        )
+    operator, bin_slices = _split_spectrum_operator(
+        bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate
+    )
+    count = _frame_count(len(buffer), cfg.frame_len, cfg.frame_shift)
+    # "same"-mode convolution is a full convolution of the zero-padded input.
+    padded = np.pad(buffer.samples, (cfg.fir_taps - 1) // 2)
+    frames = _gather_frames(padded, count, cfg.frame_len + cfg.fir_taps - 1, cfg.frame_shift)
+    spectra = frames @ operator
+    powers, col = [], 0
+    for bins in bin_slices:
+        width = bins.stop - bins.start
+        re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
+        powers.append((re**2 + im**2, bins))
+        col += 2 * width
+    return powers
+
+
 def _extract_channels(
-    signals: tuple[AudioBuffer, ...], method: str, cfg: ExtractionConfig, source_id: str
+    buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str
 ) -> tuple[FeatureMatrix, ...]:
-    """Cepstra of each channel signal through its bank from channel_bands."""
+    """Cepstra of each channel of `method` through its bank from channel_bands.
+
+    The single channel takes its power spectrum from numpy's rfft; the dual
+    channels, which band-split first, from _split_power_spectra.
+    """
+    bands = channel_bands(method, cfg)
+    split = _split_power_spectra(buffer, cfg, tuple(bands.values())) if method == "dual" else None
+    banks = [
+        build_filterbank(lo, hi, filters, cfg.fft_size, buffer.sample_rate_hz)
+        for lo, hi, filters in bands.values()
+    ]
+    if split is None:
+        frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
+        split = [(fft_magnitude_sq(hamming_window(frames), cfg.fft_size), slice(None))]
     matrices = []
-    for signal, (channel_id, (lo, hi, filters)) in zip(
-        signals, channel_bands(method, cfg).items(), strict=True
-    ):
-        bank = build_filterbank(lo, hi, filters, cfg.fft_size, signal.sample_rate_hz)
-        frames = frame_blocking(signal, cfg.frame_len, cfg.frame_shift)
-        power = fft_magnitude_sq(hamming_window(frames), cfg.fft_size)
-        energies = log_mel_energies(power, bank, cfg.log_floor)
+    for channel_id, bank, (power, bins) in zip(bands, banks, split, strict=True):
+        energies = log_mel_energies(power, bank[:, bins], cfg.log_floor)
         matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
     return tuple(matrices)
 
@@ -255,7 +364,7 @@ def extract_single_channel(
     source_id: str = "",
 ) -> FeatureMatrix:
     """Full-band features: one mel bank spanning 0 to band_top_hz."""
-    (features,) = _extract_channels((buffer,), "single", cfg, source_id)
+    (features,) = _extract_channels(buffer, "single", cfg, source_id)
     return features
 
 
@@ -269,6 +378,8 @@ def extract_dual_channel(
     Channel 1 is the lowpassed signal with a bank over [0, split_hz];
     channel 2 is the bandpassed signal with a bank over [split_hz,
     band_top_hz]. The channels stay time-aligned, so row counts match.
+    The split, the window and the DFT run as one precomputed matrix product
+    per take (_split_spectrum_operator); fir.split_channels is the staged
+    reference it equals.
     """
-    signals = fir.split_channels(buffer, cfg.split_hz, cfg.band_top_hz, cfg.fir_taps)
-    return _extract_channels(signals, "dual", cfg, source_id)
+    return _extract_channels(buffer, "dual", cfg, source_id)

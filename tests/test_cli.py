@@ -173,6 +173,29 @@ class TestAnc:
         assert "diverged at step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reference_length_mismatch_names_both_files(self, tmp_path, capsys):
+        primary = make_word_wav(tmp_path / "primary.wav", duration=1.0)
+        reference = make_word_wav(tmp_path / "noise.wav", duration=0.5)
+        out = tmp_path / "out.wav"
+        assert run_cli("anc", "--primary", primary, "--reference", reference,
+                       "--out", out) == 1
+        err = capsys.readouterr().err
+        for name in (str(primary), str(reference), "16000 samples", "8000"):
+            assert name in err
+        assert not out.exists()
+
+    def test_reference_rate_mismatch_names_both_files(self, tmp_path, capsys):
+        from melsplit.signal_io import synth_speaker
+
+        primary = make_word_wav(tmp_path / "primary.wav", duration=0.5)
+        reference = tmp_path / "noise.wav"
+        write_wav(synth_speaker(0, 0, 0.5, 5, 22050), reference)
+        assert run_cli("anc", "--primary", primary, "--reference", reference,
+                       "--out", tmp_path / "out.wav") == 1
+        err = capsys.readouterr().err
+        for name in (str(primary), str(reference), "16000 Hz", "22050 Hz"):
+            assert name in err
+
     def test_bad_flag_names_config_field(self, tmp_path, capsys):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)
         assert run_cli("anc", "--primary", src, "--reference", src,
@@ -293,6 +316,27 @@ class TestVerdict:
         assert run_cli("verdict", "--test", test, "--ref", ref, "--method", "single") == 1
         err = capsys.readouterr().err
         for name in (str(test), str(ref), "16000 Hz", "22050 Hz"):
+            assert name in err
+
+    def test_anc_reference_length_mismatch_names_both_files(self, tmp_path, capsys):
+        test = make_word_wav(tmp_path / "test.wav", duration=1.0)
+        noise = make_word_wav(tmp_path / "noise.wav", duration=0.5)
+        assert run_cli("verdict", "--test", test, "--ref", test, "--anc",
+                       "--reference", noise) == 1
+        err = capsys.readouterr().err
+        for name in (str(test), str(noise), "16000 samples", "8000"):
+            assert name in err
+
+    def test_anc_reference_rate_mismatch_names_both_files(self, tmp_path, capsys):
+        from melsplit.signal_io import synth_speaker
+
+        test = make_word_wav(tmp_path / "test.wav", duration=0.5)
+        noise = tmp_path / "noise.wav"
+        write_wav(synth_speaker(0, 0, 0.5, 5, 22050), noise)
+        assert run_cli("verdict", "--test", test, "--ref", test, "--anc",
+                       "--reference", noise) == 1
+        err = capsys.readouterr().err
+        for name in (str(test), str(noise), "16000 Hz", "22050 Hz"):
             assert name in err
 
     def test_anc_requires_reference(self, tmp_path):

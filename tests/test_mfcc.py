@@ -4,11 +4,14 @@ The FFT oracle is a direct O(K^2) DFT; the filterbank and DCT oracles are
 direct summations of their defining formulas.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import melsplit.mfcc
-from melsplit.errors import ConfigError, DimensionError, ParameterError
+from melsplit.errors import ConfigError, DimensionError, ParameterError, PipelineError
+from melsplit.fir import split_channels
 from melsplit.mfcc import (
     CHANNEL_ONE,
     CHANNEL_TWO,
@@ -380,12 +383,15 @@ class TestChannelBands:
 
         monkeypatch.setattr(melsplit.mfcc, "build_filterbank", recording_build)
         x = buf(np.random.default_rng(12).standard_normal(4000))
-        if method == "dual":
-            matrices = extract_dual_channel(x, self.CFG)
-        else:
-            matrices = (extract_single_channel(x, self.CFG),)
+        # Once with the dual operator's cache cold, once with it warm.
+        melsplit.mfcc._split_spectrum_operator.cache_clear()
+        for _ in range(2):
+            if method == "dual":
+                matrices = extract_dual_channel(x, self.CFG)
+            else:
+                matrices = (extract_single_channel(x, self.CFG),)
         table = channel_bands(method, self.CFG)
-        assert built == list(table.values())
+        assert built == 2 * list(table.values())
         assert [fm.channel_id for fm in matrices] == list(table)
 
 
@@ -448,7 +454,71 @@ class TestExtractSingleChannel:
         assert np.max(np.abs(diff_a - diff_b)) <= 1e-9
 
 
+def composed_dual(x, cfg):
+    """The dual-channel cepstra stage by stage: band split, framing, window,
+    FFT power, mel bank, DCT."""
+    signals = split_channels(x, cfg.split_hz, cfg.band_top_hz, cfg.fir_taps)
+    rows = []
+    for signal, (lo, hi, filters) in zip(signals, channel_bands("dual", cfg).values()):
+        bank = build_filterbank(lo, hi, filters, cfg.fft_size, x.sample_rate_hz)
+        frames = frame_blocking(signal, cfg.frame_len, cfg.frame_shift)
+        power = fft_magnitude_sq(hamming_window(frames), cfg.fft_size)
+        energies = log_mel_energies(power, bank, cfg.log_floor)
+        rows.append(dct_cepstra(energies, cfg.num_coeffs))
+    return rows
+
+
 class TestExtractDualChannel:
+    @pytest.mark.parametrize(
+        "cfg, rate, length",
+        [
+            (ExtractionConfig(), SR, 9600),
+            (replace(TestChannelBands.CFG, fir_taps=31), SR, 7000),
+            (TestChannelBands.CFG, 8000, 4000),
+            (ExtractionConfig(), SR, 400),  # exactly one frame
+            (ExtractionConfig(fir_taps=401), SR, 402),  # one sample past the kernel
+        ],
+        ids=["default", "channel-bands-31-taps", "8khz", "frame-len", "fir-taps-plus-one"],
+    )
+    def test_matches_composed_pipeline(self, cfg, rate, length):
+        x = buf(np.random.default_rng(13).standard_normal(length), rate)
+        ch1, ch2 = extract_dual_channel(x, cfg)
+        expected = composed_dual(x, cfg)
+        for fm, rows in zip((ch1, ch2), expected):
+            assert fm.rows.shape == rows.shape
+            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "cfg, rate, length",
+        [
+            (ExtractionConfig(), SR, 101),  # no longer than the kernel
+            (ExtractionConfig(), SR, 300),  # longer than the kernel, shorter than a frame
+            (ExtractionConfig(), 8000, 4000),  # band_top_hz at the Nyquist frequency
+            (ExtractionConfig(), 8000, 50),
+            (ExtractionConfig(split_hz=100.0), SR, 4000),  # channel 1 too narrow
+            (ExtractionConfig(split_hz=100.0), SR, 300),
+            (ExtractionConfig(split_hz=100.0), SR, 50),
+        ],
+    )
+    def test_raises_what_the_composed_pipeline_raises(self, cfg, rate, length):
+        x = buf(np.random.default_rng(14).standard_normal(length), rate)
+        with pytest.raises(PipelineError) as staged:
+            composed_dual(x, cfg)
+        with pytest.raises(type(staged.value)):
+            extract_dual_channel(x, cfg)
+
+    def test_operator_memoized_and_read_only(self):
+        bands = tuple(channel_bands("dual", ExtractionConfig()).values())
+        args = (bands, 400, 512, 101, SR)
+        operator, bins = melsplit.mfcc._split_spectrum_operator(*args)
+        assert melsplit.mfcc._split_spectrum_operator(*args)[0] is operator
+        # ch1 weights bins 1-31 and ch2 bins 33-127: real and imaginary parts.
+        assert bins == (slice(1, 32), slice(33, 128))
+        assert operator.shape == (400 + 101 - 1, 2 * (31 + 95))
+        assert not operator.flags.writeable
+        with pytest.raises(ValueError):
+            operator[0, 0] = 1.0
+
     def test_equal_row_counts(self):
         x = buf(np.random.default_rng(9).standard_normal(8000))
         ch1, ch2 = extract_dual_channel(x)
