@@ -195,7 +195,6 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
         return corpus, hashlib.sha256(blob).hexdigest()
 
     corpus: dict[tuple[int, int, int], AudioBuffer] = {}
-
     manifest_path = Path(plan.corpus)
     if not manifest_path.exists():
         raise ConfigError(f"corpus manifest not found: {manifest_path}")
@@ -307,8 +306,9 @@ def _mix_with_lead(
 ) -> tuple[AudioBuffer, AudioBuffer]:
     """The canceller's (primary, reference) inputs for test take `key`.
 
-    Both open with a noise-only lead-in of _lead_samples(plan) samples so the
-    adaptive filter converges before speech starts; the reference is exactly the noise in the primary.
+    Both open with a noise-only lead-in of _lead_samples(plan) samples, so
+    the adaptive filter converges before speech starts; the reference is
+    exactly the noise in the primary.
     The primary's last len(clean) samples are the noisy take at `snr_db`.
     """
     rate = clean.sample_rate_hz

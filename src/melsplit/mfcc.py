@@ -343,16 +343,20 @@ def _extract_channels(
     channels, which band-split first, from _split_power_spectra.
     """
     bands = channel_bands(method, cfg)
-    split = _split_power_spectra(buffer, cfg, tuple(bands.values())) if method == "dual" else None
+    # The band split's checks come before the banks' and the framing's, as
+    # in the staged path, so the same input raises the same error.
+    spectra = None
+    if method == "dual":
+        spectra = _split_power_spectra(buffer, cfg, tuple(bands.values()))
     banks = [
         build_filterbank(lo, hi, filters, cfg.fft_size, buffer.sample_rate_hz)
         for lo, hi, filters in bands.values()
     ]
-    if split is None:
+    if spectra is None:
         frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
-        split = [(fft_magnitude_sq(hamming_window(frames), cfg.fft_size), slice(None))]
+        spectra = [(fft_magnitude_sq(hamming_window(frames), cfg.fft_size), slice(None))]
     matrices = []
-    for channel_id, bank, (power, bins) in zip(bands, banks, split, strict=True):
+    for channel_id, bank, (power, bins) in zip(bands, banks, spectra, strict=True):
         energies = log_mel_energies(power, bank[:, bins], cfg.log_floor)
         matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
     return tuple(matrices)
