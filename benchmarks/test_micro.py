@@ -7,8 +7,8 @@ Run from the repository root with
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
 canceller lead-in and k = 2; synthesis, extraction and the single-recording
 canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
-canceller with the CLI's 32 taps. The canceller batch holds 52 takes, the number of
-distinct test takes in a default sweep on master seed 1. The lockstep
+canceller with the CLI's 32 taps. The canceller batch is one SNR point of 52
+takes, the number of distinct test takes in a default sweep on master seed 1. The lockstep
 k-means case enrolls 64 dual-channel takes in one call.
 """
 
@@ -16,10 +16,16 @@ import numpy as np
 import pytest
 
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
-from melsplit.bench import ExperimentPlan, _auto_mu, _features, _mix_with_lead
+from melsplit.bench import (
+    ExperimentPlan,
+    _auto_mu,
+    _features,
+    _lead_samples,
+    _noise_stacks,
+)
 from melsplit.cluster import enroll, enroll_many, kmeans
 from melsplit.mfcc import extract_dual_channel, extract_single_channel
-from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
+from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, noise_scale, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
 BATCH_ROWS = 52
@@ -82,15 +88,31 @@ def test_extract_single_channel(benchmark, duration_s):
 
 
 def test_run_anc_batch_52_rows(benchmark):
+    # One SNR point as the sweep cancels it: time-major primaries mixed from
+    # the unit noise stack, which the canceller reads as its reference with
+    # step mu * c**2, and errors written over a fresh copy of the primaries
+    # each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    mixed = [_mix_with_lead(PLAN, key, _take(*key), -6.0) for key in keys]
-    primaries = np.stack([primary.samples for primary, _ in mixed])
-    references = np.stack([reference.samples for _, reference in mixed])
-    mus = [_auto_mu(PLAN, row) for row in references]
-    errors = benchmark.pedantic(
-        run_anc_batch, args=(primaries, references, PLAN.anc_taps, mus), rounds=3
-    )
-    assert errors.shape == primaries.shape
+    clean = {key: _take(*key) for key in keys}
+    (stack,) = _noise_stacks(PLAN, clean)
+    lead = _lead_samples(PLAN)
+    primaries = np.empty_like(stack.unit)
+    mus = []
+    for row, key in enumerate(keys):
+        unit = stack.unit[:, row]
+        scale = noise_scale(float(np.mean(clean[key].samples ** 2)), unit[lead:], -6.0)
+        primaries[:, row] = scale * unit
+        primaries[lead:, row] += clean[key].samples
+        mus.append(_auto_mu(PLAN, unit, scale))
+    rounds = []
+
+    def setup():
+        rounds.append(primaries.copy())
+        return (rounds[-1], stack.unit, PLAN.anc_taps, mus), {}
+
+    benchmark.pedantic(run_anc_batch, setup=setup, rounds=3)
+    assert primaries.shape == (13600, BATCH_ROWS)
+    assert np.all(np.isfinite(rounds[-1])) and not np.array_equal(rounds[-1], primaries)
 
 
 def test_run_anc_2s_32_taps(benchmark):

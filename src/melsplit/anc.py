@@ -11,16 +11,17 @@ errors of a block of steps solve a triangular system whose matrix does not
 depend on the weights, so a chunk of blocks is solved at once and only a
 short chain of block updates runs serially. It gives the same errors and
 weights as stepping the recursion, up to float summation order.
-run_anc_batch steps a (B, n) stack of independent cancellers in lockstep,
-one vectorised update per sample, which is how a sweep cancels all takes of
-an SNR point at once. lms_step is the scalar reference both are tested
-against, and run_anc falls back on it to name the step a diverging
-recording fails at.
+run_anc_batch steps a time-major (n, B) stack of independent cancellers in
+lockstep, a few vectorised calls per sample, and writes each step's errors
+over the primaries; a sweep cancels the takes of one SNR point per call.
+lms_step is the scalar reference both are tested against, and run_anc falls
+back on it to name the step a diverging recording fails at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -256,74 +257,90 @@ def _scalar_tail(
     return state.weights
 
 
-def run_anc_batch(
-    primaries: np.ndarray, references: np.ndarray, order_l: int, mus
-) -> np.ndarray:
-    """Run B zero-start LMS cancellers in lockstep, one per row.
+def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
+    """Run B zero-start LMS cancellers in lockstep and write their errors
+    over their primaries.
 
-    Row i cancels references[i] out of primaries[i] with step size mus[i]
-    and gives run_anc's error signal for LmsConfig(order_l, mus[i]) up to
-    the float summation order of the combiner output; rows never interact.
-    Returns the (B, n) error signals. Raises DivergenceError carrying the
-    row and the first step at which that row's error went non-finite (the
-    earliest such step, then the lowest row), or, in a run that stays
-    finite, passed _DIVERGED times that row's primary peak.
+    primaries and references are time-major (n, B) stacks: column i is
+    canceller i, which cancels references[:, i] out of primaries[:, i] with
+    step size mus[i]. Step k's errors overwrite primaries[k], so on return
+    column i holds run_anc's error signal for LmsConfig(order_l, mus[i]), up
+    to the float summation order of the combiner output; columns never
+    interact. Raises DivergenceError carrying the column (as `row`) and the
+    first step at which its error went non-finite (the earliest such step,
+    then the lowest column), or, in a run that stays finite, passed
+    _DIVERGED times that column's primary peak; the primaries are then
+    partly overwritten.
     """
-    d = np.asarray(primaries, dtype=np.float64)
+    if not (isinstance(primaries, np.ndarray) and primaries.dtype == np.float64):
+        raise ParameterError("primaries must be a float64 array; errors are written over it")
+    d = primaries
     x = np.asarray(references, dtype=np.float64)
     if d.ndim != 2 or d.shape != x.shape:
         raise DimensionError(
-            f"primaries {d.shape} and references {x.shape} must be equal (B, n) stacks"
+            f"primaries {d.shape} and references {x.shape} must be equal (n, B) stacks"
         )
-    b, n = d.shape
+    n, b = d.shape
     if n == 0:
         raise DimensionError("empty input")
     if order_l < 0:
         raise ParameterError("order_l must be >= 0")
     two_mu = 2.0 * np.asarray(mus, dtype=np.float64)
     if two_mu.shape != (b,):
-        raise DimensionError(f"need one step size per row ({b}), got shape {two_mu.shape}")
+        raise DimensionError(f"need one step size per column ({b}), got shape {two_mu.shape}")
     if not np.all(two_mu > 0):
         raise ParameterError("every step size must be positive")
 
     taps = order_l + 1
-    # Step k's delay line is x[:, k-L : k+1], oldest sample first, so the
-    # weights are stored oldest tap first too. Steps k < L read a window of
-    # a short zero-led head; the rest are windows of x itself, not of a
-    # padded copy of it.
+    # Step k's delay lines are x[k-L : k+1], a (taps, B) block, oldest sample
+    # first, so the weights are stored oldest tap first too. Steps k < L read
+    # a window of a short zero-led head; the rest are windows of x itself,
+    # not of a padded copy of it.
     lead = min(n, order_l)
+    body = _time_windows(x, taps) if n > order_l else np.empty((0, taps, b))
     if lead:
-        head = np.concatenate([np.zeros((b, order_l)), x[:, :lead]], axis=1)
-        head = sliding_window_view(head, taps, axis=1)
-    if n > order_l:
-        body = sliding_window_view(x, taps, axis=1)
-    weights = np.zeros((b, taps))
-    errors = np.empty((b, n))
-    # Per-row bounds, from reductions that allocate no (B, n) temporary.
-    limits = _DIVERGED * np.maximum(d.max(axis=1), -d.min(axis=1))[:, None]
+        head = _time_windows(np.concatenate([np.zeros((order_l, b)), x[:lead]]), taps)
+    else:
+        head = body[:0]
+    weights = np.zeros((taps, b))
+    product = np.empty_like(weights)
+    gain = np.empty(b)
+    ones = np.ones(taps)
+    # Per-column bounds, taken before any primary is overwritten, from
+    # reductions that allocate no (n, B) temporary.
+    limits = _DIVERGED * np.maximum(d.max(axis=0), -d.min(axis=0))[:, None]
     unbounded = None
-    einsum = np.einsum
+    multiply, dot = np.multiply, np.dot
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _CHECK_EVERY):
             stop = min(n, start + _CHECK_EVERY)
-            for k in range(start, stop):
-                window = head[:, k] if k < order_l else body[:, k - order_l]
-                e = d[:, k] - einsum("ij,ij->i", weights, window)
-                errors[:, k] = e
-                weights += (two_mu * e)[:, None] * window
-            found = _first_divergent(errors[:, start:stop], np.inf)
+            windows = chain(
+                head[start:stop], body[max(0, start - order_l) : max(0, stop - order_l)]
+            )
+            for window, e in zip(windows, d[start:stop]):
+                multiply(weights, window, product)
+                e -= dot(ones, product, gain)
+                multiply(e, two_mu, gain)
+                weights += multiply(window, gain, product)
+            errors = d[start:stop].T
+            found = _first_divergent(errors, np.inf)
             if found:
                 raise DivergenceError(start + found[0], row=found[1])
             if unbounded is None:
-                found = _first_divergent(errors[:, start:stop], limits)
+                found = _first_divergent(errors, limits)
                 if found:
                     unbounded = DivergenceError(start + found[0], row=found[1])
-    finite = np.all(np.isfinite(weights), axis=1)
+    finite = np.all(np.isfinite(weights), axis=0)
     if not np.all(finite):
         raise DivergenceError(n - 1, row=int(np.argmin(finite)))
     if unbounded:
         raise unbounded
-    return errors
+
+
+def _time_windows(x: np.ndarray, taps: int) -> np.ndarray:
+    """(m - taps + 1, taps, B) view of a time-major (m, B) stack whose k-th
+    entry is x[k : k + taps]."""
+    return sliding_window_view(x, taps, axis=0).transpose(0, 2, 1)
 
 
 def _first_divergent(errors: np.ndarray, limits) -> tuple[int, int] | None:

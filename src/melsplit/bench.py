@@ -143,34 +143,22 @@ def _take_id(p: int, w: int, r: int) -> str:
     return f"p{p}.w{w}.r{r}"
 
 
-class _SynthCorpus(Mapping):
-    """The plan's synthetic corpus, {(profile, word, replicate): AudioBuffer}.
-    A take is synthesized when it is first read, so takes that no pair uses
-    cost nothing."""
+class _Takes(Mapping):
+    """{key: AudioBuffer} whose buffer is made by make(key, index[key]) each
+    time it is read, so no take outlives its reader."""
 
-    def __init__(self, plan: ExperimentPlan):
-        self._plan = plan
-        self.seeds = {
-            (p, w, r): corpus_seed(plan.master_seed, p, w, r)
-            for p in range(plan.profiles)
-            for w in range(plan.words)
-            for r in (0, 1)
-        }
-        self._takes: dict[tuple[int, int, int], AudioBuffer] = {}
+    def __init__(self, index: dict, make):
+        self._index = index
+        self._make = make
 
     def __getitem__(self, key):
-        if key not in self._takes:
-            plan = self._plan
-            self._takes[key] = synth_speaker(
-                key[0], key[1], plan.duration_s, self.seeds[key], plan.sample_rate_hz
-            )
-        return self._takes[key]
+        return self._make(key, self._index[key])
 
     def __iter__(self):
-        return iter(self.seeds)
+        return iter(self._index)
 
     def __len__(self):
-        return len(self.seeds)
+        return len(self._index)
 
 
 def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
@@ -181,17 +169,30 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
     is the enrolled reference, the second the test recording.
     """
     if plan.corpus is None:
-        corpus = _SynthCorpus(plan)
+        seeds = {
+            (p, w, r): corpus_seed(plan.master_seed, p, w, r)
+            for p in range(plan.profiles)
+            for w in range(plan.words)
+            for r in (0, 1)
+        }
         blob = json.dumps(
             {
                 "profiles": plan.profiles,
                 "words": plan.words,
                 "duration_s": plan.duration_s,
                 "sample_rate_hz": plan.sample_rate_hz,
-                "seeds": list(corpus.seeds.values()),
+                "seeds": list(seeds.values()),
             },
             sort_keys=True,
         ).encode()
+        # A take is synthesized when it is read: takes that no pair uses cost
+        # nothing, and the sweep reads each one it uses once.
+        corpus = _Takes(
+            seeds,
+            lambda key, seed: synth_speaker(
+                key[0], key[1], plan.duration_s, seed, plan.sample_rate_hz
+            ),
+        )
         return corpus, hashlib.sha256(blob).hexdigest()
 
     corpus: dict[tuple[int, int, int], AudioBuffer] = {}
@@ -285,11 +286,19 @@ def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id
     return {fm.channel_id: fm for fm in matrices}
 
 
-def _auto_mu(plan: ExperimentPlan, reference: np.ndarray) -> float:
-    """Step size targeting a fixed misadjustment against the reference power."""
+def _auto_mu(plan: ExperimentPlan, unit: np.ndarray, scale: float) -> float:
+    """Step size for a canceller that reads the unit reference `unit` where
+    the noise is scale * unit.
+
+    LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
+    mu*c**2 (its weights are c times the others), so this returns mu*c**2:
+    anc_mu*c**2 for a fixed anc_mu, else the mu that targets a fixed
+    misadjustment against the power of c*u, for which mu*c**2 depends on u
+    alone and is the same at every SNR point.
+    """
     if plan.anc_mu is not None:
-        return plan.anc_mu
-    power = float(np.mean(reference**2))
+        return plan.anc_mu * scale**2
+    power = float(np.mean(unit**2))
     return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
 
 
@@ -301,65 +310,97 @@ def _lead_samples(plan: ExperimentPlan) -> int:
     return int(round(plan.anc_lead_s * plan.sample_rate_hz))
 
 
-def _mix_with_lead(
-    plan: ExperimentPlan, key: tuple[int, int], clean: AudioBuffer, snr_db: float
-) -> tuple[AudioBuffer, AudioBuffer]:
-    """The canceller's (primary, reference) inputs for test take `key`.
+def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarray:
+    """Test take `key`'s unit noise, in the order the canceller reads it.
 
-    Both open with a noise-only lead-in of _lead_samples(plan) samples, so
-    the adaptive filter converges before speech starts; the reference is
-    exactly the noise in the primary.
-    The primary's last len(clean) samples are the noisy take at `snr_db`.
+    Its first _lead_samples(plan) samples are the noise-only lead-in that
+    opens each canceller input, so the adaptive filter converges before
+    speech starts; the last n lie under the take's n samples. The draw is
+    seeded by (master seed, key) only, so the noise of `key` at every SNR
+    point is this sequence times a scale.
     """
-    rate = clean.sample_rate_hz
-    n = len(clean)
-    lead = _lead_samples(plan)
     rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key, 0xA01E)))
-    unit = rng.standard_normal(n + lead)
-    scale = noise_scale(float(np.mean(clean.samples**2)), unit[:n], snr_db)
-    noise = scale * np.concatenate([unit[n:], unit[:n]])
-    primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
-    return AudioBuffer(primary, rate), AudioBuffer(noise, rate)
+    unit = rng.standard_normal(n + _lead_samples(plan))
+    return np.concatenate([unit[n:], unit[:n]])
 
 
-def _noisy_takes(plan: ExperimentPlan, clean_takes: dict, snr_db: float) -> dict[str, dict]:
-    """The test takes at `snr_db` for each of the plan's ANC modes, as
-    {anc_mode: {key: AudioBuffer}}.
+@dataclass(frozen=True)
+class _NoiseStack:
+    """The unit noise of equal-length test takes, drawn once per sweep:
+    column i of the time-major (lead + n, B) `unit` is _unit_noise of keys[i].
+    `signals`, of the same shape, is the canceller buffer that every SNR
+    point reuses; None when the plan runs no canceller."""
 
-    The canceller inputs of equal-length takes are mixed straight into one
-    (B, n) pair of arrays, and their B cancellers run in one batched call.
-    The ANC-off take is the primary's last len(clean) samples; the ANC-on
-    take is the same slice of the canceller's error signal.
-    """
-    rate = plan.sample_rate_hz
+    keys: list
+    unit: np.ndarray
+    signals: np.ndarray | None
+
+
+def _noise_stacks(plan: ExperimentPlan, clean_takes: dict) -> list[_NoiseStack]:
+    """One _NoiseStack per take length."""
     by_length: dict[int, list] = {}
     for key, clean in clean_takes.items():
         by_length.setdefault(len(clean), []).append(key)
-    takes: dict[str, dict] = {mode: {} for mode in plan.anc}
+    stacks = []
     for n, keys in by_length.items():
-        primaries = np.empty((len(keys), n + _lead_samples(plan)))
-        # Only the canceller reads the references.
-        references = np.empty_like(primaries) if "on" in plan.anc else None
+        unit = np.empty((n + _lead_samples(plan), len(keys)))
         for row, key in enumerate(keys):
-            primary, reference = _mix_with_lead(plan, key, clean_takes[key], snr_db)
-            primaries[row] = primary.samples
-            if references is not None:
-                references[row] = reference.samples
-        signals = {"off": primaries}
-        if "on" in plan.anc:
-            mus = [_auto_mu(plan, reference) for reference in references]
-            try:
-                signals["on"] = run_anc_batch(primaries, references, plan.anc_taps, mus)
-            except DivergenceError as exc:
-                take = _take_id(*keys[exc.row], 1)
-                raise DivergenceError(
-                    exc.step_index,
-                    f"ANC diverged on take {take} at SNR {snr_db:g} dB, step {exc.step_index}",
-                ) from exc
-        for mode in plan.anc:
-            for row, key in enumerate(keys):
-                takes[mode][key] = AudioBuffer(signals[mode][row, -n:], rate)
-    return takes
+            unit[:, row] = _unit_noise(plan, key, n)
+        signals = np.empty_like(unit) if "on" in plan.anc else None
+        stacks.append(_NoiseStack(keys, unit, signals))
+    return stacks
+
+
+def _noisy_takes(
+    plan: ExperimentPlan, clean_takes: dict, stacks: list[_NoiseStack], snr_db: float
+) -> dict[str, Mapping]:
+    """The test takes at `snr_db` for each of the plan's ANC modes, as
+    {anc_mode: {key: AudioBuffer}}.
+
+    A take's noise is c * unit, c from noise_scale. The ANC-off take is
+    clean + c * unit[lead:], formed when it is read. The canceller inputs
+    of a stack are mixed straight into its (lead + n, B) signals buffer,
+    and its B cancellers run in one call that reads the unit noise as the
+    reference (see _auto_mu) and writes their errors over the buffer; the
+    ANC-on take is a copy of an error column's last n samples, made when it
+    is read.
+    """
+    rate = plan.sample_rate_hz
+    lead = _lead_samples(plan)
+    mixes, columns = {}, {}
+    for stack in stacks:
+        scales = []
+        for row, key in enumerate(stack.keys):
+            clean = clean_takes[key].samples
+            scale = noise_scale(float(np.mean(clean**2)), stack.unit[lead:, row], snr_db)
+            mixes[key] = (clean, scale, stack.unit[lead:, row])
+            scales.append(scale)
+        signals = stack.signals
+        if signals is None:
+            continue
+        for row, key in enumerate(stack.keys):
+            np.multiply(stack.unit[:, row], scales[row], out=signals[:, row])
+            signals[lead:, row] += clean_takes[key].samples
+            columns[key] = signals[lead:, row]
+        mus = [_auto_mu(plan, stack.unit[:, row], c) for row, c in enumerate(scales)]
+        try:
+            run_anc_batch(signals, stack.unit, plan.anc_taps, mus)
+        except DivergenceError as exc:
+            take = _take_id(*stack.keys[exc.row], 1)
+            raise DivergenceError(
+                exc.step_index,
+                f"ANC diverged on take {take} at SNR {snr_db:g} dB, step {exc.step_index}",
+            ) from exc
+
+    def mixed(key, mix):
+        clean, scale, noise = mix
+        return AudioBuffer(clean + scale * noise, rate)
+
+    takes = {
+        "off": _Takes(mixes, mixed),
+        "on": _Takes(columns, lambda key, column: AudioBuffer(column.copy(), rate)),
+    }
+    return {mode: takes[mode] for mode in plan.anc}
 
 
 def _enroll_takes(
@@ -412,25 +453,28 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     references = {key: corpus[key + (0,)] for key in sorted({p.ref for p in pairs + calib_pairs})}
     ref_models = {method: _enroll_takes(references, method, plan, 0) for method in plan.methods}
+    del references
 
     # Per-method threshold from clean calibration words, frozen for the sweep.
-    calib_takes = {pair.test: corpus[pair.test + (1,)] for pair in calib_pairs}
+    calib_takes = {key: corpus[key + (1,)] for key in dict.fromkeys(p.test for p in calib_pairs)}
     thresholds = {
         m: calibrate_threshold(
             *_score_pairs(_enroll_takes(calib_takes, m, plan, 1), ref_models[m], calib_pairs)
         )
         for m in plan.methods
     }
+    del calib_takes
 
     clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
+    noisy_points = any(s != CLEAN_SNR_DB for s in plan.snr_points_db)
+    stacks = _noise_stacks(plan, clean_takes) if noisy_points else []
     cells: list[CellResult] = []
     for snr_db in plan.snr_points_db:
         if snr_db == CLEAN_SNR_DB:
             conditions = [(plan.anc, clean_takes)]
         else:
-            conditions = [
-                ((mode,), takes) for mode, takes in _noisy_takes(plan, clean_takes, snr_db).items()
-            ]
+            noisy = _noisy_takes(plan, clean_takes, stacks, snr_db)
+            conditions = [((mode,), takes) for mode, takes in noisy.items()]
         for modes, takes in conditions:
             for method in plan.methods:
                 start = time.perf_counter()
@@ -442,8 +486,6 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
                     cells.append(
                         CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
                     )
-        # Free this point's canceller signals before the next point mixes its own.
-        del conditions, takes
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

@@ -11,6 +11,7 @@ file > built-in default; bench reads its settings from a --plan file instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -175,7 +176,7 @@ def cmd_anc(args) -> int:
     clipped = write_wav(result.error_signal, args.out)
     if args.mse_csv:
         lines = ["window_index,mse"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(result.mse_trace)]
+        lines += [f"{i},{float(v)!r}" for i, v in enumerate(result.mse_trace)]
         Path(args.mse_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out} ({clipped} samples clipped)")
     return 0
@@ -220,7 +221,7 @@ def cmd_extract(args) -> int:
             "band_hi": band_hi,
         }
         lines = ["frame_index," + ",".join(f"c{i + 1}" for i in range(fm.rows.shape[1]))]
-        lines += [f"{i}," + ",".join(repr(v) for v in row) for i, row in enumerate(fm.rows)]
+        lines += [f"{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(fm.rows)]
         csv_path = out_dir / (f"{stem}.csv" if len(bands) == 1 else f"{stem}.{channel_id}.csv")
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         csv_path.with_suffix(".json").write_text(
@@ -285,7 +286,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="melsplit",
         description="Noise-robust word-sample identification pipeline",

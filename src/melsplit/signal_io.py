@@ -272,17 +272,27 @@ def _harmonic_stack(base_phase, phases, amps_a, amps_b, blend):
     ``A = sum_h amps_a[h-1] * sin(h * base_phase + phases[h-1])`` and B the
     same over ``amps_b``, for h = 1..H. Each sum is
     ``Im(sum_h c_h * r**h)`` with ``r = exp(1j * base_phase)`` and
-    ``c_h = amps[h-1] * exp(1j * phases[h-1])``, evaluated by Horner's rule
-    for both coefficient rows at once: H complex multiply-adds per sample,
-    one ``exp`` per sample and no (H, n) table.
+    ``c_h = amps[h-1] * exp(1j * phases[h-1])``, evaluated by Horner's rule:
+    H complex multiply-adds per sample, one ``exp`` per sample and no (H, n)
+    table. Each stack is evaluated only over the span of samples where its
+    weight is nonzero (A where blend < 1, B where blend > 0); outside it the
+    weight is exactly 0, so every sample equals the formula's.
     """
     rotor = np.exp(1j * base_phase)
-    coeffs = np.stack([amps_a, amps_b]) * np.exp(1j * phases)
-    acc = coeffs[:, -1:] * rotor
-    for h in range(coeffs.shape[1] - 2, -1, -1):
-        acc += coeffs[:, h : h + 1]
-        acc *= rotor
-    return (1.0 - blend) * acc[0].imag + blend * acc[1].imag
+    signal = np.zeros(len(rotor))
+    for amps, weight in ((amps_a, 1.0 - blend), (amps_b, blend)):
+        support = np.flatnonzero(weight)
+        if not len(support):
+            continue
+        span = slice(support[0], support[-1] + 1)
+        r = rotor[span]
+        coeffs = amps * np.exp(1j * phases)
+        acc = coeffs[-1] * r
+        for c in coeffs[-2::-1]:
+            acc += c
+            acc *= r
+        signal[span] += weight[span] * acc.imag
+    return signal
 
 
 def synth_speaker(
@@ -328,7 +338,7 @@ def synth_speaker(
 
     # Source rolloff times the resonance envelope of each segment gives the
     # per-harmonic amplitude; a raised-cosine blend moves between segments.
-    # Both segments' stacks are summed as polynomials in the phase rotor
+    # Each segment's stack is summed as a polynomial in the phase rotor
     # exp(1j * base_phase) by Horner's rule (see _harmonic_stack).
     harmonic_freqs = harmonic_numbers * f0
     source = harmonic_numbers ** (-prof["source_slope"])

@@ -251,6 +251,14 @@ class TestRunAnc:
         assert abs(cold.error_signal.samples[0]) == pytest.approx(abs(primary[0]))
 
 
+def run_batch(primaries, references, order_l, mus):
+    """run_anc_batch on (B, n) row stacks: the errors it writes over a
+    time-major copy of the primaries, as (B, n)."""
+    signals = np.asarray(primaries, dtype=np.float64).T.copy()
+    assert run_anc_batch(signals, np.asarray(references).T, order_l, mus) is None
+    return signals.T
+
+
 class TestRunAncBatch:
     MUS = np.array([0.002, 0.01, 0.03])
 
@@ -265,15 +273,43 @@ class TestRunAncBatch:
         rng = np.random.default_rng(order_l + n)
         references = rng.standard_normal((3, n))
         primaries = 0.7 * references + 0.3 * rng.standard_normal((3, n))
-        errors = run_anc_batch(primaries, references, order_l, self.MUS)
+        errors = run_batch(primaries, references, order_l, self.MUS)
         assert errors.shape == (3, n)
         for row in range(3):
             expected = self.serial(primaries[row], references[row], order_l, self.MUS[row])
             assert np.allclose(errors[row], expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("order_l, n", [(31, 1100), (4, 3), (0, 700), (31, 32)])
+    def test_columns_match_lms_step_in_place(self, order_l, n):
+        # Each column's errors are lms_step's, written over the primaries
+        # themselves; a length past _CHECK_EVERY crosses a divergence check.
+        rng = np.random.default_rng(order_l * 7 + n)
+        references = rng.standard_normal((n, 3))
+        signals = 0.7 * references + 0.3 * rng.standard_normal((n, 3))
+        primaries = signals.copy()
+        run_anc_batch(signals, references, order_l, self.MUS)
+        for col, mu in enumerate(self.MUS):
+            expected, _ = lms_step_run(
+                primaries[:, col], references[:, col], LmsConfig(order_l, float(mu))
+            )
+            assert np.allclose(signals[:, col], expected, rtol=0, atol=1e-10)
+
+    def test_scaled_reference_is_unit_reference_with_scaled_step(self):
+        # LMS on (d, c*u) with step mu has the errors of LMS on (d, u) with
+        # step mu*c**2.
+        rng = np.random.default_rng(9)
+        unit = rng.standard_normal((900, 3))
+        scales = np.array([0.05, 1.0, 7.0])
+        primaries = 0.3 * rng.standard_normal((900, 3)) + scales * unit
+        mus = 0.02 / (32 * np.mean((scales * unit) ** 2, axis=0))
+        scaled, unscaled = primaries.copy(), primaries.copy()
+        run_anc_batch(scaled, scales * unit, 31, mus)
+        run_anc_batch(unscaled, unit, 31, mus * scales**2)
+        assert np.allclose(unscaled, scaled, rtol=1e-12, atol=0)
+
     def test_batch_of_one_matches_run_anc(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.3)
-        errors = run_anc_batch(noisy.samples[None], noise.samples[None], 15, [0.004])
+        errors = run_batch(noisy.samples[None], noise.samples[None], 15, [0.004])
         expected = self.serial(noisy.samples, noise.samples, 15, 0.004)
         assert np.allclose(errors[0], expected, rtol=0, atol=1e-12)
 
@@ -282,27 +318,33 @@ class TestRunAncBatch:
         primaries = rng.standard_normal((3, 500))
         references = rng.standard_normal((3, 500))
         references[1] = 0.0
-        errors = run_anc_batch(primaries, references, 8, self.MUS)
+        errors = run_batch(primaries, references, 8, self.MUS)
         assert np.array_equal(errors[1], primaries[1])
 
     @pytest.mark.parametrize(
         "primaries, references",
         [
-            (np.zeros((2, 10)), np.zeros((2, 9))),
-            (np.zeros((2, 10)), np.zeros((3, 10))),
+            (np.zeros((10, 2)), np.zeros((9, 2))),
+            (np.zeros((10, 2)), np.zeros((10, 3))),
             (np.zeros(10), np.zeros(10)),
-            (np.zeros((2, 0)), np.zeros((2, 0))),
+            (np.zeros((0, 2)), np.zeros((0, 2))),
         ],
     )
     def test_bad_shapes(self, primaries, references):
         with pytest.raises(DimensionError):
-            run_anc_batch(primaries, references, 4, np.full(len(primaries), 0.01))
+            run_anc_batch(primaries, references, 4, np.full(2, 0.01))
+
+    def test_primaries_must_be_a_float64_array(self):
+        with pytest.raises(ParameterError, match="written over"):
+            run_anc_batch(np.zeros((10, 2), dtype=np.float32), np.zeros((10, 2)), 4, [0.01] * 2)
+        with pytest.raises(ParameterError, match="written over"):
+            run_anc_batch([[0.0, 0.0]] * 10, np.zeros((10, 2)), 4, [0.01] * 2)
 
     def test_step_size_per_row(self):
         with pytest.raises(DimensionError):
-            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01])
+            run_anc_batch(np.zeros((10, 2)), np.zeros((10, 2)), 4, [0.01])
         with pytest.raises(ParameterError):
-            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01, 0.0])
+            run_anc_batch(np.zeros((10, 2)), np.zeros((10, 2)), 4, [0.01, 0.0])
 
     def test_diverging_row_named(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
@@ -311,11 +353,10 @@ class TestRunAncBatch:
         with pytest.raises(DivergenceError) as serial:
             run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=1e3))
         with pytest.raises(DivergenceError) as batch:
-            run_anc_batch(primaries, references, 31, [0.005, 1e3, 0.005])
+            run_batch(primaries, references, 31, [0.005, 1e3, 0.005])
         assert batch.value.row == 1
         assert abs(batch.value.step_index - serial.value.step_index) <= 1
         assert "batch row 1" in str(batch.value)
-
 
     def test_unbounded_row_named(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
@@ -324,7 +365,7 @@ class TestRunAncBatch:
         with pytest.raises(DivergenceError) as serial:
             run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=0.3))
         with pytest.raises(DivergenceError) as batch:
-            run_anc_batch(primaries, references, 31, [0.005, 0.005, 0.3])
+            run_batch(primaries, references, 31, [0.005, 0.005, 0.3])
         assert batch.value.row == 2
         assert batch.value.step_index == serial.value.step_index
 

@@ -12,8 +12,11 @@ from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
     _calibration_pairs,
+    _auto_mu,
     _features,
-    _mix_with_lead,
+    _noise_stacks,
+    _noisy_takes,
+    _unit_noise,
     emit_curves,
     load_plan,
     plan_from_dict,
@@ -24,10 +27,12 @@ from melsplit.bench import (
 from melsplit.cluster import ConfusionCounts, accuracy
 from melsplit.errors import ConfigError, DivergenceError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
+from melsplit.anc import run_anc
 from melsplit.signal_io import (
     AudioBuffer,
     corpus_seed,
     measure_snr_db,
+    noise_scale,
     synth_speaker,
     write_manifest,
     write_wav,
@@ -256,7 +261,7 @@ class TestRunSweep:
         real_run_anc_batch = melsplit.bench.run_anc_batch
 
         def recording_run_anc_batch(primaries, *args):
-            batches.append(primaries.shape)
+            batches.append(primaries)
             return real_run_anc_batch(primaries, *args)
 
         monkeypatch.setattr(melsplit.bench, "run_anc_batch", recording_run_anc_batch)
@@ -264,7 +269,43 @@ class TestRunSweep:
         run_sweep(plan)
         n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
         assert len(batches) == 2
-        assert batches[0] == batches[1] and batches[0][1] == n
+        # Time-major, and both points cancel in the same buffer.
+        assert batches[0].shape[0] == n
+        assert batches[0] is batches[1]
+
+    def test_synthesizes_each_distinct_take_once(self, monkeypatch):
+        calls = []
+        real_synth_speaker = melsplit.bench.synth_speaker
+
+        def recording_synth_speaker(p, w, duration_s, seed, *args):
+            calls.append((p, w, seed))
+            return real_synth_speaker(p, w, duration_s, seed, *args)
+
+        monkeypatch.setattr(melsplit.bench, "synth_speaker", recording_synth_speaker)
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
+        run_sweep(plan)
+        assert len(calls) == len(set(calls))
+        # Each calibration take is read by two calibration pairs.
+        calib_words = range(plan.words - plan.calib_words, plan.words)
+        calib_takes = {
+            corpus_seed(plan.master_seed, p, w, 1) for p in range(plan.profiles) for w in calib_words
+        }
+        assert calib_takes <= {seed for _, _, seed in calls}
+
+    def test_unit_noise_drawn_once_per_take_per_sweep(self, monkeypatch):
+        drawn = []
+        real_unit_noise = melsplit.bench._unit_noise
+
+        def recording_unit_noise(plan, key, n):
+            drawn.append(key)
+            return real_unit_noise(plan, key, n)
+
+        monkeypatch.setattr(melsplit.bench, "_unit_noise", recording_unit_noise)
+        run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0)))
+        assert drawn and len(drawn) == len(set(drawn))
+        drawn.clear()
+        run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,)))
+        assert drawn == []
 
     def test_one_kmeans_fit_per_take_channel_and_condition(self, monkeypatch):
         fits, calls = [], []
@@ -512,15 +553,65 @@ class TestPlanSerialization:
 
 
 class TestMixWithLead:
+    KEY = (1, 2)
+
+    def mix(self, plan, snr_db):
+        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+        clean_takes = {self.KEY: clean}
+        stacks = _noise_stacks(plan, clean_takes)
+        return clean, stacks, _noisy_takes(plan, clean_takes, stacks, snr_db)
+
     def test_hits_target_snr(self):
         plan = mini_plan()
-        clean = synth_speaker(1, 2, 0.3, seed=4)
-        primary, reference = _mix_with_lead(plan, (1, 2), clean, -6.0)
-        lead = len(primary) - len(clean)
+        clean, stacks, takes = self.mix(plan, -6.0)
+        unit = _unit_noise(plan, self.KEY, len(clean))
+        lead = len(unit) - len(clean)
         assert lead == round(plan.anc_lead_s * clean.sample_rate_hz)
-        assert len(reference) == len(primary)
-        # the primary ends in the noisy take, and the reference carries
-        # exactly the noise that was added to it
-        noisy = AudioBuffer(primary.samples[lead:], primary.sample_rate_hz)
+        assert stacks[0].keys == [self.KEY]
+        assert np.array_equal(stacks[0].unit[:, 0], unit)
+        # the ANC-off take is the clean take plus the unit noise's last
+        # len(clean) samples, scaled to the target SNR
+        noisy = takes["off"][self.KEY]
         assert measure_snr_db(clean, noisy) == pytest.approx(-6.0, abs=1e-9)
-        assert np.array_equal(clean.samples + reference.samples[lead:], primary.samples[lead:])
+        scale = noise_scale(float(np.mean(clean.samples**2)), unit[lead:], -6.0)
+        assert np.array_equal(noisy.samples, clean.samples + scale * unit[lead:])
+
+    @pytest.mark.parametrize("anc", [("off",), ("off", "on")])
+    def test_off_take_is_the_primary_tail_bit_for_bit(self, anc):
+        # The noise is drawn as n + lead normals; the canceller reads the
+        # last lead of them first, and the take is mixed with the first n.
+        plan = mini_plan(anc=anc)
+        clean, _, takes = self.mix(plan, -16.0)
+        n = len(clean)
+        lead = round(plan.anc_lead_s * plan.sample_rate_hz) if "on" in anc else 0
+        rng = np.random.default_rng(
+            melsplit.signal_io._entropy(corpus_seed(plan.master_seed, *self.KEY, 0xA01E))
+        )
+        drawn = rng.standard_normal(n + lead)
+        scale = noise_scale(float(np.mean(clean.samples**2)), drawn[:n], -16.0)
+        noise = scale * np.concatenate([drawn[n:], drawn[:n]])
+        primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
+        assert np.array_equal(takes["off"][self.KEY].samples, primary[-n:])
+
+    @pytest.mark.parametrize("anc_mu", [None, 0.002])
+    def test_on_take_cancels_the_scaled_reference(self, anc_mu):
+        # The sweep's canceller reads the unit noise with step mu * c**2;
+        # it matches run_anc on the scaled reference with step mu.
+        plan = mini_plan(anc_mu=anc_mu)
+        clean, stacks, takes = self.mix(plan, -10.0)
+        unit = stacks[0].unit[:, 0]
+        lead = len(unit) - len(clean)
+        scale = noise_scale(float(np.mean(clean.samples**2)), unit[lead:], -10.0)
+        reference = scale * unit
+        primary = reference.copy()
+        primary[lead:] += clean.samples
+        mu = anc_mu or plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
+        assert _auto_mu(plan, unit, scale) == pytest.approx(mu * scale**2, rel=1e-12)
+        expected = run_anc(
+            AudioBuffer(primary, plan.sample_rate_hz),
+            AudioBuffer(reference, plan.sample_rate_hz),
+            melsplit.anc.LmsConfig(plan.anc_taps, mu),
+        ).error_signal.samples[lead:]
+        on = takes["on"][self.KEY].samples
+        assert on.flags.c_contiguous and not np.shares_memory(on, stacks[0].signals)
+        assert np.allclose(on, expected, rtol=0, atol=1e-11)

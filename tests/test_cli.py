@@ -18,6 +18,8 @@ from melsplit.cli import (
     main,
     save_config,
 )
+from melsplit.anc import LmsConfig, run_anc
+from melsplit.bench import _features
 from melsplit.errors import ConfigError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.signal_io import (
@@ -126,6 +128,17 @@ class TestAnc:
         lines = mse_csv.read_text().strip().split("\n")
         assert lines[0] == "window_index,mse"
         assert len(lines) == 1 + int(np.ceil(len(original) / 256))
+
+    def test_mse_csv_parses_as_numbers(self, tmp_path):
+        primary, reference = noisy_take_wavs(tmp_path)
+        mse_csv = tmp_path / "mse.csv"
+        assert run_cli("anc", "--primary", primary, "--reference", reference,
+                       "--out", tmp_path / "out.wav", "--mse-csv", mse_csv) == 0
+        table = np.loadtxt(mse_csv, delimiter=",", skiprows=1)
+        config = LmsConfig(PipelineConfig().anc_taps, PipelineConfig().anc_mu)
+        trace = run_anc(read_wav(primary), read_wav(reference), config).mse_trace
+        assert np.array_equal(table[:, 0], np.arange(len(trace)))
+        assert np.array_equal(table[:, 1], trace)
 
 
     def test_taps_flag_overrides_config(self, tmp_path):
@@ -246,6 +259,18 @@ class TestExtract:
         ch1 = (out / "w.ch1.csv").read_text().strip().split("\n")
         ch2 = (out / "w.ch2.csv").read_text().strip().split("\n")
         assert len(ch1) == len(ch2) > 1
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_csvs_parse_as_numbers(self, tmp_path, method):
+        src = make_word_wav(tmp_path / "w.wav", duration=0.5)
+        out = tmp_path / "features"
+        assert run_cli("extract", "--method", method, "--in", src, "--out", out) == 0
+        features = _features(read_wav(src), method, PipelineConfig(), "w")
+        for channel_id, fm in features.items():
+            name = "w.csv" if len(features) == 1 else f"w.{channel_id}.csv"
+            table = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert np.array_equal(table[:, 0], np.arange(len(fm.rows)))
+            assert np.array_equal(table[:, 1:], fm.rows)
 
     def test_missing_input_distinct_exit(self, tmp_path):
         code = run_cli("extract", "--method", "single",
@@ -536,3 +561,42 @@ class TestPipelineConfig:
                        "--in", src, "--out", out) == 0
         rows = (out / "w.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 8000 // 320  # disjoint 320-sample frames
+
+
+class TestParserReuse:
+    def calls(self, tmp_path):
+        test = make_word_wav(tmp_path / "t.wav", profile=1, duration=0.5)
+        ref = make_word_wav(tmp_path / "r.wav", profile=2, seed=6, duration=0.5)
+        return [
+            ("verdict", "--test", test, "--ref", ref, "--method", "single", "--threshold", "50"),
+            ("verdict", "--test", test, "--ref", ref),
+            ("filter", "--kind", "bp", "--lo", "300", "--in", test, "--out", tmp_path / "f.wav"),
+            ("verdict", "--test", test, "--ref", ref, "--anc"),
+            ("--config", tmp_path / "missing.json", "verdict", "--test", test, "--ref", ref),
+            ("verdict", "--test", test, "--ref", ref, "--method", "dual"),
+        ]
+
+    def outcome(self, capsys, argv):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out
+
+    def test_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path, capsys):
+        calls = self.calls(tmp_path)
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        reused = [self.outcome(capsys, argv) for argv in calls]
+        assert reused == fresh
+        # Usage errors still exit with 2, runtime errors with 1.
+        assert [code for code, _ in fresh] == [0, 0, 2, 2, 1, 0]
+        single, dual = json.loads(fresh[0][1]), json.loads(fresh[1][1])
+        assert (single["threshold"], dual["threshold"]) == (50.0, PipelineConfig().threshold)
+        assert set(single["per_channel_scores"]) == {"single"}

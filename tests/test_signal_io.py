@@ -307,6 +307,38 @@ class TestHarmonicStack:
         assert actual.shape == (n,)
         assert np.max(np.abs(actual - expected)) <= 1e-10 * np.max(np.abs(expected))
 
+    @staticmethod
+    def two_stacks(base_phase, phases, amps_a, amps_b, blend):
+        """Both stacks by Horner's rule over every sample, then blended."""
+        rotor = np.exp(1j * base_phase)
+        coeffs = np.stack([amps_a, amps_b]) * np.exp(1j * phases)
+        acc = coeffs[:, -1:] * rotor
+        for h in range(coeffs.shape[1] - 2, -1, -1):
+            acc += coeffs[:, h : h + 1]
+            acc *= rotor
+        return (1.0 - blend) * acc[0].imag + blend * acc[1].imag
+
+    @pytest.mark.parametrize("shape", ["ramp", "zeros", "ones", "interior", "step"])
+    def test_equals_the_full_two_stack_formula(self, shape):
+        # Each stack is skipped where its weight is 0; the rest must come out
+        # bit for bit as when both stacks are evaluated everywhere.
+        rng = np.random.default_rng(5)
+        n, num_harmonics = 4000, 23
+        base_phase = np.cumsum(rng.uniform(0.9, 1.1, n)) * 0.05
+        phases = 2.0 * np.pi * rng.random(num_harmonics)
+        amps_a, amps_b = rng.random(num_harmonics), rng.random(num_harmonics)
+        ramp = np.clip((np.arange(n) - 1500.0) / 400.0, 0.0, 1.0)
+        blend = {
+            "ramp": 0.5 - 0.5 * np.cos(np.pi * ramp),
+            "zeros": np.zeros(n),
+            "ones": np.ones(n),
+            "interior": rng.uniform(0.1, 0.9, n),
+            "step": (np.arange(n) >= 1000).astype(float),
+        }[shape]
+        expected = self.two_stacks(base_phase, phases, amps_a, amps_b, blend)
+        actual = _harmonic_stack(base_phase, phases, amps_a, amps_b, blend)
+        assert actual.tobytes() == expected.tobytes()
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
