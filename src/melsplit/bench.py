@@ -327,9 +327,10 @@ def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarra
 @dataclass(frozen=True)
 class _NoiseStack:
     """The unit noise of equal-length test takes, drawn once per sweep:
-    column i of the time-major (lead + n, B) `unit` is _unit_noise of keys[i].
-    `signals`, of the same shape, is the canceller buffer that every SNR
-    point reuses; None when the plan runs no canceller."""
+    column i of the (lead + n, B) `unit` is _unit_noise of keys[i].
+    `signals`, a time-major array of the same shape, is the canceller
+    buffer that every SNR point reuses; None when the plan runs no
+    canceller."""
 
     keys: list
     unit: np.ndarray
@@ -342,11 +343,16 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict) -> list[_NoiseStack]:
     for key, clean in clean_takes.items():
         by_length.setdefault(len(clean), []).append(key)
     stacks = []
+    runs_canceller = "on" in plan.anc
     for n, keys in by_length.items():
-        unit = np.empty((n + _lead_samples(plan), len(keys)))
+        shape = (n + _lead_samples(plan), len(keys))
+        # The canceller reads the stack a time step at a time, the mixer a
+        # take at a time, so the memory is laid out for the canceller when
+        # one runs and take by take otherwise.
+        unit = np.empty(shape) if runs_canceller else np.empty(shape[::-1]).T
         for row, key in enumerate(keys):
             unit[:, row] = _unit_noise(plan, key, n)
-        signals = np.empty_like(unit) if "on" in plan.anc else None
+        signals = np.empty(shape) if runs_canceller else None
         stacks.append(_NoiseStack(keys, unit, signals))
     return stacks
 
