@@ -275,24 +275,24 @@ def _harmonic_stack(base_phase, phases, amps_a, amps_b, blend):
     ``c_h = amps[h-1] * exp(1j * phases[h-1])``, evaluated by Horner's rule:
     H complex multiply-adds per sample, one ``exp`` per sample and no (H, n)
     table. Each stack is evaluated only over the span of samples where its
-    weight is nonzero (A where blend < 1, B where blend > 0); outside it the
-    weight is exactly 0, so every sample equals the formula's.
+    weight is nonzero (A where blend < 1, B where blend > 0) and is 0
+    elsewhere, where its weight is exactly 0, so every sample equals the
+    formula's.
     """
     rotor = np.exp(1j * base_phase)
-    signal = np.zeros(len(rotor))
-    for amps, weight in ((amps_a, 1.0 - blend), (amps_b, blend)):
+    coeffs = np.stack([amps_a, amps_b]) * np.exp(1j * phases)
+    acc = np.zeros((2, len(rotor)), dtype=complex)
+    for row, weight in enumerate((1.0 - blend, blend)):
         support = np.flatnonzero(weight)
         if not len(support):
             continue
         span = slice(support[0], support[-1] + 1)
-        r = rotor[span]
-        coeffs = amps * np.exp(1j * phases)
-        acc = coeffs[-1] * r
-        for c in coeffs[-2::-1]:
-            acc += c
-            acc *= r
-        signal[span] += weight[span] * acc.imag
-    return signal
+        r, stack = rotor[span], acc[row, span]
+        np.multiply(coeffs[row, -1], r, out=stack)
+        for c in coeffs[row, -2::-1]:
+            stack += c
+            stack *= r
+    return (1.0 - blend) * acc[0].imag + blend * acc[1].imag
 
 
 def synth_speaker(
