@@ -7,25 +7,20 @@ Run from the repository root with
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
 canceller lead-in and k = 2; synthesis, extraction and the single-recording
 canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
-canceller with the CLI's 32 taps. The canceller batch is one SNR point of 52
-takes, the number of distinct test takes in a default sweep on master seed 1. The lockstep
-k-means case enrolls 64 dual-channel takes in one call.
+canceller with the CLI's 32 taps. The canceller batch is the two runs that
+cancel every SNR point of 52 takes, the number of distinct test takes in a
+default sweep on master seed 1. The lockstep k-means case enrolls 64
+dual-channel takes in one call.
 """
 
 import numpy as np
 import pytest
 
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
-from melsplit.bench import (
-    ExperimentPlan,
-    _auto_mu,
-    _features,
-    _lead_samples,
-    _noise_stacks,
-)
+from melsplit.bench import ExperimentPlan, _features, _lead_samples, _noise_stacks
 from melsplit.cluster import enroll, enroll_many, kmeans
 from melsplit.mfcc import extract_dual_channel, extract_single_channel
-from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, noise_scale, synth_speaker
+from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
 BATCH_ROWS = 52
@@ -87,32 +82,29 @@ def test_extract_single_channel(benchmark, duration_s):
     assert features.rows.shape[1] == PLAN.extraction.num_coeffs
 
 
-def test_run_anc_batch_52_rows(benchmark):
-    # One SNR point as the sweep cancels it: time-major primaries mixed from
-    # the unit noise stack, which the canceller reads as its reference with
-    # step mu * c**2, and errors written over a fresh copy of the primaries
-    # each round.
+def test_run_anc_batch_basis_pass_52_columns(benchmark):
+    # A sweep's two canceller runs under the default step size: the clean
+    # takes, opened by anc_taps zeros, with the unit noise as the reference,
+    # then the unit noise in place against itself; both write over fresh
+    # copies of their stacks each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    clean = {key: _take(*key) for key in keys}
-    (stack,) = _noise_stacks(PLAN, clean)
+    (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
     lead = _lead_samples(PLAN)
-    primaries = np.empty_like(stack.unit)
-    mus = []
-    for row, key in enumerate(keys):
-        unit = stack.unit[:, row]
-        scale = noise_scale(float(np.mean(clean[key].samples ** 2)), unit[lead:], -6.0)
-        primaries[:, row] = scale * unit
-        primaries[lead:, row] += clean[key].samples
-        mus.append(_auto_mu(PLAN, unit, scale))
+    mus = stack.mus(PLAN, stack.scales(-6.0))
     rounds = []
 
-    def setup():
-        rounds.append(primaries.copy())
-        return (rounds[-1], stack.unit, PLAN.anc_taps, mus), {}
+    def basis_pass(clean, unit):
+        run_anc_batch(clean, unit[lead - stack.pad :], PLAN.anc_taps, mus)
+        run_anc_batch(unit, unit, PLAN.anc_taps, mus)
 
-    benchmark.pedantic(run_anc_batch, setup=setup, rounds=3)
-    assert primaries.shape == (13600, BATCH_ROWS)
-    assert np.all(np.isfinite(rounds[-1])) and not np.array_equal(rounds[-1], primaries)
+    def setup():
+        rounds.append((stack.clean.copy(), stack.unit.copy()))
+        return rounds[-1], {}
+
+    benchmark.pedantic(basis_pass, setup=setup, rounds=3)
+    assert stack.clean.shape == (9631, BATCH_ROWS) and stack.unit.shape == (13600, BATCH_ROWS)
+    for done, start in zip(rounds[-1], (stack.clean, stack.unit)):
+        assert np.all(np.isfinite(done)) and not np.array_equal(done, start)
 
 
 def test_run_anc_2s_32_taps(benchmark):

@@ -6,7 +6,7 @@ or dual-channel), and k-means centroid matching, plus a benchmark harness
 that sweeps SNR against identification accuracy.
 """
 
-from .anc import AncResult, LmsConfig, LmsState, combiner_output, lms_step, mse_trace, run_anc
+from .anc import AncResult, LmsConfig, LmsState, lms_step, mse_trace, run_anc
 from .bench import CLEAN_SNR_DB, ExperimentPlan, SweepReport, emit_curves, run_sweep
 from .cluster import (
     ClusterModel,
@@ -14,7 +14,6 @@ from .cluster import (
     accuracy,
     calibrate_threshold,
     enroll,
-    euclidean,
     kmeans,
     score,
 )

@@ -13,15 +13,20 @@ short chain of block updates runs serially. It gives the same errors and
 weights as stepping the recursion, up to float summation order.
 run_anc_batch steps a time-major (n, B) stack of independent cancellers in
 lockstep, a few vectorised calls per sample, and writes each step's errors
-over the primaries; a sweep cancels the takes of one SNR point per call.
+over the primaries, which may be the references themselves.
 lms_step is the scalar reference both are tested against, and run_anc falls
 back on it to name the step a diverging recording fails at.
+
+With the reference and the step fixed and zero start weights, the weights
+and the errors are linear in the primary, so the errors of primary a + c*b
+are errors(a) + c*errors(b). A sweep uses this to cancel every SNR point of
+a take from two runs: one on the clean take, one on the unit noise, read
+against itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -107,11 +112,6 @@ class AncResult:
     combiner_output: AudioBuffer
     mse_trace: np.ndarray
     final_weights: np.ndarray
-
-
-def combiner_output(state: LmsState) -> float:
-    """Dot product of the weights with the delay line."""
-    return float(np.dot(state.weights, state.delay_line))
 
 
 def lms_step(
@@ -266,11 +266,12 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     step size mus[i]. Step k's errors overwrite primaries[k], so on return
     column i holds run_anc's error signal for LmsConfig(order_l, mus[i]), up
     to the float summation order of the combiner output; columns never
-    interact. Raises DivergenceError carrying the column (as `row`) and the
-    first step at which its error went non-finite (the earliest such step,
-    then the lowest column), or, in a run that stays finite, passed
-    _DIVERGED times that column's primary peak; the primaries are then
-    partly overwritten.
+    interact. references may be primaries itself: run_anc_batch(u, u, ...)
+    leaves in u the errors of cancelling u out of itself. Raises
+    DivergenceError carrying the column (as `row`) and the first step at
+    which its error went non-finite (the earliest such step, then the lowest
+    column), or, in a run that stays finite, passed _DIVERGED times that
+    column's primary peak; the primaries are then partly overwritten.
     """
     if not (isinstance(primaries, np.ndarray) and primaries.dtype == np.float64):
         raise ParameterError("primaries must be a float64 array; errors are written over it")
@@ -293,15 +294,12 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
 
     taps = order_l + 1
     # Step k's delay lines are x[k-L : k+1], a (taps, B) block, oldest sample
-    # first, so the weights are stored oldest tap first too. Steps k < L read
-    # a window of a short zero-led head; the rest are windows of x itself,
-    # not of a padded copy of it.
-    lead = min(n, order_l)
-    body = _time_windows(x, taps) if n > order_l else np.empty((0, taps, b))
-    if lead:
-        head = _time_windows(np.concatenate([np.zeros((order_l, b)), x[:lead]]), taps)
-    else:
-        head = body[:0]
+    # first, so the weights are stored oldest tap first too. Each chunk of
+    # steps reads its delay lines from a copy of the reference rows it needs:
+    # the L rows before the chunk, carried over from the last chunk's copy
+    # (zeros before step 0), then the chunk's own rows, copied before any of
+    # them is overwritten. So the errors may be written over the references.
+    rows = np.zeros((order_l + _CHECK_EVERY, b))
     weights = np.zeros((taps, b))
     product = np.empty_like(weights)
     gain = np.empty(b)
@@ -314,9 +312,10 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _CHECK_EVERY):
             stop = min(n, start + _CHECK_EVERY)
-            windows = chain(
-                head[start:stop], body[max(0, start - order_l) : max(0, stop - order_l)]
-            )
+            if start:
+                rows[:order_l] = rows[_CHECK_EVERY:]
+            rows[order_l : order_l + stop - start] = x[start:stop]
+            windows = _time_windows(rows[: order_l + stop - start], taps)
             for window, e in zip(windows, d[start:stop]):
                 multiply(weights, window, product)
                 e -= dot(ones, product, gain)

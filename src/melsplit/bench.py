@@ -16,6 +16,7 @@ import json
 import math
 import time
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -286,9 +287,9 @@ def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id
     return {fm.channel_id: fm for fm in matrices}
 
 
-def _auto_mu(plan: ExperimentPlan, unit: np.ndarray, scale: float) -> float:
-    """Step size for a canceller that reads the unit reference `unit` where
-    the noise is scale * unit.
+def _auto_mu(plan: ExperimentPlan, power: float, scale: float) -> float:
+    """Step size for a canceller that reads a unit reference of mean square
+    `power` where the noise is scale times it.
 
     LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
     mu*c**2 (its weights are c times the others), so this returns mu*c**2:
@@ -298,7 +299,6 @@ def _auto_mu(plan: ExperimentPlan, unit: np.ndarray, scale: float) -> float:
     """
     if plan.anc_mu is not None:
         return plan.anc_mu * scale**2
-    power = float(np.mean(unit**2))
     return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
 
 
@@ -326,87 +326,169 @@ def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class _NoiseStack:
-    """The unit noise of equal-length test takes, drawn once per sweep:
-    column i of the (lead + n, B) `unit` is _unit_noise of keys[i].
-    `signals`, a time-major array of the same shape, is the canceller
-    buffer that every SNR point reuses; None when the plan runs no
-    canceller."""
+    """Equal-length test takes and their unit noise, laid out once per sweep.
+
+    samples[i] is the clean take of keys[i]. When the plan runs a canceller,
+    it is column i of `clean`, a time-major stack that opens with `pad`
+    zero rows; otherwise `clean` is None and samples[i] is the take's own
+    array. Column i of `unit` is _unit_noise of keys[i], (lead + n)
+    samples, time-major when a canceller runs and laid out take by take
+    otherwise, or `unit` is None when the plan has no noisy point: the
+    canceller reads its stacks a time step at a time, the mixer a take at a
+    time. The powers are each take's mean squares, taken once: of the clean
+    take, of the unit noise under it, and of the whole unit noise, which
+    the canceller reads.
+
+    A point's take is samples[i] + c * unit[lead:, i]. Once _cancelled_takes
+    has written the canceller's errors over `clean` and `unit`, the same
+    formula gives the ANC-on take.
+    """
 
     keys: list
-    unit: np.ndarray
-    signals: np.ndarray | None
+    samples: list
+    pad: int
+    clean: np.ndarray | None
+    unit: np.ndarray | None
+    clean_power: list
+    unit_power: list
+    reference_power: list
+
+    def scales(self, snr_db: float) -> list:
+        """Each take's noise scale c at `snr_db`."""
+        return [noise_scale(*powers, snr_db) for powers in zip(self.clean_power, self.unit_power)]
+
+    def mus(self, plan: ExperimentPlan, scales: list) -> list:
+        """Each canceller's step size on the unit reference (see _auto_mu)."""
+        return [_auto_mu(plan, p, c) for p, c in zip(self.reference_power, scales)]
 
 
-def _noise_stacks(plan: ExperimentPlan, clean_takes: dict) -> list[_NoiseStack]:
-    """One _NoiseStack per take length."""
+def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[_NoiseStack]:
+    """One _NoiseStack per take length; with unit noise only if `noisy`.
+    Each take is popped out of clean_takes as its stack takes it over, so
+    that no take is held twice.
+
+    The clean stack opens with pad = min(lead, anc_taps) zero rows: a
+    canceller of the clean take alone sees a zero primary, so its weights
+    stay zero through the lead-in, and it can start its run pad steps
+    before the take with the lead-in's last anc_taps samples as history.
+    """
     by_length: dict[int, list] = {}
     for key, clean in clean_takes.items():
         by_length.setdefault(len(clean), []).append(key)
-    stacks = []
     runs_canceller = "on" in plan.anc
+    lead = _lead_samples(plan)
+    pad = min(lead, plan.anc_taps)
+    stacks = []
     for n, keys in by_length.items():
-        shape = (n + _lead_samples(plan), len(keys))
-        # The canceller reads the stack a time step at a time, the mixer a
-        # take at a time, so the memory is laid out for the canceller when
-        # one runs and take by take otherwise.
-        unit = np.empty(shape) if runs_canceller else np.empty(shape[::-1]).T
-        for row, key in enumerate(keys):
-            unit[:, row] = _unit_noise(plan, key, n)
-        signals = np.empty(shape) if runs_canceller else None
-        stacks.append(_NoiseStack(keys, unit, signals))
+        # The unit stack is allocated while the clean takes are still held,
+        # and the takes are freed as the clean stack is filled: with the
+        # clean stack filled first, perfbench's sweep_default runs peaked
+        # about 5 MB higher in RSS (glibc 2.36 heap reuse). Plans without a
+        # canceller keep the takes' own arrays, since a clean stack there
+        # raised sweep_noanc's peak RSS by 4 MB.
+        unit, unit_power, reference_power = None, [], []
+        if noisy:
+            shape = (lead + n, len(keys))
+            unit = np.empty(shape) if runs_canceller else np.empty(shape[::-1]).T
+            for i, key in enumerate(keys):
+                unit[:, i] = drawn = _unit_noise(plan, key, n)
+                unit_power.append(float(np.mean(drawn[lead:] ** 2)))
+                reference_power.append(float(np.mean(drawn**2)))
+        clean = None
+        if runs_canceller:
+            clean = np.empty((pad + n, len(keys)))
+            clean[:pad] = 0.0
+        samples, clean_power = [], []
+        for i, key in enumerate(keys):
+            take = clean_takes.pop(key).samples
+            clean_power.append(float(np.mean(take**2)))
+            if clean is not None:
+                clean[pad:, i] = take
+                take = clean[pad:, i]
+            samples.append(take)
+        stacks.append(
+            _NoiseStack(
+                keys, samples, pad, clean, unit, clean_power, unit_power, reference_power
+            )
+        )
     return stacks
 
 
-def _noisy_takes(
-    plan: ExperimentPlan, clean_takes: dict, stacks: list[_NoiseStack], snr_db: float
-) -> dict[str, Mapping]:
-    """The test takes at `snr_db` for each of the plan's ANC modes, as
-    {anc_mode: {key: AudioBuffer}}.
+def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> Mapping:
+    """{key: AudioBuffer} of every stacked take at `snr_db`, each made when
+    it is read: a copy of the clean take at the clean point, else
+    clean + c * unit[lead:], the ANC-off take, or, once _cancelled_takes
+    has cancelled the stacks, the ANC-on take."""
+    rate = plan.sample_rate_hz
+    lead = _lead_samples(plan)
+    index = {key: (stack, i) for stack in stacks for i, key in enumerate(stack.keys)}
 
-    A take's noise is c * unit, c from noise_scale. The ANC-off take is
-    clean + c * unit[lead:], formed when it is read. The canceller inputs
-    of a stack are mixed straight into its (lead + n, B) signals buffer,
-    and its B cancellers run in one call that reads the unit noise as the
-    reference (see _auto_mu) and writes their errors over the buffer; the
-    ANC-on take is a copy of an error column's last n samples, made when it
-    is read.
+    def make(key, at):
+        stack, i = at
+        clean = stack.samples[i]
+        if snr_db == CLEAN_SNR_DB:
+            return AudioBuffer(clean.copy(), rate)
+        scale = noise_scale(stack.clean_power[i], stack.unit_power[i], snr_db)
+        return AudioBuffer(clean + scale * stack.unit[lead:, i], rate)
+
+    return _Takes(index, make)
+
+
+def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
+    """Yield (snr_db, {key: AudioBuffer}), the ANC-on test takes of each
+    noisy point, each mapping to be read before the next is yielded.
+
+    Every ANC-off take must be read first: this may overwrite the stacks. When
+    the points share one step-size vector, as they do under _auto_mu's
+    default, each stack's cancellers run twice, and every point's takes come
+    from them (see _NoiseStack): on the clean stack, with the unit noise as
+    reference, then on the unit noise against itself. Otherwise each point
+    mixes its canceller inputs into one buffer per stack and cancels them
+    there, reading the unit noise as the reference.
     """
     rate = plan.sample_rate_hz
     lead = _lead_samples(plan)
-    mixes, columns = {}, {}
-    for stack in stacks:
-        scales = []
-        for row, key in enumerate(stack.keys):
-            clean = clean_takes[key].samples
-            scale = noise_scale(float(np.mean(clean**2)), stack.unit[lead:, row], snr_db)
-            mixes[key] = (clean, scale, stack.unit[lead:, row])
-            scales.append(scale)
-        signals = stack.signals
-        if signals is None:
-            continue
-        for row, key in enumerate(stack.keys):
-            np.multiply(stack.unit[:, row], scales[row], out=signals[:, row])
-            signals[lead:, row] += clean_takes[key].samples
-            columns[key] = signals[lead:, row]
-        mus = [_auto_mu(plan, stack.unit[:, row], c) for row, c in enumerate(scales)]
-        try:
-            run_anc_batch(signals, stack.unit, plan.anc_taps, mus)
-        except DivergenceError as exc:
-            take = _take_id(*stack.keys[exc.row], 1)
-            raise DivergenceError(
-                exc.step_index,
-                f"ANC diverged on take {take} at SNR {snr_db:g} dB, step {exc.step_index}",
-            ) from exc
+    mus = [{snr_db: stack.mus(plan, stack.scales(snr_db)) for snr_db in points} for stack in stacks]
+    shared = len(points) > 1 and all(
+        len({tuple(m) for m in by_point.values()}) == 1 for by_point in mus
+    )
+    if shared:
+        for stack, by_point in zip(stacks, mus):
+            step_size = by_point[points[0]]
+            with _naming(stack, points, lead - stack.pad):
+                run_anc_batch(stack.clean, stack.unit[lead - stack.pad :], plan.anc_taps, step_size)
+            with _naming(stack, points, 0):
+                run_anc_batch(stack.unit, stack.unit, plan.anc_taps, step_size)
+        for snr_db in points:
+            yield snr_db, _stack_takes(plan, stacks, snr_db)
+        return
+    buffers = [np.empty_like(stack.unit) for stack in stacks]
+    for snr_db in points:
+        columns = {}
+        for stack, by_point, signals in zip(stacks, mus, buffers):
+            for i, (key, scale) in enumerate(zip(stack.keys, stack.scales(snr_db))):
+                np.multiply(stack.unit[:, i], scale, out=signals[:, i])
+                signals[lead:, i] += stack.samples[i]
+                columns[key] = signals[lead:, i]
+            with _naming(stack, [snr_db], 0):
+                run_anc_batch(signals, stack.unit, plan.anc_taps, by_point[snr_db])
+        yield snr_db, _Takes(columns, lambda key, column: AudioBuffer(column.copy(), rate))
 
-    def mixed(key, mix):
-        clean, scale, noise = mix
-        return AudioBuffer(clean + scale * noise, rate)
 
-    takes = {
-        "off": _Takes(mixes, mixed),
-        "on": _Takes(columns, lambda key, column: AudioBuffer(column.copy(), rate)),
-    }
-    return {mode: takes[mode] for mode in plan.anc}
+@contextmanager
+def _naming(stack: _NoiseStack, points: list[float], offset: int):
+    """Re-raise a canceller's DivergenceError naming its take, the SNR
+    points it serves and its step in the canceller input, whose first
+    `offset` steps the run skipped."""
+    try:
+        yield
+    except DivergenceError as exc:
+        take = _take_id(*stack.keys[exc.row], 1)
+        step = exc.step_index + offset
+        snr = ", ".join(f"{s:g}" for s in points)
+        raise DivergenceError(
+            step, f"ANC diverged on take {take} at SNR {snr} dB, step {step}"
+        ) from exc
 
 
 def _enroll_takes(
@@ -472,26 +554,32 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     del calib_takes
 
     clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
-    noisy_points = any(s != CLEAN_SNR_DB for s in plan.snr_points_db)
-    stacks = _noise_stacks(plan, clean_takes) if noisy_points else []
+    points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
+    stacks = _noise_stacks(plan, clean_takes, bool(points))
     cells: list[CellResult] = []
-    for snr_db in plan.snr_points_db:
-        if snr_db == CLEAN_SNR_DB:
-            conditions = [(plan.anc, clean_takes)]
-        else:
-            noisy = _noisy_takes(plan, clean_takes, stacks, snr_db)
-            conditions = [((mode,), takes) for mode, takes in noisy.items()]
-        for modes, takes in conditions:
-            for method in plan.methods:
-                start = time.perf_counter()
-                test_models = _enroll_takes(takes, method, plan, 1)
-                scores = _score_pairs(test_models, ref_models[method], pairs)
-                counts = confusion(*scores, thresholds[method])
-                elapsed = (time.perf_counter() - start) / len(modes)
-                for anc_mode in modes:
-                    cells.append(
-                        CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
-                    )
+
+    def tally(snr_db, modes, takes):
+        for method in plan.methods:
+            start = time.perf_counter()
+            test_models = _enroll_takes(takes, method, plan, 1)
+            scores = _score_pairs(test_models, ref_models[method], pairs)
+            counts = confusion(*scores, thresholds[method])
+            elapsed = (time.perf_counter() - start) / len(modes)
+            for anc_mode in modes:
+                cells.append(
+                    CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
+                )
+
+    # Every cell that reads the clean takes or the unit noise is scored
+    # before the cancellers overwrite them.
+    if CLEAN_SNR_DB in plan.snr_points_db:
+        tally(CLEAN_SNR_DB, plan.anc, _stack_takes(plan, stacks, CLEAN_SNR_DB))
+    if "off" in plan.anc:
+        for snr_db in points:
+            tally(snr_db, ("off",), _stack_takes(plan, stacks, snr_db))
+    if "on" in plan.anc and points:
+        for snr_db, takes in _cancelled_takes(plan, stacks, points):
+            tally(snr_db, ("on",), takes)
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

@@ -49,15 +49,6 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def kmeans(
     points: np.ndarray,
     k: int,

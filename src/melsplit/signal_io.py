@@ -167,13 +167,12 @@ def measure_snr_db(clean: AudioBuffer, noisy: AudioBuffer) -> float:
     return 10.0 * np.log10(clean_power / noise_power)
 
 
-def noise_scale(clean_power: float, unit: np.ndarray, snr_db: float) -> float:
-    """Gain g such that g * unit sits at `snr_db` against a signal of `clean_power`.
+def noise_scale(clean_power: float, unit_power: float, snr_db: float) -> float:
+    """Gain g such that g * unit sits at `snr_db` against a signal of `clean_power`,
+    where `unit_power` is the mean square of the noise source `unit`.
 
-    The noise power is measured over all of `unit`; a zero-power noise
-    source cannot reach any finite SNR and raises.
+    A zero-power noise source cannot reach any finite SNR and raises.
     """
-    unit_power = float(np.mean(unit**2))
     if unit_power == 0.0:
         raise UndefinedSnrError("noise source has zero power")
     return np.sqrt(clean_power / (unit_power * 10.0 ** (snr_db / 10.0)))
@@ -204,7 +203,7 @@ def mix_at_snr(clean: AudioBuffer, spec: NoiseSpec) -> tuple[AudioBuffer, AudioB
         reps = -(-len(clean) // len(source))
         unit = np.tile(source.samples, reps)[: len(clean)]
 
-    scale = noise_scale(clean_power, unit, spec.target_snr_db)
+    scale = noise_scale(clean_power, float(np.mean(unit**2)), spec.target_snr_db)
     noisy_samples = clean.samples + scale * unit
     noisy = AudioBuffer(noisy_samples, clean.sample_rate_hz)
     noise_only = AudioBuffer(noisy_samples - clean.samples, clean.sample_rate_hz)

@@ -6,7 +6,6 @@ import pytest
 from melsplit.anc import (
     LmsConfig,
     LmsState,
-    combiner_output,
     lms_step,
     mse_trace,
     run_anc,
@@ -36,20 +35,6 @@ def sine_noise_fixture(seconds=5.0, snr_db=0.0, seed=42):
     clean = buf(0.5 * np.sin(2 * np.pi * 500 * t))
     noisy, noise = mix_at_snr(clean, NoiseSpec("white-gaussian", snr_db, seed=seed))
     return clean, noisy, noise
-
-
-class TestCombinerOutput:
-    def test_zero_weights(self):
-        state = LmsState(np.zeros(3), np.array([0.5, -0.2, 0.9]))
-        assert combiner_output(state) == 0.0
-
-    def test_identity_tap(self):
-        state = LmsState(np.array([1.0, 0.0]), np.array([0.3, 0.9]))
-        assert combiner_output(state) == pytest.approx(0.3)
-
-    def test_hand_dot_product(self):
-        state = LmsState(np.array([0.5, 0.25]), np.array([1.0, 1.0]))
-        assert combiner_output(state) == pytest.approx(0.75)
 
 
 class TestLmsStep:
@@ -306,6 +291,30 @@ class TestRunAncBatch:
         run_anc_batch(scaled, scales * unit, 31, mus)
         run_anc_batch(unscaled, unit, 31, mus * scales**2)
         assert np.allclose(unscaled, scaled, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 40.0])
+    def test_errors_are_linear_in_the_primary(self, c):
+        # With the reference and steps fixed, errors(a + c*b) equals
+        # errors(a) + c*errors(b).
+        rng = np.random.default_rng(5)
+        references = rng.standard_normal((1100, 3))
+        a = 0.5 * rng.standard_normal((1100, 3))
+        b = references + 0.1 * rng.standard_normal((1100, 3))
+        mixed = a + c * b
+        for signals in (mixed, a, b):
+            run_anc_batch(signals, references, 31, self.MUS)
+        assert np.allclose(mixed, a + c * b, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("order_l, n", [(31, 1100), (31, 20), (4, 600), (0, 515)])
+    def test_reference_may_be_the_primaries(self, order_l, n):
+        # Errors written over the reference itself, across a chunk edge
+        # (n > 512) and within the zero-led head (n < order_l), are the
+        # errors of a run on a copy, bit for bit.
+        unit = np.random.default_rng(n).standard_normal((n, 3))
+        copy = unit.copy()
+        run_anc_batch(copy, unit.copy(), order_l, self.MUS)
+        run_anc_batch(unit, unit, order_l, self.MUS)
+        assert np.array_equal(unit, copy)
 
     def test_batch_of_one_matches_run_anc(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.3)

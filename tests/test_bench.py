@@ -14,8 +14,9 @@ from melsplit.bench import (
     _calibration_pairs,
     _auto_mu,
     _features,
+    _cancelled_takes,
     _noise_stacks,
-    _noisy_takes,
+    _stack_takes,
     _unit_noise,
     emit_curves,
     load_plan,
@@ -256,22 +257,43 @@ class TestRunSweep:
         assert len(report.cells) == 2
         assert calls == []
 
-    def test_one_canceller_batch_per_noisy_snr_point(self, monkeypatch):
+    def record_batches(self, monkeypatch, plan):
+        """(primaries, references) of each run_anc_batch call in a sweep of plan."""
         batches = []
         real_run_anc_batch = melsplit.bench.run_anc_batch
 
-        def recording_run_anc_batch(primaries, *args):
-            batches.append(primaries)
-            return real_run_anc_batch(primaries, *args)
+        def recording_run_anc_batch(primaries, references, *args):
+            batches.append((primaries, references))
+            return real_run_anc_batch(primaries, references, *args)
 
         monkeypatch.setattr(melsplit.bench, "run_anc_batch", recording_run_anc_batch)
-        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
         run_sweep(plan)
-        n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
-        assert len(batches) == 2
-        # Time-major, and both points cancel in the same buffer.
-        assert batches[0].shape[0] == n
-        assert batches[0] is batches[1]
+        return batches
+
+    def test_one_canceller_batch_per_noisy_snr_point(self, monkeypatch):
+        # Under a fixed anc_mu each point's step, anc_mu * c**2, is its own,
+        # and a lone point shares nothing: each point cancels its own mix,
+        # time-major, in one buffer that all points reuse.
+        for points, anc_mu in [((0.0, -16.0), 0.002), ((0.0, -6.0, -10.0, -16.0), 0.002),
+                               ((-16.0,), None)]:
+            plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points, anc_mu=anc_mu)
+            batches = self.record_batches(monkeypatch, plan)
+            n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
+            assert len(batches) == len(points)
+            assert batches[0][0].shape[0] == n
+            assert all(primaries is batches[0][0] for primaries, _ in batches)
+
+    @pytest.mark.parametrize("points", [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0)])
+    def test_two_canceller_batches_per_stack_under_auto_mu(self, monkeypatch, points):
+        # The points share one step size, so the clean takes, opened by
+        # anc_taps zeros, are cancelled once, then the unit noise against
+        # itself, whatever the number of points.
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points)
+        (clean, reference), (unit, itself) = self.record_batches(monkeypatch, plan)
+        n = round(plan.duration_s * plan.sample_rate_hz)
+        lead = round(plan.anc_lead_s * plan.sample_rate_hz)
+        assert clean.shape[0] == reference.shape[0] == plan.anc_taps + n
+        assert unit is itself and unit.shape[0] == lead + n
 
     def test_synthesizes_each_distinct_take_once(self, monkeypatch):
         calls = []
@@ -361,6 +383,14 @@ class TestRunSweep:
         plan = mini_plan(anc_mu=1000.0, anc=("on",))
         with pytest.raises(DivergenceError, match=r"take p\d\.w\d\.r1 at SNR -16 dB, step \d+"):
             run_sweep(plan)
+
+    def test_shared_canceller_divergence_names_every_point(self):
+        plan = mini_plan(anc_mu_fraction=50.0, snr_points_db=(0.0, -16.0))
+        pattern = r"take p\d\.w\d\.r1 at SNR 0, -16 dB, step \d+"
+        with pytest.raises(DivergenceError, match=pattern) as caught:
+            run_sweep(plan)
+        inputs = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
+        assert 0 <= caught.value.step_index < inputs
 
     def test_clean_counts_same_with_and_without_anc(self, mini_report):
         for method in ("single", "dual"):
@@ -555,63 +585,89 @@ class TestPlanSerialization:
 class TestMixWithLead:
     KEY = (1, 2)
 
-    def mix(self, plan, snr_db):
+    def mix(self, plan, points):
+        """The clean take, its stacks, and its takes at each point: the
+        ANC-off takes, read first, then the ANC-on takes if the plan has them."""
         clean = synth_speaker(*self.KEY, 0.3, seed=4)
-        clean_takes = {self.KEY: clean}
-        stacks = _noise_stacks(plan, clean_takes)
-        return clean, stacks, _noisy_takes(plan, clean_takes, stacks, snr_db)
+        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
+        takes = {"off": {s: _stack_takes(plan, stacks, s)[self.KEY] for s in points}}
+        if "on" in plan.anc:
+            takes["on"] = {s: on[self.KEY] for s, on in _cancelled_takes(plan, stacks, points)}
+        return clean, stacks, takes
 
     def test_hits_target_snr(self):
-        plan = mini_plan()
-        clean, stacks, takes = self.mix(plan, -6.0)
+        plan = mini_plan(anc=("off",))
+        clean, stacks, takes = self.mix(plan, [-6.0])
         unit = _unit_noise(plan, self.KEY, len(clean))
-        lead = len(unit) - len(clean)
-        assert lead == round(plan.anc_lead_s * clean.sample_rate_hz)
+        assert len(unit) == len(clean)
         assert stacks[0].keys == [self.KEY]
         assert np.array_equal(stacks[0].unit[:, 0], unit)
-        # the ANC-off take is the clean take plus the unit noise's last
-        # len(clean) samples, scaled to the target SNR
-        noisy = takes["off"][self.KEY]
+        assert stacks[0].clean is None and stacks[0].samples[0] is clean.samples
+        # the ANC-off take is the clean take plus the unit noise, scaled to
+        # the target SNR
+        noisy = takes["off"][-6.0]
         assert measure_snr_db(clean, noisy) == pytest.approx(-6.0, abs=1e-9)
-        scale = noise_scale(float(np.mean(clean.samples**2)), unit[lead:], -6.0)
-        assert np.array_equal(noisy.samples, clean.samples + scale * unit[lead:])
+        scale = noise_scale(float(np.mean(clean.samples**2)), float(np.mean(unit**2)), -6.0)
+        assert np.array_equal(noisy.samples, clean.samples + scale * unit)
+
+    def test_canceller_stacks_open_with_lead_in_and_zeros(self):
+        plan = mini_plan()
+        clean, stacks, _ = self.mix(plan, [-6.0])
+        lead = round(plan.anc_lead_s * clean.sample_rate_hz)
+        assert len(_unit_noise(plan, self.KEY, len(clean))) == lead + len(clean)
+        assert stacks[0].pad == plan.anc_taps < lead
+        assert stacks[0].clean.shape == (plan.anc_taps + len(clean), 1)
+        assert not np.any(stacks[0].clean[: plan.anc_taps])
+        assert np.array_equal(stacks[0].samples[0], clean.samples)
+        assert np.shares_memory(stacks[0].samples[0], stacks[0].clean)
 
     @pytest.mark.parametrize("anc", [("off",), ("off", "on")])
     def test_off_take_is_the_primary_tail_bit_for_bit(self, anc):
         # The noise is drawn as n + lead normals; the canceller reads the
         # last lead of them first, and the take is mixed with the first n.
         plan = mini_plan(anc=anc)
-        clean, _, takes = self.mix(plan, -16.0)
+        clean, _, takes = self.mix(plan, [-16.0])
         n = len(clean)
         lead = round(plan.anc_lead_s * plan.sample_rate_hz) if "on" in anc else 0
         rng = np.random.default_rng(
             melsplit.signal_io._entropy(corpus_seed(plan.master_seed, *self.KEY, 0xA01E))
         )
         drawn = rng.standard_normal(n + lead)
-        scale = noise_scale(float(np.mean(clean.samples**2)), drawn[:n], -16.0)
+        scale = noise_scale(
+            float(np.mean(clean.samples**2)), float(np.mean(drawn[:n] ** 2)), -16.0
+        )
         noise = scale * np.concatenate([drawn[n:], drawn[:n]])
         primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
-        assert np.array_equal(takes["off"][self.KEY].samples, primary[-n:])
+        assert np.array_equal(takes["off"][-16.0].samples, primary[-n:])
 
     @pytest.mark.parametrize("anc_mu", [None, 0.002])
     def test_on_take_cancels_the_scaled_reference(self, anc_mu):
-        # The sweep's canceller reads the unit noise with step mu * c**2;
-        # it matches run_anc on the scaled reference with step mu.
+        # Whether the points share two basis runs (several points under
+        # _auto_mu) or each cancels its own mix, every ANC-on take matches
+        # run_anc on the scaled reference with step mu.
         plan = mini_plan(anc_mu=anc_mu)
-        clean, stacks, takes = self.mix(plan, -10.0)
-        unit = stacks[0].unit[:, 0]
+        for points in ([-10.0], [0.0, -6.0, -16.0]):
+            self.check_on_takes(plan, points)
+
+    def check_on_takes(self, plan, points):
+        clean, stacks, takes = self.mix(plan, points)
+        unit = _unit_noise(plan, self.KEY, len(clean))
         lead = len(unit) - len(clean)
-        scale = noise_scale(float(np.mean(clean.samples**2)), unit[lead:], -10.0)
-        reference = scale * unit
-        primary = reference.copy()
-        primary[lead:] += clean.samples
-        mu = anc_mu or plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
-        assert _auto_mu(plan, unit, scale) == pytest.approx(mu * scale**2, rel=1e-12)
-        expected = run_anc(
-            AudioBuffer(primary, plan.sample_rate_hz),
-            AudioBuffer(reference, plan.sample_rate_hz),
-            melsplit.anc.LmsConfig(plan.anc_taps, mu),
-        ).error_signal.samples[lead:]
-        on = takes["on"][self.KEY].samples
-        assert on.flags.c_contiguous and not np.shares_memory(on, stacks[0].signals)
-        assert np.allclose(on, expected, rtol=0, atol=1e-11)
+        for snr_db in points:
+            scale = noise_scale(
+                float(np.mean(clean.samples**2)), float(np.mean(unit[lead:] ** 2)), snr_db
+            )
+            reference = scale * unit
+            primary = reference.copy()
+            primary[lead:] += clean.samples
+            mu = plan.anc_mu or plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
+            power = float(np.mean(unit**2))
+            assert _auto_mu(plan, power, scale) == pytest.approx(mu * scale**2, rel=1e-12)
+            expected = run_anc(
+                AudioBuffer(primary, plan.sample_rate_hz),
+                AudioBuffer(reference, plan.sample_rate_hz),
+                melsplit.anc.LmsConfig(plan.anc_taps, mu),
+            ).error_signal.samples[lead:]
+            on = takes["on"][snr_db].samples
+            assert on.flags.c_contiguous
+            assert np.allclose(on, expected, rtol=0, atol=1e-11)

@@ -19,7 +19,6 @@ from melsplit.cluster import (
     confusion,
     enroll,
     enroll_many,
-    euclidean,
     kmeans,
     kmeans_many,
     score,
@@ -45,29 +44,6 @@ def brute_force_inertia(points, k):
                 total += float(np.sum((members - members.mean(axis=0)) ** 2))
         best = min(best, total)
     return best
-
-
-class TestEuclidean:
-    def test_identical_vectors(self):
-        assert euclidean(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_three_four_five(self):
-        assert euclidean(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal(6), rng.standard_normal(6)
-        perm = rng.permutation(6)
-        assert euclidean(a, b) == pytest.approx(euclidean(a[perm], b[perm]))
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal(4), rng.standard_normal(4)
-        assert euclidean(a, b) == euclidean(b, a)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            euclidean(np.zeros(3), np.zeros(4))
 
 
 class TestKmeans:
