@@ -82,7 +82,7 @@ def test_extract_single_channel(benchmark, duration_s):
     assert features.rows.shape[1] == PLAN.extraction.num_coeffs
 
 
-def test_run_anc_batch_basis_pass_52_columns(benchmark):
+def test_run_anc_batch_basis_pass_52_rows(benchmark):
     # A sweep's two canceller runs under the default step size: the clean
     # takes, opened by anc_taps zeros, with the unit noise as the reference,
     # then the unit noise in place against itself; both write over fresh
@@ -94,7 +94,7 @@ def test_run_anc_batch_basis_pass_52_columns(benchmark):
     rounds = []
 
     def basis_pass(clean, unit):
-        run_anc_batch(clean, unit[lead - stack.pad :], PLAN.anc_taps, mus)
+        run_anc_batch(clean, unit[:, lead - stack.pad :], PLAN.anc_taps, mus)
         run_anc_batch(unit, unit, PLAN.anc_taps, mus)
 
     def setup():
@@ -102,7 +102,7 @@ def test_run_anc_batch_basis_pass_52_columns(benchmark):
         return rounds[-1], {}
 
     benchmark.pedantic(basis_pass, setup=setup, rounds=3)
-    assert stack.clean.shape == (9631, BATCH_ROWS) and stack.unit.shape == (13600, BATCH_ROWS)
+    assert stack.clean.shape == (BATCH_ROWS, 9631) and stack.unit.shape == (BATCH_ROWS, 13600)
     for done, start in zip(rounds[-1], (stack.clean, stack.unit)):
         assert np.all(np.isfinite(done)) and not np.array_equal(done, start)
 

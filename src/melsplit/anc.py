@@ -11,9 +11,9 @@ errors of a block of steps solve a triangular system whose matrix does not
 depend on the weights, so a chunk of blocks is solved at once and only a
 short chain of block updates runs serially. It gives the same errors and
 weights as stepping the recursion, up to float summation order.
-run_anc_batch steps a time-major (n, B) stack of independent cancellers in
-lockstep, a few vectorised calls per sample, and writes each step's errors
-over the primaries, which may be the references themselves.
+run_anc_batch steps a (B, n) stack of independent cancellers, one per row, in
+lockstep, a few vectorised calls per sample, and writes their errors over
+the primaries, which may be the references themselves.
 lms_step is the scalar reference both are tested against, and run_anc falls
 back on it to name the step a diverging recording fails at.
 
@@ -261,17 +261,16 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     """Run B zero-start LMS cancellers in lockstep and write their errors
     over their primaries.
 
-    primaries and references are time-major (n, B) stacks: column i is
-    canceller i, which cancels references[:, i] out of primaries[:, i] with
-    step size mus[i]. Step k's errors overwrite primaries[k], so on return
-    column i holds run_anc's error signal for LmsConfig(order_l, mus[i]), up
-    to the float summation order of the combiner output; columns never
-    interact. references may be primaries itself: run_anc_batch(u, u, ...)
-    leaves in u the errors of cancelling u out of itself. Raises
-    DivergenceError carrying the column (as `row`) and the first step at
-    which its error went non-finite (the earliest such step, then the lowest
-    column), or, in a run that stays finite, passed _DIVERGED times that
-    column's primary peak; the primaries are then partly overwritten.
+    primaries and references are (B, n) stacks: row i is canceller i, which
+    cancels references[i] out of primaries[i] with step size mus[i]. On
+    return row i of primaries holds run_anc's error signal for
+    LmsConfig(order_l, mus[i]), up to the float summation order of the
+    combiner output; rows never interact. references may be primaries
+    itself: run_anc_batch(u, u, ...) leaves in u the errors of cancelling u
+    out of itself. Raises DivergenceError carrying the row and the first
+    step at which its error went non-finite (the earliest such step, then
+    the lowest row), or, in a run that stays finite, passed _DIVERGED times
+    that row's primary peak; the primaries are then partly overwritten.
     """
     if not (isinstance(primaries, np.ndarray) and primaries.dtype == np.float64):
         raise ParameterError("primaries must be a float64 array; errors are written over it")
@@ -279,34 +278,38 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     x = np.asarray(references, dtype=np.float64)
     if d.ndim != 2 or d.shape != x.shape:
         raise DimensionError(
-            f"primaries {d.shape} and references {x.shape} must be equal (n, B) stacks"
+            f"primaries {d.shape} and references {x.shape} must be equal (B, n) stacks"
         )
-    n, b = d.shape
+    b, n = d.shape
     if n == 0:
         raise DimensionError("empty input")
     if order_l < 0:
         raise ParameterError("order_l must be >= 0")
     two_mu = 2.0 * np.asarray(mus, dtype=np.float64)
     if two_mu.shape != (b,):
-        raise DimensionError(f"need one step size per column ({b}), got shape {two_mu.shape}")
+        raise DimensionError(f"need one step size per row ({b}), got shape {two_mu.shape}")
     if not np.all(two_mu > 0):
         raise ParameterError("every step size must be positive")
 
     taps = order_l + 1
-    # Step k's delay lines are x[k-L : k+1], a (taps, B) block, oldest sample
-    # first, so the weights are stored oldest tap first too. Each chunk of
-    # steps reads its delay lines from a copy of the reference rows it needs:
-    # the L rows before the chunk, carried over from the last chunk's copy
-    # (zeros before step 0), then the chunk's own rows, copied before any of
-    # them is overwritten. So the errors may be written over the references.
+    # The loop runs time-major, so that each step reads and writes contiguous
+    # (B,) and (taps, B) blocks. Step k's delay lines are x[:, k-L : k+1],
+    # oldest sample first, so the weights are stored oldest tap first too.
+    # Each chunk of steps reads its delay lines from a transposed copy of the
+    # reference samples it needs: the L before the chunk, carried over from
+    # the last chunk's copy (zeros before step 0), then the chunk's own,
+    # copied before any of them is overwritten. The chunk's errors are
+    # stepped in `errors` and then written back over its primaries, so they
+    # may be written over the references.
     rows = np.zeros((order_l + _CHECK_EVERY, b))
+    errors = np.empty((_CHECK_EVERY, b))
     weights = np.zeros((taps, b))
     product = np.empty_like(weights)
     gain = np.empty(b)
     ones = np.ones(taps)
-    # Per-column bounds, taken before any primary is overwritten, from
-    # reductions that allocate no (n, B) temporary.
-    limits = _DIVERGED * np.maximum(d.max(axis=0), -d.min(axis=0))[:, None]
+    # Per-row bounds, taken before any primary is overwritten, from
+    # reductions that allocate no (B, n) temporary.
+    limits = _DIVERGED * np.maximum(d.max(axis=1), -d.min(axis=1))[:, None]
     unbounded = None
     multiply, dot = np.multiply, np.dot
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,19 +317,21 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
             stop = min(n, start + _CHECK_EVERY)
             if start:
                 rows[:order_l] = rows[_CHECK_EVERY:]
-            rows[order_l : order_l + stop - start] = x[start:stop]
+            rows[order_l : order_l + stop - start] = x[:, start:stop].T
+            chunk = errors[: stop - start]
+            chunk[...] = d[:, start:stop].T
             windows = _time_windows(rows[: order_l + stop - start], taps)
-            for window, e in zip(windows, d[start:stop]):
+            for window, e in zip(windows, chunk):
                 multiply(weights, window, product)
                 e -= dot(ones, product, gain)
                 multiply(e, two_mu, gain)
                 weights += multiply(window, gain, product)
-            errors = d[start:stop].T
-            found = _first_divergent(errors, np.inf)
+            d[:, start:stop] = chunk.T
+            found = _first_divergent(d[:, start:stop], np.inf)
             if found:
                 raise DivergenceError(start + found[0], row=found[1])
             if unbounded is None:
-                found = _first_divergent(errors, limits)
+                found = _first_divergent(d[:, start:stop], limits)
                 if found:
                     unbounded = DivergenceError(start + found[0], row=found[1])
     finite = np.all(np.isfinite(weights), axis=0)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -116,7 +115,6 @@ class CellResult:
     snr_db: float
     counts: ConfusionCounts
     accuracy: float
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -329,17 +327,14 @@ class _NoiseStack:
     """Equal-length test takes and their unit noise, laid out once per sweep.
 
     samples[i] is the clean take of keys[i]. When the plan runs a canceller,
-    it is column i of `clean`, a time-major stack that opens with `pad`
-    zero rows; otherwise `clean` is None and samples[i] is the take's own
-    array. Column i of `unit` is _unit_noise of keys[i], (lead + n)
-    samples, time-major when a canceller runs and laid out take by take
-    otherwise, or `unit` is None when the plan has no noisy point: the
-    canceller reads its stacks a time step at a time, the mixer a take at a
-    time. The powers are each take's mean squares, taken once: of the clean
-    take, of the unit noise under it, and of the whole unit noise, which
-    the canceller reads.
+    it is row i of `clean`, a (B, pad + n) stack whose rows open with `pad`
+    zeros; otherwise `clean` is None and samples[i] is the take's own
+    array. Row i of `unit` is _unit_noise of keys[i], (lead + n) samples,
+    or `unit` is None when the plan has no noisy point. The powers are each
+    take's mean squares, taken once: of the clean take, of the unit noise
+    under it, and of the whole unit noise, which the canceller reads.
 
-    A point's take is samples[i] + c * unit[lead:, i]. Once _cancelled_takes
+    A point's take is samples[i] + c * unit[i, lead:]. Once _cancelled_takes
     has written the canceller's errors over `clean` and `unit`, the same
     formula gives the ANC-on take.
     """
@@ -367,7 +362,7 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
     Each take is popped out of clean_takes as its stack takes it over, so
     that no take is held twice.
 
-    The clean stack opens with pad = min(lead, anc_taps) zero rows: a
+    Each clean row opens with pad = min(lead, anc_taps) zeros: a
     canceller of the clean take alone sees a zero primary, so its weights
     stay zero through the lead-in, and it can start its run pad steps
     before the take with the lead-in's last anc_taps samples as history.
@@ -375,7 +370,6 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
     by_length: dict[int, list] = {}
     for key, clean in clean_takes.items():
         by_length.setdefault(len(clean), []).append(key)
-    runs_canceller = "on" in plan.anc
     lead = _lead_samples(plan)
     pad = min(lead, plan.anc_taps)
     stacks = []
@@ -388,23 +382,22 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
         # raised sweep_noanc's peak RSS by 4 MB.
         unit, unit_power, reference_power = None, [], []
         if noisy:
-            shape = (lead + n, len(keys))
-            unit = np.empty(shape) if runs_canceller else np.empty(shape[::-1]).T
+            unit = np.empty((len(keys), lead + n))
             for i, key in enumerate(keys):
-                unit[:, i] = drawn = _unit_noise(plan, key, n)
+                unit[i] = drawn = _unit_noise(plan, key, n)
                 unit_power.append(float(np.mean(drawn[lead:] ** 2)))
                 reference_power.append(float(np.mean(drawn**2)))
         clean = None
-        if runs_canceller:
-            clean = np.empty((pad + n, len(keys)))
-            clean[:pad] = 0.0
+        if "on" in plan.anc:
+            clean = np.empty((len(keys), pad + n))
+            clean[:, :pad] = 0.0
         samples, clean_power = [], []
         for i, key in enumerate(keys):
             take = clean_takes.pop(key).samples
             clean_power.append(float(np.mean(take**2)))
             if clean is not None:
-                clean[pad:, i] = take
-                take = clean[pad:, i]
+                clean[i, pad:] = take
+                take = clean[i, pad:]
             samples.append(take)
         stacks.append(
             _NoiseStack(
@@ -429,7 +422,7 @@ def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float)
         if snr_db == CLEAN_SNR_DB:
             return AudioBuffer(clean.copy(), rate)
         scale = noise_scale(stack.clean_power[i], stack.unit_power[i], snr_db)
-        return AudioBuffer(clean + scale * stack.unit[lead:, i], rate)
+        return AudioBuffer(clean + scale * stack.unit[i, lead:], rate)
 
     return _Takes(index, make)
 
@@ -438,25 +431,23 @@ def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: li
     """Yield (snr_db, {key: AudioBuffer}), the ANC-on test takes of each
     noisy point, each mapping to be read before the next is yielded.
 
-    Every ANC-off take must be read first: this may overwrite the stacks. When
-    the points share one step-size vector, as they do under _auto_mu's
-    default, each stack's cancellers run twice, and every point's takes come
-    from them (see _NoiseStack): on the clean stack, with the unit noise as
-    reference, then on the unit noise against itself. Otherwise each point
-    mixes its canceller inputs into one buffer per stack and cancels them
-    there, reading the unit noise as the reference.
+    Every ANC-off take must be read first: this may overwrite the stacks.
+    Under _auto_mu's default the step does not depend on the point, so with
+    two or more points each stack's cancellers run twice, and every point's
+    takes come from them (see _NoiseStack): on the clean stack, with the
+    unit noise as reference, then on the unit noise against itself. A fixed
+    anc_mu gives each point its own step anc_mu * c**2, so then, as for a
+    lone point, each point mixes its canceller inputs into one buffer per
+    stack and cancels them there, reading the unit noise as the reference.
     """
     rate = plan.sample_rate_hz
     lead = _lead_samples(plan)
-    mus = [{snr_db: stack.mus(plan, stack.scales(snr_db)) for snr_db in points} for stack in stacks]
-    shared = len(points) > 1 and all(
-        len({tuple(m) for m in by_point.values()}) == 1 for by_point in mus
-    )
-    if shared:
-        for stack, by_point in zip(stacks, mus):
-            step_size = by_point[points[0]]
-            with _naming(stack, points, lead - stack.pad):
-                run_anc_batch(stack.clean, stack.unit[lead - stack.pad :], plan.anc_taps, step_size)
+    if plan.anc_mu is None and len(points) > 1:
+        for stack in stacks:
+            step_size = stack.mus(plan, stack.scales(points[0]))
+            skip = lead - stack.pad
+            with _naming(stack, points, skip):
+                run_anc_batch(stack.clean, stack.unit[:, skip:], plan.anc_taps, step_size)
             with _naming(stack, points, 0):
                 run_anc_batch(stack.unit, stack.unit, plan.anc_taps, step_size)
         for snr_db in points:
@@ -464,15 +455,16 @@ def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: li
         return
     buffers = [np.empty_like(stack.unit) for stack in stacks]
     for snr_db in points:
-        columns = {}
-        for stack, by_point, signals in zip(stacks, mus, buffers):
-            for i, (key, scale) in enumerate(zip(stack.keys, stack.scales(snr_db))):
-                np.multiply(stack.unit[:, i], scale, out=signals[:, i])
-                signals[lead:, i] += stack.samples[i]
-                columns[key] = signals[lead:, i]
+        rows = {}
+        for stack, signals in zip(stacks, buffers):
+            scales = stack.scales(snr_db)
+            for i, (key, scale) in enumerate(zip(stack.keys, scales)):
+                np.multiply(stack.unit[i], scale, out=signals[i])
+                signals[i, lead:] += stack.samples[i]
+                rows[key] = signals[i, lead:]
             with _naming(stack, [snr_db], 0):
-                run_anc_batch(signals, stack.unit, plan.anc_taps, by_point[snr_db])
-        yield snr_db, _Takes(columns, lambda key, column: AudioBuffer(column.copy(), rate))
+                run_anc_batch(signals, stack.unit, plan.anc_taps, stack.mus(plan, scales))
+        yield snr_db, _Takes(rows, lambda key, row: AudioBuffer(row.copy(), rate))
 
 
 @contextmanager
@@ -524,8 +516,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     once per method, and each test take once per condition; every trial pair
     is then scored from the cached models.
     The clean condition scores the same takes under every ANC mode, so it is
-    scored once per method and reported in each mode's cell, with its wall
-    time split evenly between them.
+    scored once per method and reported in each mode's cell.
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -560,15 +551,11 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     def tally(snr_db, modes, takes):
         for method in plan.methods:
-            start = time.perf_counter()
             test_models = _enroll_takes(takes, method, plan, 1)
             scores = _score_pairs(test_models, ref_models[method], pairs)
             counts = confusion(*scores, thresholds[method])
-            elapsed = (time.perf_counter() - start) / len(modes)
             for anc_mode in modes:
-                cells.append(
-                    CellResult(method, anc_mode, snr_db, counts, accuracy(counts), elapsed)
-                )
+                cells.append(CellResult(method, anc_mode, snr_db, counts, accuracy(counts)))
 
     # Every cell that reads the clean takes or the unit noise is scored
     # before the cancellers overwrite them.
@@ -608,7 +595,6 @@ def report_to_dict(report: SweepReport) -> dict:
             "snr_db": c.snr_db,
             **asdict(c.counts),
             "accuracy": c.accuracy,
-            "wall_time_s": c.wall_time_s,
         }
         for c in report.cells
     ]

@@ -105,8 +105,6 @@ def read_wav(path) -> AudioBuffer:
             rate = reader.getframerate()
             n_frames = reader.getnframes()
             payload = reader.readframes(n_frames)
-    except FileNotFoundError:
-        raise
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     if comp_type != "NONE":

@@ -237,11 +237,10 @@ class TestRunAnc:
 
 
 def run_batch(primaries, references, order_l, mus):
-    """run_anc_batch on (B, n) row stacks: the errors it writes over a
-    time-major copy of the primaries, as (B, n)."""
-    signals = np.asarray(primaries, dtype=np.float64).T.copy()
-    assert run_anc_batch(signals, np.asarray(references).T, order_l, mus) is None
-    return signals.T
+    """The errors run_anc_batch writes over a copy of the primaries."""
+    signals = np.array(primaries, dtype=np.float64)
+    assert run_anc_batch(signals, references, order_l, mus) is None
+    return signals
 
 
 class TestRunAncBatch:
@@ -266,30 +265,30 @@ class TestRunAncBatch:
 
     @pytest.mark.parametrize("order_l, n", [(31, 1100), (4, 3), (0, 700), (31, 32)])
     def test_columns_match_lms_step_in_place(self, order_l, n):
-        # Each column's errors are lms_step's, written over the primaries
+        # Each row's errors are lms_step's, written over the primaries
         # themselves; a length past _CHECK_EVERY crosses a divergence check.
         rng = np.random.default_rng(order_l * 7 + n)
-        references = rng.standard_normal((n, 3))
-        signals = 0.7 * references + 0.3 * rng.standard_normal((n, 3))
+        references = rng.standard_normal((3, n))
+        signals = 0.7 * references + 0.3 * rng.standard_normal((3, n))
         primaries = signals.copy()
         run_anc_batch(signals, references, order_l, self.MUS)
-        for col, mu in enumerate(self.MUS):
+        for row, mu in enumerate(self.MUS):
             expected, _ = lms_step_run(
-                primaries[:, col], references[:, col], LmsConfig(order_l, float(mu))
+                primaries[row], references[row], LmsConfig(order_l, float(mu))
             )
-            assert np.allclose(signals[:, col], expected, rtol=0, atol=1e-10)
+            assert np.allclose(signals[row], expected, rtol=0, atol=1e-10)
 
     def test_scaled_reference_is_unit_reference_with_scaled_step(self):
         # LMS on (d, c*u) with step mu has the errors of LMS on (d, u) with
         # step mu*c**2.
         rng = np.random.default_rng(9)
-        unit = rng.standard_normal((900, 3))
-        scales = np.array([0.05, 1.0, 7.0])
-        primaries = 0.3 * rng.standard_normal((900, 3)) + scales * unit
-        mus = 0.02 / (32 * np.mean((scales * unit) ** 2, axis=0))
+        unit = rng.standard_normal((3, 900))
+        scales = np.array([[0.05], [1.0], [7.0]])
+        primaries = 0.3 * rng.standard_normal((3, 900)) + scales * unit
+        mus = 0.02 / (32 * np.mean((scales * unit) ** 2, axis=1))
         scaled, unscaled = primaries.copy(), primaries.copy()
         run_anc_batch(scaled, scales * unit, 31, mus)
-        run_anc_batch(unscaled, unit, 31, mus * scales**2)
+        run_anc_batch(unscaled, unit, 31, mus * scales[:, 0] ** 2)
         assert np.allclose(unscaled, scaled, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("c", [0.0, 0.3, 40.0])
@@ -297,9 +296,9 @@ class TestRunAncBatch:
         # With the reference and steps fixed, errors(a + c*b) equals
         # errors(a) + c*errors(b).
         rng = np.random.default_rng(5)
-        references = rng.standard_normal((1100, 3))
-        a = 0.5 * rng.standard_normal((1100, 3))
-        b = references + 0.1 * rng.standard_normal((1100, 3))
+        references = rng.standard_normal((3, 1100))
+        a = 0.5 * rng.standard_normal((3, 1100))
+        b = references + 0.1 * rng.standard_normal((3, 1100))
         mixed = a + c * b
         for signals in (mixed, a, b):
             run_anc_batch(signals, references, 31, self.MUS)
@@ -310,11 +309,23 @@ class TestRunAncBatch:
         # Errors written over the reference itself, across a chunk edge
         # (n > 512) and within the zero-led head (n < order_l), are the
         # errors of a run on a copy, bit for bit.
-        unit = np.random.default_rng(n).standard_normal((n, 3))
+        unit = np.random.default_rng(n).standard_normal((3, n))
         copy = unit.copy()
         run_anc_batch(copy, unit.copy(), order_l, self.MUS)
         run_anc_batch(unit, unit, order_l, self.MUS)
         assert np.array_equal(unit, copy)
+
+    def test_reference_may_be_a_column_slice(self):
+        # A sweep cancels its clean stack against unit[:, k:], a strided
+        # view of a wider stack; across chunk edges its errors are those of
+        # a run on a contiguous copy, bit for bit.
+        rng = np.random.default_rng(6)
+        unit = rng.standard_normal((3, 1200))
+        primaries = rng.standard_normal((3, 1100))
+        sliced, copied = primaries.copy(), primaries.copy()
+        run_anc_batch(sliced, unit[:, 100:], 31, self.MUS)
+        run_anc_batch(copied, unit[:, 100:].copy(), 31, self.MUS)
+        assert np.array_equal(sliced, copied)
 
     def test_batch_of_one_matches_run_anc(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.3)
@@ -333,10 +344,10 @@ class TestRunAncBatch:
     @pytest.mark.parametrize(
         "primaries, references",
         [
-            (np.zeros((10, 2)), np.zeros((9, 2))),
-            (np.zeros((10, 2)), np.zeros((10, 3))),
+            (np.zeros((2, 10)), np.zeros((2, 9))),
+            (np.zeros((2, 10)), np.zeros((3, 10))),
             (np.zeros(10), np.zeros(10)),
-            (np.zeros((0, 2)), np.zeros((0, 2))),
+            (np.zeros((2, 0)), np.zeros((2, 0))),
         ],
     )
     def test_bad_shapes(self, primaries, references):
@@ -345,15 +356,15 @@ class TestRunAncBatch:
 
     def test_primaries_must_be_a_float64_array(self):
         with pytest.raises(ParameterError, match="written over"):
-            run_anc_batch(np.zeros((10, 2), dtype=np.float32), np.zeros((10, 2)), 4, [0.01] * 2)
+            run_anc_batch(np.zeros((2, 10), dtype=np.float32), np.zeros((2, 10)), 4, [0.01] * 2)
         with pytest.raises(ParameterError, match="written over"):
-            run_anc_batch([[0.0, 0.0]] * 10, np.zeros((10, 2)), 4, [0.01] * 2)
+            run_anc_batch([[0.0] * 10] * 2, np.zeros((2, 10)), 4, [0.01] * 2)
 
     def test_step_size_per_row(self):
         with pytest.raises(DimensionError):
-            run_anc_batch(np.zeros((10, 2)), np.zeros((10, 2)), 4, [0.01])
+            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01])
         with pytest.raises(ParameterError):
-            run_anc_batch(np.zeros((10, 2)), np.zeros((10, 2)), 4, [0.01, 0.0])
+            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01, 0.0])
 
     def test_diverging_row_named(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
