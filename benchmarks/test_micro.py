@@ -9,15 +9,25 @@ canceller lead-in and k = 2; synthesis, extraction and the single-recording
 canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
 canceller with the CLI's 32 taps. The canceller batch is the two runs that
 cancel every SNR point of 52 takes, the number of distinct test takes in a
-default sweep on master seed 1. The lockstep k-means case enrolls 64
-dual-channel takes in one call.
+default sweep on master seed 1; the same 52 takes' dual-channel features at
+the default plan's 4 noisy SNR points are built as a sweep builds them, from
+each take's and its unit noise's spectra. The lockstep k-means case enrolls
+64 dual-channel takes in one call.
 """
 
 import numpy as np
 import pytest
 
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
-from melsplit.bench import ExperimentPlan, _features, _lead_samples, _noise_stacks
+from melsplit.bench import (
+    CLEAN_SNR_DB,
+    ExperimentPlan,
+    _basis_takes,
+    _features,
+    _lead_samples,
+    _noise_stacks,
+    _point_features,
+)
 from melsplit.cluster import enroll, enroll_many, kmeans
 from melsplit.mfcc import extract_dual_channel, extract_single_channel
 from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
@@ -80,6 +90,18 @@ def test_extract_single_channel(benchmark, duration_s):
     take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
     features = benchmark(extract_single_channel, take, PLAN.extraction, "p0.w0.r1")
     assert features.rows.shape[1] == PLAN.extraction.num_coeffs
+
+
+def test_point_features_52_dual_takes_4_points(benchmark):
+    # Two spectra per take, then power, banks, log and DCT at each point:
+    # the work of 4 * 52 _features calls on takes mixed in the time domain.
+    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
+    stacks = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
+    points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
+    bases = _basis_takes(PLAN, stacks, points)
+    features = benchmark(lambda: [_point_features(b, "dual", PLAN) for b in bases])
+    assert len(features) == BATCH_ROWS and all(len(f) == len(points) == 4 for f in features)
+    assert sorted(features[0][0]) == ["ch1", "ch2"]
 
 
 def test_run_anc_batch_basis_pass_52_rows(benchmark):

@@ -204,10 +204,18 @@ def _block_lms(
     # The step and omega of the last block that came out finite.
     back = (0, omega.copy())
     dot = np.dot
+    # One set of buffers serves every chunk, so a call maps and zero-fills
+    # them once rather than once per chunk; each chunk reshapes a prefix.
+    gram_buf = np.empty(_CHUNK_BLOCKS * _BLOCK * _BLOCK)
+    sol_buf = np.empty(_CHUNK_BLOCKS * _BLOCK * (taps + 1))
+    step_buf = np.empty(_CHUNK_BLOCKS * _BLOCK * taps)
     for start, stop, m in chunks:
         x = windows[start:stop].reshape(-1, m, taps)
-        sol = _block_solves(x, d[start:stop].reshape(-1, m), 2.0 * mu)
-        step = (-2.0 * mu) * x
+        blocks = len(x)
+        gram = gram_buf[: blocks * m * m].reshape(blocks, m, m)
+        sol = sol_buf[: blocks * m * (taps + 1)].reshape(blocks, m, taps + 1)
+        _block_solves(x, d[start:stop].reshape(-1, m), 2.0 * mu, gram, sol)
+        step = np.multiply(x, -2.0 * mu, out=step_buf[: x.size].reshape(x.shape))
         out = errors[start:stop].reshape(-1, m)
         starts = np.empty((len(x) + 1, taps + 1))
         for b in range(len(x)):
@@ -223,7 +231,9 @@ def _block_lms(
     return -minus_w[::-1]
 
 
-def _block_solves(x: np.ndarray, d: np.ndarray, two_mu: float) -> np.ndarray:
+def _block_solves(
+    x: np.ndarray, d: np.ndarray, two_mu: float, gram: np.ndarray, sol: np.ndarray
+) -> None:
     """Forward substitution for a stack of blocks' LMS systems at once.
 
     Block b's errors e, from start weights w, solve the unit lower
@@ -231,14 +241,16 @@ def _block_solves(x: np.ndarray, d: np.ndarray, two_mu: float) -> np.ndarray:
     its delay lines (Benesty and Duhamel, "A fast exact least mean square
     adaptive algorithm", IEEE Trans. SP 40(12), 1992). The matrix does not
     depend on w, so the solution sol[b] against [d_b | X] gives
-    e = sol[b] @ [1, -w].
+    e = sol[b] @ [1, -w]. For (blocks, m, taps) delay lines, gram is a
+    (blocks, m, m) scratch buffer and sol the (blocks, m, taps + 1) buffer
+    the solutions are written to.
     """
-    gram = x @ x.transpose(0, 2, 1)
+    np.matmul(x, x.transpose(0, 2, 1), out=gram)
     gram *= two_mu
-    sol = np.concatenate([d[:, :, None], x], axis=2)
+    sol[:, :, 0] = d
+    sol[:, :, 1:] = x
     for i in range(1, x.shape[1]):
         sol[:, i] -= (gram[:, i, None, :i] @ sol[:, :i])[:, 0]
-    return sol
 
 
 def _scalar_tail(

@@ -7,6 +7,13 @@ decision threshold is calibrated once per method on a clean, disjoint word
 split and frozen, so accuracy falls as noise grows instead of being
 re-absorbed by recalibration. Everything is a pure function of the plan,
 the corpus, and the master seed.
+
+A test take at a noisy point is a linear mix of signals drawn or cancelled
+once per sweep: clean + c*u with ANC off, and the cancelled clean take plus
+c times the cancelled unit noise with ANC on. Extraction's first stage is
+linear too (mfcc.channel_spectra), so the sweep computes each signal's
+spectra once and builds every point's features from S(a) + c*S(u); no noisy
+take is formed in the time domain.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +39,7 @@ from .cluster import (
     score,
 )
 from .errors import ConfigError, DivergenceError, ParameterError
-from .mfcc import METHODS, ExtractionConfig
+from .mfcc import METHODS, ExtractionConfig, channel_spectra, spectra_features
 from .mfcc import extract_dual_channel, extract_single_channel
 from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
@@ -334,7 +342,7 @@ class _NoiseStack:
     take's mean squares, taken once: of the clean take, of the unit noise
     under it, and of the whole unit noise, which the canceller reads.
 
-    A point's take is samples[i] + c * unit[i, lead:]. Once _cancelled_takes
+    A point's take is samples[i] + c * unit[i, lead:]. Once _cancelled_bases
     has written the canceller's errors over `clean` and `unit`, the same
     formula gives the ANC-on take.
     """
@@ -407,40 +415,51 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
     return stacks
 
 
-def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> Mapping:
-    """{key: AudioBuffer} of every stacked take at `snr_db`, each made when
-    it is read: a copy of the clean take at the clean point, else
-    clean + c * unit[lead:], the ANC-off take, or, once _cancelled_takes
-    has cancelled the stacks, the ANC-on take."""
-    rate = plan.sample_rate_hz
+class _Basis(NamedTuple):
+    """A test take at a list of points, as signals that the points share.
+
+    The take at point j is a + scales[j] * u, or a itself where scales[j]
+    is None. a and u are views of the sweep's stacks.
+    """
+
+    key: tuple
+    a: np.ndarray
+    u: np.ndarray | None
+    scales: list
+
+
+def _basis_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> list:
+    """A _Basis for every stacked take at `points`: samples[i] and
+    unit[i, lead:] with each noisy point's c, and the take alone at the clean
+    point. Before _cancelled_bases runs the cancellers these are the clean
+    and ANC-off takes; after, the same formula gives the ANC-on takes."""
     lead = _lead_samples(plan)
-    index = {key: (stack, i) for stack in stacks for i, key in enumerate(stack.keys)}
+    bases = []
+    for stack in stacks:
+        scales = [
+            [None] * len(stack.keys) if snr_db == CLEAN_SNR_DB else stack.scales(snr_db)
+            for snr_db in points
+        ]
+        for i, key in enumerate(stack.keys):
+            unit = None if stack.unit is None else stack.unit[i, lead:]
+            bases.append(_Basis(key, stack.samples[i], unit, [c[i] for c in scales]))
+    return bases
 
-    def make(key, at):
-        stack, i = at
-        clean = stack.samples[i]
-        if snr_db == CLEAN_SNR_DB:
-            return AudioBuffer(clean.copy(), rate)
-        scale = noise_scale(stack.clean_power[i], stack.unit_power[i], snr_db)
-        return AudioBuffer(clean + scale * stack.unit[i, lead:], rate)
 
-    return _Takes(index, make)
-
-
-def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
-    """Yield (snr_db, {key: AudioBuffer}), the ANC-on test takes of each
-    noisy point, each mapping to be read before the next is yielded.
+def _cancelled_bases(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
+    """Yield (points, [_Basis]) groups that hold the ANC-on test takes of
+    every noisy point, each group to be read before the next is yielded.
 
     Every ANC-off take must be read first: this may overwrite the stacks.
     Under _auto_mu's default the step does not depend on the point, so with
-    two or more points each stack's cancellers run twice, and every point's
-    takes come from them (see _NoiseStack): on the clean stack, with the
+    two or more points each stack's cancellers run twice, and one group
+    gives every point's takes (see _NoiseStack): on the clean stack, with the
     unit noise as reference, then on the unit noise against itself. A fixed
     anc_mu gives each point its own step anc_mu * c**2, so then, as for a
     lone point, each point mixes its canceller inputs into one buffer per
-    stack and cancels them there, reading the unit noise as the reference.
+    stack and cancels them there, reading the unit noise as the reference,
+    and is a group of its own whose takes are their cancelled rows.
     """
-    rate = plan.sample_rate_hz
     lead = _lead_samples(plan)
     if plan.anc_mu is None and len(points) > 1:
         for stack in stacks:
@@ -450,21 +469,46 @@ def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: li
                 run_anc_batch(stack.clean, stack.unit[:, skip:], plan.anc_taps, step_size)
             with _naming(stack, points, 0):
                 run_anc_batch(stack.unit, stack.unit, plan.anc_taps, step_size)
-        for snr_db in points:
-            yield snr_db, _stack_takes(plan, stacks, snr_db)
+        yield points, _basis_takes(plan, stacks, points)
         return
     buffers = [np.empty_like(stack.unit) for stack in stacks]
     for snr_db in points:
-        rows = {}
+        bases = []
         for stack, signals in zip(stacks, buffers):
             scales = stack.scales(snr_db)
             for i, (key, scale) in enumerate(zip(stack.keys, scales)):
                 np.multiply(stack.unit[i], scale, out=signals[i])
                 signals[i, lead:] += stack.samples[i]
-                rows[key] = signals[i, lead:]
+                bases.append(_Basis(key, signals[i, lead:], None, [None]))
             with _naming(stack, [snr_db], 0):
                 run_anc_batch(signals, stack.unit, plan.anc_taps, stack.mus(plan, scales))
-        yield snr_db, _Takes(rows, lambda key, row: AudioBuffer(row.copy(), rate))
+        yield [snr_db], bases
+
+
+def _take_at(basis: _Basis, j: int, rate: int) -> AudioBuffer:
+    """The take of `basis` at its j-th point, formed in the time domain."""
+    c = basis.scales[j]
+    return AudioBuffer(basis.a.copy() if c is None else basis.a + c * basis.u, rate)
+
+
+def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
+    """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
+    clean take at the clean point, else clean + c * unit[lead:], the ANC-off
+    take, or, once _cancelled_bases has cancelled the stacks, the ANC-on
+    take. The sweep never forms these; they are the take-level reference
+    for its spectra-level mixing."""
+    return {
+        b.key: _take_at(b, 0, plan.sample_rate_hz) for b in _basis_takes(plan, stacks, [snr_db])
+    }
+
+
+def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
+    """Yield (snr_db, {key: AudioBuffer}), the ANC-on test takes of each
+    noisy point from _cancelled_bases, formed in the time domain: the
+    take-level reference, like _stack_takes."""
+    for group, bases in _cancelled_bases(plan, stacks, points):
+        for j, snr_db in enumerate(group):
+            yield snr_db, {b.key: _take_at(b, j, plan.sample_rate_hz) for b in bases}
 
 
 @contextmanager
@@ -496,6 +540,51 @@ def _enroll_takes(
     return dict(zip(takes, enroll_many(features, plan.kmeans_k, plan.master_seed)))
 
 
+def _point_features(basis: _Basis, method: str, plan: ExperimentPlan) -> list[dict]:
+    """One test take's features at each of its points, keyed by channel_id.
+
+    Each of the take's signals goes through the linear spectra stage once;
+    the features at a point are spectra_features of S(a) + c * S(u), or of
+    S(a) where the point's scale is None. This equals extracting the take
+    mixed in the time domain up to float rounding, and bit for bit at a
+    None scale.
+    """
+    cfg, rate = plan.extraction, plan.sample_rate_hz
+    source_id = _take_id(*basis.key, 1)
+    spectra_a = channel_spectra(AudioBuffer(basis.a, rate), method, cfg)
+    spectra_u = None
+    if any(c is not None for c in basis.scales):
+        spectra_u = channel_spectra(AudioBuffer(basis.u, rate), method, cfg)
+    features = []
+    for c in basis.scales:
+        spectra = spectra_a if c is None else spectra_a + c * spectra_u
+        matrices = spectra_features(spectra, method, cfg, rate, source_id)
+        features.append({fm.channel_id: fm for fm in matrices})
+    return features
+
+
+def _enroll_points(
+    plan: ExperimentPlan, method: str, points: list[float], bases: list
+) -> dict[float, dict]:
+    """Enroll every take of `bases` at each of `points`:
+    {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
+
+    Takes go in chunks of ceil(B / len(points)), each enrolled at all its
+    points in one enroll_many call, so a call holds about B rows, as one
+    call per point would, and no more than a chunk's features are held.
+    """
+    models: dict[float, dict] = {snr_db: {} for snr_db in points}
+    size = -(-len(bases) // len(points))
+    for start in range(0, len(bases), size):
+        chunk = bases[start : start + size]
+        features = [f for basis in chunk for f in _point_features(basis, method, plan)]
+        enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
+        for basis in chunk:
+            for snr_db in points:
+                models[snr_db][basis.key] = next(enrolled)
+    return models
+
+
 def _score_pairs(
     test_models: dict, ref_models: dict, pairs: list[_TrialPair]
 ) -> tuple[list[float], list[float]]:
@@ -517,6 +606,12 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     is then scored from the cached models.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell.
+    Per method, each test take's spectra are computed once per signal: the
+    clean take and its unit noise for the clean and ANC-off points, then,
+    once the cancellers have run, their cancelled rows for the ANC-on points
+    (or each point's own cancelled take under a fixed anc_mu or a lone
+    noisy point). _enroll_points builds and enrolls every point's features
+    from them.
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -549,24 +644,24 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     stacks = _noise_stacks(plan, clean_takes, bool(points))
     cells: list[CellResult] = []
 
-    def tally(snr_db, modes, takes):
+    def tally(mode, group, bases):
         for method in plan.methods:
-            test_models = _enroll_takes(takes, method, plan, 1)
-            scores = _score_pairs(test_models, ref_models[method], pairs)
-            counts = confusion(*scores, thresholds[method])
-            for anc_mode in modes:
-                cells.append(CellResult(method, anc_mode, snr_db, counts, accuracy(counts)))
+            models = _enroll_points(plan, method, group, bases)
+            for snr_db in group:
+                scores = _score_pairs(models[snr_db], ref_models[method], pairs)
+                counts = confusion(*scores, thresholds[method])
+                for anc_mode in plan.anc if snr_db == CLEAN_SNR_DB else (mode,):
+                    cells.append(CellResult(method, anc_mode, snr_db, counts, accuracy(counts)))
 
-    # Every cell that reads the clean takes or the unit noise is scored
-    # before the cancellers overwrite them.
-    if CLEAN_SNR_DB in plan.snr_points_db:
-        tally(CLEAN_SNR_DB, plan.anc, _stack_takes(plan, stacks, CLEAN_SNR_DB))
-    if "off" in plan.anc:
-        for snr_db in points:
-            tally(snr_db, ("off",), _stack_takes(plan, stacks, snr_db))
+    # The points that read the clean takes or the unit noise, the clean
+    # point and every ANC-off point, are enrolled before the cancellers
+    # overwrite them.
+    shared = [s for s in plan.snr_points_db if s == CLEAN_SNR_DB or "off" in plan.anc]
+    if shared:
+        tally("off", shared, _basis_takes(plan, stacks, shared))
     if "on" in plan.anc and points:
-        for snr_db, takes in _cancelled_takes(plan, stacks, points):
-            tally(snr_db, ("on",), takes)
+        for group, bases in _cancelled_bases(plan, stacks, points):
+            tally("on", group, bases)
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

@@ -185,18 +185,22 @@ def enroll_many(
     one kmeans_many call. A fit is seeded from (seed, source id, channel), so
     a take enrolls to the same centroids whichever side of a comparison it
     sits on and whichever takes it is enrolled with, and a cached model
-    scores exactly as a fresh fit would.
+    scores exactly as a fresh fit would. Each distinct (source id, channel)
+    seed is derived once per call, however many of the takes share it.
     """
     models: list[dict[str, ClusterModel]] = [{} for _ in takes]
     groups: dict[tuple, list[int]] = {}
+    side_seeds: dict[tuple[str, str], int] = {}
     for i, features in enumerate(takes):
         for channel, fm in features.items():
             groups.setdefault((channel, fm.rows.shape), []).append(i)
+            if (fm.source_id, channel) not in side_seeds:
+                side_seeds[fm.source_id, channel] = _side_seed(seed, fm.source_id, channel)
     for (channel, _), members in sorted(groups.items()):
         fitted = kmeans_many(
             np.stack([takes[i][channel].rows for i in members]),
             k,
-            [_side_seed(seed, takes[i][channel].source_id, channel) for i in members],
+            [side_seeds[takes[i][channel].source_id, channel] for i in members],
         )
         for i, model in zip(members, fitted):
             models[i][channel] = model

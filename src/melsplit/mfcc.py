@@ -11,13 +11,19 @@ The stages pass plain arrays: frame_blocking returns the (L, N) frames and
 build_filterbank the (P, K/2+1) weight matrix. Only the extractors' output,
 FeatureMatrix, carries labels: its channel and source ids.
 
-The single channel runs those stages in turn, with numpy's rfft. The dual
-channels do not call fir.split_channels: the zero-phase FIR, framing, window
-and DFT are all linear, so they fold into one memoized matrix per
-configuration and sample rate, restricted to the FFT bins each channel's
-bank weights. A take then costs one strided gather of extended frames and
-one matrix product. fir.split_channels and the stages above stay the
-reference that the tests compare it against.
+Extraction runs in two stages. channel_spectra is the linear one: the single
+channel's complex rfft of its windowed frames, or the dual channels' product
+of extended frames with one memoized matrix. The dual channels do not call
+fir.split_channels: the zero-phase FIR, framing, window and DFT are all
+linear, so they fold into that matrix, one per configuration and sample
+rate, restricted to the FFT bins each channel's bank weights; a take costs
+one strided gather and one matrix product. spectra_features takes the
+spectra through power, mel bank, log and cosine transform. The extractors
+run the two in turn. Since the first stage is linear, the spectra of a mix
+a + c*b are S(a) + c*S(b): a caller that needs a take at many mixing
+scales computes S(a) and S(b) once and only the second stage per scale.
+fir.split_channels and the stages above stay the reference that the tests
+compare both stages against.
 """
 
 from __future__ import annotations
@@ -301,65 +307,81 @@ def _split_spectrum_operator(
     return operator, tuple(bin_slices)
 
 
-def _split_power_spectra(
-    buffer: AudioBuffer, cfg: ExtractionConfig, bands: tuple[tuple[float, float, int], ...]
-) -> list[tuple]:
-    """Per dual channel, (power, bins): the (L, C) power spectra of the
-    band-split frames at the slice of FFT bins its bank weights.
+def channel_spectra(buffer: AudioBuffer, method: str, cfg: ExtractionConfig) -> np.ndarray:
+    """The linear stage of extraction: a take's frame spectra, linear in its samples.
 
-    Equal to fir.split_channels, frame_blocking, hamming_window and
-    fft_magnitude_sq in turn, and raises what they raise on the same input.
+    Single channel: the (L, K/2+1) complex rfft of the Hamming-windowed
+    frames. Dual channels: the (L, C) real product of the extended frames
+    with _split_spectrum_operator, per channel the real then the imaginary
+    parts at the bins its bank weights. Framing, the FIR split, the window
+    and the DFT are all linear, so the spectra of a + c*b are the spectra of
+    a plus c times those of b, up to float rounding; spectra_features takes
+    them the rest of the way. Raises what the staged path raises on the same
+    input, in its order: the band split's checks, then the banks', then the
+    framing's.
     """
+    bands = tuple(channel_bands(method, cfg).values())
     rate = buffer.sample_rate_hz
+    if method == "single":
+        for lo, hi, filters in bands:
+            _mel_bin_edges(lo, hi, filters, cfg.fft_size, rate)
+        frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
+        return np.fft.rfft(hamming_window(frames), n=cfg.fft_size)
     if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
         raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
     if len(buffer) <= cfg.fir_taps:
         raise DimensionError(
             f"buffer ({len(buffer)}) must be longer than the kernel ({cfg.fir_taps})"
         )
-    operator, bin_slices = _split_spectrum_operator(
+    operator, _ = _split_spectrum_operator(
         bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate
     )
     count = _frame_count(len(buffer), cfg.frame_len, cfg.frame_shift)
     # "same"-mode convolution is a full convolution of the zero-padded input.
     padded = np.pad(buffer.samples, (cfg.fir_taps - 1) // 2)
     frames = _gather_frames(padded, count, cfg.frame_len + cfg.fir_taps - 1, cfg.frame_shift)
-    spectra = frames @ operator
-    powers, col = [], 0
-    for bins in bin_slices:
-        width = bins.stop - bins.start
-        re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
-        powers.append((re**2 + im**2, bins))
-        col += 2 * width
-    return powers
+    return frames @ operator
+
+
+def spectra_features(
+    spectra: np.ndarray,
+    method: str,
+    cfg: ExtractionConfig,
+    sample_rate_hz: int,
+    source_id: str = "",
+) -> tuple[FeatureMatrix, ...]:
+    """Cepstra of each channel of `method` from its channel_spectra: power,
+    the channel's bank from channel_bands, log and cosine transform."""
+    bands = channel_bands(method, cfg)
+    banks = [
+        build_filterbank(lo, hi, filters, cfg.fft_size, sample_rate_hz)
+        for lo, hi, filters in bands.values()
+    ]
+    if method == "single":
+        powers = [(spectra.real**2 + spectra.imag**2, slice(None))]
+    else:
+        _, bin_slices = _split_spectrum_operator(
+            tuple(bands.values()), cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
+        )
+        powers, col = [], 0
+        for bins in bin_slices:
+            width = bins.stop - bins.start
+            re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
+            powers.append((re**2 + im**2, bins))
+            col += 2 * width
+    matrices = []
+    for channel_id, bank, (power, bins) in zip(bands, banks, powers, strict=True):
+        energies = log_mel_energies(power, bank[:, bins], cfg.log_floor)
+        matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
+    return tuple(matrices)
 
 
 def _extract_channels(
     buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str
 ) -> tuple[FeatureMatrix, ...]:
-    """Cepstra of each channel of `method` through its bank from channel_bands.
-
-    The single channel takes its power spectrum from numpy's rfft; the dual
-    channels, which band-split first, from _split_power_spectra.
-    """
-    bands = channel_bands(method, cfg)
-    # The band split's checks come before the banks' and the framing's, as
-    # in the staged path, so the same input raises the same error.
-    spectra = None
-    if method == "dual":
-        spectra = _split_power_spectra(buffer, cfg, tuple(bands.values()))
-    banks = [
-        build_filterbank(lo, hi, filters, cfg.fft_size, buffer.sample_rate_hz)
-        for lo, hi, filters in bands.values()
-    ]
-    if spectra is None:
-        frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
-        spectra = [(fft_magnitude_sq(hamming_window(frames), cfg.fft_size), slice(None))]
-    matrices = []
-    for channel_id, bank, (power, bins) in zip(bands, banks, spectra, strict=True):
-        energies = log_mel_energies(power, bank[:, bins], cfg.log_floor)
-        matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
-    return tuple(matrices)
+    """Cepstra of each channel of `method`: channel_spectra, then spectra_features."""
+    spectra = channel_spectra(buffer, method, cfg)
+    return spectra_features(spectra, method, cfg, buffer.sample_rate_hz, source_id)
 
 
 def extract_single_channel(

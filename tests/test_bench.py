@@ -11,11 +11,15 @@ import melsplit.cluster
 from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
+    _build_corpus,
     _calibration_pairs,
     _auto_mu,
+    _enroll_takes,
     _features,
     _cancelled_takes,
+    _make_pairs,
     _noise_stacks,
+    _score_pairs,
     _stack_takes,
     _unit_noise,
     emit_curves,
@@ -25,7 +29,7 @@ from melsplit.bench import (
     report_to_dict,
     run_sweep,
 )
-from melsplit.cluster import ConfusionCounts, accuracy
+from melsplit.cluster import ConfusionCounts, accuracy, confusion
 from melsplit.errors import ConfigError, DivergenceError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
 from melsplit.anc import run_anc
@@ -386,6 +390,65 @@ class TestRunSweep:
             run_sweep(plan)
         inputs = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
         assert 0 <= caught.value.step_index < inputs
+
+    @staticmethod
+    def time_domain_counts(plan, thresholds):
+        """{(method, anc, snr_db): counts} with every test take mixed in the
+        time domain by _stack_takes and _cancelled_takes, then extracted by
+        _features and enrolled in one enroll_many call per condition."""
+        corpus, _ = _build_corpus(plan)
+        profile_ids = sorted({key[0] for key in corpus})
+        words = sorted({key[1] for key in corpus})
+        pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
+        pairs = _make_pairs(profile_ids, words[: -plan.calib_words], plan.trials, pair_rng)
+        calib_pairs = _calibration_pairs(profile_ids, words[-plan.calib_words :])
+        refs = {key: corpus[key + (0,)] for key in sorted({p.ref for p in pairs + calib_pairs})}
+        tests = {key: corpus[key + (1,)] for key in sorted({p.test for p in pairs})}
+        points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
+        stacks = _noise_stacks(plan, tests, True)
+        conditions = [(plan.anc, CLEAN_SNR_DB, _stack_takes(plan, stacks, CLEAN_SNR_DB))]
+        conditions += [(("off",), s, _stack_takes(plan, stacks, s)) for s in points]
+        conditions += [(("on",), s, takes) for s, takes in _cancelled_takes(plan, stacks, points)]
+        counts = {}
+        for method in plan.methods:
+            ref_models = _enroll_takes(refs, method, plan, 0)
+            for modes, snr_db, takes in conditions:
+                test_models = _enroll_takes(takes, method, plan, 1)
+                scores = _score_pairs(test_models, ref_models, pairs)
+                for anc in modes:
+                    counts[method, anc, snr_db] = confusion(*scores, thresholds[method])
+        return counts
+
+    @pytest.mark.parametrize("anc_mu", [None, 0.002])
+    def test_cells_match_takes_mixed_in_the_time_domain(self, anc_mu):
+        # The sweep builds each point's features from the spectra of the
+        # takes' signals; its cells equal those of the takes themselves.
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18, anc_mu=anc_mu)
+        report = run_sweep(plan)
+        expected = self.time_domain_counts(plan, report.config_echo["thresholds"])
+        assert {(c.method, c.anc, c.snr_db): c.counts for c in report.cells} == expected
+        assert len({(k.tp, k.fn) for k in expected.values()}) > 2
+
+    def test_test_takes_enroll_at_all_their_points_in_chunks(self, monkeypatch):
+        # A chunk of ceil(B / points) test takes is enrolled at all its points
+        # in one call, so a call holds about B rows however many points there are.
+        calls = []
+        real_enroll_many = melsplit.bench.enroll_many
+
+        def recording_enroll_many(takes, *args):
+            calls.append([next(iter(features.values())).source_id for features in takes])
+            return real_enroll_many(takes, *args)
+
+        monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18, methods=("dual",))
+        run_sweep(plan)
+        # References, calibration takes, then 9 test takes: 3 chunks of 3 at
+        # the clean and 3 ANC-off points, then 3 chunks of 3 at the 3 ANC-on points.
+        test_calls = calls[2:]
+        assert [len(call) for call in test_calls] == [12, 12, 12, 9, 9, 9]
+        for call, points in zip(test_calls, [4, 4, 4, 3, 3, 3]):
+            assert call == [source for source in dict.fromkeys(call) for _ in range(points)]
+        assert len({source for call in test_calls for source in call}) == 9
 
     def test_clean_counts_same_with_and_without_anc(self, mini_report):
         for method in ("single", "dual"):

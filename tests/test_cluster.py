@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import melsplit.cluster
 from melsplit.cluster import (
     ConfusionCounts,
     accuracy,
@@ -376,6 +377,30 @@ class TestEnrollScore:
         for channel in feats:
             assert np.array_equal(first[channel].centroids, second[channel].centroids)
             assert first[channel].seed == second[channel].seed
+
+    def test_seeds_derive_once_per_source_and_channel(self, monkeypatch):
+        # A sweep enrolls each test take at several SNR points in one call,
+        # so rows share source ids. Each fit is seeded from (seed, source id,
+        # channel), and each distinct pair's seed is derived once per call.
+        derived = []
+        real_side_seed = melsplit.cluster._side_seed
+
+        def recording_side_seed(seed, source_id, channel_id):
+            derived.append((source_id, channel_id))
+            return real_side_seed(seed, source_id, channel_id)
+
+        monkeypatch.setattr(melsplit.cluster, "_side_seed", recording_side_seed)
+        rng = np.random.default_rng(13)
+        takes = [
+            {ch: fm(rng.standard_normal((20, 3)), ch, source) for ch in ("ch1", "ch2")}
+            for source in ("a", "b", "a", "a", "b")
+        ]
+        models = enroll_many(takes, 2, 6)
+        assert sorted(derived) == [("a", "ch1"), ("a", "ch2"), ("b", "ch1"), ("b", "ch2")]
+        for features, take_models in zip(takes, models):
+            for channel, f in features.items():
+                seed = real_side_seed(6, f.source_id, channel)
+                assert_same_model(take_models[channel], kmeans(f.rows, 2, seed))
 
     def test_channel_set_mismatch_raises(self):
         single = enroll(take_features("single", 0, 0, 0), 2, 1)

@@ -19,6 +19,7 @@ from melsplit.mfcc import (
     ExtractionConfig,
     build_filterbank,
     channel_bands,
+    channel_spectra,
     dct_basis,
     dct_cepstra,
     extract_dual_channel,
@@ -29,8 +30,9 @@ from melsplit.mfcc import (
     hz_to_mel,
     log_mel_energies,
     mel_to_hz,
+    spectra_features,
 )
-from melsplit.signal_io import AudioBuffer
+from melsplit.signal_io import AudioBuffer, synth_speaker
 
 SR = 16000
 
@@ -582,3 +584,61 @@ class TestExtractDualChannel:
         x = buf(np.random.default_rng(11).standard_normal(4000))
         ch1, ch2 = extract_dual_channel(x, source_id="utt-7")
         assert ch1.source_id == ch2.source_id == "utt-7"
+
+
+class TestSpectraStages:
+    """The extractors as channel_spectra, then spectra_features; a sweep
+    builds a take's features at every mixing scale from its spectra."""
+
+    CFG = ExtractionConfig()
+
+    @staticmethod
+    def extract(x, method, cfg):
+        if method == "dual":
+            return extract_dual_channel(x, cfg, "utt")
+        return (extract_single_channel(x, cfg, "utt"),)
+
+    @staticmethod
+    def take_and_noise(seed):
+        a = synth_speaker(seed % 8, seed, 0.6, seed).samples
+        return a, np.random.default_rng(seed).standard_normal(len(a))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_spectra_are_linear(self, method):
+        for seed, c in [(1, 0.02), (2, 0.3), (3, 1.5)]:
+            a, b = self.take_and_noise(seed)
+            s_a, s_b, s_mix = (channel_spectra(buf(x), method, self.CFG) for x in (a, b, a + c * b))
+            assert s_mix.shape == s_a.shape == s_b.shape
+            assert np.max(np.abs(s_a + c * s_b - s_mix)) <= 1e-12 * np.max(np.abs(s_mix))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_features_of_combined_spectra_match_the_mixed_take(self, method):
+        for seed, c in [(4, 0.02), (5, 0.3), (6, 1.5)]:
+            a, b = self.take_and_noise(seed)
+            spectra = channel_spectra(buf(a), method, self.CFG)
+            spectra = spectra + c * channel_spectra(buf(b), method, self.CFG)
+            combined = spectra_features(spectra, method, self.CFG, SR, "utt")
+            mixed = self.extract(buf(a + c * b), method, self.CFG)
+            assert [fm.channel_id for fm in combined] == [fm.channel_id for fm in mixed]
+            for fm, ref in zip(combined, mixed, strict=True):
+                assert fm.source_id == "utt" and fm.rows.shape == ref.rows.shape
+                assert np.max(np.abs(fm.rows - ref.rows)) <= 1e-12
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("cfg, rate", [(CFG, SR), (TestChannelBands.CFG, 8000)])
+    def test_clean_path_is_the_extractor_bit_for_bit(self, method, cfg, rate):
+        x = buf(np.random.default_rng(15).standard_normal(7000), rate)
+        staged = spectra_features(channel_spectra(x, method, cfg), method, cfg, rate, "utt")
+        for fm, ref in zip(staged, self.extract(x, method, cfg), strict=True):
+            assert fm.channel_id == ref.channel_id and fm.source_id == ref.source_id
+            assert np.array_equal(fm.rows, ref.rows)
+
+    def test_single_checks_its_bank_before_framing(self):
+        # As in build_filterbank then frame_blocking: a buffer shorter than a
+        # frame, at a rate whose Nyquist frequency lies below band_top_hz,
+        # is rejected for its band.
+        x = buf(np.zeros(100), 6000)
+        with pytest.raises(DimensionError):
+            frame_blocking(x, self.CFG.frame_len, self.CFG.frame_shift)
+        with pytest.raises(ParameterError, match="Nyquist"):
+            extract_single_channel(x, self.CFG)
