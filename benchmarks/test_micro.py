@@ -9,9 +9,9 @@ canceller lead-in and k = 2; synthesis, extraction and the single-recording
 canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
 canceller with the CLI's 32 taps. The canceller batch is the two runs that
 cancel every SNR point of 52 takes, the number of distinct test takes in a
-default sweep on master seed 1; the same 52 takes' dual-channel features at
-the default plan's 4 noisy SNR points are built as a sweep builds them, from
-each take's and its unit noise's spectra. The lockstep k-means case enrolls
+default sweep on master seed 1; the same 52 takes' single- and dual-channel
+features at the default plan's 4 noisy SNR points are built as a sweep builds
+them, from each take's and its unit noise's spectra. The lockstep k-means case enrolls
 64 dual-channel takes in one call.
 """
 
@@ -23,13 +23,12 @@ from melsplit.bench import (
     CLEAN_SNR_DB,
     ExperimentPlan,
     _basis_takes,
-    _features,
     _lead_samples,
     _noise_stacks,
     _point_features,
 )
 from melsplit.cluster import enroll, enroll_many, kmeans
-from melsplit.mfcc import extract_dual_channel, extract_single_channel
+from melsplit.mfcc import channel_bands, extract, extract_dual_channel, extract_single_channel
 from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
@@ -50,7 +49,7 @@ def take():
 
 @pytest.fixture(scope="module")
 def dual_features(take):
-    return _features(take, "dual", PLAN.extraction, "p0.w0.r1")
+    return extract(take, "dual", PLAN.extraction, "p0.w0.r1")
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
@@ -73,7 +72,7 @@ def test_enroll_dual_take(benchmark, dual_features):
 
 def test_enroll_many_64_dual_takes(benchmark):
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:ENROLL_TAKES]
-    takes = [_features(_take(p, w), "dual", PLAN.extraction, f"p{p}.w{w}.r1") for p, w in keys]
+    takes = [extract(_take(p, w), "dual", PLAN.extraction, f"p{p}.w{w}.r1") for p, w in keys]
     models = benchmark(enroll_many, takes, PLAN.kmeans_k, PLAN.master_seed)
     assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
 
@@ -92,16 +91,17 @@ def test_extract_single_channel(benchmark, duration_s):
     assert features.rows.shape[1] == PLAN.extraction.num_coeffs
 
 
-def test_point_features_52_dual_takes_4_points(benchmark):
+@pytest.mark.parametrize("method", ["single", "dual"])
+def test_point_features_52_takes_4_points(benchmark, method):
     # Two spectra per take, then power, banks, log and DCT at each point:
-    # the work of 4 * 52 _features calls on takes mixed in the time domain.
+    # the work of 4 * 52 extract calls on takes mixed in the time domain.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
     stacks = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     bases = _basis_takes(PLAN, stacks, points)
-    features = benchmark(lambda: [_point_features(b, "dual", PLAN) for b in bases])
+    features = benchmark(lambda: [_point_features(b, method, PLAN, 1) for b in bases])
     assert len(features) == BATCH_ROWS and all(len(f) == len(points) == 4 for f in features)
-    assert sorted(features[0][0]) == ["ch1", "ch2"]
+    assert list(features[0][0]) == list(channel_bands(method, PLAN.extraction))
 
 
 def test_run_anc_batch_basis_pass_52_rows(benchmark):

@@ -40,7 +40,6 @@ from .cluster import (
 )
 from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import METHODS, ExtractionConfig, channel_spectra, spectra_features
-from .mfcc import extract_dual_channel, extract_single_channel
 from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     AudioBuffer,
@@ -284,15 +283,6 @@ def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_
     ]
 
 
-def _features(buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str):
-    """One take's feature matrices, keyed by channel_id."""
-    if method == "dual":
-        matrices = extract_dual_channel(buffer, cfg, source_id)
-    else:
-        matrices = (extract_single_channel(buffer, cfg, source_id),)
-    return {fm.channel_id: fm for fm in matrices}
-
-
 def _auto_mu(plan: ExperimentPlan, power: float, scale: float) -> float:
     """Step size for a canceller that reads a unit reference of mean square
     `power` where the noise is scale times it.
@@ -416,10 +406,11 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
 
 
 class _Basis(NamedTuple):
-    """A test take at a list of points, as signals that the points share.
+    """A take at a list of points, as signals that the points share.
 
     The take at point j is a + scales[j] * u, or a itself where scales[j]
-    is None. a and u are views of the sweep's stacks.
+    is None. For a test take, a and u are views of the sweep's stacks; a
+    reference or calibration take is a alone, with u None, at the clean point.
     """
 
     key: tuple
@@ -451,17 +442,17 @@ def _cancelled_bases(plan: ExperimentPlan, stacks: list[_NoiseStack], points: li
     every noisy point, each group to be read before the next is yielded.
 
     Every ANC-off take must be read first: this may overwrite the stacks.
-    Under _auto_mu's default the step does not depend on the point, so with
-    two or more points each stack's cancellers run twice, and one group
-    gives every point's takes (see _NoiseStack): on the clean stack, with the
-    unit noise as reference, then on the unit noise against itself. A fixed
-    anc_mu gives each point its own step anc_mu * c**2, so then, as for a
-    lone point, each point mixes its canceller inputs into one buffer per
-    stack and cancels them there, reading the unit noise as the reference,
-    and is a group of its own whose takes are their cancelled rows.
+    Under _auto_mu's default the step does not depend on the point, so each
+    stack's cancellers run twice, however many points there are, and one
+    group gives every point's takes (see _NoiseStack): on the clean stack,
+    with the unit noise as reference, then on the unit noise against
+    itself. A fixed anc_mu gives each point its own step anc_mu * c**2, so
+    then each point mixes its canceller inputs into one buffer per stack and
+    cancels them there, reading the unit noise as the reference, and is a
+    group of its own whose takes are their cancelled rows.
     """
     lead = _lead_samples(plan)
-    if plan.anc_mu is None and len(points) > 1:
+    if plan.anc_mu is None:
         for stack in stacks:
             step_size = stack.mus(plan, stack.scales(points[0]))
             skip = lead - stack.pad
@@ -527,47 +518,36 @@ def _naming(stack: _NoiseStack, points: list[float], offset: int):
         ) from exc
 
 
-def _enroll_takes(
-    takes: dict, method: str, plan: ExperimentPlan, replicate: int
-) -> dict[tuple[int, int], dict]:
-    """Extract each take once and enroll them all in one enroll_many call:
-    {(profile, word): {channel_id: ClusterModel}}. `replicate` names the
-    takes' source ids, which seed k-means."""
-    features = [
-        _features(buffer, method, plan.extraction, _take_id(*key, replicate))
-        for key, buffer in takes.items()
-    ]
-    return dict(zip(takes, enroll_many(features, plan.kmeans_k, plan.master_seed)))
-
-
-def _point_features(basis: _Basis, method: str, plan: ExperimentPlan) -> list[dict]:
-    """One test take's features at each of its points, keyed by channel_id.
+def _point_features(
+    basis: _Basis, method: str, plan: ExperimentPlan, replicate: int
+) -> list[dict]:
+    """One take's features at each of its points, keyed by channel_id.
 
     Each of the take's signals goes through the linear spectra stage once;
     the features at a point are spectra_features of S(a) + c * S(u), or of
     S(a) where the point's scale is None. This equals extracting the take
     mixed in the time domain up to float rounding, and bit for bit at a
-    None scale.
+    None scale. `replicate` names the take's source id, which seeds k-means.
     """
     cfg, rate = plan.extraction, plan.sample_rate_hz
-    source_id = _take_id(*basis.key, 1)
+    source_id = _take_id(*basis.key, replicate)
     spectra_a = channel_spectra(AudioBuffer(basis.a, rate), method, cfg)
     spectra_u = None
     if any(c is not None for c in basis.scales):
         spectra_u = channel_spectra(AudioBuffer(basis.u, rate), method, cfg)
-    features = []
-    for c in basis.scales:
-        spectra = spectra_a if c is None else spectra_a + c * spectra_u
-        matrices = spectra_features(spectra, method, cfg, rate, source_id)
-        features.append({fm.channel_id: fm for fm in matrices})
-    return features
+    return [
+        spectra_features(
+            spectra_a if c is None else spectra_a + c * spectra_u, method, cfg, rate, source_id
+        )
+        for c in basis.scales
+    ]
 
 
 def _enroll_points(
-    plan: ExperimentPlan, method: str, points: list[float], bases: list
+    plan: ExperimentPlan, method: str, points: list[float], bases: list, replicate: int
 ) -> dict[float, dict]:
-    """Enroll every take of `bases` at each of `points`:
-    {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
+    """Enroll every take of `bases`, replicate `replicate` of its key, at
+    each of `points`: {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
 
     Takes go in chunks of ceil(B / len(points)), each enrolled at all its
     points in one enroll_many call, so a call holds about B rows, as one
@@ -577,7 +557,9 @@ def _enroll_points(
     size = -(-len(bases) // len(points))
     for start in range(0, len(bases), size):
         chunk = bases[start : start + size]
-        features = [f for basis in chunk for f in _point_features(basis, method, plan)]
+        features = [
+            f for basis in chunk for f in _point_features(basis, method, plan, replicate)
+        ]
         enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
         for basis in chunk:
             for snr_db in points:
@@ -606,12 +588,13 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     is then scored from the cached models.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell.
-    Per method, each test take's spectra are computed once per signal: the
-    clean take and its unit noise for the clean and ANC-off points, then,
-    once the cancellers have run, their cancelled rows for the ANC-on points
-    (or each point's own cancelled take under a fixed anc_mu or a lone
-    noisy point). _enroll_points builds and enrolls every point's features
-    from them.
+    Every take goes through _enroll_points, which builds and enrolls its
+    features at each of its points from its signals' spectra, computed once
+    per method: the reference and calibration takes alone at the clean
+    point; each test take's clean take and unit noise for the clean and
+    ANC-off points, then, once the cancellers have run, their cancelled rows
+    for the ANC-on points (or each point's own cancelled take under a fixed
+    anc_mu).
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -625,19 +608,21 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
     calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
-    references = {key: corpus[key + (0,)] for key in sorted({p.ref for p in pairs + calib_pairs})}
-    ref_models = {method: _enroll_takes(references, method, plan, 0) for method in plan.methods}
-    del references
+    def enroll_clean(keys, replicate: int) -> dict:
+        """{method: {key: models}} of replicate `replicate` of each key, noise-free."""
+        bases = [_Basis(key, corpus[key + (replicate,)].samples, None, [None]) for key in keys]
+        return {
+            m: _enroll_points(plan, m, [CLEAN_SNR_DB], bases, replicate)[CLEAN_SNR_DB]
+            for m in plan.methods
+        }
 
+    ref_models = enroll_clean(sorted({p.ref for p in pairs + calib_pairs}), 0)
     # Per-method threshold from clean calibration words, frozen for the sweep.
-    calib_takes = {key: corpus[key + (1,)] for key in dict.fromkeys(p.test for p in calib_pairs)}
+    calib_models = enroll_clean(dict.fromkeys(p.test for p in calib_pairs), 1)
     thresholds = {
-        m: calibrate_threshold(
-            *_score_pairs(_enroll_takes(calib_takes, m, plan, 1), ref_models[m], calib_pairs)
-        )
+        m: calibrate_threshold(*_score_pairs(calib_models[m], ref_models[m], calib_pairs))
         for m in plan.methods
     }
-    del calib_takes
 
     clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
     points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
@@ -646,7 +631,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     def tally(mode, group, bases):
         for method in plan.methods:
-            models = _enroll_points(plan, method, group, bases)
+            models = _enroll_points(plan, method, group, bases, 1)
             for snr_db in group:
                 scores = _score_pairs(models[snr_db], ref_models[method], pairs)
                 counts = confusion(*scores, thresholds[method])

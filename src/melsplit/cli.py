@@ -28,7 +28,7 @@ from .fir import (
     export_taps_csv,
     filter_zero_phase,
 )
-from .mfcc import METHODS, ExtractionConfig, channel_bands
+from .mfcc import METHODS, ExtractionConfig, channel_bands, extract
 from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     NoiseSpec,
@@ -205,7 +205,7 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
-    feats = bench_mod._features(buffer, args.method, cfg, stem)
+    feats = extract(buffer, args.method, cfg, stem)
     bands = channel_bands(args.method, cfg)
     for channel_id, (band_lo, band_hi, filters) in bands.items():
         fm = feats[channel_id]
@@ -241,8 +241,8 @@ def cmd_verdict(args) -> int:
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
         test = result.error_signal
     test_id, ref_id = Path(args.test).stem, Path(args.ref).stem
-    test_feats = bench_mod._features(test, args.method, cfg, test_id)
-    ref_feats = bench_mod._features(ref, args.method, cfg, ref_id)
+    test_feats = extract(test, args.method, cfg, test_id)
+    ref_feats = extract(ref, args.method, cfg, ref_id)
     test_models, ref_models = enroll_many([test_feats, ref_feats], cfg.kmeans_k, cfg.seed)
     combined = score(test_models, ref_models)
     payload = {

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
 from .mfcc import FeatureMatrix
-from .signal_io import _entropy, _string_key
+from .signal_io import _derive_seed, _entropy, _string_key
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,7 @@ def _reseed_empty(
 
 def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
     """Clustering seed tied to the utterance, not to which side it sits on."""
-    seq = np.random.SeedSequence(
-        _entropy(seed, _string_key(source_id), _string_key(channel_id))
-    )
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return _derive_seed(seed, _string_key(source_id), _string_key(channel_id))
 
 
 def enroll_many(

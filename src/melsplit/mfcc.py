@@ -11,19 +11,19 @@ The stages pass plain arrays: frame_blocking returns the (L, N) frames and
 build_filterbank the (P, K/2+1) weight matrix. Only the extractors' output,
 FeatureMatrix, carries labels: its channel and source ids.
 
-Extraction runs in two stages. channel_spectra is the linear one: the single
-channel's complex rfft of its windowed frames, or the dual channels' product
-of extended frames with one memoized matrix. The dual channels do not call
-fir.split_channels: the zero-phase FIR, framing, window and DFT are all
-linear, so they fold into that matrix, one per configuration and sample
-rate, restricted to the FFT bins each channel's bank weights; a take costs
-one strided gather and one matrix product. spectra_features takes the
-spectra through power, mel bank, log and cosine transform. The extractors
-run the two in turn. Since the first stage is linear, the spectra of a mix
-a + c*b are S(a) + c*S(b): a caller that needs a take at many mixing
-scales computes S(a) and S(b) once and only the second stage per scale.
-fir.split_channels and the stages above stay the reference that the tests
-compare both stages against.
+Extraction runs in two stages. channel_spectra is the linear one: the
+product of a take's frames with one memoized matrix per channel layout,
+configuration and sample rate. Framing, the window and the DFT are linear,
+and so is the dual channels' zero-phase FIR split, so they fold into that
+matrix, restricted to the FFT bins each channel's bank weights; a take
+costs one strided gather and one matrix product. The single channel is the
+one-band case: its kernel is one unit tap, so its frames are not extended.
+spectra_features takes the spectra through power, mel bank, log and cosine
+transform, and extract runs the two in turn. Since the first stage is
+linear, the spectra of a mix a + c*b are S(a) + c*S(b): a caller that needs
+a take at many mixing scales computes S(a) and S(b) once and only the
+second stage per scale. fir.split_channels, fft_magnitude_sq and the stages
+above stay the reference that the tests compare both stages against.
 """
 
 from __future__ import annotations
@@ -264,30 +264,34 @@ def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, 
 
 
 @lru_cache(maxsize=4)  # each entry is about 1 MB at the defaults
-def _split_spectrum_operator(
+def _spectrum_operator(
     bands: tuple[tuple[float, float, int], ...],
     frame_len: int,
     fft_size: int,
     fir_taps: int,
     sample_rate_hz: int,
 ) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """The dual channels' band split, Hamming window and DFT as one matrix.
+    """A channel layout's band split, Hamming window and DFT as one matrix.
 
-    `bands` is the dual entry of channel_bands: channel 1 is lowpassed at
-    its top edge and channel 2 bandpassed over its band, as in
-    fir.split_channels. Returns (operator, bins). A frame extended by fir_taps - 1 samples,
-    (fir_taps - 1)/2 on each side, times the (frame_len + fir_taps - 1, C)
-    operator gives, per channel in turn, the real then the imaginary parts
-    of the windowed DFT of that channel's filtered frame, at the bins
-    bins[channel] that the channel's bank weights. A column is the
-    windowed DFT basis vector of its bin convolved with the reversed kernel.
+    `bands` is an entry of channel_bands. A lone band is not filtered: its
+    kernel is the one tap 1.0. Of two bands, channel 1 is lowpassed at its
+    top edge and channel 2 bandpassed over its band by fir_taps-tap kernels,
+    as in fir.split_channels. Returns (operator, bins). A frame extended by
+    (T - 1)/2 samples on each side, T being the kernels' length, times the
+    (frame_len + T - 1, C) operator gives, per channel in turn, the real then
+    the imaginary parts of the windowed DFT of that channel's filtered
+    frame, at the bins bins[channel] that the channel's bank weights. A
+    column is the windowed DFT basis vector of its bin convolved with the
+    reversed kernel, so a lone band's columns are the basis vectors.
     Memoized like build_filterbank; the returned matrix is read-only.
     """
-    (_, split_hz, _), (_, top_hz, _) = bands
-    kernels = (
-        fir.design_lowpass(split_hz, fir_taps, sample_rate_hz),
-        fir.design_bandpass(split_hz, top_hz, fir_taps, sample_rate_hz),
-    )
+    kernels = [np.ones(1)]
+    if len(bands) == 2:
+        (_, split_hz, _), (_, top_hz, _) = bands
+        kernels = [
+            fir.design_lowpass(split_hz, fir_taps, sample_rate_hz).taps,
+            fir.design_bandpass(split_hz, top_hz, fir_taps, sample_rate_hz).taps,
+        ]
     t = np.arange(frame_len)
     window = hamming_window(np.ones(frame_len))
     blocks, bin_slices = [], []
@@ -297,8 +301,8 @@ def _split_spectrum_operator(
         # Reduce k*t modulo K in integers so the angles stay exact.
         angle = (2.0 * np.pi / fft_size) * (np.outer(t, bins) % fft_size)
         basis = window[:, None] * np.hstack([np.cos(angle), -np.sin(angle)])
-        block = np.zeros((frame_len + fir_taps - 1, basis.shape[1]))
-        for shift, tap in enumerate(kernel.taps[::-1]):
+        block = np.zeros((frame_len + len(kernel) - 1, basis.shape[1]))
+        for shift, tap in enumerate(kernel[::-1]):
             block[shift : shift + frame_len] += tap * basis
         blocks.append(block)
         bin_slices.append(slice(int(bins[0]), int(bins[-1]) + 1))
@@ -310,37 +314,31 @@ def _split_spectrum_operator(
 def channel_spectra(buffer: AudioBuffer, method: str, cfg: ExtractionConfig) -> np.ndarray:
     """The linear stage of extraction: a take's frame spectra, linear in its samples.
 
-    Single channel: the (L, K/2+1) complex rfft of the Hamming-windowed
-    frames. Dual channels: the (L, C) real product of the extended frames
-    with _split_spectrum_operator, per channel the real then the imaginary
-    parts at the bins its bank weights. Framing, the FIR split, the window
-    and the DFT are all linear, so the spectra of a + c*b are the spectra of
-    a plus c times those of b, up to float rounding; spectra_features takes
-    them the rest of the way. Raises what the staged path raises on the same
-    input, in its order: the band split's checks, then the banks', then the
-    framing's.
+    The (L, C) real product of the take's frames, extended by the band
+    split's kernel, with _spectrum_operator: per channel the real then the
+    imaginary parts at the bins its bank weights. The single channel has no
+    split, so its frames are the take's own. Framing, the FIR split, the
+    window and the DFT are all linear, so the spectra of a + c*b are the
+    spectra of a plus c times those of b, up to float rounding;
+    spectra_features takes them the rest of the way. Raises what the staged
+    path raises on the same input, in its order: the dual band split's
+    checks, then the banks', then the framing's.
     """
     bands = tuple(channel_bands(method, cfg).values())
     rate = buffer.sample_rate_hz
-    if method == "single":
-        for lo, hi, filters in bands:
-            _mel_bin_edges(lo, hi, filters, cfg.fft_size, rate)
-        frames = frame_blocking(buffer, cfg.frame_len, cfg.frame_shift)
-        return np.fft.rfft(hamming_window(frames), n=cfg.fft_size)
-    if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
-        raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
-    if len(buffer) <= cfg.fir_taps:
-        raise DimensionError(
-            f"buffer ({len(buffer)}) must be longer than the kernel ({cfg.fir_taps})"
-        )
-    operator, _ = _split_spectrum_operator(
-        bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate
-    )
+    if method == "dual":
+        if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
+            raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
+        if len(buffer) <= cfg.fir_taps:
+            raise DimensionError(
+                f"buffer ({len(buffer)}) must be longer than the kernel ({cfg.fir_taps})"
+            )
+    operator, _ = _spectrum_operator(bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate)
     count = _frame_count(len(buffer), cfg.frame_len, cfg.frame_shift)
     # "same"-mode convolution is a full convolution of the zero-padded input.
-    padded = np.pad(buffer.samples, (cfg.fir_taps - 1) // 2)
-    frames = _gather_frames(padded, count, cfg.frame_len + cfg.fir_taps - 1, cfg.frame_shift)
-    return frames @ operator
+    extended = len(operator)
+    padded = np.pad(buffer.samples, (extended - cfg.frame_len) // 2)
+    return _gather_frames(padded, count, extended, cfg.frame_shift) @ operator
 
 
 def spectra_features(
@@ -349,37 +347,34 @@ def spectra_features(
     cfg: ExtractionConfig,
     sample_rate_hz: int,
     source_id: str = "",
-) -> tuple[FeatureMatrix, ...]:
-    """Cepstra of each channel of `method` from its channel_spectra: power,
-    the channel's bank from channel_bands, log and cosine transform."""
+) -> dict[str, FeatureMatrix]:
+    """Cepstra of each channel of `method` from its channel_spectra, keyed by
+    channel_id: power, the channel's bank from channel_bands, log and cosine
+    transform."""
     bands = channel_bands(method, cfg)
-    banks = [
-        build_filterbank(lo, hi, filters, cfg.fft_size, sample_rate_hz)
-        for lo, hi, filters in bands.values()
-    ]
-    if method == "single":
-        powers = [(spectra.real**2 + spectra.imag**2, slice(None))]
-    else:
-        _, bin_slices = _split_spectrum_operator(
-            tuple(bands.values()), cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
-        )
-        powers, col = [], 0
-        for bins in bin_slices:
-            width = bins.stop - bins.start
-            re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
-            powers.append((re**2 + im**2, bins))
-            col += 2 * width
-    matrices = []
-    for channel_id, bank, (power, bins) in zip(bands, banks, powers, strict=True):
-        energies = log_mel_energies(power, bank[:, bins], cfg.log_floor)
-        matrices.append(FeatureMatrix(dct_cepstra(energies, cfg.num_coeffs), channel_id, source_id))
-    return tuple(matrices)
+    _, bin_slices = _spectrum_operator(
+        tuple(bands.values()), cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
+    )
+    features, col = {}, 0
+    for (channel_id, (lo, hi, filters)), bins in zip(bands.items(), bin_slices, strict=True):
+        bank = build_filterbank(lo, hi, filters, cfg.fft_size, sample_rate_hz)
+        width = bins.stop - bins.start
+        re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
+        col += 2 * width
+        energies = log_mel_energies(re**2 + im**2, bank[:, bins], cfg.log_floor)
+        rows = dct_cepstra(energies, cfg.num_coeffs)
+        features[channel_id] = FeatureMatrix(rows, channel_id, source_id)
+    return features
 
 
-def _extract_channels(
-    buffer: AudioBuffer, method: str, cfg: ExtractionConfig, source_id: str
-) -> tuple[FeatureMatrix, ...]:
-    """Cepstra of each channel of `method`: channel_spectra, then spectra_features."""
+def extract(
+    buffer: AudioBuffer,
+    method: str,
+    cfg: ExtractionConfig = ExtractionConfig(),
+    source_id: str = "",
+) -> dict[str, FeatureMatrix]:
+    """Cepstra of each channel of `method`, keyed by channel_id:
+    channel_spectra, then spectra_features."""
     spectra = channel_spectra(buffer, method, cfg)
     return spectra_features(spectra, method, cfg, buffer.sample_rate_hz, source_id)
 
@@ -390,8 +385,7 @@ def extract_single_channel(
     source_id: str = "",
 ) -> FeatureMatrix:
     """Full-band features: one mel bank spanning 0 to band_top_hz."""
-    (features,) = _extract_channels(buffer, "single", cfg, source_id)
-    return features
+    return extract(buffer, "single", cfg, source_id)[CHANNEL_SINGLE]
 
 
 def extract_dual_channel(
@@ -405,7 +399,7 @@ def extract_dual_channel(
     channel 2 is the bandpassed signal with a bank over [split_hz,
     band_top_hz]. The channels stay time-aligned, so row counts match.
     The split, the window and the DFT run as one precomputed matrix product
-    per take (_split_spectrum_operator); fir.split_channels is the staged
+    per take (_spectrum_operator); fir.split_channels is the staged
     reference it equals.
     """
-    return _extract_channels(buffer, "dual", cfg, source_id)
+    return tuple(extract(buffer, "dual", cfg, source_id).values())

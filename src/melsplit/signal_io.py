@@ -35,6 +35,12 @@ def _entropy(*values: int) -> list[int]:
     return [int(v) & _SEED_MASK for v in values]
 
 
+def _derive_seed(*values: int) -> int:
+    """One 64-bit seed, the first word a SeedSequence of these ints generates."""
+    seq = np.random.SeedSequence(_entropy(*values))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
 def _string_key(text: str) -> int:
     """Stable 64-bit key for a string (process-independent)."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -380,8 +386,7 @@ def synth_speaker(
 
 def corpus_seed(master_seed: int, profile_id: int, word_id: int, replicate: int) -> int:
     """Derive one utterance's synthesis seed from a corpus master seed."""
-    seq = np.random.SeedSequence(_entropy(master_seed, profile_id, word_id, replicate))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return _derive_seed(master_seed, profile_id, word_id, replicate)
 
 
 def write_manifest(entries: list[dict], path) -> None:

@@ -14,8 +14,6 @@ from melsplit.bench import (
     _build_corpus,
     _calibration_pairs,
     _auto_mu,
-    _enroll_takes,
-    _features,
     _cancelled_takes,
     _make_pairs,
     _noise_stacks,
@@ -29,9 +27,9 @@ from melsplit.bench import (
     report_to_dict,
     run_sweep,
 )
-from melsplit.cluster import ConfusionCounts, accuracy, confusion
+from melsplit.cluster import ConfusionCounts, accuracy, confusion, enroll_many
 from melsplit.errors import ConfigError, DivergenceError
-from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
+from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands, extract
 from melsplit.anc import run_anc
 from melsplit.signal_io import (
     AudioBuffer,
@@ -270,23 +268,22 @@ class TestRunSweep:
         return batches
 
     def test_one_canceller_batch_per_noisy_snr_point(self, monkeypatch):
-        # Under a fixed anc_mu each point's step, anc_mu * c**2, is its own,
-        # and a lone point shares nothing: each point cancels its own mix,
-        # one take per row, in one buffer that all points reuse.
-        for points, anc_mu in [((0.0, -16.0), 0.002), ((0.0, -6.0, -10.0, -16.0), 0.002),
-                               ((-16.0,), None)]:
-            plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points, anc_mu=anc_mu)
+        # Under a fixed anc_mu each point's step, anc_mu * c**2, is its own:
+        # each point cancels its own mix, one take per row, in one buffer
+        # that all points reuse.
+        for points in [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0)]:
+            plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points, anc_mu=0.002)
             batches = self.record_batches(monkeypatch, plan)
             n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
             assert len(batches) == len(points)
             assert batches[0][0].shape[1] == n
             assert all(primaries is batches[0][0] for primaries, _ in batches)
 
-    @pytest.mark.parametrize("points", [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0)])
+    @pytest.mark.parametrize("points", [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0), (-16.0,)])
     def test_two_canceller_batches_per_stack_under_auto_mu(self, monkeypatch, points):
         # The points share one step size, so the clean takes, opened by
         # anc_taps zeros, are cancelled once, then the unit noise against
-        # itself, whatever the number of points.
+        # itself, whatever the number of points, a lone point included.
         plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points)
         (clean, reference), (unit, itself) = self.record_batches(monkeypatch, plan)
         n = round(plan.duration_s * plan.sample_rate_hz)
@@ -392,10 +389,19 @@ class TestRunSweep:
         assert 0 <= caught.value.step_index < inputs
 
     @staticmethod
-    def time_domain_counts(plan, thresholds):
+    def enroll_takes(takes, method, plan, replicate):
+        """{key: models} of each whole take, extracted by mfcc.extract and
+        enrolled in one enroll_many call."""
+        features = [
+            extract(buffer, method, plan.extraction, melsplit.bench._take_id(*key, replicate))
+            for key, buffer in takes.items()
+        ]
+        return dict(zip(takes, enroll_many(features, plan.kmeans_k, plan.master_seed)))
+
+    def time_domain_counts(self, plan, thresholds):
         """{(method, anc, snr_db): counts} with every test take mixed in the
-        time domain by _stack_takes and _cancelled_takes, then extracted by
-        _features and enrolled in one enroll_many call per condition."""
+        time domain by _stack_takes and _cancelled_takes, then extracted
+        whole and enrolled in one enroll_many call per condition."""
         corpus, _ = _build_corpus(plan)
         profile_ids = sorted({key[0] for key in corpus})
         words = sorted({key[1] for key in corpus})
@@ -411,9 +417,9 @@ class TestRunSweep:
         conditions += [(("on",), s, takes) for s, takes in _cancelled_takes(plan, stacks, points)]
         counts = {}
         for method in plan.methods:
-            ref_models = _enroll_takes(refs, method, plan, 0)
+            ref_models = self.enroll_takes(refs, method, plan, 0)
             for modes, snr_db, takes in conditions:
-                test_models = _enroll_takes(takes, method, plan, 1)
+                test_models = self.enroll_takes(takes, method, plan, 1)
                 scores = _score_pairs(test_models, ref_models, pairs)
                 for anc in modes:
                     counts[method, anc, snr_db] = confusion(*scores, thresholds[method])
@@ -461,7 +467,7 @@ class TestFeatures:
     @pytest.mark.parametrize("method", METHODS)
     def test_keyed_by_channel_id(self, method):
         cfg = ExtractionConfig(split_hz=1500.0)
-        feats = _features(synth_speaker(0, 1, 0.3, seed=2), method, cfg, "u")
+        feats = extract(synth_speaker(0, 1, 0.3, seed=2), method, cfg, "u")
         assert list(feats) == list(channel_bands(method, cfg))
         assert all(fm.channel_id == key for key, fm in feats.items())
 
@@ -670,8 +676,10 @@ class TestMixWithLead:
         assert np.array_equal(noisy.samples, clean.samples + scale * unit)
 
     def test_canceller_stacks_open_with_lead_in_and_zeros(self):
+        # The layout before any canceller runs: the cancellers write over it.
         plan = mini_plan()
-        clean, stacks, _ = self.mix(plan, [-6.0])
+        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
         lead = round(plan.anc_lead_s * clean.sample_rate_hz)
         assert len(_unit_noise(plan, self.KEY, len(clean))) == lead + len(clean)
         assert stacks[0].pad == plan.anc_taps < lead

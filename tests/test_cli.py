@@ -19,9 +19,8 @@ from melsplit.cli import (
     save_config,
 )
 from melsplit.anc import LmsConfig, run_anc
-from melsplit.bench import _features
 from melsplit.errors import ConfigError
-from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands
+from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands, extract
 from melsplit.signal_io import (
     AudioBuffer,
     NoiseSpec,
@@ -265,7 +264,7 @@ class TestExtract:
         src = make_word_wav(tmp_path / "w.wav", duration=0.5)
         out = tmp_path / "features"
         assert run_cli("extract", "--method", method, "--in", src, "--out", out) == 0
-        features = _features(read_wav(src), method, PipelineConfig(), "w")
+        features = extract(read_wav(src), method, PipelineConfig(), "w")
         for channel_id, fm in features.items():
             name = "w.csv" if len(features) == 1 else f"w.{channel_id}.csv"
             table = np.loadtxt(out / name, delimiter=",", skiprows=1)

@@ -385,8 +385,8 @@ class TestChannelBands:
 
         monkeypatch.setattr(melsplit.mfcc, "build_filterbank", recording_build)
         x = buf(np.random.default_rng(12).standard_normal(4000))
-        # Once with the dual operator's cache cold, once with it warm.
-        melsplit.mfcc._split_spectrum_operator.cache_clear()
+        # Once with the spectrum operator's cache cold, once with it warm.
+        melsplit.mfcc._spectrum_operator.cache_clear()
         for _ in range(2):
             if method == "dual":
                 matrices = extract_dual_channel(x, self.CFG)
@@ -395,6 +395,28 @@ class TestChannelBands:
         table = channel_bands(method, self.CFG)
         assert built == 2 * list(table.values())
         assert [fm.channel_id for fm in matrices] == list(table)
+
+
+# Inputs that the dual pipeline rejects: (cfg, rate, length of the take).
+BAD_INPUTS = [
+    (ExtractionConfig(), SR, 101),  # no longer than the kernel
+    (ExtractionConfig(), SR, 300),  # longer than the kernel, shorter than a frame
+    (ExtractionConfig(), 8000, 4000),  # band_top_hz at the Nyquist frequency
+    (ExtractionConfig(), 8000, 50),
+    (ExtractionConfig(split_hz=100.0), SR, 4000),  # channel 1 too narrow
+    (ExtractionConfig(split_hz=100.0), SR, 300),
+    (ExtractionConfig(split_hz=100.0), SR, 50),
+]
+
+
+def composed_single(x, cfg):
+    """The single-channel cepstra stage by stage: mel bank, framing, window,
+    FFT power, log energies, DCT."""
+    rate = x.sample_rate_hz
+    bank = build_filterbank(0.0, cfg.band_top_hz, cfg.filters_single, cfg.fft_size, rate)
+    frames = frame_blocking(x, cfg.frame_len, cfg.frame_shift)
+    power = fft_magnitude_sq(hamming_window(frames), cfg.fft_size)
+    return dct_cepstra(log_mel_energies(power, bank, cfg.log_floor), cfg.num_coeffs)
 
 
 class TestExtractSingleChannel:
@@ -455,6 +477,21 @@ class TestExtractSingleChannel:
         diff_b = b[1:] - b[:-1]
         assert np.max(np.abs(diff_a - diff_b)) <= 1e-9
 
+    @pytest.mark.parametrize("cfg, rate, length", BAD_INPUTS)
+    def test_raises_what_the_composed_pipeline_raises(self, cfg, rate, length):
+        # The single channel has no band split, so some of the dual
+        # channels' bad inputs are good ones here: then both give the same rows.
+        x = buf(np.random.default_rng(14).standard_normal(length), rate)
+        try:
+            rows = composed_single(x, cfg)
+        except PipelineError as staged:
+            with pytest.raises(type(staged)):
+                extract_single_channel(x, cfg)
+        else:
+            fm = extract_single_channel(x, cfg)
+            assert fm.rows.shape == rows.shape
+            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+
 
 def composed_dual(x, cfg):
     """The dual-channel cepstra stage by stage: band split, framing, window,
@@ -490,18 +527,7 @@ class TestExtractDualChannel:
             assert fm.rows.shape == rows.shape
             assert np.max(np.abs(fm.rows - rows)) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "cfg, rate, length",
-        [
-            (ExtractionConfig(), SR, 101),  # no longer than the kernel
-            (ExtractionConfig(), SR, 300),  # longer than the kernel, shorter than a frame
-            (ExtractionConfig(), 8000, 4000),  # band_top_hz at the Nyquist frequency
-            (ExtractionConfig(), 8000, 50),
-            (ExtractionConfig(split_hz=100.0), SR, 4000),  # channel 1 too narrow
-            (ExtractionConfig(split_hz=100.0), SR, 300),
-            (ExtractionConfig(split_hz=100.0), SR, 50),
-        ],
-    )
+    @pytest.mark.parametrize("cfg, rate, length", BAD_INPUTS)
     def test_raises_what_the_composed_pipeline_raises(self, cfg, rate, length):
         x = buf(np.random.default_rng(14).standard_normal(length), rate)
         with pytest.raises(PipelineError) as staged:
@@ -509,14 +535,23 @@ class TestExtractDualChannel:
         with pytest.raises(type(staged.value)):
             extract_dual_channel(x, cfg)
 
-    def test_operator_memoized_and_read_only(self):
-        bands = tuple(channel_bands("dual", ExtractionConfig()).values())
+    @pytest.mark.parametrize(
+        "method, expected_bins, shape",
+        [
+            # ch1 weights bins 1-31 and ch2 bins 33-127: real and imaginary parts.
+            ("dual", (slice(1, 32), slice(33, 128)), (400 + 101 - 1, 2 * (31 + 95))),
+            # One unfiltered band: frames are not extended.
+            ("single", (slice(1, 128),), (400, 2 * 127)),
+        ],
+        ids=["dual", "single"],
+    )
+    def test_operator_memoized_and_read_only(self, method, expected_bins, shape):
+        bands = tuple(channel_bands(method, ExtractionConfig()).values())
         args = (bands, 400, 512, 101, SR)
-        operator, bins = melsplit.mfcc._split_spectrum_operator(*args)
-        assert melsplit.mfcc._split_spectrum_operator(*args)[0] is operator
-        # ch1 weights bins 1-31 and ch2 bins 33-127: real and imaginary parts.
-        assert bins == (slice(1, 32), slice(33, 128))
-        assert operator.shape == (400 + 101 - 1, 2 * (31 + 95))
+        operator, bins = melsplit.mfcc._spectrum_operator(*args)
+        assert melsplit.mfcc._spectrum_operator(*args)[0] is operator
+        assert bins == expected_bins
+        assert operator.shape == shape
         assert not operator.flags.writeable
         with pytest.raises(ValueError):
             operator[0, 0] = 1.0
@@ -619,8 +654,8 @@ class TestSpectraStages:
             spectra = spectra + c * channel_spectra(buf(b), method, self.CFG)
             combined = spectra_features(spectra, method, self.CFG, SR, "utt")
             mixed = self.extract(buf(a + c * b), method, self.CFG)
-            assert [fm.channel_id for fm in combined] == [fm.channel_id for fm in mixed]
-            for fm, ref in zip(combined, mixed, strict=True):
+            assert list(combined) == [fm.channel_id for fm in mixed]
+            for fm, ref in zip(combined.values(), mixed, strict=True):
                 assert fm.source_id == "utt" and fm.rows.shape == ref.rows.shape
                 assert np.max(np.abs(fm.rows - ref.rows)) <= 1e-12
 
@@ -629,7 +664,7 @@ class TestSpectraStages:
     def test_clean_path_is_the_extractor_bit_for_bit(self, method, cfg, rate):
         x = buf(np.random.default_rng(15).standard_normal(7000), rate)
         staged = spectra_features(channel_spectra(x, method, cfg), method, cfg, rate, "utt")
-        for fm, ref in zip(staged, self.extract(x, method, cfg), strict=True):
+        for fm, ref in zip(staged.values(), self.extract(x, method, cfg), strict=True):
             assert fm.channel_id == ref.channel_id and fm.source_id == ref.source_id
             assert np.array_equal(fm.rows, ref.rows)
 
