@@ -11,8 +11,9 @@ canceller with the CLI's 32 taps. The canceller batch is the two runs that
 cancel every SNR point of 52 takes, the number of distinct test takes in a
 default sweep on master seed 1; the same 52 takes' single- and dual-channel
 features at the default plan's 4 noisy SNR points are built as a sweep builds
-them, from each take's and its unit noise's spectra. The lockstep k-means case enrolls
-64 dual-channel takes in one call.
+them, from each take's and its unit noise's spectra, and the spectra of one
+stack of takes are timed alone. The lockstep k-means case enrolls 64
+dual-channel takes in one call.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from melsplit.anc import LmsConfig, run_anc, run_anc_batch
 from melsplit.bench import (
+    _SPECTRA_TAKES,
     CLEAN_SNR_DB,
     ExperimentPlan,
     _basis_takes,
@@ -28,7 +30,13 @@ from melsplit.bench import (
     _point_features,
 )
 from melsplit.cluster import enroll, enroll_many, kmeans
-from melsplit.mfcc import channel_bands, extract, extract_dual_channel, extract_single_channel
+from melsplit.mfcc import (
+    channel_bands,
+    channel_spectra,
+    extract,
+    extract_dual_channel,
+    extract_single_channel,
+)
 from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
@@ -99,9 +107,17 @@ def test_point_features_52_takes_4_points(benchmark, method):
     stacks = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     bases = _basis_takes(PLAN, stacks, points)
-    features = benchmark(lambda: [_point_features(b, method, PLAN, 1) for b in bases])
-    assert len(features) == BATCH_ROWS and all(len(f) == len(points) == 4 for f in features)
-    assert list(features[0][0]) == list(channel_bands(method, PLAN.extraction))
+    features = benchmark(_point_features, bases, method, PLAN, 1)
+    assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
+    assert list(features[0]) == list(channel_bands(method, PLAN.extraction))
+
+
+@pytest.mark.parametrize("method", ["single", "dual"])
+def test_channel_spectra_4_takes(benchmark, method):
+    # One stacked call, as the sweep's _point_features makes.
+    takes = [_take(p, 0) for p in range(_SPECTRA_TAKES)]
+    spectra = benchmark(channel_spectra, takes, method, PLAN.extraction)
+    assert spectra.shape[:2] == (_SPECTRA_TAKES, 58)
 
 
 def test_run_anc_batch_basis_pass_52_rows(benchmark):

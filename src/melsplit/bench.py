@@ -24,6 +24,7 @@ import math
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,7 +40,7 @@ from .cluster import (
     score,
 )
 from .errors import ConfigError, DivergenceError, ParameterError
-from .mfcc import METHODS, ExtractionConfig, channel_spectra, spectra_features
+from .mfcc import METHODS, ExtractionConfig, FeatureMatrix, channel_spectra, spectra_features
 from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     AudioBuffer,
@@ -56,6 +57,12 @@ from .signal_io import (
 CLEAN_SNR_DB = 60.0
 
 ANC_MODES = ("off", "on")
+
+# Takes per channel_spectra call in _point_features. A stack shares the
+# call's overhead and its matrix products. Over two sweep_noanc sweeps,
+# stacks of 4 raised peak RSS by about 1 MB over one take per call, and
+# stacks of 16 by about 5 MB.
+_SPECTRA_TAKES = 4
 
 
 @dataclass(frozen=True)
@@ -519,27 +526,56 @@ def _naming(stack: _NoiseStack, points: list[float], offset: int):
 
 
 def _point_features(
-    basis: _Basis, method: str, plan: ExperimentPlan, replicate: int
+    bases: list, method: str, plan: ExperimentPlan, replicate: int
 ) -> list[dict]:
-    """One take's features at each of its points, keyed by channel_id.
+    """Every take's features at each of its points, keyed by channel_id, in
+    take order and, within a take, point order.
 
-    Each of the take's signals goes through the linear spectra stage once;
-    the features at a point are spectra_features of S(a) + c * S(u), or of
-    S(a) where the point's scale is None. This equals extracting the take
-    mixed in the time domain up to float rounding, and bit for bit at a
-    None scale. `replicate` names the take's source id, which seeds k-means.
+    Runs of up to _SPECTRA_TAKES consecutive takes of one length go through
+    the linear spectra stage together, one channel_spectra call per signal;
+    u's call is skipped when no point of the run is noisy. _take_points then
+    builds each take's points from its spectra. `replicate` names a take's
+    source id, which seeds k-means.
     """
     cfg, rate = plan.extraction, plan.sample_rate_hz
+    features = []
+    for _, run in groupby(bases, key=lambda basis: len(basis.a)):
+        run = list(run)
+        for start in range(0, len(run), _SPECTRA_TAKES):
+            group = run[start : start + _SPECTRA_TAKES]
+            spectra_a = channel_spectra([AudioBuffer(b.a, rate) for b in group], method, cfg)
+            spectra_u = [None] * len(group)
+            if any(c is not None for b in group for c in b.scales):
+                spectra_u = channel_spectra([AudioBuffer(b.u, rate) for b in group], method, cfg)
+            for basis, s_a, s_u in zip(group, spectra_a, spectra_u):
+                features += _take_points(basis, s_a, s_u, method, plan, replicate)
+    return features
+
+
+def _take_points(
+    basis: _Basis,
+    spectra_a: np.ndarray,
+    spectra_u: np.ndarray | None,
+    method: str,
+    plan: ExperimentPlan,
+    replicate: int,
+) -> list[dict]:
+    """A take's features at each of its points from the spectra of its
+    signals, S(a) and S(u): one spectra_features call on the (points, L, C)
+    stack of S(a) + c * S(u), or of S(a) where the point's scale is None.
+    This equals extracting the take mixed in the time domain up to float
+    rounding, and bit for bit at a None scale."""
+    stack = np.empty((len(basis.scales),) + spectra_a.shape)
+    for row, c in zip(stack, basis.scales):
+        if c is None:
+            row[...] = spectra_a
+        else:
+            np.add(spectra_a, np.multiply(spectra_u, c, out=row), out=row)
     source_id = _take_id(*basis.key, replicate)
-    spectra_a = channel_spectra(AudioBuffer(basis.a, rate), method, cfg)
-    spectra_u = None
-    if any(c is not None for c in basis.scales):
-        spectra_u = channel_spectra(AudioBuffer(basis.u, rate), method, cfg)
+    features = spectra_features(stack, method, plan.extraction, plan.sample_rate_hz, source_id)
     return [
-        spectra_features(
-            spectra_a if c is None else spectra_a + c * spectra_u, method, cfg, rate, source_id
-        )
-        for c in basis.scales
+        {channel: FeatureMatrix(fm.rows[j], channel, source_id) for channel, fm in features.items()}
+        for j in range(len(stack))
     ]
 
 
@@ -549,17 +585,16 @@ def _enroll_points(
     """Enroll every take of `bases`, replicate `replicate` of its key, at
     each of `points`: {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
 
-    Takes go in chunks of ceil(B / len(points)), each enrolled at all its
-    points in one enroll_many call, so a call holds about B rows, as one
-    call per point would, and no more than a chunk's features are held.
+    Takes go in chunks of ceil(B / len(points)), whose features
+    _point_features builds a few takes at a time and which are enrolled at
+    all their points in one enroll_many call, so a call holds about B rows,
+    as one call per point would, and no more than a chunk's features are held.
     """
     models: dict[float, dict] = {snr_db: {} for snr_db in points}
     size = -(-len(bases) // len(points))
     for start in range(0, len(bases), size):
         chunk = bases[start : start + size]
-        features = [
-            f for basis in chunk for f in _point_features(basis, method, plan, replicate)
-        ]
+        features = _point_features(chunk, method, plan, replicate)
         enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
         for basis in chunk:
             for snr_db in points:

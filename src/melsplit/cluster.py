@@ -10,8 +10,8 @@ an equal-error scan over genuine and impostor calibration scores.
 
 There is one Lloyd kernel, kmeans_many, which fits a stack of equal-shaped
 point sets in lockstep; kmeans is its one-row case. enroll_many enrolls a
-list of takes with one kernel call per (channel, matrix shape), and enroll
-is its one-take case.
+list of takes with one kernel call per matrix shape, whatever the channel,
+and enroll is its one-take case.
 """
 
 from __future__ import annotations
@@ -178,28 +178,29 @@ def enroll_many(
 ) -> list[dict[str, ClusterModel]]:
     """Enroll a list of takes at once: one {channel_id: ClusterModel} each.
 
-    Each channel's matrices are grouped by shape and each group is fitted in
-    one kmeans_many call. A fit is seeded from (seed, source id, channel), so
-    a take enrolls to the same centroids whichever side of a comparison it
-    sits on and whichever takes it is enrolled with, and a cached model
-    scores exactly as a fresh fit would. Each distinct (source id, channel)
-    seed is derived once per call, however many of the takes share it.
+    The matrices of every channel are grouped by shape and each group is
+    fitted in one kmeans_many call, so a dual take's two channels fit
+    together. A fit is seeded from (seed, source id, channel), so a take
+    enrolls to the same centroids whichever side of a comparison it sits
+    on and whichever takes it is enrolled with, and a cached model scores
+    exactly as a fresh fit would. Each distinct (source id, channel) seed is
+    derived once per call, however many of the takes share it.
     """
     models: list[dict[str, ClusterModel]] = [{} for _ in takes]
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, list[tuple[int, str]]] = {}
     side_seeds: dict[tuple[str, str], int] = {}
     for i, features in enumerate(takes):
         for channel, fm in features.items():
-            groups.setdefault((channel, fm.rows.shape), []).append(i)
+            groups.setdefault(fm.rows.shape, []).append((i, channel))
             if (fm.source_id, channel) not in side_seeds:
                 side_seeds[fm.source_id, channel] = _side_seed(seed, fm.source_id, channel)
-    for (channel, _), members in sorted(groups.items()):
+    for _, members in sorted(groups.items()):
         fitted = kmeans_many(
-            np.stack([takes[i][channel].rows for i in members]),
+            np.stack([takes[i][channel].rows for i, channel in members]),
             k,
-            [side_seeds[takes[i][channel].source_id, channel] for i in members],
+            [side_seeds[takes[i][channel].source_id, channel] for i, channel in members],
         )
-        for i, model in zip(members, fitted):
+        for (i, channel), model in zip(members, fitted):
             models[i][channel] = model
     return [dict(sorted(m.items())) for m in models]
 

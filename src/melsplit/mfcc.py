@@ -15,23 +15,30 @@ Extraction runs in two stages. channel_spectra is the linear one: the
 product of a take's frames with one memoized matrix per channel layout,
 configuration and sample rate. Framing, the window and the DFT are linear,
 and so is the dual channels' zero-phase FIR split, so they fold into that
-matrix, restricted to the FFT bins each channel's bank weights; a take
-costs one strided gather and one matrix product. The single channel is the
-one-band case: its kernel is one unit tap, so its frames are not extended.
-spectra_features takes the spectra through power, mel bank, log and cosine
-transform, and extract runs the two in turn. Since the first stage is
-linear, the spectra of a mix a + c*b are S(a) + c*S(b): a caller that needs
-a take at many mixing scales computes S(a) and S(b) once and only the
-second stage per scale. fir.split_channels, fft_magnitude_sq and the stages
-above stay the reference that the tests compare both stages against.
+matrix, restricted to the FFT bins each channel's bank weights. The window
+and the kernels are symmetric, so each frame is folded about its centre
+into the sums and differences of mirrored samples, which meet the matrix's
+real and imaginary halves: half the arithmetic of the unfolded product. A
+take costs two matrix products and no gather copy, and a stack of
+equal-length takes shares them. The single channel is the one-band case:
+its kernel is one unit tap, so its frames are not extended.
+spectra_features takes the spectra, with any leading batch dimensions,
+through power, mel bank, log and cosine transform, and extract runs the two
+in turn. Since the first stage is linear, the spectra of a mix a + c*b are
+S(a) + c*S(b): a caller that needs a take at many mixing scales computes
+S(a) and S(b) once and only the second stage per scale.
+fir.split_channels, fft_magnitude_sq and the stages above stay the
+reference that the tests compare both stages against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fir
 from .errors import DimensionError, ParameterError
@@ -109,11 +116,6 @@ def _frame_count(length: int, frame_len_n: int, shift_m: int) -> int:
     return (length - frame_len_n) // shift_m + 1
 
 
-def _gather_frames(samples: np.ndarray, count: int, frame_len_n: int, shift_m: int) -> np.ndarray:
-    starts = np.arange(count) * shift_m
-    return samples[starts[:, None] + np.arange(frame_len_n)[None, :]]
-
-
 def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.ndarray:
     """Slice a buffer into overlapping frames of length N shifted by M.
 
@@ -121,7 +123,8 @@ def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.nd
     [l*M, l*M + N); trailing samples that do not fill a frame are dropped.
     """
     n, m = int(frame_len_n), int(shift_m)
-    return _gather_frames(buffer.samples, _frame_count(len(buffer), n, m), n, m)
+    starts = np.arange(_frame_count(len(buffer), n, m)) * m
+    return buffer.samples[starts[:, None] + np.arange(n)[None, :]]
 
 
 def hamming_window(frame: np.ndarray) -> np.ndarray:
@@ -263,7 +266,7 @@ def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, 
     raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
 
 
-@lru_cache(maxsize=4)  # each entry is about 1 MB at the defaults
+@lru_cache(maxsize=4)  # each entry is about 0.4-0.5 MB at the defaults
 def _spectrum_operator(
     bands: tuple[tuple[float, float, int], ...],
     frame_len: int,
@@ -271,19 +274,27 @@ def _spectrum_operator(
     fir_taps: int,
     sample_rate_hz: int,
 ) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """A channel layout's band split, Hamming window and DFT as one matrix.
+    """A channel layout's band split, Hamming window and DFT as one folded matrix.
 
     `bands` is an entry of channel_bands. A lone band is not filtered: its
     kernel is the one tap 1.0. Of two bands, channel 1 is lowpassed at its
     top edge and channel 2 bandpassed over its band by fir_taps-tap kernels,
-    as in fir.split_channels. Returns (operator, bins). A frame extended by
-    (T - 1)/2 samples on each side, T being the kernels' length, times the
-    (frame_len + T - 1, C) operator gives, per channel in turn, the real then
-    the imaginary parts of the windowed DFT of that channel's filtered
-    frame, at the bins bins[channel] that the channel's bank weights. A
-    column is the windowed DFT basis vector of its bin convolved with the
-    reversed kernel, so a lone band's columns are the basis vectors.
-    Memoized like build_filterbank; the returned matrix is read-only.
+    as in fir.split_channels. A frame extended by (T - 1)/2 samples on each
+    side, T being the kernels' length, has E = frame_len + T - 1 samples,
+    and its spectrum at bin k is its product with the windowed DFT basis
+    vector of k convolved with the reversed kernel, with the phase taken
+    about the frame centre (frame_len - 1)/2; the phase leaves |X_k|^2 as it is.
+
+    The window is symmetric and the kernels are linear-phase, so that
+    column's real part is even and its imaginary part odd about the
+    extended frame's centre. With s_e = x_e + x_{E-1-e} and d_e = x_e -
+    x_{E-1-e} for e < H = ceil(E/2), the real parts are s @ P and the
+    imaginary parts d @ Q, P and Q being the first H rows of the real and
+    imaginary columns; an odd E's centre row of P is halved, since s counts
+    the centre sample twice (d is 0 there). Returns (operator, bins): the
+    (H, 2C) operator [P | Q], each half holding the channels' bins in turn,
+    and the bins bins[channel] that each channel's bank weights. Memoized
+    like build_filterbank; the returned matrix is read-only.
     """
     kernels = [np.ones(1)]
     if len(bands) == 2:
@@ -294,51 +305,82 @@ def _spectrum_operator(
         ]
     t = np.arange(frame_len)
     window = hamming_window(np.ones(frame_len))
+    extended = frame_len + len(kernels[0]) - 1
     blocks, bin_slices = [], []
     for kernel, (lo, hi, filters) in zip(kernels, bands, strict=True):
         edges = _mel_bin_edges(lo, hi, filters, fft_size, sample_rate_hz)
         bins = np.arange(edges[0] + 1, edges[-1])
-        # Reduce k*t modulo K in integers so the angles stay exact.
-        angle = (2.0 * np.pi / fft_size) * (np.outer(t, bins) % fft_size)
-        basis = window[:, None] * np.hstack([np.cos(angle), -np.sin(angle)])
-        block = np.zeros((frame_len + len(kernel) - 1, basis.shape[1]))
+        # The angle k*(t - (N-1)/2)*2pi/K: reduce k*(2t - N + 1) modulo 2K in
+        # integers so the angles stay exact.
+        angle = (np.pi / fft_size) * (np.outer(2 * t - frame_len + 1, bins) % (2 * fft_size))
+        basis = window[:, None] * (np.cos(angle) - 1j * np.sin(angle))
+        block = np.zeros((extended, len(bins)), dtype=complex)
         for shift, tap in enumerate(kernel[::-1]):
             block[shift : shift + frame_len] += tap * basis
-        blocks.append(block)
+        blocks.append(block[: -(-extended // 2)])
         bin_slices.append(slice(int(bins[0]), int(bins[-1]) + 1))
-    operator = np.hstack(blocks)
+    folded = np.hstack(blocks)
+    if extended % 2:
+        folded[-1] *= 0.5
+    operator = np.hstack([folded.real, folded.imag])
     operator.flags.writeable = False
     return operator, tuple(bin_slices)
 
 
-def channel_spectra(buffer: AudioBuffer, method: str, cfg: ExtractionConfig) -> np.ndarray:
-    """The linear stage of extraction: a take's frame spectra, linear in its samples.
+def channel_spectra(
+    takes: AudioBuffer | Sequence[AudioBuffer], method: str, cfg: ExtractionConfig
+) -> np.ndarray:
+    """The linear stage of extraction: frame spectra, linear in the samples.
 
-    The (L, C) real product of the take's frames, extended by the band
-    split's kernel, with _spectrum_operator: per channel the real then the
-    imaginary parts at the bins its bank weights. The single channel has no
-    split, so its frames are the take's own. Framing, the FIR split, the
-    window and the DFT are all linear, so the spectra of a + c*b are the
+    `takes` is one buffer, for which this returns (L, C) spectra, or a
+    sequence of B buffers of one length and sample rate, for which it
+    returns (B, L, C), row b being the spectra of takes[b]. A take's
+    spectra are its frames, extended by the band split's kernel, folded
+    about their centres and multiplied by _spectrum_operator: the real parts
+    of every channel's bins, then their imaginary parts. The single channel
+    has no split, so its frames are the take's own. Framing, the FIR split,
+    the window and the DFT are all linear, so the spectra of a + c*b are the
     spectra of a plus c times those of b, up to float rounding;
     spectra_features takes them the rest of the way. Raises what the staged
     path raises on the same input, in its order: the dual band split's
     checks, then the banks', then the framing's.
     """
+    buffers = [takes] if isinstance(takes, AudioBuffer) else list(takes)
+    if not buffers:
+        raise DimensionError("need at least one take")
+    length, rate = len(buffers[0]), buffers[0].sample_rate_hz
+    if any(len(b) != length or b.sample_rate_hz != rate for b in buffers):
+        raise DimensionError("stacked takes must share one length and sample rate")
     bands = tuple(channel_bands(method, cfg).values())
-    rate = buffer.sample_rate_hz
+    reach = 0
     if method == "dual":
         if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
             raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
-        if len(buffer) <= cfg.fir_taps:
+        if length <= cfg.fir_taps:
             raise DimensionError(
-                f"buffer ({len(buffer)}) must be longer than the kernel ({cfg.fir_taps})"
+                f"buffer ({length}) must be longer than the kernel ({cfg.fir_taps})"
             )
+        reach = (cfg.fir_taps - 1) // 2
     operator, _ = _spectrum_operator(bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate)
-    count = _frame_count(len(buffer), cfg.frame_len, cfg.frame_shift)
+    count = _frame_count(length, cfg.frame_len, cfg.frame_shift)
     # "same"-mode convolution is a full convolution of the zero-padded input.
-    extended = len(operator)
-    padded = np.pad(buffer.samples, (extended - cfg.frame_len) // 2)
-    return _gather_frames(padded, count, extended, cfg.frame_shift) @ operator
+    padded = np.zeros((len(buffers), length + 2 * reach))
+    for row, buffer in zip(padded, buffers):
+        row[reach : reach + length] = buffer.samples
+    frames = sliding_window_view(padded, cfg.frame_len + 2 * reach, axis=1)
+    frames = frames[:, :: cfg.frame_shift]
+    half, width = operator.shape
+    head, tail = frames[..., :half], frames[..., ::-1][..., :half]
+    # The sums, then the differences, in one (B*L, H) buffer: the folded
+    # frames of a stack take no more memory than one gather of them would.
+    folded = np.empty((len(buffers) * count, half))
+    spectra = np.empty((len(buffers) * count, width))
+    np.add(head, tail, out=folded.reshape(head.shape))
+    np.matmul(folded, operator[:, : width // 2], out=spectra[:, : width // 2])
+    np.subtract(head, tail, out=folded.reshape(head.shape))
+    np.matmul(folded, operator[:, width // 2 :], out=spectra[:, width // 2 :])
+    spectra = spectra.reshape(len(buffers), count, width)
+    return spectra[0] if isinstance(takes, AudioBuffer) else spectra
 
 
 def spectra_features(
@@ -350,19 +392,24 @@ def spectra_features(
 ) -> dict[str, FeatureMatrix]:
     """Cepstra of each channel of `method` from its channel_spectra, keyed by
     channel_id: power, the channel's bank from channel_bands, log and cosine
-    transform."""
+    transform. `spectra` may carry leading batch dimensions, (..., L, C);
+    each FeatureMatrix's rows then carry the same ones, (..., L, Q)."""
     bands = channel_bands(method, cfg)
     _, bin_slices = _spectrum_operator(
         tuple(bands.values()), cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
     )
+    # One 2-D product per stage: numpy runs a stacked matmul one matrix at a time.
+    flat = spectra.reshape(-1, spectra.shape[-1])
+    half = flat.shape[1] // 2
+    power = np.square(flat[:, :half])
+    power += np.square(flat[:, half:])
     features, col = {}, 0
     for (channel_id, (lo, hi, filters)), bins in zip(bands.items(), bin_slices, strict=True):
         bank = build_filterbank(lo, hi, filters, cfg.fft_size, sample_rate_hz)
         width = bins.stop - bins.start
-        re, im = spectra[:, col : col + width], spectra[:, col + width : col + 2 * width]
-        col += 2 * width
-        energies = log_mel_energies(re**2 + im**2, bank[:, bins], cfg.log_floor)
-        rows = dct_cepstra(energies, cfg.num_coeffs)
+        energies = log_mel_energies(power[:, col : col + width], bank[:, bins], cfg.log_floor)
+        col += width
+        rows = dct_cepstra(energies, cfg.num_coeffs).reshape(spectra.shape[:-1] + (-1,))
         features[channel_id] = FeatureMatrix(rows, channel_id, source_id)
     return features
 

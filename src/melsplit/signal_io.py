@@ -11,8 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import wave
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -223,9 +226,19 @@ def mix_at_snr(clean: AudioBuffer, spec: NoiseSpec) -> tuple[AudioBuffer, AudioB
 # differ like separate recordings.
 
 
-def _profile_params(profile_id: int) -> dict:
+def _frozen(params: dict) -> Mapping:
+    """A read-only view of `params` whose arrays are read-only too."""
+    for value in params.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return MappingProxyType(params)
+
+
+@lru_cache
+def _profile_params(profile_id: int) -> Mapping:
+    """A profile's voice traits, memoized; the mapping and its arrays are read-only."""
     rng = np.random.default_rng(_entropy(0x9F0F11E, profile_id))
-    return {
+    params = {
         "f0": 90.0 + 130.0 * rng.random(),
         "formants": np.array(
             [
@@ -240,14 +253,17 @@ def _profile_params(profile_id: int) -> dict:
         "breath_knee_hz": 600.0 * 3.0 ** rng.random(),
         "breath_slope": 0.8 + 0.6 * rng.random(),
     }
+    return _frozen(params)
 
 
-def _word_params(word_id: int) -> dict:
+@lru_cache
+def _word_params(word_id: int) -> Mapping:
+    """A word's temporal pattern, memoized like _profile_params."""
     rng = np.random.default_rng(_entropy(0x77D0, word_id))
     # Two vowel-like segments, each a triple of resonance gains (F1, F2, F3).
     gains_a = np.array([1.0, 0.4 + 0.3 * rng.random(), 0.2 + 0.2 * rng.random()])
     gains_b = np.array([0.5 + 0.3 * rng.random(), 1.0, 0.3 + 0.3 * rng.random()])
-    return {
+    params = {
         "split": 0.38 + 0.24 * rng.random(),
         "gains_a": gains_a,
         "gains_b": gains_b,
@@ -257,6 +273,7 @@ def _word_params(word_id: int) -> dict:
         "decay": 0.06 + 0.06 * rng.random(),
         "breath_gain": 0.55 + 0.9 * rng.random(),
     }
+    return _frozen(params)
 
 
 def _resonance_envelope(freqs, formants, gains, bw_factor):
@@ -273,29 +290,40 @@ def _harmonic_stack(base_phase, phases, amps_a, amps_b, blend):
 
     Returns ``(1 - blend) * A + blend * B`` with
     ``A = sum_h amps_a[h-1] * sin(h * base_phase + phases[h-1])`` and B the
-    same over ``amps_b``, for h = 1..H. Each sum is
-    ``Im(sum_h c_h * r**h)`` with ``r = exp(1j * base_phase)`` and
-    ``c_h = amps[h-1] * exp(1j * phases[h-1])``, evaluated by Horner's rule:
-    H complex multiply-adds per sample, one ``exp`` per sample and no (H, n)
-    table. Each stack is evaluated only over the span of samples where its
-    weight is nonzero (A where blend < 1, B where blend > 0) and is 0
-    elsewhere, where its weight is exactly 0, so every sample equals the
+    same over ``amps_b``, for h = 1..H, where blend lies in [0, 1]. Each sum
+    is ``Im(sum_h c_h * r**h)`` with ``r = cos(base_phase) + 1j *
+    sin(base_phase)`` and ``c_h = amps[h-1] * exp(1j * phases[h-1])``,
+    evaluated by Horner's rule: H complex multiply-adds per sample and no
+    (H, n) table. A is evaluated only up to the last sample where blend < 1
+    and B only from the first where blend > 0. Before B's span blend is 0
+    and the result is A; past A's span it is 1 and the result is B; the
+    formula runs only where the spans overlap, so every sample equals the
     formula's.
     """
-    rotor = np.exp(1j * base_phase)
+    n = len(base_phase)
+    rotor = np.empty(n, dtype=complex)
+    np.cos(base_phase, out=rotor.real)
+    np.sin(base_phase, out=rotor.imag)
     coeffs = np.stack([amps_a, amps_b]) * np.exp(1j * phases)
-    acc = np.zeros((2, len(rotor)), dtype=complex)
-    for row, weight in enumerate((1.0 - blend, blend)):
-        support = np.flatnonzero(weight)
-        if not len(support):
-            continue
-        span = slice(support[0], support[-1] + 1)
-        r, stack = rotor[span], acc[row, span]
-        np.multiply(coeffs[row, -1], r, out=stack)
+    below, above = np.flatnonzero(blend < 1.0), np.flatnonzero(blend > 0.0)
+    a_stop = below[-1] + 1 if len(below) else 0
+    b_start = above[0] if len(above) else n
+
+    def horner(row, span):
+        r = rotor[span]
+        acc = coeffs[row, -1] * r
         for c in coeffs[row, -2::-1]:
-            stack += c
-            stack *= r
-    return (1.0 - blend) * acc[0].imag + blend * acc[1].imag
+            acc += c
+            acc *= r
+        return acc.imag
+
+    a, b = horner(0, slice(0, a_stop)), horner(1, slice(b_start, n))
+    out = np.empty(n)
+    out[:b_start] = a[:b_start]
+    out[a_stop:] = b[a_stop - b_start :]
+    weight = blend[b_start:a_stop]
+    out[b_start:a_stop] = (1.0 - weight) * a[b_start:] + weight * b[: a_stop - b_start]
+    return out
 
 
 def synth_speaker(
@@ -312,7 +340,9 @@ def synth_speaker(
     whose gains shift between two vowel-like segments of the word; a shaped
     breath floor fills the rest of the band. Distinct profiles are separable
     in cepstral-feature space; two seeds of the same (profile, word) are
-    near neighbours.
+    near neighbours. The blend between the segments' stacks is computed
+    only across its ramp; before it only the first stack is evaluated and
+    after it only the second (see _harmonic_stack).
     """
     if duration_s <= 0:
         raise ParameterError("duration_s must be positive")
@@ -350,8 +380,14 @@ def synth_speaker(
 
     edge = split * n
     ramp_halfwidth = max(2.0, 0.04 * n)
-    blend = np.clip((np.arange(n) - edge) / (2.0 * ramp_halfwidth) + 0.5, 0.0, 1.0)
-    blend = 0.5 - 0.5 * np.cos(np.pi * blend)
+    # The raised cosine is 0 before the ramp and 1 after it; it is computed
+    # over the ramp and a sample either side, where clipping gives those ends.
+    lo = max(0, int(np.floor(edge - ramp_halfwidth)) - 1)
+    hi = min(n, int(np.ceil(edge + ramp_halfwidth)) + 2)
+    ramp = np.clip((np.arange(lo, hi) - edge) / (2.0 * ramp_halfwidth) + 0.5, 0.0, 1.0)
+    blend = np.zeros(n)
+    blend[lo:hi] = 0.5 - 0.5 * np.cos(np.pi * ramp)
+    blend[hi:] = 1.0
     signal = _harmonic_stack(base_phase, phases, amps_a, amps_b, blend)
 
     # Envelope: raised-cosine attack and decay with a dip at the segment

@@ -14,9 +14,11 @@ from melsplit.bench import (
     _build_corpus,
     _calibration_pairs,
     _auto_mu,
+    _basis_takes,
     _cancelled_takes,
     _make_pairs,
     _noise_stacks,
+    _point_features,
     _score_pairs,
     _stack_takes,
     _unit_noise,
@@ -349,10 +351,10 @@ class TestRunSweep:
         expected = channels * (references + calibration_takes + test_takes * conditions)
         assert len(fits) == expected
         assert len(set(fits)) == len(fits)
-        # All takes have one length, so each (take set, method) enrolls each
-        # channel in one kernel call: references, calibration takes, and the
-        # test takes of every condition.
-        assert len(calls) == channels * (2 + conditions)
+        # All takes have one length, so each (take set, method) enrolls all
+        # its channels in one kernel call: references, calibration takes, and
+        # the test takes of every condition.
+        assert len(calls) == len(plan.methods) * (2 + conditions)
 
     def test_only_used_references_enrolled(self, monkeypatch):
         enrolled, scored = set(), set()
@@ -455,6 +457,28 @@ class TestRunSweep:
         for call, points in zip(test_calls, [4, 4, 4, 3, 3, 3]):
             assert call == [source for source in dict.fromkeys(call) for _ in range(points)]
         assert len({source for call in test_calls for source in call}) == 9
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_point_features_of_stacked_takes_equal_each_take_alone(self, method):
+        # Nine takes in two lengths: runs of one length go through the
+        # spectra stage a few takes at a time, so the six-take run splits
+        # into a full stack and a shorter one, and the three-take run is short.
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
+        takes = {
+            (p, w): synth_speaker(p, w, 0.3 if w < 2 else 0.25, corpus_seed(5, p, w, 1))
+            for p in range(3)
+            for w in range(3)
+        }
+        bases = _basis_takes(plan, _noise_stacks(plan, takes, True), list(plan.snr_points_db))
+        assert [len(b.a) for b in bases] == [4800] * 6 + [4000] * 3
+        stacked = _point_features(bases, method, plan, 1)
+        alone = [f for basis in bases for f in _point_features([basis], method, plan, 1)]
+        assert len(stacked) == len(alone) == 3 * len(bases)
+        for features, expected in zip(stacked, alone):
+            assert list(features) == list(expected) == list(channel_bands(method, plan.extraction))
+            for channel, fm in features.items():
+                assert fm.source_id == expected[channel].source_id
+                assert np.max(np.abs(fm.rows - expected[channel].rows)) <= 1e-12
 
     def test_clean_counts_same_with_and_without_anc(self, mini_report):
         for method in ("single", "dual"):

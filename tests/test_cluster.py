@@ -369,6 +369,27 @@ class TestEnrollScore:
             for channel in alone:
                 assert_same_model(models[channel], alone[channel])
 
+    def test_dual_channels_fit_in_one_call_as_they_fit_alone(self, monkeypatch):
+        # Rows of one kmeans_many call never interact, so fitting a dual
+        # take's two channels together gives each channel's own fit.
+        calls = []
+        real_kmeans_many = melsplit.cluster.kmeans_many
+
+        def recording_kmeans_many(points, *args, **kwargs):
+            calls.append(np.shape(points))
+            return real_kmeans_many(points, *args, **kwargs)
+
+        monkeypatch.setattr(melsplit.cluster, "kmeans_many", recording_kmeans_many)
+        takes = [take_features("dual", p, 2, 1) for p in range(3)]
+        models = enroll_many(takes, 2, 8)
+        assert len(calls) == 1 and calls[0][0] == 6
+        for features, take_models in zip(takes, models):
+            assert list(take_models) == ["ch1", "ch2"]
+            for channel, f in features.items():
+                seed = melsplit.cluster._side_seed(8, f.source_id, channel)
+                (alone,) = real_kmeans_many(f.rows[None], 2, [seed])
+                assert_same_model(take_models[channel], alone)
+
     @pytest.mark.parametrize("method", ["single", "dual"])
     def test_enrolling_twice_gives_identical_centroids(self, method):
         feats = take_features(method, 2, 1, 1)

@@ -538,10 +538,11 @@ class TestExtractDualChannel:
     @pytest.mark.parametrize(
         "method, expected_bins, shape",
         [
-            # ch1 weights bins 1-31 and ch2 bins 33-127: real and imaginary parts.
-            ("dual", (slice(1, 32), slice(33, 128)), (400 + 101 - 1, 2 * (31 + 95))),
+            # ch1 weights bins 1-31 and ch2 bins 33-127: real and imaginary
+            # parts, over half of the 400 + 101 - 1 extended frame.
+            ("dual", (slice(1, 32), slice(33, 128)), (250, 2 * (31 + 95))),
             # One unfiltered band: frames are not extended.
-            ("single", (slice(1, 128),), (400, 2 * 127)),
+            ("single", (slice(1, 128),), (200, 2 * 127)),
         ],
         ids=["dual", "single"],
     )
@@ -555,6 +556,87 @@ class TestExtractDualChannel:
         assert not operator.flags.writeable
         with pytest.raises(ValueError):
             operator[0, 0] = 1.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_odd_extended_frame_uses_the_centre_sample_once(self, method):
+        # An odd frame_len makes the extended frame odd for both methods (the
+        # kernels have an odd tap count), so the fold has a centre sample.
+        cfg = ExtractionConfig(frame_len=401, frame_shift=150)
+        extended = 401 + (cfg.fir_taps - 1 if method == "dual" else 0)
+        bands = tuple(channel_bands(method, cfg).values())
+        operator, _ = melsplit.mfcc._spectrum_operator(bands, 401, 512, cfg.fir_taps, SR)
+        assert extended % 2 == 1 and len(operator) == (extended + 1) // 2
+        x = buf(np.random.default_rng(16).standard_normal(5000))
+        if method == "dual":
+            matrices, expected = extract_dual_channel(x, cfg), composed_dual(x, cfg)
+        else:
+            matrices, expected = (extract_single_channel(x, cfg),), (composed_single(x, cfg),)
+        for fm, rows in zip(matrices, expected, strict=True):
+            assert fm.rows.shape == rows.shape
+            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+
+    @staticmethod
+    def unfolded_operator(bands, frame_len, fft_size, fir_taps, rate):
+        """The complex (E, C) operator before folding: per channel, the
+        windowed DFT basis with its phase taken at the frame's first sample,
+        convolved with the reversed kernel."""
+        kernels = [np.ones(1)]
+        if len(bands) == 2:
+            kernels = [
+                melsplit.fir.design_lowpass(bands[0][1], fir_taps, rate).taps,
+                melsplit.fir.design_bandpass(bands[1][0], bands[1][1], fir_taps, rate).taps,
+            ]
+        _, bin_slices = melsplit.mfcc._spectrum_operator(bands, frame_len, fft_size, fir_taps, rate)
+        t = np.arange(frame_len)
+        window = hamming_window(np.ones(frame_len))
+        blocks, omegas = [], []
+        for kernel, bins in zip(kernels, bin_slices, strict=True):
+            k = np.arange(bins.start, bins.stop)
+            basis = window[:, None] * np.exp(-2j * np.pi * np.outer(t, k) / fft_size)
+            block = np.zeros((frame_len + len(kernel) - 1, len(k)), dtype=complex)
+            for shift, tap in enumerate(kernel[::-1]):
+                block[shift : shift + frame_len] += tap * basis
+            blocks.append(block)
+            omegas.append(2.0 * np.pi * k / fft_size)
+        return np.hstack(blocks), np.concatenate(omegas)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("frame_len", [400, 401])
+    def test_folded_power_matches_the_unfolded_operator(self, method, frame_len):
+        cfg = ExtractionConfig(frame_len=frame_len)
+        bands = tuple(channel_bands(method, cfg).values())
+        args = (bands, frame_len, cfg.fft_size, cfg.fir_taps, SR)
+        unfolded, omega = self.unfolded_operator(*args)
+        extended = len(unfolded)
+        # The mirror property that the fold rests on.
+        mirror = np.exp(-1j * omega * (frame_len - 1)) * np.conj(unfolded)
+        assert np.max(np.abs(unfolded[::-1] - mirror)) <= 1e-12 * np.max(np.abs(unfolded))
+        operator, _ = melsplit.mfcc._spectrum_operator(*args)
+        frames = np.random.default_rng(17).standard_normal((9, extended))
+        expected = np.abs(frames @ unfolded) ** 2
+        half, width = operator.shape
+        head, tail = frames[:, :half], frames[:, ::-1][:, :half]
+        re = (head + tail) @ operator[:, : width // 2]
+        im = (head - tail) @ operator[:, width // 2 :]
+        assert np.max(np.abs(re**2 + im**2 - expected)) <= 1e-12 * np.max(expected)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stacked_spectra_equal_per_take_calls(self, method):
+        rng = np.random.default_rng(18)
+        takes = [buf(rng.standard_normal(3000)) for _ in range(5)]
+        alone = [channel_spectra(x, method, ExtractionConfig()) for x in takes]
+        # A one-row stack, and stacks that are not a multiple of four takes.
+        for count in (1, 3, 5):
+            stacked = channel_spectra(takes[:count], method, ExtractionConfig())
+            assert stacked.shape == (count,) + alone[0].shape
+            for row, spectra in zip(stacked, alone):
+                assert np.max(np.abs(row - spectra)) <= 1e-12 * np.max(np.abs(spectra))
+
+    def test_stacked_takes_must_share_length_and_rate(self):
+        x = np.random.default_rng(19).standard_normal(3000)
+        for other in (buf(x[:2900]), buf(x, 8000)):
+            with pytest.raises(DimensionError, match="one length and sample rate"):
+                channel_spectra([buf(x), other], "single", ExtractionConfig())
 
     def test_equal_row_counts(self):
         x = buf(np.random.default_rng(9).standard_normal(8000))
