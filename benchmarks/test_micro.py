@@ -121,19 +121,18 @@ def test_channel_spectra_4_takes(benchmark, method):
 
 
 def test_run_anc_batch_basis_pass_52_rows(benchmark):
-    # A sweep's two canceller runs under the default step size: the clean
-    # takes, opened by anc_taps zeros, with the unit noise as the reference,
-    # then the unit noise in place against itself; both write over fresh
-    # copies of their stacks each round.
+    # A sweep's two canceller runs: the clean takes, opened by anc_taps
+    # zeros, with the unit noise as the reference, then the unit noise in
+    # place against itself; both write over fresh copies of their stacks
+    # each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
     (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
     lead = _lead_samples(PLAN)
-    mus = stack.mus(PLAN, stack.scales(-6.0))
     rounds = []
 
     def basis_pass(clean, unit):
-        run_anc_batch(clean, unit[:, lead - stack.pad :], PLAN.anc_taps, mus)
-        run_anc_batch(unit, unit, PLAN.anc_taps, mus)
+        run_anc_batch(clean, unit[:, lead - stack.pad :], PLAN.anc_taps, stack.steps)
+        run_anc_batch(unit, unit, PLAN.anc_taps, stack.steps)
 
     def setup():
         rounds.append((stack.clean.copy(), stack.unit.copy()))

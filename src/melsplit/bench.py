@@ -81,7 +81,6 @@ class ExperimentPlan:
     sample_rate_hz: int = 16000
     calib_words: int = 2
     anc_taps: int = 31
-    anc_mu: float | None = None
     anc_mu_fraction: float = 0.02
     anc_lead_s: float = 0.25
     kmeans_k: int = 2
@@ -109,13 +108,20 @@ class ExperimentPlan:
             raise ConfigError("need at least 2 profiles for impostor trials")
         if not 1 <= self.calib_words < self.words:
             raise ConfigError("calib_words must leave at least one trial word")
-        if self.anc_lead_s < 0:
-            raise ConfigError("anc_lead_s must be >= 0")
         check_shared_fields(
             self.sample_rate_hz, self.extraction.band_top_hz, self.anc_taps, self.kmeans_k
         )
         check_fields(
-            ("anc_mu", self.anc_mu is None or self.anc_mu > 0, "must be positive"),
+            (
+                "duration_s",
+                math.isfinite(self.duration_s) and self.duration_s > 0,
+                "must be finite and positive",
+            ),
+            (
+                "anc_lead_s",
+                math.isfinite(self.anc_lead_s) and self.anc_lead_s >= 0,
+                "must be finite and >= 0",
+            ),
             ("anc_mu_fraction", self.anc_mu_fraction > 0, "must be positive"),
         )
 
@@ -290,21 +296,6 @@ def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_
     ]
 
 
-def _auto_mu(plan: ExperimentPlan, power: float, scale: float) -> float:
-    """Step size for a canceller that reads a unit reference of mean square
-    `power` where the noise is scale times it.
-
-    LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
-    mu*c**2 (its weights are c times the others), so this returns mu*c**2:
-    anc_mu*c**2 for a fixed anc_mu, else the mu that targets a fixed
-    misadjustment against the power of c*u, for which mu*c**2 depends on u
-    alone and is the same at every SNR point.
-    """
-    if plan.anc_mu is not None:
-        return plan.anc_mu * scale**2
-    return plan.anc_mu_fraction / ((plan.anc_taps + 1) * power)
-
-
 def _lead_samples(plan: ExperimentPlan) -> int:
     """Length of the noise-only lead-in that opens each canceller input;
     0 when the plan runs no canceller, since only the canceller reads it."""
@@ -336,10 +327,17 @@ class _NoiseStack:
     zeros; otherwise `clean` is None and samples[i] is the take's own
     array. Row i of `unit` is _unit_noise of keys[i], (lead + n) samples,
     or `unit` is None when the plan has no noisy point. The powers are each
-    take's mean squares, taken once: of the clean take, of the unit noise
-    under it, and of the whole unit noise, which the canceller reads.
+    take's mean squares, taken once: of the clean take and of the unit noise
+    under it. steps[i] is take i's canceller step on its unit reference,
+    anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)).
 
-    A point's take is samples[i] + c * unit[i, lead:]. Once _cancelled_bases
+    LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
+    mu*c**2 (its weights are c times the others). The step that targets a
+    fixed misadjustment against the power of c*u is mu = steps[i] / c**2,
+    so on the unit reference it is steps[i] at every SNR point, and every
+    point of a take shares one canceller run.
+
+    A point's take is samples[i] + c * unit[i, lead:]. Once _cancel_stacks
     has written the canceller's errors over `clean` and `unit`, the same
     formula gives the ANC-on take.
     """
@@ -351,15 +349,11 @@ class _NoiseStack:
     unit: np.ndarray | None
     clean_power: list
     unit_power: list
-    reference_power: list
+    steps: list
 
     def scales(self, snr_db: float) -> list:
         """Each take's noise scale c at `snr_db`."""
         return [noise_scale(*powers, snr_db) for powers in zip(self.clean_power, self.unit_power)]
-
-    def mus(self, plan: ExperimentPlan, scales: list) -> list:
-        """Each canceller's step size on the unit reference (see _auto_mu)."""
-        return [_auto_mu(plan, p, c) for p, c in zip(self.reference_power, scales)]
 
 
 def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[_NoiseStack]:
@@ -385,13 +379,14 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
         # about 5 MB higher in RSS (glibc 2.36 heap reuse). Plans without a
         # canceller keep the takes' own arrays, since a clean stack there
         # raised sweep_noanc's peak RSS by 4 MB.
-        unit, unit_power, reference_power = None, [], []
+        unit, unit_power, steps = None, [], []
         if noisy:
             unit = np.empty((len(keys), lead + n))
             for i, key in enumerate(keys):
                 unit[i] = drawn = _unit_noise(plan, key, n)
                 unit_power.append(float(np.mean(drawn[lead:] ** 2)))
-                reference_power.append(float(np.mean(drawn**2)))
+                power = float(np.mean(drawn**2))
+                steps.append(plan.anc_mu_fraction / ((plan.anc_taps + 1) * power))
         clean = None
         if "on" in plan.anc:
             clean = np.empty((len(keys), pad + n))
@@ -404,11 +399,7 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
                 clean[i, pad:] = take
                 take = clean[i, pad:]
             samples.append(take)
-        stacks.append(
-            _NoiseStack(
-                keys, samples, pad, clean, unit, clean_power, unit_power, reference_power
-            )
-        )
+        stacks.append(_NoiseStack(keys, samples, pad, clean, unit, clean_power, unit_power, steps))
     return stacks
 
 
@@ -429,7 +420,7 @@ class _Basis(NamedTuple):
 def _basis_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> list:
     """A _Basis for every stacked take at `points`: samples[i] and
     unit[i, lead:] with each noisy point's c, and the take alone at the clean
-    point. Before _cancelled_bases runs the cancellers these are the clean
+    point. Before _cancel_stacks runs the cancellers these are the clean
     and ANC-off takes; after, the same formula gives the ANC-on takes."""
     lead = _lead_samples(plan)
     bases = []
@@ -444,43 +435,22 @@ def _basis_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[f
     return bases
 
 
-def _cancelled_bases(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
-    """Yield (points, [_Basis]) groups that hold the ANC-on test takes of
-    every noisy point, each group to be read before the next is yielded.
+def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> None:
+    """Write the canceller's errors over every stack, so that _basis_takes
+    then gives the ANC-on test takes of every noisy point in `points`.
 
-    Every ANC-off take must be read first: this may overwrite the stacks.
-    Under _auto_mu's default the step does not depend on the point, so each
-    stack's cancellers run twice, however many points there are, and one
-    group gives every point's takes (see _NoiseStack): on the clean stack,
-    with the unit noise as reference, then on the unit noise against
-    itself. A fixed anc_mu gives each point its own step anc_mu * c**2, so
-    then each point mixes its canceller inputs into one buffer per stack and
-    cancels them there, reading the unit noise as the reference, and is a
-    group of its own whose takes are their cancelled rows.
+    Every ANC-off take must be read first. The step does not depend on the
+    point (see _NoiseStack), so each stack's cancellers run twice, however
+    many points there are: on the clean stack, with the unit noise as
+    reference, then on the unit noise against itself.
     """
     lead = _lead_samples(plan)
-    if plan.anc_mu is None:
-        for stack in stacks:
-            step_size = stack.mus(plan, stack.scales(points[0]))
-            skip = lead - stack.pad
-            with _naming(stack, points, skip):
-                run_anc_batch(stack.clean, stack.unit[:, skip:], plan.anc_taps, step_size)
-            with _naming(stack, points, 0):
-                run_anc_batch(stack.unit, stack.unit, plan.anc_taps, step_size)
-        yield points, _basis_takes(plan, stacks, points)
-        return
-    buffers = [np.empty_like(stack.unit) for stack in stacks]
-    for snr_db in points:
-        bases = []
-        for stack, signals in zip(stacks, buffers):
-            scales = stack.scales(snr_db)
-            for i, (key, scale) in enumerate(zip(stack.keys, scales)):
-                np.multiply(stack.unit[i], scale, out=signals[i])
-                signals[i, lead:] += stack.samples[i]
-                bases.append(_Basis(key, signals[i, lead:], None, [None]))
-            with _naming(stack, [snr_db], 0):
-                run_anc_batch(signals, stack.unit, plan.anc_taps, stack.mus(plan, scales))
-        yield [snr_db], bases
+    for stack in stacks:
+        skip = lead - stack.pad
+        with _naming(stack, points, skip):
+            run_anc_batch(stack.clean, stack.unit[:, skip:], plan.anc_taps, stack.steps)
+        with _naming(stack, points, 0):
+            run_anc_batch(stack.unit, stack.unit, plan.anc_taps, stack.steps)
 
 
 def _take_at(basis: _Basis, j: int, rate: int) -> AudioBuffer:
@@ -492,21 +462,12 @@ def _take_at(basis: _Basis, j: int, rate: int) -> AudioBuffer:
 def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
     """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
     clean take at the clean point, else clean + c * unit[lead:], the ANC-off
-    take, or, once _cancelled_bases has cancelled the stacks, the ANC-on
+    take, or, once _cancel_stacks has cancelled the stacks, the ANC-on
     take. The sweep never forms these; they are the take-level reference
     for its spectra-level mixing."""
     return {
         b.key: _take_at(b, 0, plan.sample_rate_hz) for b in _basis_takes(plan, stacks, [snr_db])
     }
-
-
-def _cancelled_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]):
-    """Yield (snr_db, {key: AudioBuffer}), the ANC-on test takes of each
-    noisy point from _cancelled_bases, formed in the time domain: the
-    take-level reference, like _stack_takes."""
-    for group, bases in _cancelled_bases(plan, stacks, points):
-        for j, snr_db in enumerate(group):
-            yield snr_db, {b.key: _take_at(b, j, plan.sample_rate_hz) for b in bases}
 
 
 @contextmanager
@@ -627,9 +588,8 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     features at each of its points from its signals' spectra, computed once
     per method: the reference and calibration takes alone at the clean
     point; each test take's clean take and unit noise for the clean and
-    ANC-off points, then, once the cancellers have run, their cancelled rows
-    for the ANC-on points (or each point's own cancelled take under a fixed
-    anc_mu).
+    ANC-off points, then, once _cancel_stacks has run each stack's two
+    cancellers, their cancelled rows for the ANC-on points.
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -680,8 +640,8 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     if shared:
         tally("off", shared, _basis_takes(plan, stacks, shared))
     if "on" in plan.anc and points:
-        for group, bases in _cancelled_bases(plan, stacks, points):
-            tally("on", group, bases)
+        _cancel_stacks(plan, stacks, points)
+        tally("on", points, _basis_takes(plan, stacks, points))
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

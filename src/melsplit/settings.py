@@ -79,8 +79,7 @@ def settings_from_dict(cls, data, what: str):
         elif _json_matches(value, hint):
             # A JSON integer in a float field loads as a float, so equal
             # settings echo the same bytes however they were spelled.
-            float_field = hint in (float, float | None) and value is not None
-            kwargs[name] = float(value) if float_field else value
+            kwargs[name] = float(value) if hint is float else value
         else:
             type_name = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{what} field {name}: expected {type_name}, got {value!r}")

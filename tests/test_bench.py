@@ -13,9 +13,8 @@ from melsplit.bench import (
     ExperimentPlan,
     _build_corpus,
     _calibration_pairs,
-    _auto_mu,
     _basis_takes,
-    _cancelled_takes,
+    _cancel_stacks,
     _make_pairs,
     _noise_stacks,
     _point_features,
@@ -269,20 +268,8 @@ class TestRunSweep:
         run_sweep(plan)
         return batches
 
-    def test_one_canceller_batch_per_noisy_snr_point(self, monkeypatch):
-        # Under a fixed anc_mu each point's step, anc_mu * c**2, is its own:
-        # each point cancels its own mix, one take per row, in one buffer
-        # that all points reuse.
-        for points in [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0)]:
-            plan = mini_plan(snr_points_db=(CLEAN_SNR_DB,) + points, anc_mu=0.002)
-            batches = self.record_batches(monkeypatch, plan)
-            n = round((plan.duration_s + plan.anc_lead_s) * plan.sample_rate_hz)
-            assert len(batches) == len(points)
-            assert batches[0][0].shape[1] == n
-            assert all(primaries is batches[0][0] for primaries, _ in batches)
-
     @pytest.mark.parametrize("points", [(0.0, -16.0), (0.0, -6.0, -10.0, -16.0), (-16.0,)])
-    def test_two_canceller_batches_per_stack_under_auto_mu(self, monkeypatch, points):
+    def test_two_canceller_batches_per_stack(self, monkeypatch, points):
         # The points share one step size, so the clean takes, opened by
         # anc_taps zeros, are cancelled once, then the unit noise against
         # itself, whatever the number of points, a lone point included.
@@ -378,7 +365,7 @@ class TestRunSweep:
         assert len(references) < plan.profiles * plan.words
 
     def test_divergence_names_take_and_snr_point(self):
-        plan = mini_plan(anc_mu=1000.0, anc=("on",))
+        plan = mini_plan(anc_mu_fraction=50.0, anc=("on",))
         with pytest.raises(DivergenceError, match=r"take p\d\.w\d\.r1 at SNR -16 dB, step \d+"):
             run_sweep(plan)
 
@@ -402,8 +389,8 @@ class TestRunSweep:
 
     def time_domain_counts(self, plan, thresholds):
         """{(method, anc, snr_db): counts} with every test take mixed in the
-        time domain by _stack_takes and _cancelled_takes, then extracted
-        whole and enrolled in one enroll_many call per condition."""
+        time domain by _stack_takes, before and after _cancel_stacks, then
+        extracted whole and enrolled in one enroll_many call per condition."""
         corpus, _ = _build_corpus(plan)
         profile_ids = sorted({key[0] for key in corpus})
         words = sorted({key[1] for key in corpus})
@@ -416,7 +403,8 @@ class TestRunSweep:
         stacks = _noise_stacks(plan, tests, True)
         conditions = [(plan.anc, CLEAN_SNR_DB, _stack_takes(plan, stacks, CLEAN_SNR_DB))]
         conditions += [(("off",), s, _stack_takes(plan, stacks, s)) for s in points]
-        conditions += [(("on",), s, takes) for s, takes in _cancelled_takes(plan, stacks, points)]
+        _cancel_stacks(plan, stacks, points)
+        conditions += [(("on",), s, _stack_takes(plan, stacks, s)) for s in points]
         counts = {}
         for method in plan.methods:
             ref_models = self.enroll_takes(refs, method, plan, 0)
@@ -427,11 +415,10 @@ class TestRunSweep:
                     counts[method, anc, snr_db] = confusion(*scores, thresholds[method])
         return counts
 
-    @pytest.mark.parametrize("anc_mu", [None, 0.002])
-    def test_cells_match_takes_mixed_in_the_time_domain(self, anc_mu):
+    def test_cells_match_takes_mixed_in_the_time_domain(self):
         # The sweep builds each point's features from the spectra of the
         # takes' signals; its cells equal those of the takes themselves.
-        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18, anc_mu=anc_mu)
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18)
         report = run_sweep(plan)
         expected = self.time_domain_counts(plan, report.config_echo["thresholds"])
         assert {(c.method, c.anc, c.snr_db): c.counts for c in report.cells} == expected
@@ -559,7 +546,6 @@ NON_DEFAULT_PLAN_VALUES = {
     "sample_rate_hz": 22050,
     "calib_words": 3,
     "anc_taps": 17,
-    "anc_mu": 0.01,
     "anc_mu_fraction": 0.05,
     "anc_lead_s": 0.1,
     "kmeans_k": 3,
@@ -587,13 +573,37 @@ class TestPlanSerialization:
             plan_from_dict({"anc_lead_s": -0.1})
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"duration_s": Infinity}',
+            '{"duration_s": NaN}',
+            '{"duration_s": 0}',
+            '{"duration_s": -0.3}',
+            '{"anc_lead_s": Infinity}',
+            '{"anc_lead_s": NaN}',
+            '{"anc_lead_s": -Infinity}',
+        ],
+    )
+    def test_durations_must_be_finite_and_in_range(self, text):
+        (name,) = json.loads(text)
+        with pytest.raises(ConfigError, match=f"^config field {name}: must be finite"):
+            plan_from_dict(json.loads(text))
+
+    def test_zero_anc_lead_loads(self):
+        assert plan_from_dict({"anc_lead_s": 0}).anc_lead_s == 0.0
+
+    def test_removed_anc_mu_named_on_load(self):
+        # The sweep's one step rule is anc_mu_fraction; a fixed step is gone.
+        with pytest.raises(ConfigError, match=r"unknown plan field\(s\): \['anc_mu'\]"):
+            plan_from_dict({"anc_mu": 0.002})
+
+    @pytest.mark.parametrize(
         "field_name, value, named",
         [
             ("kmeans_k", 0, "kmeans_k"),
             ("anc_mu_fraction", -1, "anc_mu_fraction"),
             ("anc_taps", -1, "anc_taps"),
             ("sample_rate_hz", 8000, "band_top_hz"),
-            ("anc_mu", 0.0, "anc_mu"),
         ],
     )
     def test_bad_setting_named_on_load(self, field_name, value, named):
@@ -622,7 +632,7 @@ class TestPlanSerialization:
     @pytest.mark.parametrize(
         "as_int, as_float",
         [
-            ('{"anc_mu": 1}', '{"anc_mu": 1.0}'),
+            ('{"anc_mu_fraction": 1}', '{"anc_mu_fraction": 1.0}'),
             ('{"duration_s": 1}', '{"duration_s": 1.0}'),
             ('{"extraction": {"split_hz": 1500}}', '{"extraction": {"split_hz": 1500.0}}'),
         ],
@@ -680,7 +690,8 @@ class TestMixWithLead:
         stacks = _noise_stacks(plan, {self.KEY: clean}, True)
         takes = {"off": {s: _stack_takes(plan, stacks, s)[self.KEY] for s in points}}
         if "on" in plan.anc:
-            takes["on"] = {s: on[self.KEY] for s, on in _cancelled_takes(plan, stacks, points)}
+            _cancel_stacks(plan, stacks, points)
+            takes["on"] = {s: _stack_takes(plan, stacks, s)[self.KEY] for s in points}
         return clean, stacks, takes
 
     def test_hits_target_snr(self):
@@ -731,12 +742,10 @@ class TestMixWithLead:
         primary = np.concatenate([noise[:lead], clean.samples + noise[lead:]])
         assert np.array_equal(takes["off"][-16.0].samples, primary[-n:])
 
-    @pytest.mark.parametrize("anc_mu", [None, 0.002])
-    def test_on_take_cancels_the_scaled_reference(self, anc_mu):
-        # Whether the points share two basis runs (several points under
-        # _auto_mu) or each cancels its own mix, every ANC-on take matches
-        # run_anc on the scaled reference with step mu.
-        plan = mini_plan(anc_mu=anc_mu)
+    def test_on_take_cancels_the_scaled_reference(self):
+        # Whether one point or several share the stack's two canceller runs,
+        # every ANC-on take matches run_anc on the scaled reference with step mu.
+        plan = mini_plan()
         for points in ([-10.0], [0.0, -6.0, -16.0]):
             self.check_on_takes(plan, points)
 
@@ -751,9 +760,8 @@ class TestMixWithLead:
             reference = scale * unit
             primary = reference.copy()
             primary[lead:] += clean.samples
-            mu = plan.anc_mu or plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
-            power = float(np.mean(unit**2))
-            assert _auto_mu(plan, power, scale) == pytest.approx(mu * scale**2, rel=1e-12)
+            mu = plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
+            assert stacks[0].steps[0] == pytest.approx(mu * scale**2, rel=1e-12)
             expected = run_anc(
                 AudioBuffer(primary, plan.sample_rate_hz),
                 AudioBuffer(reference, plan.sample_rate_hz),

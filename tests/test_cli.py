@@ -434,12 +434,30 @@ class TestBench:
         assert code == 1
         assert "snr_pts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ({"duration_s": float("inf")}, "config field duration_s"),
+            ({"duration_s": 0}, "config field duration_s"),
+            ({"anc_lead_s": float("nan")}, "config field anc_lead_s"),
+            ({"anc_mu": 0.002}, "unknown plan field(s): ['anc_mu']"),
+        ],
+    )
+    def test_bad_plan_field_is_error_line(self, tmp_path, capsys, plan, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code = run_cli("bench", "--plan", plan_path,
+                       "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "r.json").exists()
+
     def test_divergence_names_take(self, tmp_path, capsys):
         plan = {
             "snr_points_db": [-16],
             "methods": ["single"],
             "anc": ["on"],
-            "anc_mu": 1000,
+            "anc_mu_fraction": 50,
             "trials": 6,
             "profiles": 3,
             "words": 3,
