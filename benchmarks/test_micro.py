@@ -13,7 +13,8 @@ default sweep on master seed 1; the same 52 takes' single- and dual-channel
 features at the default plan's 4 noisy SNR points are built as a sweep builds
 them, from each take's and its unit noise's spectra, and the spectra of one
 stack of takes are timed alone. The lockstep k-means case enrolls 64
-dual-channel takes in one call.
+dual-channel takes in one call, and the scorer scores a default condition's
+80 dual-channel trial pairs in one call.
 """
 
 import numpy as np
@@ -26,27 +27,29 @@ from melsplit.bench import (
     ExperimentPlan,
     _basis_takes,
     _lead_samples,
+    _make_pairs,
     _noise_stacks,
     _point_features,
+    _take_id,
 )
-from melsplit.cluster import enroll, enroll_many, kmeans
-from melsplit.mfcc import (
-    channel_bands,
-    channel_spectra,
-    extract,
-    extract_dual_channel,
-    extract_single_channel,
+from melsplit.cluster import enroll_many, kmeans, scores
+from melsplit.mfcc import channel_bands, channel_spectra, extract
+from melsplit.signal_io import (
+    NoiseSpec,
+    _entropy,
+    corpus_seed,
+    mix_at_snr,
+    synth_speaker,
 )
-from melsplit.signal_io import NoiseSpec, corpus_seed, mix_at_snr, synth_speaker
 
 PLAN = ExperimentPlan(master_seed=1)
 BATCH_ROWS = 52
 ENROLL_TAKES = 64
 
 
-def _take(p: int, w: int):
+def _take(p: int, w: int, r: int = 1):
     return synth_speaker(
-        p, w, PLAN.duration_s, corpus_seed(PLAN.master_seed, p, w, 1), PLAN.sample_rate_hz
+        p, w, PLAN.duration_s, corpus_seed(PLAN.master_seed, p, w, r), PLAN.sample_rate_hz
     )
 
 
@@ -74,7 +77,7 @@ def test_kmeans(benchmark, dual_features):
 
 
 def test_enroll_dual_take(benchmark, dual_features):
-    models = benchmark(enroll, dual_features, PLAN.kmeans_k, PLAN.master_seed)
+    (models,) = benchmark(enroll_many, [dual_features], PLAN.kmeans_k, PLAN.master_seed)
     assert sorted(models) == ["ch1", "ch2"]
 
 
@@ -88,15 +91,30 @@ def test_enroll_many_64_dual_takes(benchmark):
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
 def test_extract_dual_channel(benchmark, duration_s):
     take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
-    ch1, ch2 = benchmark(extract_dual_channel, take, PLAN.extraction, "p0.w0.r1")
+    ch1, ch2 = benchmark(extract, take, "dual", PLAN.extraction, "p0.w0.r1").values()
     assert ch1.rows.shape == ch2.rows.shape
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
 def test_extract_single_channel(benchmark, duration_s):
     take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
-    features = benchmark(extract_single_channel, take, PLAN.extraction, "p0.w0.r1")
+    features = benchmark(extract, take, "single", PLAN.extraction, "p0.w0.r1")["single"]
     assert features.rows.shape[1] == PLAN.extraction.num_coeffs
+
+
+def test_scores_80_dual_pairs(benchmark):
+    # One condition's trial pairs in one call, as the sweep scores them:
+    # master seed 1's pairs, on the clean dual-channel takes.
+    words = list(range(PLAN.words - PLAN.calib_words))
+    rng = np.random.default_rng(_entropy(PLAN.master_seed, 0xBA1A))
+    pairs = _make_pairs(list(range(PLAN.profiles)), words, PLAN.trials, rng)
+    keys = [(p, w, r) for p in range(PLAN.profiles) for w in words for r in (0, 1)]
+    takes = [extract(_take(*key), "dual", PLAN.extraction, _take_id(*key)) for key in keys]
+    models = dict(zip(keys, enroll_many(takes, PLAN.kmeans_k, PLAN.master_seed)))
+    tests = [models[p.test + (1,)] for p in pairs]
+    refs = [models[p.ref + (0,)] for p in pairs]
+    combined = benchmark(scores, tests, refs)
+    assert combined.shape == (len(pairs),) == (PLAN.trials,)
 
 
 @pytest.mark.parametrize("method", ["single", "dual"])

@@ -13,9 +13,10 @@ from .cluster import (
     ConfusionCounts,
     accuracy,
     calibrate_threshold,
-    enroll,
+    channel_scores,
+    enroll_many,
     kmeans,
-    score,
+    scores,
 )
 from .errors import (
     ConfigError,
@@ -40,8 +41,7 @@ from .mfcc import (
     FeatureMatrix,
     build_filterbank,
     dct_cepstra,
-    extract_dual_channel,
-    extract_single_channel,
+    extract,
     fft_magnitude_sq,
     frame_blocking,
     hamming_window,

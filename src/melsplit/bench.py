@@ -37,7 +37,7 @@ from .cluster import (
     calibrate_threshold,
     confusion,
     enroll_many,
-    score,
+    scores,
 )
 from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import METHODS, ExtractionConfig, FeatureMatrix, channel_spectra, spectra_features
@@ -124,6 +124,13 @@ class ExperimentPlan:
             ),
             ("anc_mu_fraction", self.anc_mu_fraction > 0, "must be positive"),
         )
+        if self.corpus is None:  # a manifest's takes have their own lengths
+            # A synthesized take must fill a frame and outlast the dual split's kernel.
+            cfg, n = self.extraction, round(self.duration_s * self.sample_rate_hz)
+            need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in self.methods else 0)
+            check_fields(
+                ("duration_s", n >= need, f"gives {n} samples, fewer than extraction's {need}")
+            )
 
 
 @dataclass(frozen=True)
@@ -565,13 +572,12 @@ def _enroll_points(
 
 def _score_pairs(
     test_models: dict, ref_models: dict, pairs: list[_TrialPair]
-) -> tuple[list[float], list[float]]:
-    """Score each pair from the enrolled models of its two takes.
-    Returns (genuine_scores, impostor_scores) in pair order."""
-    scores: dict[bool, list[float]] = {True: [], False: []}
-    for pair in pairs:
-        scores[pair.genuine].append(score(test_models[pair.test], ref_models[pair.ref]))
-    return scores[True], scores[False]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every pair from the enrolled models of its two takes, in one
+    scores call. Returns (genuine_scores, impostor_scores) in pair order."""
+    combined = scores([test_models[p.test] for p in pairs], [ref_models[p.ref] for p in pairs])
+    genuine = np.array([p.genuine for p in pairs])
+    return combined[genuine], combined[~genuine]
 
 
 def run_sweep(plan: ExperimentPlan) -> SweepReport:
@@ -580,8 +586,8 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     Noise realizations and trial pairs are fixed per master seed and shared
     across cells, so conditions differ only in the treatment under test.
     Each reference take that a trial or calibration pair uses is enrolled
-    once per method, and each test take once per condition; every trial pair
-    is then scored from the cached models.
+    once per method, and each test take once per condition; each condition's
+    trial pairs are then scored from the cached models in one call.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell.
     Every take goes through _enroll_points, which builds and enrolls its

@@ -2,10 +2,10 @@
 
 One binary with subcommands mirroring the processing stages: synth, mix,
 anc, filter, extract, verdict, bench. verdict enrolls both takes with
-cluster.enroll_many, scores them with cluster.score and applies the
-threshold, the same decision the sweep counts. Exit codes: 0 success, 2
-usage error, 1 runtime/pipeline error. Tunables resolve as CLI flag > config
-file > built-in default; bench reads its settings from a --plan file instead.
+cluster.enroll_many and thresholds the mean of their channel_scores, the
+decision the sweep counts. Exit codes: 0 success, 2 usage error, 1
+runtime/pipeline error. Tunables resolve as CLI flag > config file >
+built-in default; bench reads its settings from a --plan file instead.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
-from .cluster import channel_scores, enroll_many, score
+from .cluster import channel_scores, enroll_many
 from .errors import DimensionError, PipelineError
 from .fir import (
     design_bandpass,
@@ -244,11 +244,12 @@ def cmd_verdict(args) -> int:
     test_feats = extract(test, args.method, cfg, test_id)
     ref_feats = extract(ref, args.method, cfg, ref_id)
     test_models, ref_models = enroll_many([test_feats, ref_feats], cfg.kmeans_k, cfg.seed)
-    combined = score(test_models, ref_models)
+    per_channel = {c: float(s[0]) for c, s in channel_scores([test_models], [ref_models]).items()}
+    combined = sum(per_channel.values()) / len(per_channel)
     payload = {
         "test_id": test_id,
         "ref_id": ref_id,
-        "per_channel_scores": channel_scores(test_models, ref_models),
+        "per_channel_scores": per_channel,
         "score": combined,
         "threshold": cfg.threshold,
         "decision": "identical" if combined <= cfg.threshold else "non-identical",

@@ -8,10 +8,11 @@ command and the sweep's confusion counts both decide it so. A take enrolled
 once can be scored against any number of others. The threshold comes from
 an equal-error scan over genuine and impostor calibration scores.
 
-There is one Lloyd kernel, kmeans_many, which fits a stack of equal-shaped
-point sets in lockstep; kmeans is its one-row case. enroll_many enrolls a
-list of takes with one kernel call per matrix shape, whatever the channel,
-and enroll is its one-take case.
+There is one Lloyd kernel, kmeans_many, which fits a stack of
+equal-shaped point sets in lockstep; kmeans is its one-row case.
+enroll_many enrolls a list of takes with one kernel call per matrix shape,
+whatever the channel; channel_scores scores a list of pairs with one
+stacked distance per channel. One take or pair is a list of one.
 """
 
 from __future__ import annotations
@@ -205,31 +206,34 @@ def enroll_many(
     return [dict(sorted(m.items())) for m in models]
 
 
-def enroll(features: Mapping[str, FeatureMatrix], k: int, seed: int) -> dict[str, ClusterModel]:
-    """Cluster one take's feature rows per channel: enroll_many of one take."""
-    return enroll_many([features], k, seed)[0]
-
-
 def channel_scores(
-    test_models: Mapping[str, ClusterModel], ref_models: Mapping[str, ClusterModel]
-) -> dict[str, float]:
-    """Per channel, the minimum distance over (test, reference) centroid pairs."""
-    if set(test_models) != set(ref_models):
-        raise ConfigError(f"channel sets differ: {sorted(test_models)} vs {sorted(ref_models)}")
-    per_channel: dict[str, float] = {}
-    for channel in sorted(test_models):
-        test_c = test_models[channel].centroids
-        ref_c = ref_models[channel].centroids
-        pairwise = np.sqrt(np.sum((test_c[:, None, :] - ref_c[None, :, :]) ** 2, axis=2))
-        per_channel[channel] = float(pairwise.min())
+    tests: Sequence[Mapping[str, ClusterModel]], refs: Sequence[Mapping[str, ClusterModel]]
+) -> dict[str, np.ndarray]:
+    """{channel_id: (P,) array} for P pairs of enrolled takes: entry i is
+    the minimum distance over the centroid pairs of tests[i] and refs[i].
+    Every pair carries the first pair's channels, each of one centroid
+    shape throughout; stacked, each entry equals its pair's alone bit for bit."""
+    if len(tests) != len(refs) or not len(tests):
+        raise DimensionError(f"need equal, non-empty lists of takes: {len(tests)}, {len(refs)}")
+    for i, (test, ref) in enumerate(zip(tests, refs)):
+        for a, b in ((test, ref), (test, tests[0])):
+            if set(a) != set(b):
+                raise ConfigError(f"pair {i}: channel sets differ: {sorted(a)} vs {sorted(b)}")
+    per_channel: dict[str, np.ndarray] = {}
+    for channel in sorted(tests[0]):
+        test_c = np.stack([m[channel].centroids for m in tests])
+        ref_c = np.stack([m[channel].centroids for m in refs])
+        pairwise = np.sqrt(np.sum((test_c[:, :, None, :] - ref_c[:, None, :, :]) ** 2, axis=3))
+        per_channel[channel] = pairwise.min(axis=(1, 2))
     return per_channel
 
 
-def score(
-    test_models: Mapping[str, ClusterModel], ref_models: Mapping[str, ClusterModel]
-) -> float:
-    """Combined score of two enrolled takes: the mean of the channel scores."""
-    return float(np.mean(list(channel_scores(test_models, ref_models).values())))
+def scores(
+    tests: Sequence[Mapping[str, ClusterModel]], refs: Sequence[Mapping[str, ClusterModel]]
+) -> np.ndarray:
+    """Combined scores of P pairs: the mean of their channel_scores."""
+    per_channel = list(channel_scores(tests, refs).values())
+    return sum(per_channel) / len(per_channel)
 
 
 def calibrate_threshold(genuine_scores, impostor_scores) -> float:

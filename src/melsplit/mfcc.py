@@ -8,7 +8,7 @@ and runs an independent bank per channel, so the narrow low band keeps its
 own full filter resolution.
 
 The stages pass plain arrays: frame_blocking returns the (L, N) frames and
-build_filterbank the (P, K/2+1) weight matrix. Only the extractors' output,
+build_filterbank the (P, K/2+1) weight matrix. Only extraction's output,
 FeatureMatrix, carries labels: its channel and source ids.
 
 Extraction runs in two stages. channel_spectra is the linear one: the
@@ -23,10 +23,11 @@ take costs two matrix products and no gather copy, and a stack of
 equal-length takes shares them. The single channel is the one-band case:
 its kernel is one unit tap, so its frames are not extended.
 spectra_features takes the spectra, with any leading batch dimensions,
-through power, mel bank, log and cosine transform, and extract runs the two
-in turn. Since the first stage is linear, the spectra of a mix a + c*b are
-S(a) + c*S(b): a caller that needs a take at many mixing scales computes
-S(a) and S(b) once and only the second stage per scale.
+through power, mel bank, log and cosine transform. extract runs the two in
+turn on one take; it is the one entry point for both methods. Since the
+first stage is linear, the spectra of a mix a + c*b are S(a) + c*S(b): a
+caller that needs a take at many mixing scales computes S(a) and S(b) once
+and only the second stage per scale.
 fir.split_channels, fft_magnitude_sq and the stages above stay the
 reference that the tests compare both stages against.
 """
@@ -421,32 +422,12 @@ def extract(
     source_id: str = "",
 ) -> dict[str, FeatureMatrix]:
     """Cepstra of each channel of `method`, keyed by channel_id:
-    channel_spectra, then spectra_features."""
+    channel_spectra, then spectra_features.
+
+    "single" gives one matrix, from one bank over [0, band_top_hz]. "dual"
+    gives two time-aligned ones with equal row counts: ch1 from the
+    lowpassed signal with a bank over [0, split_hz], ch2 from the
+    bandpassed signal with a bank over [split_hz, band_top_hz].
+    """
     spectra = channel_spectra(buffer, method, cfg)
     return spectra_features(spectra, method, cfg, buffer.sample_rate_hz, source_id)
-
-
-def extract_single_channel(
-    buffer: AudioBuffer,
-    cfg: ExtractionConfig = ExtractionConfig(),
-    source_id: str = "",
-) -> FeatureMatrix:
-    """Full-band features: one mel bank spanning 0 to band_top_hz."""
-    return extract(buffer, "single", cfg, source_id)[CHANNEL_SINGLE]
-
-
-def extract_dual_channel(
-    buffer: AudioBuffer,
-    cfg: ExtractionConfig = ExtractionConfig(),
-    source_id: str = "",
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Band-split features: independent banks below and above split_hz.
-
-    Channel 1 is the lowpassed signal with a bank over [0, split_hz];
-    channel 2 is the bandpassed signal with a bank over [split_hz,
-    band_top_hz]. The channels stay time-aligned, so row counts match.
-    The split, the window and the DFT run as one precomputed matrix product
-    per take (_spectrum_operator); fir.split_channels is the staged
-    reference it equals.
-    """
-    return tuple(extract(buffer, "dual", cfg, source_id).values())

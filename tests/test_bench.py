@@ -150,7 +150,7 @@ class TestRunSweep:
         for takes, k, seed, models in calls:
             for features, take_models in zip(takes, models):
                 row_counts.update(fm.rows.shape[0] for fm in features.values())
-                alone = melsplit.cluster.enroll(features, k, seed)
+                (alone,) = enroll_many([features], k, seed)
                 assert list(take_models) == list(alone)
                 for channel, model in alone.items():
                     assert np.array_equal(take_models[channel].centroids, model.centroids)
@@ -363,6 +363,26 @@ class TestRunSweep:
         references = {s for s in enrolled if s.endswith(".r0")}
         assert references == scored
         assert len(references) < plan.profiles * plan.words
+
+    @pytest.mark.slow
+    def test_one_scorer_call_per_condition(self, monkeypatch):
+        # One call per method for calibration and one per (method, condition),
+        # the clean point being one condition whatever the ANC modes.
+        pair_counts = []
+        real_scores = melsplit.bench.scores
+
+        def recording_scores(tests, refs):
+            pair_counts.append(len(tests))
+            return real_scores(tests, refs)
+
+        monkeypatch.setattr(melsplit.bench, "scores", recording_scores)
+        plan = ExperimentPlan(master_seed=1)
+        run_sweep(plan)
+        conditions = 1 + (len(plan.snr_points_db) - 1) * len(plan.anc)
+        assert len(pair_counts) == len(plan.methods) * (1 + conditions) == 20
+        # Each calibration take against its own profile and one other.
+        calibration = 2 * plan.profiles * plan.calib_words
+        assert sorted(pair_counts) == [calibration] * 2 + [plan.trials] * 18
 
     def test_divergence_names_take_and_snr_point(self):
         plan = mini_plan(anc_mu_fraction=50.0, anc=("on",))
@@ -588,6 +608,19 @@ class TestPlanSerialization:
         (name,) = json.loads(text)
         with pytest.raises(ConfigError, match=f"^config field {name}: must be finite"):
             plan_from_dict(json.loads(text))
+
+    def test_synthesized_takes_must_fit_the_extraction(self):
+        # 320 samples: shorter than one 400-sample frame.
+        with pytest.raises(ConfigError, match=r"^config field duration_s: gives 320 .* 400$"):
+            plan_from_dict({"duration_s": 0.02})
+        # 320 samples fill a 256-sample frame, but do not outlast a 321-tap dual split.
+        extraction = {"frame_len": 256, "fir_taps": 321}
+        with pytest.raises(ConfigError, match=r"^config field duration_s: gives 320 .* 322$"):
+            plan_from_dict({"duration_s": 0.02, "extraction": extraction})
+        plan = plan_from_dict({"duration_s": 0.02, "extraction": extraction, "methods": ["single"]})
+        assert round(plan.duration_s * plan.sample_rate_hz) == plan.extraction.frame_len + 64
+        # A manifest's takes have their own lengths.
+        assert plan_from_dict({"duration_s": 0.02, "corpus": "m.json"}).duration_s == 0.02
 
     def test_zero_anc_lead_loads(self):
         assert plan_from_dict({"anc_lead_s": 0}).anc_lead_s == 0.0

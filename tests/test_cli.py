@@ -19,6 +19,7 @@ from melsplit.cli import (
     save_config,
 )
 from melsplit.anc import LmsConfig, run_anc
+from melsplit.bench import ExperimentPlan, load_plan, plan_to_dict
 from melsplit.errors import ConfigError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands, extract
 from melsplit.signal_io import (
@@ -317,6 +318,17 @@ class TestVerdict:
         assert payload["decision"] == "identical"
         assert set(payload["per_channel_scores"]) == {"ch1", "ch2"}
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_score_is_the_mean_of_the_channel_scores(self, tmp_path, method):
+        a = make_word_wav(tmp_path / "a.wav", profile=1, duration=0.5)
+        b = make_word_wav(tmp_path / "b.wav", profile=4, seed=6, duration=0.5)
+        out = tmp_path / "v.json"
+        assert run_cli("verdict", "--test", a, "--ref", b, "--method", method, "--out", out) == 0
+        payload = json.loads(out.read_text())
+        per_channel = list(payload["per_channel_scores"].values())
+        assert len(per_channel) == len(channel_bands(method, ExtractionConfig()))
+        assert payload["score"] == np.mean(per_channel) > 0.0
+
     def test_decision_is_payload_not_status(self, tmp_path):
         a = make_word_wav(tmp_path / "a.wav", profile=0, duration=0.5)
         b = make_word_wav(tmp_path / "b.wav", profile=5, seed=6, duration=0.5)
@@ -441,6 +453,9 @@ class TestBench:
             ({"duration_s": 0}, "config field duration_s"),
             ({"anc_lead_s": float("nan")}, "config field anc_lead_s"),
             ({"anc_mu": 0.002}, "unknown plan field(s): ['anc_mu']"),
+            # Shorter than one sample, and shorter than one frame.
+            ({"duration_s": 1e-6, "trials": 2}, "config field duration_s"),
+            ({"duration_s": 0.02, "trials": 2}, "config field duration_s"),
         ],
     )
     def test_bad_plan_field_is_error_line(self, tmp_path, capsys, plan, message):
@@ -451,6 +466,11 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "r.json").exists()
+
+    def test_default_plan_loads(self, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_to_dict(ExperimentPlan())))
+        assert load_plan(plan_path) == ExperimentPlan()
 
     def test_divergence_names_take(self, tmp_path, capsys):
         plan = {

@@ -18,14 +18,13 @@ from melsplit.cluster import (
     calibrate_threshold,
     channel_scores,
     confusion,
-    enroll,
     enroll_many,
     kmeans,
     kmeans_many,
-    score,
+    scores,
 )
 from melsplit.errors import ConfigError, DimensionError, ParameterError
-from melsplit.mfcc import FeatureMatrix, extract_dual_channel, extract_single_channel
+from melsplit.mfcc import FeatureMatrix, extract
 from melsplit.signal_io import _entropy, synth_speaker
 
 
@@ -272,7 +271,9 @@ def fm(rows, channel="single", source="u"):
 
 def pair_score(test, ref, k, seed):
     """Score a pair as the CLI's verdict does: both takes enrolled in one call."""
-    return score(*enroll_many([test, ref], k, seed))
+    test_models, ref_models = enroll_many([test, ref], k, seed)
+    (combined,) = scores([test_models], [ref_models])
+    return combined
 
 
 class TestVerdict:
@@ -300,8 +301,9 @@ class TestVerdict:
             "ch2": fm(rng.standard_normal((20, 3)) - 1.0, "ch2", "r"),
         }
         test_models, ref_models = enroll_many([test, ref], 2, 1)
-        per_channel = channel_scores(test_models, ref_models)
-        assert score(test_models, ref_models) == pytest.approx(np.mean(list(per_channel.values())))
+        per_channel = channel_scores([test_models], [ref_models])
+        combined = scores([test_models], [ref_models])
+        assert combined == pytest.approx(np.mean(list(per_channel.values()), axis=0))
         assert set(per_channel) == {"ch1", "ch2"}
 
     def test_decision_boundary_inclusive(self):
@@ -338,11 +340,7 @@ def take_features(method, profile, word, replicate, duration=0.4):
     """A synthetic take's features keyed by channel, as the sweep builds them."""
     buffer = synth_speaker(profile, word, duration, seed=100 * profile + 10 * word + replicate)
     source = f"p{profile}.w{word}.r{replicate}"
-    if method == "dual":
-        matrices = extract_dual_channel(buffer, source_id=source)
-    else:
-        matrices = (extract_single_channel(buffer, source_id=source),)
-    return {m.channel_id: m for m in matrices}
+    return extract(buffer, method, source_id=source)
 
 
 class TestEnrollScore:
@@ -352,9 +350,14 @@ class TestEnrollScore:
         test = take_features(method, 0, 3, 1)
         ref = take_features(method, other_profile, 3, 0)
         test_models, ref_models = enroll_many([test, ref], 2, 4)
-        assert score(enroll(test, 2, 4), enroll(ref, 2, 4)) == score(test_models, ref_models)
-        assert channel_scores(enroll(test, 2, 4), enroll(ref, 2, 4)) == channel_scores(
-            test_models, ref_models
+        (test_alone,), (ref_alone,) = enroll_many([test], 2, 4), enroll_many([ref], 2, 4)
+        alone = channel_scores([test_alone], [ref_alone])
+        together = channel_scores([test_models], [ref_models])
+        assert list(alone) == list(together)
+        for channel in alone:
+            assert np.array_equal(alone[channel], together[channel])
+        assert np.array_equal(
+            scores([test_alone], [ref_alone]), scores([test_models], [ref_models])
         )
 
     @pytest.mark.parametrize("method", ["single", "dual"])
@@ -364,7 +367,7 @@ class TestEnrollScore:
         ref = take_features(method, 1, 3, 0, duration=ref_duration)
         stacked = enroll_many([test, ref], 2, 4)
         for models, features in zip(stacked, (test, ref)):
-            alone = enroll(features, 2, 4)
+            (alone,) = enroll_many([features], 2, 4)
             assert list(models) == list(alone)
             for channel in alone:
                 assert_same_model(models[channel], alone[channel])
@@ -393,7 +396,7 @@ class TestEnrollScore:
     @pytest.mark.parametrize("method", ["single", "dual"])
     def test_enrolling_twice_gives_identical_centroids(self, method):
         feats = take_features(method, 2, 1, 1)
-        first, second = enroll(feats, 2, 9), enroll(feats, 2, 9)
+        (first,), (second,) = enroll_many([feats], 2, 9), enroll_many([feats], 2, 9)
         assert list(first) == list(second) == sorted(feats)
         for channel in feats:
             assert np.array_equal(first[channel].centroids, second[channel].centroids)
@@ -424,12 +427,62 @@ class TestEnrollScore:
                 assert_same_model(take_models[channel], kmeans(f.rows, 2, seed))
 
     def test_channel_set_mismatch_raises(self):
-        single = enroll(take_features("single", 0, 0, 0), 2, 1)
-        dual = enroll(take_features("dual", 0, 0, 1), 2, 1)
+        (single,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
+        (dual,) = enroll_many([take_features("dual", 0, 0, 1)], 2, 1)
         with pytest.raises(ConfigError, match="channel sets differ"):
-            score(single, dual)
+            scores([single], [dual])
         with pytest.raises(ConfigError, match="channel sets differ"):
             pair_score(take_features("single", 0, 0, 0), take_features("dual", 0, 0, 1), 2, 1)
+
+
+def reference_channel_scores(test_models, ref_models):
+    """One pair's channel scores on their own: per channel, the minimum
+    distance over its (test, reference) centroid pairs."""
+    per_channel = {}
+    for channel in sorted(test_models):
+        a, b = test_models[channel].centroids, ref_models[channel].centroids
+        per_channel[channel] = np.sqrt(np.sum((a[:, None] - b[None]) ** 2, axis=2)).min()
+    return per_channel
+
+
+class TestScores:
+    @pytest.mark.parametrize("method", ["single", "dual"])
+    def test_equal_each_pair_scored_alone_bit_for_bit(self, method):
+        # Every test take of 3 profiles x 2 words against each profile's
+        # reference of its word: 6 genuine and 12 impostor pairs.
+        keys = [(p, w, r) for p in range(3) for w in range(2) for r in (0, 1)]
+        enrolled = enroll_many([take_features(method, *key) for key in keys], 2, 4)
+        models = dict(zip(keys, enrolled))
+        pairs = [((p, w, 1), (q, w, 0)) for p in range(3) for q in range(3) for w in range(2)]
+        tests = [models[test] for test, _ in pairs]
+        refs = [models[ref] for _, ref in pairs]
+        expected = [reference_channel_scores(t, r) for t, r in zip(tests, refs)]
+        per_channel = channel_scores(tests, refs)
+        assert list(per_channel) == sorted(tests[0])
+        for channel, got in per_channel.items():
+            assert got.shape == (len(pairs),)
+            assert np.array_equal(got, [e[channel] for e in expected])
+        combined = [np.mean(list(e.values())) for e in expected]
+        assert np.array_equal(scores(tests, refs), combined)
+        assert len(set(combined)) == len(pairs)
+
+    def test_channel_sets_must_agree_within_and_across_pairs(self):
+        (single,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
+        (dual,) = enroll_many([take_features("dual", 0, 0, 1)], 2, 1)
+        within = r"pair 0: channel sets differ: \['single'\] vs \['ch1', 'ch2'\]"
+        with pytest.raises(ConfigError, match=within):
+            channel_scores([single], [dual])
+        across = r"pair 1: channel sets differ: \['ch1', 'ch2'\] vs \['single'\]"
+        with pytest.raises(ConfigError, match=across):
+            scores([single, dual], [single, dual])
+
+    def test_pair_counts_must_be_equal_and_nonzero(self):
+        (models,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
+        for tests, refs in (([], []), ([models], []), ([models], [models, models])):
+            with pytest.raises(DimensionError):
+                channel_scores(tests, refs)
+            with pytest.raises(DimensionError):
+                scores(tests, refs)
 
 
 class TestCalibrateThreshold:

@@ -22,8 +22,7 @@ from melsplit.mfcc import (
     channel_spectra,
     dct_basis,
     dct_cepstra,
-    extract_dual_channel,
-    extract_single_channel,
+    extract,
     fft_magnitude_sq,
     frame_blocking,
     hamming_window,
@@ -289,8 +288,8 @@ class TestLogMelEnergies:
 
     def test_extractor_uses_config_floor(self):
         silence = buf(np.zeros(4000))
-        floored = extract_single_channel(silence, ExtractionConfig(log_floor=1e-6))
-        default = extract_single_channel(silence)
+        floored = extract(silence, "single", ExtractionConfig(log_floor=1e-6))["single"]
+        default = extract(silence, "single")["single"]
         # every filter energy of a silent frame sits on the floor
         assert not np.allclose(floored.rows, default.rows)
 
@@ -388,10 +387,7 @@ class TestChannelBands:
         # Once with the spectrum operator's cache cold, once with it warm.
         melsplit.mfcc._spectrum_operator.cache_clear()
         for _ in range(2):
-            if method == "dual":
-                matrices = extract_dual_channel(x, self.CFG)
-            else:
-                matrices = (extract_single_channel(x, self.CFG),)
+            matrices = extract(x, method, self.CFG).values()
         table = channel_bands(method, self.CFG)
         assert built == 2 * list(table.values())
         assert [fm.channel_id for fm in matrices] == list(table)
@@ -423,18 +419,18 @@ class TestExtractSingleChannel:
     def test_row_count_formula(self):
         cfg = ExtractionConfig()
         x = buf(np.random.default_rng(0).standard_normal(16000))
-        fm = extract_single_channel(x, cfg)
+        fm = extract(x, "single", cfg)["single"]
         assert fm.rows.shape == ((16000 - 400) // 160 + 1, 12)
 
     def test_silence_rows_identical(self):
-        fm = extract_single_channel(buf(np.zeros(4000)))
+        fm = extract(buf(np.zeros(4000)), "single")["single"]
         assert np.all(fm.rows == fm.rows[0])
 
     def test_matches_composed_pipeline(self):
         cfg = ExtractionConfig()
         rng = np.random.default_rng(6)
         x = buf(rng.standard_normal(3200))
-        fm = extract_single_channel(x, cfg)
+        fm = extract(x, "single", cfg)["single"]
         frames = frame_blocking(x, cfg.frame_len, cfg.frame_shift)
         bank = build_filterbank(0.0, cfg.band_top_hz, cfg.filters_single, cfg.fft_size, SR)
         for l in range(len(frames)):
@@ -453,7 +449,7 @@ class TestExtractSingleChannel:
             rng = np.random.default_rng(seed)
             noise = rng.standard_normal(8000)
             scale = np.sqrt(np.mean(clean**2) / (np.mean(noise**2) * 10 ** (-noise_db / 10)))
-            return extract_single_channel(buf(clean + scale * noise)).rows.mean(axis=0)
+            return extract(buf(clean + scale * noise), "single")["single"].rows.mean(axis=0)
 
         low_a, low_b = tone_features(300.0, 1), tone_features(300.0, 2)
         high = tone_features(2500.0, 3)
@@ -463,16 +459,16 @@ class TestExtractSingleChannel:
 
     def test_determinism(self):
         x = buf(np.random.default_rng(7).standard_normal(4000))
-        a = extract_single_channel(x)
-        b = extract_single_channel(x)
+        a = extract(x, "single")["single"]
+        b = extract(x, "single")["single"]
         assert np.array_equal(a.rows, b.rows)
 
     def test_amplitude_scaling_shifts_but_differences_invariant(self):
         rng = np.random.default_rng(8)
         # loud broadband signal: no energy hits the log floor
         x = rng.standard_normal(4000) * 0.3 + 0.01
-        a = extract_single_channel(buf(x)).rows
-        b = extract_single_channel(buf(2.0 * x)).rows
+        a = extract(buf(x), "single")["single"].rows
+        b = extract(buf(2.0 * x), "single")["single"].rows
         diff_a = a[1:] - a[:-1]
         diff_b = b[1:] - b[:-1]
         assert np.max(np.abs(diff_a - diff_b)) <= 1e-9
@@ -486,9 +482,9 @@ class TestExtractSingleChannel:
             rows = composed_single(x, cfg)
         except PipelineError as staged:
             with pytest.raises(type(staged)):
-                extract_single_channel(x, cfg)
+                extract(x, "single", cfg)
         else:
-            fm = extract_single_channel(x, cfg)
+            fm = extract(x, "single", cfg)["single"]
             assert fm.rows.shape == rows.shape
             assert np.max(np.abs(fm.rows - rows)) <= 1e-10
 
@@ -521,7 +517,7 @@ class TestExtractDualChannel:
     )
     def test_matches_composed_pipeline(self, cfg, rate, length):
         x = buf(np.random.default_rng(13).standard_normal(length), rate)
-        ch1, ch2 = extract_dual_channel(x, cfg)
+        ch1, ch2 = extract(x, "dual", cfg).values()
         expected = composed_dual(x, cfg)
         for fm, rows in zip((ch1, ch2), expected):
             assert fm.rows.shape == rows.shape
@@ -533,7 +529,7 @@ class TestExtractDualChannel:
         with pytest.raises(PipelineError) as staged:
             composed_dual(x, cfg)
         with pytest.raises(type(staged.value)):
-            extract_dual_channel(x, cfg)
+            extract(x, "dual", cfg)
 
     @pytest.mark.parametrize(
         "method, expected_bins, shape",
@@ -568,10 +564,10 @@ class TestExtractDualChannel:
         assert extended % 2 == 1 and len(operator) == (extended + 1) // 2
         x = buf(np.random.default_rng(16).standard_normal(5000))
         if method == "dual":
-            matrices, expected = extract_dual_channel(x, cfg), composed_dual(x, cfg)
+            expected = composed_dual(x, cfg)
         else:
-            matrices, expected = (extract_single_channel(x, cfg),), (composed_single(x, cfg),)
-        for fm, rows in zip(matrices, expected, strict=True):
+            expected = (composed_single(x, cfg),)
+        for fm, rows in zip(extract(x, method, cfg).values(), expected, strict=True):
             assert fm.rows.shape == rows.shape
             assert np.max(np.abs(fm.rows - rows)) <= 1e-10
 
@@ -640,7 +636,7 @@ class TestExtractDualChannel:
 
     def test_equal_row_counts(self):
         x = buf(np.random.default_rng(9).standard_normal(8000))
-        ch1, ch2 = extract_dual_channel(x)
+        ch1, ch2 = extract(x, "dual").values()
         assert ch1.rows.shape == ch2.rows.shape
         assert ch1.channel_id == CHANNEL_ONE
         assert ch2.channel_id == CHANNEL_TWO
@@ -665,11 +661,11 @@ class TestExtractDualChannel:
     CONFINEMENT_CFG = ExtractionConfig(log_floor=1e-6)
 
     def test_low_tone_confined_to_channel_one(self):
-        ch1, ch2 = extract_dual_channel(self.am_tone(300.0), self.CONFINEMENT_CFG)
+        ch1, ch2 = extract(self.am_tone(300.0), "dual", self.CONFINEMENT_CFG).values()
         assert self.frame_variance(ch2.rows) <= 0.05 * self.frame_variance(ch1.rows)
 
     def test_high_tone_confined_to_channel_two(self):
-        ch1, ch2 = extract_dual_channel(self.am_tone(2500.0), self.CONFINEMENT_CFG)
+        ch1, ch2 = extract(self.am_tone(2500.0), "dual", self.CONFINEMENT_CFG).values()
         assert self.frame_variance(ch1.rows) <= 0.05 * self.frame_variance(ch2.rows)
 
     def test_low_tone_energy_confinement(self):
@@ -692,14 +688,14 @@ class TestExtractDualChannel:
 
     def test_determinism(self):
         x = buf(np.random.default_rng(10).standard_normal(6000))
-        a1, a2 = extract_dual_channel(x)
-        b1, b2 = extract_dual_channel(x)
+        a1, a2 = extract(x, "dual").values()
+        b1, b2 = extract(x, "dual").values()
         assert np.array_equal(a1.rows, b1.rows)
         assert np.array_equal(a2.rows, b2.rows)
 
     def test_source_id_propagates(self):
         x = buf(np.random.default_rng(11).standard_normal(4000))
-        ch1, ch2 = extract_dual_channel(x, source_id="utt-7")
+        ch1, ch2 = extract(x, "dual", source_id="utt-7").values()
         assert ch1.source_id == ch2.source_id == "utt-7"
 
 
@@ -708,12 +704,6 @@ class TestSpectraStages:
     builds a take's features at every mixing scale from its spectra."""
 
     CFG = ExtractionConfig()
-
-    @staticmethod
-    def extract(x, method, cfg):
-        if method == "dual":
-            return extract_dual_channel(x, cfg, "utt")
-        return (extract_single_channel(x, cfg, "utt"),)
 
     @staticmethod
     def take_and_noise(seed):
@@ -735,9 +725,9 @@ class TestSpectraStages:
             spectra = channel_spectra(buf(a), method, self.CFG)
             spectra = spectra + c * channel_spectra(buf(b), method, self.CFG)
             combined = spectra_features(spectra, method, self.CFG, SR, "utt")
-            mixed = self.extract(buf(a + c * b), method, self.CFG)
-            assert list(combined) == [fm.channel_id for fm in mixed]
-            for fm, ref in zip(combined.values(), mixed, strict=True):
+            mixed = extract(buf(a + c * b), method, self.CFG, "utt")
+            assert list(combined) == list(mixed)
+            for fm, ref in zip(combined.values(), mixed.values(), strict=True):
                 assert fm.source_id == "utt" and fm.rows.shape == ref.rows.shape
                 assert np.max(np.abs(fm.rows - ref.rows)) <= 1e-12
 
@@ -746,7 +736,7 @@ class TestSpectraStages:
     def test_clean_path_is_the_extractor_bit_for_bit(self, method, cfg, rate):
         x = buf(np.random.default_rng(15).standard_normal(7000), rate)
         staged = spectra_features(channel_spectra(x, method, cfg), method, cfg, rate, "utt")
-        for fm, ref in zip(staged.values(), self.extract(x, method, cfg), strict=True):
+        for fm, ref in zip(staged.values(), extract(x, method, cfg, "utt").values(), strict=True):
             assert fm.channel_id == ref.channel_id and fm.source_id == ref.source_id
             assert np.array_equal(fm.rows, ref.rows)
 
@@ -758,4 +748,4 @@ class TestSpectraStages:
         with pytest.raises(DimensionError):
             frame_blocking(x, self.CFG.frame_len, self.CFG.frame_shift)
         with pytest.raises(ParameterError, match="Nyquist"):
-            extract_single_channel(x, self.CFG)
+            extract(x, "single", self.CFG)

@@ -13,7 +13,7 @@ from melsplit.errors import (
     UndefinedSnrError,
     UnsupportedFormatError,
 )
-from melsplit.mfcc import extract_single_channel
+from melsplit.mfcc import extract
 from melsplit.signal_io import (
     AudioBuffer,
     NoiseSpec,
@@ -247,9 +247,9 @@ class TestSynthSpeaker:
     def test_profiles_separable_in_feature_space(self):
         # corpus-design oracle: cross-profile centroid distance beats the
         # same-profile different-seed distance
-        base = extract_single_channel(synth_speaker(0, 0, 0.6, seed=10)).rows.mean(axis=0)
-        again = extract_single_channel(synth_speaker(0, 0, 0.6, seed=20)).rows.mean(axis=0)
-        other = extract_single_channel(synth_speaker(1, 0, 0.6, seed=30)).rows.mean(axis=0)
+        base = extract(synth_speaker(0, 0, 0.6, seed=10), "single")["single"].rows.mean(axis=0)
+        again = extract(synth_speaker(0, 0, 0.6, seed=20), "single")["single"].rows.mean(axis=0)
+        other = extract(synth_speaker(1, 0, 0.6, seed=30), "single")["single"].rows.mean(axis=0)
         same_dist = np.linalg.norm(base - again)
         cross_dist = np.linalg.norm(base - other)
         assert cross_dist > same_dist
