@@ -6,22 +6,25 @@ the reference delay line, subtracts it, and nudges its weights along the
 error gradient: w' = w + 2*mu*e_k*x_k. The running error signal is the
 denoised output.
 
-Two loops run it. run_anc cancels one recording with exact block LMS: the
-errors of a block of steps solve a triangular system whose matrix does not
-depend on the weights, so a chunk of blocks is solved at once and only a
-short chain of block updates runs serially. It gives the same errors and
-weights as stepping the recursion, up to float summation order.
-run_anc_batch steps a (B, n) stack of independent cancellers, one per row, in
-lockstep, a few vectorised calls per sample, and writes their errors over
-the primaries, which may be the references themselves.
-lms_step is the scalar reference both are tested against, and run_anc falls
-back on it to name the step a diverging recording fails at.
+Two loops run it, both from zero weights. run_anc cancels one recording
+with exact block LMS: the errors of a block of steps solve a triangular
+system whose matrix does not depend on the weights, so a chunk of blocks is
+solved at once and only a short chain of block updates runs serially. It
+gives the same errors and weights as stepping the recursion, up to float
+summation order. run_anc_batch steps a (B, n) stack of independent
+cancellers, one per row, in lockstep, a few vectorised calls per sample, and
+writes their errors over the primaries, which may be the references
+themselves. lms_step is the scalar reference both are tested against.
 
-With the reference and the step fixed and zero start weights, the weights
-and the errors are linear in the primary, so the errors of primary a + c*b
-are errors(a) + c*errors(b). A sweep uses this to cancel every SNR point of
-a take from two runs: one on the clean take, one on the unit noise, read
-against itself.
+Both loops share one divergence rule: a run has diverged at the first step
+whose error is non-finite or beyond _DIVERGED times its primary's peak, and
+a run whose errors all pass but whose final weights are non-finite has
+diverged at its last step.
+
+With the reference and the step fixed, the weights and the errors are
+linear in the primary, so the errors of primary a + c*b are errors(a) +
+c*errors(b). A sweep uses this to cancel every SNR point of a take from two
+runs: one on the clean take, one on the unit noise, read against itself.
 """
 
 from __future__ import annotations
@@ -45,43 +48,30 @@ _CHUNK_BLOCKS = 64
 # steps rather than on every step.
 _CHECK_EVERY = 512
 
-# A finished run has diverged if an error passed this multiple of its
-# primary's peak. A stable canceller's error is the primary minus a
-# prediction of part of it, so it stays within a few times that peak, while
-# an unstable one grows geometrically: a margin this wide flags no stable
-# run, yet an unstable one crosses it long before float64 overflows.
+# A run has diverged at the first step whose error is non-finite or beyond
+# this multiple of its primary's peak. A stable canceller's error is the
+# primary minus a prediction of part of it, so it stays within a few times
+# that peak, while an unstable one grows geometrically: a margin this wide
+# flags no stable run, yet an unstable one crosses it long before float64
+# overflows.
 _DIVERGED = 1e6
 
 
 @dataclass(frozen=True)
 class LmsConfig:
-    """Filter order, step size, and optional initial weights.
+    """Filter order and step size.
 
     order_l taps index delays 0..L, so the weight vector has L+1 entries.
-    initial_weights defaults to all zeros.
     """
 
     order_l: int = 31
     step_mu: float = 0.005
-    initial_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.order_l < 0:
             raise ParameterError("order_l must be >= 0")
         if not self.step_mu > 0:
             raise ParameterError("step_mu must be positive")
-        if self.initial_weights is not None:
-            weights = np.asarray(self.initial_weights, dtype=np.float64)
-            if weights.shape != (self.order_l + 1,):
-                raise ParameterError(
-                    f"initial_weights must have length {self.order_l + 1}"
-                )
-            object.__setattr__(self, "initial_weights", weights)
-
-    def start_weights(self) -> np.ndarray:
-        if self.initial_weights is None:
-            return np.zeros(self.order_l + 1)
-        return self.initial_weights.copy()
 
 
 @dataclass
@@ -139,13 +129,13 @@ def lms_step(
 def run_anc(
     primary: AudioBuffer, reference: AudioBuffer, config: LmsConfig
 ) -> AncResult:
-    """Run the LMS canceller over a whole recording.
+    """Run the LMS canceller over a whole recording, from zero weights.
 
     The reference should carry the noise that contaminates the primary; a
     zero reference leaves the primary untouched. Raises DivergenceError
-    naming the step at which the recursion overflows, as lms_step does, or,
-    in a run that stays finite, the first step whose error passed _DIVERGED
-    times the primary's peak.
+    naming the first step whose error is non-finite or beyond _DIVERGED
+    times the primary's peak, or the last step if only the final weights
+    are non-finite.
     """
     if len(primary) != len(reference):
         raise DimensionError(
@@ -164,10 +154,12 @@ def run_anc(
     )
     errors = np.empty(len(d))
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = _block_lms(d, windows, config.start_weights(), config.step_mu, errors)
+        weights = _block_lms(d, windows, config.step_mu, errors)
     found = _first_divergent(errors[None], _DIVERGED * max(d.max(), -d.min()))
     if found:
         raise DivergenceError(found[0])
+    if not np.all(np.isfinite(weights)):
+        raise DivergenceError(len(d) - 1)
     rate = primary.sample_rate_hz
     return AncResult(
         error_signal=AudioBuffer(errors, rate),
@@ -177,19 +169,13 @@ def run_anc(
     )
 
 
-def _block_lms(
-    d: np.ndarray, windows: np.ndarray, weights: np.ndarray, mu: float, errors: np.ndarray
-) -> np.ndarray:
-    """Exact LMS in blocks of _BLOCK steps; fills errors, returns the final weights.
+def _block_lms(d: np.ndarray, windows: np.ndarray, mu: float, errors: np.ndarray) -> np.ndarray:
+    """Exact LMS from zero weights in blocks of _BLOCK steps; fills errors,
+    returns the final weights.
 
     The weights are kept oldest tap first here, to match the windows. A
     block that starts at weights w has errors e = sol @ [1, -w], sol its
-    _block_solves solution, and ends at w + 2*mu * X^T e. If a block yields
-    a non-finite error or weight, lms_step finishes the recording, so a
-    DivergenceError names the step the scalar recursion fails at. It starts
-    one block early: a block sums its weight updates in another order than
-    lms_step does, so within rounding of the float64 limit lms_step can
-    overflow a block before the block form does.
+    _block_solves solution, and ends at w + 2*mu * X^T e.
     """
     n = len(d)
     taps = windows.shape[1]
@@ -199,10 +185,9 @@ def _block_lms(
     if full < n:
         chunks.append((full, n, n - full))
     # omega = [1, -w], so a block's errors are one product with it.
-    omega = np.concatenate([[1.0], -weights[::-1]])
+    omega = np.zeros(taps + 1)
+    omega[0] = 1.0
     minus_w = omega[1:]
-    # The step and omega of the last block that came out finite.
-    back = (0, omega.copy())
     dot = np.dot
     # One set of buffers serves every chunk, so a call maps and zero-fills
     # them once rather than once per chunk; each chunk reshapes a prefix.
@@ -217,17 +202,8 @@ def _block_lms(
         _block_solves(x, d[start:stop].reshape(-1, m), 2.0 * mu, gram, sol)
         step = np.multiply(x, -2.0 * mu, out=step_buf[: x.size].reshape(x.shape))
         out = errors[start:stop].reshape(-1, m)
-        starts = np.empty((len(x) + 1, taps + 1))
-        for b in range(len(x)):
-            starts[b] = omega
+        for b in range(blocks):
             minus_w += dot(dot(sol[b], omega, out=out[b]), step[b])
-        starts[-1] = omega
-        ok = np.isfinite(out).all(axis=1) & np.isfinite(starts[1:]).all(axis=1)
-        if not ok.all():
-            b = int(np.argmin(ok))
-            k, restart = (start + (b - 1) * m, starts[b - 1]) if b else back
-            return _scalar_tail(d, windows, -restart[1:][::-1], mu, errors, k)
-        back = (stop - m, starts[-2])
     return -minus_w[::-1]
 
 
@@ -253,22 +229,6 @@ def _block_solves(
         sol[:, i] -= (gram[:, i, None, :i] @ sol[:, :i])[:, 0]
 
 
-def _scalar_tail(
-    d: np.ndarray,
-    windows: np.ndarray,
-    weights: np.ndarray,
-    mu: float,
-    errors: np.ndarray,
-    start: int,
-) -> np.ndarray:
-    """Finish the recording with lms_step from step start and the given weights."""
-    delay = windows[start - 1][::-1] if start else np.zeros(len(weights))
-    state = LmsState(weights, delay, start)
-    for k in range(start, len(d)):
-        state, errors[k], _ = lms_step(state, d[k], windows[k][-1], mu)
-    return state.weights
-
-
 def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     """Run B zero-start LMS cancellers in lockstep and write their errors
     over their primaries.
@@ -280,9 +240,10 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     combiner output; rows never interact. references may be primaries
     itself: run_anc_batch(u, u, ...) leaves in u the errors of cancelling u
     out of itself. Raises DivergenceError carrying the row and the first
-    step at which its error went non-finite (the earliest such step, then
-    the lowest row), or, in a run that stays finite, passed _DIVERGED times
-    that row's primary peak; the primaries are then partly overwritten.
+    step whose error is non-finite or beyond _DIVERGED times that row's
+    primary peak (the earliest such step, then the lowest row), or the last
+    step and the lowest row whose final weights are non-finite; the
+    primaries are then partly overwritten.
     """
     if not (isinstance(primaries, np.ndarray) and primaries.dtype == np.float64):
         raise ParameterError("primaries must be a float64 array; errors are written over it")
@@ -322,7 +283,6 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
     # Per-row bounds, taken before any primary is overwritten, from
     # reductions that allocate no (B, n) temporary.
     limits = _DIVERGED * np.maximum(d.max(axis=1), -d.min(axis=1))[:, None]
-    unbounded = None
     multiply, dot = np.multiply, np.dot
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _CHECK_EVERY):
@@ -339,18 +299,12 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
                 multiply(e, two_mu, gain)
                 weights += multiply(window, gain, product)
             d[:, start:stop] = chunk.T
-            found = _first_divergent(d[:, start:stop], np.inf)
+            found = _first_divergent(d[:, start:stop], limits)
             if found:
                 raise DivergenceError(start + found[0], row=found[1])
-            if unbounded is None:
-                found = _first_divergent(d[:, start:stop], limits)
-                if found:
-                    unbounded = DivergenceError(start + found[0], row=found[1])
     finite = np.all(np.isfinite(weights), axis=0)
     if not np.all(finite):
         raise DivergenceError(n - 1, row=int(np.argmin(finite)))
-    if unbounded:
-        raise unbounded
 
 
 def _time_windows(x: np.ndarray, taps: int) -> np.ndarray:
@@ -362,8 +316,7 @@ def _time_windows(x: np.ndarray, taps: int) -> np.ndarray:
 def _first_divergent(errors: np.ndarray, limits) -> tuple[int, int] | None:
     """(step, row) of the first error in a (B, n) stack that is non-finite
     or beyond its row's limit in magnitude, else None. The earliest step
-    wins, then the lowest row; an infinite limit flags only non-finite
-    errors."""
+    wins, then the lowest row."""
     steps, rows = np.nonzero((~(np.abs(errors) <= limits)).T)
     if not len(steps):
         return None

@@ -98,6 +98,10 @@ class NoiseSpec:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if self.kind == "recorded" and self.noise is None:
             raise ParameterError("recorded noise kind needs a noise buffer")
+        if not self.target_snr_db > -np.inf:
+            raise ParameterError(
+                f"target_snr_db must be a number above -inf, got {self.target_snr_db}"
+            )
 
 
 def read_wav(path) -> AudioBuffer:
@@ -344,8 +348,8 @@ def synth_speaker(
     only across its ramp; before it only the first stack is evaluated and
     after it only the second (see _harmonic_stack).
     """
-    if duration_s <= 0:
-        raise ParameterError("duration_s must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ParameterError(f"duration_s must be finite and positive, got {duration_s}")
     n = int(round(duration_s * sample_rate_hz))
     if n < 2:
         raise ParameterError("duration too short for the sample rate")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from melsplit.anc import (
+    _DIVERGED,
     LmsConfig,
     LmsState,
     lms_step,
@@ -22,12 +23,25 @@ def buf(x, rate=SR):
 
 
 def lms_step_run(primary, reference, config):
-    """Errors and final weights of lms_step iterated over a whole recording."""
-    state = LmsState(config.start_weights(), np.zeros(config.order_l + 1))
+    """Errors and final weights of lms_step iterated over a whole recording
+    from zero weights."""
+    state = LmsState(np.zeros(config.order_l + 1), np.zeros(config.order_l + 1))
     errors = np.empty(len(primary))
     for k in range(len(primary)):
         state, errors[k], _ = lms_step(state, primary[k], reference[k], config.step_mu)
     return errors, state.weights
+
+
+def lms_step_first_past_bound(primary, reference, config):
+    """The first step at which an lms_step loop's error is non-finite or
+    beyond _DIVERGED times the primary's peak, else None."""
+    limit = _DIVERGED * np.max(np.abs(primary))
+    state = LmsState(np.zeros(config.order_l + 1), np.zeros(config.order_l + 1))
+    for k in range(len(primary)):
+        state, e_k, _ = lms_step(state, primary[k], reference[k], config.step_mu)
+        if not abs(e_k) <= limit:
+            return k
+    return None
 
 
 def sine_noise_fixture(seconds=5.0, snr_db=0.0, seed=42):
@@ -111,10 +125,14 @@ class TestRunAnc:
         )
 
     def test_pathological_mu_diverges(self):
+        # The error passes the bound at step 4, long before the weights
+        # overflow float64.
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
+        config = LmsConfig(order_l=31, step_mu=1e3)
         with pytest.raises(DivergenceError) as info:
-            run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=1e3))
-        assert info.value.step_index == 128
+            run_anc(noisy, noise, config)
+        assert info.value.step_index == 4
+        assert lms_step_first_past_bound(noisy.samples, noise.samples, config) == 4
 
     def test_unbounded_error_without_overflow_diverges(self):
         # At this step size the errors reach about 1e76 by the end of the
@@ -130,22 +148,21 @@ class TestRunAnc:
         assert np.flatnonzero(np.abs(errors) > 1e6 * peak)[0] == 700
 
     @pytest.mark.parametrize("mu", [0.01, 0.03, 0.08])
-    def test_mid_recording_divergence_names_lms_step_index(self, mu):
+    def test_mid_recording_divergence_names_first_step_past_bound(self, mu):
         # The reference jumps a hundredfold at sample 5000, which makes a
-        # step size that was stable unstable; the weights overflow more than
-        # a hundred blocks in. At mu = 0.03 the block that first overflows
-        # in float64 is the one after the block lms_step overflows in.
+        # step size that was stable unstable. The first error past the bound
+        # comes a dozen or more steps after the jump and over a hundred
+        # steps before the weights overflow float64.
         rng = np.random.default_rng(3)
         reference = 0.1 * rng.standard_normal(8000)
         reference[5000:] *= 100
         primary = 0.5 * reference + 0.05 * rng.standard_normal(8000)
         config = LmsConfig(order_l=31, step_mu=mu)
-        with pytest.raises(DivergenceError) as scalar, np.errstate(over="ignore", invalid="ignore"):
-            lms_step_run(primary, reference, config)
         with pytest.raises(DivergenceError) as block:
             run_anc(buf(primary), buf(reference), config)
-        assert scalar.value.step_index > 5000
-        assert block.value.step_index == scalar.value.step_index
+        scalar = lms_step_first_past_bound(primary, reference, config)
+        assert scalar > 5000
+        assert block.value.step_index == scalar
 
     def test_mse_trace_monotone_on_noise_dominated_fixture(self):
         # At -10 dB input SNR the initial error power dwarfs the converged
@@ -196,44 +213,38 @@ class TestRunAnc:
         assert np.allclose(result.error_signal.samples, errors, atol=1e-12)
         assert np.allclose(result.final_weights, weights, atol=1e-12)
 
+    # The ids keep the "-False" suffix they had when a third parameter set
+    # warm-start weights, so each case keeps its name.
     @pytest.mark.parametrize(
-        "n, order_l, initial",
+        "n, order_l",
         [
-            (20, 31, False),  # shorter than the delay line
-            (31, 31, False),  # one step short of a block
-            (32, 31, False),  # one block
-            (33, 31, False),  # one step into a second block
-            (2 * 32 * 64 + 17, 31, False),  # two chunks of blocks and a partial block
-            (500, 0, False),  # a one-tap canceller
-            (700, 31, True),
-            (45, 6, True),
+            pytest.param(20, 31, id="20-31-False"),  # shorter than the delay line
+            pytest.param(31, 31, id="31-31-False"),  # one step short of a block
+            pytest.param(32, 31, id="32-31-False"),  # one block
+            pytest.param(33, 31, id="33-31-False"),  # one step into a second block
+            # two chunks of blocks and a partial block
+            pytest.param(2 * 32 * 64 + 17, 31, id="4113-31-False"),
+            pytest.param(500, 0, id="500-0-False"),  # a one-tap canceller
         ],
     )
-    def test_edge_lengths_match_lms_step(self, n, order_l, initial):
+    def test_edge_lengths_match_lms_step(self, n, order_l):
         rng = np.random.default_rng(n + order_l)
         reference = 0.5 * rng.standard_normal(n)
         primary = 0.8 * reference + 0.2 * rng.standard_normal(n)
-        weights = 0.3 * rng.standard_normal(order_l + 1) if initial else None
-        config = LmsConfig(order_l=order_l, step_mu=0.01, initial_weights=weights)
+        config = LmsConfig(order_l=order_l, step_mu=0.01)
         result = run_anc(buf(primary), buf(reference), config)
         errors, weights = lms_step_run(primary, reference, config)
         assert np.allclose(result.error_signal.samples, errors, rtol=0, atol=1e-12)
         assert np.allclose(result.combiner_output.samples, primary - errors, rtol=0, atol=1e-12)
         assert np.allclose(result.final_weights, weights, rtol=0, atol=1e-12)
 
-    def test_initial_weights_honoured(self):
-        # A canceller that starts at the coupling gain cancels from the
-        # first sample; one that starts at zero does not.
-        rng = np.random.default_rng(11)
-        reference = rng.standard_normal(1000)
-        primary = 0.6 * reference
-        start = np.zeros(5)
-        start[0] = 0.6
-        warm = run_anc(buf(primary), buf(reference), LmsConfig(4, 0.001, start))
-        cold = run_anc(buf(primary), buf(reference), LmsConfig(4, 0.001))
-        assert np.max(np.abs(warm.error_signal.samples)) <= 1e-12
-        assert np.allclose(warm.final_weights, start, rtol=0, atol=1e-12)
-        assert abs(cold.error_signal.samples[0]) == pytest.approx(abs(primary[0]))
+    def test_silent_primary_is_not_a_divergence(self):
+        # A zero primary bounds its errors at zero, and a zero-start
+        # canceller's errors on it are all zero, so nothing diverges.
+        reference = np.random.default_rng(12).standard_normal(1000)
+        result = run_anc(buf(np.zeros(1000)), buf(reference), LmsConfig(4, 0.001))
+        assert np.all(result.error_signal.samples == 0.0)
+        assert np.all(result.final_weights == 0.0)
 
 
 def run_batch(primaries, references, order_l, mus):
@@ -375,7 +386,7 @@ class TestRunAncBatch:
         with pytest.raises(DivergenceError) as batch:
             run_batch(primaries, references, 31, [0.005, 1e3, 0.005])
         assert batch.value.row == 1
-        assert abs(batch.value.step_index - serial.value.step_index) <= 1
+        assert batch.value.step_index == serial.value.step_index == 4
         assert "batch row 1" in str(batch.value)
 
     def test_unbounded_row_named(self):
@@ -388,6 +399,23 @@ class TestRunAncBatch:
             run_batch(primaries, references, 31, [0.005, 0.005, 0.3])
         assert batch.value.row == 2
         assert batch.value.step_index == serial.value.step_index
+
+
+    def test_overflowing_final_weights_name_the_last_step(self):
+        # The last error is within the bound, but the weight update after it
+        # overflows float64, so both loops name the last step.
+        signal = np.array([0.0, 0.0, 10.0])
+        with pytest.raises(DivergenceError) as serial:
+            run_anc(buf(signal), buf(signal), LmsConfig(order_l=0, step_mu=1e307))
+        with pytest.raises(DivergenceError) as batch:
+            run_batch(np.stack([signal] * 2), np.stack([signal] * 2), 0, [1e-3, 1e307])
+        assert serial.value.step_index == batch.value.step_index == 2
+        assert batch.value.row == 1
+
+    def test_silent_primary_is_not_a_divergence(self):
+        references = np.random.default_rng(12).standard_normal((3, 1000))
+        errors = run_batch(np.zeros((3, 1000)), references, 4, self.MUS)
+        assert np.all(errors == 0.0)
 
 
 class TestMseTrace:
@@ -413,10 +441,6 @@ class TestMseTrace:
 
 
 class TestLmsConfig:
-    def test_weight_length_enforced(self):
-        with pytest.raises(ParameterError):
-            LmsConfig(order_l=3, initial_weights=np.zeros(3))
-
     def test_mu_positive(self):
         with pytest.raises(ParameterError):
             LmsConfig(step_mu=-0.1)

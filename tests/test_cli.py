@@ -90,6 +90,14 @@ class TestSynth:
                 "--replicates", 2, "--duration", 0.2)
         assert len(list(out.glob("*.wav"))) == 8
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_is_error_line(self, tmp_path, capsys, duration):
+        out = tmp_path / "c"
+        assert run_cli("synth", "--out", out, "--profiles", 1, "--words", 1,
+                       "--duration", duration) == 1
+        assert "error: duration_s must be finite and positive" in capsys.readouterr().err
+        assert not list(out.glob("*.wav"))
+
 
 class TestMix:
     def test_mix_hits_target(self, tmp_path):
@@ -111,6 +119,14 @@ class TestMix:
     def test_missing_input_runtime_error(self, tmp_path):
         assert run_cli("mix", "--in", tmp_path / "no.wav", "--snr-db", 0,
                        "--out", tmp_path / "o.wav") == 1
+
+    @pytest.mark.parametrize("snr_db", ["nan", "-inf"])
+    def test_undefined_snr_is_error_line(self, tmp_path, capsys, snr_db):
+        src = make_word_wav(tmp_path / "w.wav", duration=0.2)
+        out = tmp_path / "o.wav"
+        assert run_cli("mix", "--in", src, f"--snr-db={snr_db}", "--out", out) == 1
+        assert "error: target_snr_db must be a number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnc:
