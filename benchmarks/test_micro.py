@@ -25,7 +25,6 @@ from melsplit.bench import (
     _SPECTRA_TAKES,
     CLEAN_SNR_DB,
     ExperimentPlan,
-    _basis_takes,
     _lead_samples,
     _make_pairs,
     _noise_stacks,
@@ -122,10 +121,10 @@ def test_point_features_52_takes_4_points(benchmark, method):
     # Two spectra per take, then power, banks, log and DCT at each point:
     # the work of 4 * 52 extract calls on takes mixed in the time domain.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    stacks = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
+    (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
-    bases = _basis_takes(PLAN, stacks, points)
-    features = benchmark(_point_features, bases, method, PLAN, 1)
+    rows = range(BATCH_ROWS)
+    features = benchmark(_point_features, stack, rows, points, method, PLAN, 1)
     assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
     assert list(features[0]) == list(channel_bands(method, PLAN.extraction))
 

@@ -70,8 +70,8 @@ class LmsConfig:
     def __post_init__(self):
         if self.order_l < 0:
             raise ParameterError("order_l must be >= 0")
-        if not self.step_mu > 0:
-            raise ParameterError("step_mu must be positive")
+        if not 0 < self.step_mu < np.inf:
+            raise ParameterError("step_mu must be finite and positive")
 
 
 @dataclass
@@ -258,11 +258,12 @@ def run_anc_batch(primaries: np.ndarray, references, order_l: int, mus) -> None:
         raise DimensionError("empty input")
     if order_l < 0:
         raise ParameterError("order_l must be >= 0")
-    two_mu = 2.0 * np.asarray(mus, dtype=np.float64)
-    if two_mu.shape != (b,):
-        raise DimensionError(f"need one step size per row ({b}), got shape {two_mu.shape}")
-    if not np.all(two_mu > 0):
-        raise ParameterError("every step size must be positive")
+    mus = np.asarray(mus, dtype=np.float64)
+    if mus.shape != (b,):
+        raise DimensionError(f"need one step size per row ({b}), got shape {mus.shape}")
+    if not np.all((mus > 0) & (mus < np.inf)):
+        raise ParameterError("every step size must be finite and positive")
+    two_mu = 2.0 * mus
 
     taps = order_l + 1
     # The loop runs time-major, so that each step reads and writes contiguous

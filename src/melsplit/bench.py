@@ -8,12 +8,14 @@ split and frozen, so accuracy falls as noise grows instead of being
 re-absorbed by recalibration. Everything is a pure function of the plan,
 the corpus, and the master seed.
 
-A test take at a noisy point is a linear mix of signals drawn or cancelled
-once per sweep: clean + c*u with ANC off, and the cancelled clean take plus
-c times the cancelled unit noise with ANC on. Extraction's first stage is
-linear too (mfcc.channel_spectra), so the sweep computes each signal's
-spectra once and builds every point's features from S(a) + c*S(u); no noisy
-take is formed in the time domain.
+Every take the sweep enrolls sits in a _NoiseStack of equal-length takes.
+Reference and calibration takes are enrolled noise-free. A test take at a
+noisy point is a linear mix of signals drawn or cancelled once per sweep:
+clean + c*u with ANC off, and the cancelled clean take plus c times the
+cancelled unit noise with ANC on. Extraction's first stage is linear too
+(mfcc.channel_spectra), so the sweep computes each signal's spectra once and
+builds every point's features from S(a) + c*S(u); no noisy take is formed in
+the time domain.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import math
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,14 @@ from .cluster import (
     scores,
 )
 from .errors import ConfigError, DivergenceError, ParameterError
-from .mfcc import METHODS, ExtractionConfig, FeatureMatrix, channel_spectra, spectra_features
+from .mfcc import (
+    METHODS,
+    ExtractionConfig,
+    FeatureMatrix,
+    channel_bands,
+    channel_spectra,
+    spectra_features,
+)
 from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
 from .signal_io import (
     AudioBuffer,
@@ -101,6 +108,8 @@ class ExperimentPlan:
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
+        for method in self.methods:
+            channel_bands(method, self.extraction)  # checks num_coeffs
         bad = set(self.anc) - set(ANC_MODES)
         if bad or not self.anc:
             raise ConfigError(f"anc must be a non-empty subset of {ANC_MODES}")
@@ -122,7 +131,7 @@ class ExperimentPlan:
                 math.isfinite(self.anc_lead_s) and self.anc_lead_s >= 0,
                 "must be finite and >= 0",
             ),
-            ("anc_mu_fraction", self.anc_mu_fraction > 0, "must be positive"),
+            ("anc_mu_fraction", 0 < self.anc_mu_fraction < math.inf, "must be finite and positive"),
         )
         if self.corpus is None:  # a manifest's takes have their own lengths
             # A synthesized take must fill a frame and outlast the dual split's kernel.
@@ -327,16 +336,17 @@ def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class _NoiseStack:
-    """Equal-length test takes and their unit noise, laid out once per sweep.
+    """Equal-length takes and their unit noise, laid out once per sweep.
 
-    samples[i] is the clean take of keys[i]. When the plan runs a canceller,
-    it is row i of `clean`, a (B, pad + n) stack whose rows open with `pad`
-    zeros; otherwise `clean` is None and samples[i] is the take's own
-    array. Row i of `unit` is _unit_noise of keys[i], (lead + n) samples,
-    or `unit` is None when the plan has no noisy point. The powers are each
-    take's mean squares, taken once: of the clean take and of the unit noise
-    under it. steps[i] is take i's canceller step on its unit reference,
-    anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)).
+    A stack holds test takes, or noise-free reference or calibration takes,
+    which have no unit noise, unit powers or steps. samples[i] is the clean
+    take of keys[i]. When a canceller reads the takes, it is row i of
+    `clean`, a (B, pad + n) stack whose rows open with `pad` zeros;
+    otherwise `clean` is None and samples[i] is the take's own array. Row i
+    of `unit` is _unit_noise of keys[i], (lead + n) samples. The powers are
+    each take's mean squares, taken once: of the clean take and of the unit
+    noise under it. steps[i] is take i's canceller step on its unit
+    reference, anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)).
 
     LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
     mu*c**2 (its weights are c times the others). The step that targets a
@@ -344,9 +354,9 @@ class _NoiseStack:
     so on the unit reference it is steps[i] at every SNR point, and every
     point of a take shares one canceller run.
 
-    A point's take is samples[i] + c * unit[i, lead:]. Once _cancel_stacks
-    has written the canceller's errors over `clean` and `unit`, the same
-    formula gives the ANC-on take.
+    A point's take is samples[i] + c * unit[i, lead:], or samples[i] alone
+    at the clean point. Once _cancel_stacks has written the canceller's
+    errors over `clean` and `unit`, the same formula gives the ANC-on take.
     """
 
     keys: list
@@ -359,14 +369,17 @@ class _NoiseStack:
     steps: list
 
     def scales(self, snr_db: float) -> list:
-        """Each take's noise scale c at `snr_db`."""
+        """Each take's noise scale c at `snr_db`, or None at the clean point."""
+        if snr_db == CLEAN_SNR_DB:
+            return [None] * len(self.keys)
         return [noise_scale(*powers, snr_db) for powers in zip(self.clean_power, self.unit_power)]
 
 
 def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[_NoiseStack]:
-    """One _NoiseStack per take length; with unit noise only if `noisy`.
-    Each take is popped out of clean_takes as its stack takes it over, so
-    that no take is held twice.
+    """One _NoiseStack per take length; with unit noise only if `noisy`, and
+    with the padded clean stack only if `noisy` and the plan runs a
+    canceller. Each take is popped out of clean_takes as its stack takes it
+    over, so that no take is held twice.
 
     Each clean row opens with pad = min(lead, anc_taps) zeros: a
     canceller of the clean take alone sees a zero primary, so its weights
@@ -383,9 +396,9 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
         # The unit stack is allocated while the clean takes are still held,
         # and the takes are freed as the clean stack is filled: with the
         # clean stack filled first, perfbench's sweep_default runs peaked
-        # about 5 MB higher in RSS (glibc 2.36 heap reuse). Plans without a
-        # canceller keep the takes' own arrays, since a clean stack there
-        # raised sweep_noanc's peak RSS by 4 MB.
+        # about 5 MB higher in RSS (glibc 2.36 heap reuse). Stacks that no
+        # canceller reads keep the takes' own arrays, since a clean stack
+        # there raised sweep_noanc's peak RSS by 4 MB.
         unit, unit_power, steps = None, [], []
         if noisy:
             unit = np.empty((len(keys), lead + n))
@@ -395,7 +408,7 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
                 power = float(np.mean(drawn**2))
                 steps.append(plan.anc_mu_fraction / ((plan.anc_taps + 1) * power))
         clean = None
-        if "on" in plan.anc:
+        if noisy and "on" in plan.anc:
             clean = np.empty((len(keys), pad + n))
             clean[:, :pad] = 0.0
         samples, clean_power = [], []
@@ -410,41 +423,9 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
     return stacks
 
 
-class _Basis(NamedTuple):
-    """A take at a list of points, as signals that the points share.
-
-    The take at point j is a + scales[j] * u, or a itself where scales[j]
-    is None. For a test take, a and u are views of the sweep's stacks; a
-    reference or calibration take is a alone, with u None, at the clean point.
-    """
-
-    key: tuple
-    a: np.ndarray
-    u: np.ndarray | None
-    scales: list
-
-
-def _basis_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> list:
-    """A _Basis for every stacked take at `points`: samples[i] and
-    unit[i, lead:] with each noisy point's c, and the take alone at the clean
-    point. Before _cancel_stacks runs the cancellers these are the clean
-    and ANC-off takes; after, the same formula gives the ANC-on takes."""
-    lead = _lead_samples(plan)
-    bases = []
-    for stack in stacks:
-        scales = [
-            [None] * len(stack.keys) if snr_db == CLEAN_SNR_DB else stack.scales(snr_db)
-            for snr_db in points
-        ]
-        for i, key in enumerate(stack.keys):
-            unit = None if stack.unit is None else stack.unit[i, lead:]
-            bases.append(_Basis(key, stack.samples[i], unit, [c[i] for c in scales]))
-    return bases
-
-
 def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> None:
-    """Write the canceller's errors over every stack, so that _basis_takes
-    then gives the ANC-on test takes of every noisy point in `points`.
+    """Write the canceller's errors over every stack, so that the stacks
+    then give the ANC-on test takes of every noisy point in `points`.
 
     Every ANC-off take must be read first. The step does not depend on the
     point (see _NoiseStack), so each stack's cancellers run twice, however
@@ -460,21 +441,19 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list
             run_anc_batch(stack.unit, stack.unit, plan.anc_taps, stack.steps)
 
 
-def _take_at(basis: _Basis, j: int, rate: int) -> AudioBuffer:
-    """The take of `basis` at its j-th point, formed in the time domain."""
-    c = basis.scales[j]
-    return AudioBuffer(basis.a.copy() if c is None else basis.a + c * basis.u, rate)
-
-
 def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
     """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
     clean take at the clean point, else clean + c * unit[lead:], the ANC-off
     take, or, once _cancel_stacks has cancelled the stacks, the ANC-on
     take. The sweep never forms these; they are the take-level reference
     for its spectra-level mixing."""
-    return {
-        b.key: _take_at(b, 0, plan.sample_rate_hz) for b in _basis_takes(plan, stacks, [snr_db])
-    }
+    lead, takes = _lead_samples(plan), {}
+    for stack in stacks:
+        for i, c in enumerate(stack.scales(snr_db)):
+            a = stack.samples[i]
+            mixed = a.copy() if c is None else a + c * stack.unit[i, lead:]
+            takes[stack.keys[i]] = AudioBuffer(mixed, plan.sample_rate_hz)
+    return takes
 
 
 @contextmanager
@@ -494,34 +473,37 @@ def _naming(stack: _NoiseStack, points: list[float], offset: int):
 
 
 def _point_features(
-    bases: list, method: str, plan: ExperimentPlan, replicate: int
+    stack: _NoiseStack, rows: range, points: list, method: str, plan: ExperimentPlan, replicate: int
 ) -> list[dict]:
-    """Every take's features at each of its points, keyed by channel_id, in
-    take order and, within a take, point order.
+    """The features of the stack's takes `rows` at each of `points`, keyed
+    by channel_id, in row order and, within a take, point order.
 
-    Runs of up to _SPECTRA_TAKES consecutive takes of one length go through
-    the linear spectra stage together, one channel_spectra call per signal;
-    u's call is skipped when no point of the run is noisy. _take_points then
-    builds each take's points from its spectra. `replicate` names a take's
-    source id, which seeds k-means.
+    Runs of up to _SPECTRA_TAKES rows go through the linear spectra stage
+    together, one channel_spectra call per signal; the unit noise's call is
+    skipped when every point is clean. _take_points then builds each take's
+    points from its spectra. `replicate` names a take's source id, which
+    seeds k-means.
     """
-    cfg, rate = plan.extraction, plan.sample_rate_hz
+    cfg, rate, lead = plan.extraction, plan.sample_rate_hz, _lead_samples(plan)
+    scales = [stack.scales(snr_db) for snr_db in points]
+    noisy = any(snr_db != CLEAN_SNR_DB for snr_db in points)
     features = []
-    for _, run in groupby(bases, key=lambda basis: len(basis.a)):
-        run = list(run)
-        for start in range(0, len(run), _SPECTRA_TAKES):
-            group = run[start : start + _SPECTRA_TAKES]
-            spectra_a = channel_spectra([AudioBuffer(b.a, rate) for b in group], method, cfg)
-            spectra_u = [None] * len(group)
-            if any(c is not None for b in group for c in b.scales):
-                spectra_u = channel_spectra([AudioBuffer(b.u, rate) for b in group], method, cfg)
-            for basis, s_a, s_u in zip(group, spectra_a, spectra_u):
-                features += _take_points(basis, s_a, s_u, method, plan, replicate)
+    for start in range(0, len(rows), _SPECTRA_TAKES):
+        run = rows[start : start + _SPECTRA_TAKES]
+        spectra_a = channel_spectra([AudioBuffer(stack.samples[i], rate) for i in run], method, cfg)
+        spectra_u = [None] * len(run)
+        if noisy:
+            units = [AudioBuffer(stack.unit[i, lead:], rate) for i in run]
+            spectra_u = channel_spectra(units, method, cfg)
+        for i, s_a, s_u in zip(run, spectra_a, spectra_u):
+            take_scales = [c[i] for c in scales]
+            features += _take_points(stack.keys[i], take_scales, s_a, s_u, method, plan, replicate)
     return features
 
 
 def _take_points(
-    basis: _Basis,
+    key: tuple,
+    scales: list,
     spectra_a: np.ndarray,
     spectra_u: np.ndarray | None,
     method: str,
@@ -533,13 +515,13 @@ def _take_points(
     stack of S(a) + c * S(u), or of S(a) where the point's scale is None.
     This equals extracting the take mixed in the time domain up to float
     rounding, and bit for bit at a None scale."""
-    stack = np.empty((len(basis.scales),) + spectra_a.shape)
-    for row, c in zip(stack, basis.scales):
+    stack = np.empty((len(scales),) + spectra_a.shape)
+    for row, c in zip(stack, scales):
         if c is None:
             row[...] = spectra_a
         else:
             np.add(spectra_a, np.multiply(spectra_u, c, out=row), out=row)
-    source_id = _take_id(*basis.key, replicate)
+    source_id = _take_id(*key, replicate)
     features = spectra_features(stack, method, plan.extraction, plan.sample_rate_hz, source_id)
     return [
         {channel: FeatureMatrix(fm.rows[j], channel, source_id) for channel, fm in features.items()}
@@ -548,25 +530,27 @@ def _take_points(
 
 
 def _enroll_points(
-    plan: ExperimentPlan, method: str, points: list[float], bases: list, replicate: int
+    plan: ExperimentPlan, method: str, points: list, stacks: list[_NoiseStack], replicate: int
 ) -> dict[float, dict]:
-    """Enroll every take of `bases`, replicate `replicate` of its key, at
+    """Enroll every take of `stacks`, replicate `replicate` of its key, at
     each of `points`: {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
 
-    Takes go in chunks of ceil(B / len(points)), whose features
+    A stack's B takes go in chunks of ceil(B / len(points)), whose features
     _point_features builds a few takes at a time and which are enrolled at
     all their points in one enroll_many call, so a call holds about B rows,
     as one call per point would, and no more than a chunk's features are held.
     """
     models: dict[float, dict] = {snr_db: {} for snr_db in points}
-    size = -(-len(bases) // len(points))
-    for start in range(0, len(bases), size):
-        chunk = bases[start : start + size]
-        features = _point_features(chunk, method, plan, replicate)
-        enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
-        for basis in chunk:
-            for snr_db in points:
-                models[snr_db][basis.key] = next(enrolled)
+    for stack in stacks:
+        takes = range(len(stack.keys))
+        size = -(-len(takes) // len(points))
+        for start in range(0, len(takes), size):
+            rows = takes[start : start + size]
+            features = _point_features(stack, rows, points, method, plan, replicate)
+            enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
+            for i in rows:
+                for snr_db in points:
+                    models[snr_db][stack.keys[i]] = next(enrolled)
     return models
 
 
@@ -590,12 +574,12 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     trial pairs are then scored from the cached models in one call.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell.
-    Every take goes through _enroll_points, which builds and enrolls its
-    features at each of its points from its signals' spectra, computed once
-    per method: the reference and calibration takes alone at the clean
-    point; each test take's clean take and unit noise for the clean and
-    ANC-off points, then, once _cancel_stacks has run each stack's two
-    cancellers, their cancelled rows for the ANC-on points.
+    Every take sits in a _NoiseStack and goes through _enroll_points, which
+    builds and enrolls its features at each of its points from its signals'
+    spectra, computed once per method: the reference and calibration takes
+    alone at the clean point; each test take's clean take and unit noise for
+    the clean and ANC-off points, then, once _cancel_stacks has run each
+    stack's two cancellers, their cancelled rows for the ANC-on points.
     """
     corpus, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in corpus})
@@ -611,9 +595,9 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     def enroll_clean(keys, replicate: int) -> dict:
         """{method: {key: models}} of replicate `replicate` of each key, noise-free."""
-        bases = [_Basis(key, corpus[key + (replicate,)].samples, None, [None]) for key in keys]
+        stacks = _noise_stacks(plan, {key: corpus[key + (replicate,)] for key in keys}, noisy=False)
         return {
-            m: _enroll_points(plan, m, [CLEAN_SNR_DB], bases, replicate)[CLEAN_SNR_DB]
+            m: _enroll_points(plan, m, [CLEAN_SNR_DB], stacks, replicate)[CLEAN_SNR_DB]
             for m in plan.methods
         }
 
@@ -630,9 +614,9 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     stacks = _noise_stacks(plan, clean_takes, bool(points))
     cells: list[CellResult] = []
 
-    def tally(mode, group, bases):
+    def tally(mode, group):
         for method in plan.methods:
-            models = _enroll_points(plan, method, group, bases, 1)
+            models = _enroll_points(plan, method, group, stacks, 1)
             for snr_db in group:
                 scores = _score_pairs(models[snr_db], ref_models[method], pairs)
                 counts = confusion(*scores, thresholds[method])
@@ -644,10 +628,10 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     # overwrite them.
     shared = [s for s in plan.snr_points_db if s == CLEAN_SNR_DB or "off" in plan.anc]
     if shared:
-        tally("off", shared, _basis_takes(plan, stacks, shared))
+        tally("off", shared)
     if "on" in plan.anc and points:
         _cancel_stacks(plan, stacks, points)
-        tally("on", points, _basis_takes(plan, stacks, points))
+        tally("on", points)
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)

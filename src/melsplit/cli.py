@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -61,7 +62,7 @@ class PipelineConfig(ExtractionConfig):
         super().__post_init__()
         check_shared_fields(self.sample_rate_hz, self.band_top_hz, self.anc_taps, self.kmeans_k)
         check_fields(
-            ("anc_mu", self.anc_mu > 0, "must be positive"),
+            ("anc_mu", 0 < self.anc_mu < math.inf, "must be finite and positive"),
             ("threshold", self.threshold >= 0, "must be >= 0"),
         )
 
@@ -110,13 +111,16 @@ def _positive_int(text: str) -> int:
 def cmd_synth(args) -> int:
     cfg = _effective_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for p in range(args.profiles):
         for w in range(args.words):
             for r in range(args.replicates):
                 seed = corpus_seed(cfg.seed, p, w, r)
                 buffer = synth_speaker(p, w, args.duration, seed, cfg.sample_rate_hz)
+                # Made once the first take is ready, so that a run that
+                # fails on its first take leaves no directory behind.
+                if not entries:
+                    out_dir.mkdir(parents=True, exist_ok=True)
                 name = f"p{p:02d}_w{w:02d}_r{r}.wav"
                 write_wav(buffer, out_dir / name)
                 entries.append(

@@ -60,7 +60,8 @@ class ExtractionConfig:
     """Tunables for the feature pipeline; defaults suit 16 kHz input.
 
     Construction validates every field and raises ConfigError naming the
-    first one that is out of range.
+    first one that is out of range. num_coeffs is checked against a
+    method's filter counts when its layout is read (channel_bands).
     """
 
     frame_len: int = 400
@@ -86,14 +87,10 @@ class ExtractionConfig:
             ("fft_size", self.fft_size >= self.frame_len, "must be >= frame_len"),
             ("filters_single", self.filters_single >= 1, "must be >= 1"),
             ("filters_per_channel", self.filters_per_channel >= 1, "must be >= 1"),
-            (
-                "num_coeffs",
-                1 <= self.num_coeffs <= min(self.filters_single, self.filters_per_channel),
-                "must be between 1 and the smallest filter count",
-            ),
+            ("num_coeffs", self.num_coeffs >= 1, "must be >= 1"),
             ("split_hz", 0 < self.split_hz < self.band_top_hz, "must lie in (0, band_top_hz)"),
             ("fir_taps", self.fir_taps % 2 == 1 and self.fir_taps >= 3, "must be odd and >= 3"),
-            ("log_floor", self.log_floor > 0, "must be positive"),
+            ("log_floor", 0 < self.log_floor < np.inf, "must be finite and positive"),
         )
 
 
@@ -256,15 +253,22 @@ def dct_cepstra(log_energies: np.ndarray, num_coeffs: int) -> np.ndarray:
 
 def channel_bands(method: str, cfg: ExtractionConfig) -> dict[str, tuple[float, float, int]]:
     """The mel layout of an extraction method: {channel_id: (band_lo_hz,
-    band_hi_hz, filters)}, in the order the channels are extracted."""
+    band_hi_hz, filters)}, in the order the channels are extracted. Raises
+    ConfigError naming num_coeffs if it exceeds a channel's filter count."""
     if method == "single":
-        return {CHANNEL_SINGLE: (0.0, cfg.band_top_hz, cfg.filters_single)}
-    if method == "dual":
-        return {
+        bands = {CHANNEL_SINGLE: (0.0, cfg.band_top_hz, cfg.filters_single)}
+    elif method == "dual":
+        bands = {
             CHANNEL_ONE: (0.0, cfg.split_hz, cfg.filters_per_channel),
             CHANNEL_TWO: (cfg.split_hz, cfg.band_top_hz, cfg.filters_per_channel),
         }
-    raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    else:
+        raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
+    filters = min(p for _, _, p in bands.values())
+    check_fields(
+        ("num_coeffs", cfg.num_coeffs <= filters, f"must be at most {method}'s {filters} filters")
+    )
+    return bands
 
 
 @lru_cache(maxsize=4)  # each entry is about 0.4-0.5 MB at the defaults

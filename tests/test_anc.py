@@ -377,6 +377,11 @@ class TestRunAncBatch:
         with pytest.raises(ParameterError):
             run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01, 0.0])
 
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_non_finite_step_size_rejected(self, mu):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            run_anc_batch(np.zeros((2, 10)), np.zeros((2, 10)), 4, [0.01, mu])
+
     def test_diverging_row_named(self):
         clean, noisy, noise = sine_noise_fixture(seconds=0.5)
         primaries = np.stack([noisy.samples] * 3)
@@ -444,6 +449,11 @@ class TestLmsConfig:
     def test_mu_positive(self):
         with pytest.raises(ParameterError):
             LmsConfig(step_mu=-0.1)
+
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_mu_finite(self, mu):
+        with pytest.raises(ParameterError, match="step_mu must be finite and positive"):
+            LmsConfig(step_mu=mu)
 
     def test_state_shape_enforced(self):
         with pytest.raises(DimensionError):

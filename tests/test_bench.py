@@ -13,7 +13,6 @@ from melsplit.bench import (
     ExperimentPlan,
     _build_corpus,
     _calibration_pairs,
-    _basis_takes,
     _cancel_stacks,
     _make_pairs,
     _noise_stacks,
@@ -156,6 +155,41 @@ class TestRunSweep:
                     assert np.array_equal(take_models[channel].centroids, model.centroids)
                     assert np.array_equal(take_models[channel].assignments, model.assignments)
         assert len(row_counts) == 2
+
+    def test_unequal_take_lengths_report_pinned(self, tmp_path):
+        # Takes of 0.4 s and 0.3 s: the references, the calibration takes and
+        # the test takes each fill one stack per length.
+        entries = []
+        for p in range(3):
+            for w in range(4):
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    buf = synth_speaker(p, w, 0.3 if (p + w + r) % 2 else 0.4, seed)
+                    name = f"p{p}_w{w}_r{r}.wav"
+                    write_wav(buf, tmp_path / name)
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": name})
+        write_manifest(entries, tmp_path / "manifest.json")
+        report = run_sweep(mini_plan(corpus=str(tmp_path / "manifest.json")))
+        thresholds = report.config_echo["thresholds"]
+        assert thresholds["single"] == pytest.approx(8.50619329588452, rel=1e-12)
+        assert thresholds["dual"] == pytest.approx(5.563858467557595, rel=1e-12)
+        perfect, chance = ConfusionCounts(4, 4, 0, 0), ConfusionCounts(0, 4, 0, 4)
+        for c in report.cells:
+            noisy_off = c.snr_db != CLEAN_SNR_DB and c.anc == "off"
+            assert c.counts == (chance if noisy_off else perfect), (c.method, c.anc, c.snr_db)
+
+    def test_anc_on_without_a_noisy_point_builds_no_canceller_stack(self, monkeypatch):
+        built = []
+        real_noise_stacks = melsplit.bench._noise_stacks
+
+        def recording_noise_stacks(*args, **kwargs):
+            stacks = real_noise_stacks(*args, **kwargs)
+            built.extend(stacks)
+            return stacks
+
+        monkeypatch.setattr(melsplit.bench, "_noise_stacks", recording_noise_stacks)
+        run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,), anc=("on",)))
+        assert built and all(stack.clean is None and stack.unit is None for stack in built)
 
     def test_single_replicate_corpus_rejected(self, tmp_path):
         entries = []
@@ -467,20 +501,26 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_point_features_of_stacked_takes_equal_each_take_alone(self, method):
-        # Nine takes in two lengths: runs of one length go through the
-        # spectra stage a few takes at a time, so the six-take run splits
-        # into a full stack and a shorter one, and the three-take run is short.
+        # Nine takes in two lengths: each stack's rows go through the
+        # spectra stage a few takes at a time, so the six-take stack splits
+        # into a full run and a shorter one, and the three-take stack is short.
         plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
         takes = {
             (p, w): synth_speaker(p, w, 0.3 if w < 2 else 0.25, corpus_seed(5, p, w, 1))
             for p in range(3)
             for w in range(3)
         }
-        bases = _basis_takes(plan, _noise_stacks(plan, takes, True), list(plan.snr_points_db))
-        assert [len(b.a) for b in bases] == [4800] * 6 + [4000] * 3
-        stacked = _point_features(bases, method, plan, 1)
-        alone = [f for basis in bases for f in _point_features([basis], method, plan, 1)]
-        assert len(stacked) == len(alone) == 3 * len(bases)
+        points = list(plan.snr_points_db)
+        stacks = _noise_stacks(plan, takes, True)
+        assert [len(stack.samples[0]) for stack in stacks] == [4800, 4000]
+        assert [len(stack.keys) for stack in stacks] == [6, 3]
+        stacked, alone = [], []
+        for stack in stacks:
+            rows = range(len(stack.keys))
+            stacked += _point_features(stack, rows, points, method, plan, 1)
+            for i in rows:
+                alone += _point_features(stack, rows[i : i + 1], points, method, plan, 1)
+        assert len(stacked) == len(alone) == 3 * 9
         for features, expected in zip(stacked, alone):
             assert list(features) == list(expected) == list(channel_bands(method, plan.extraction))
             for channel, fm in features.items():
@@ -622,6 +662,14 @@ class TestPlanSerialization:
         # A manifest's takes have their own lengths.
         assert plan_from_dict({"duration_s": 0.02, "corpus": "m.json"}).duration_s == 0.02
 
+    def test_num_coeffs_checked_against_the_plans_methods(self):
+        # 20 coefficients fit the 26 single-channel filters, not the 13 per dual channel.
+        extraction = {"num_coeffs": 20}
+        plan = plan_from_dict({"methods": ["single"], "extraction": extraction})
+        assert plan.extraction.num_coeffs == 20
+        with pytest.raises(ConfigError, match="num_coeffs: must be at most dual's 13 filters"):
+            plan_from_dict({"extraction": extraction})
+
     def test_zero_anc_lead_loads(self):
         assert plan_from_dict({"anc_lead_s": 0}).anc_lead_s == 0.0
 
@@ -635,6 +683,8 @@ class TestPlanSerialization:
         [
             ("kmeans_k", 0, "kmeans_k"),
             ("anc_mu_fraction", -1, "anc_mu_fraction"),
+            ("anc_mu_fraction", float("inf"), "anc_mu_fraction: must be finite"),
+            ("anc_mu_fraction", float("nan"), "anc_mu_fraction: must be finite"),
             ("anc_taps", -1, "anc_taps"),
             ("sample_rate_hz", 8000, "band_top_hz"),
         ],

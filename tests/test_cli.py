@@ -98,6 +98,12 @@ class TestSynth:
         assert "error: duration_s must be finite and positive" in capsys.readouterr().err
         assert not list(out.glob("*.wav"))
 
+    def test_failed_run_leaves_no_new_directory(self, tmp_path, capsys):
+        out = tmp_path / "new_dir"
+        assert run_cli("synth", "--out", out, "--duration", "nan") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestMix:
     def test_mix_hits_target(self, tmp_path):
@@ -562,6 +568,24 @@ class TestPipelineConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"split_hz": 1500, "threshold": 2}))
         assert load_config(path) == PipelineConfig(split_hz=1500.0, threshold=2.0)
+
+    @pytest.mark.parametrize("mu", [float("inf"), float("nan")])
+    def test_anc_mu_must_be_finite(self, mu):
+        with pytest.raises(ConfigError, match="anc_mu: must be finite and positive"):
+            PipelineConfig(anc_mu=mu)
+
+    def test_num_coeffs_checked_by_the_method_that_runs(self, tmp_path, capsys):
+        # 20 coefficients fit the 26 single-channel filters, not the 13 per dual channel.
+        cfg = PipelineConfig(num_coeffs=20)
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        wav = make_word_wav(tmp_path / "take.wav", duration=0.3)
+        out = tmp_path / "feats"
+        assert run_cli("--config", path, "extract", "--method", "single", "--in", wav,
+                       "--out", out) == 0
+        assert run_cli("--config", path, "extract", "--method", "dual", "--in", wav,
+                       "--out", out) == 1
+        assert "num_coeffs: must be at most dual's 13 filters" in capsys.readouterr().err
 
     def test_is_an_extraction_config(self):
         assert isinstance(PipelineConfig(), ExtractionConfig)

@@ -340,10 +340,12 @@ class TestExtractionConfig:
             ("fft_size", 256),  # shorter than the 400-sample frame
             ("filters_single", 0),
             ("filters_per_channel", 0),
-            ("num_coeffs", 14),  # more than the 13 filters per channel
+            ("num_coeffs", 0),
             ("split_hz", 5000.0),
             ("fir_taps", 100),
             ("log_floor", 0.0),
+            ("log_floor", float("inf")),
+            ("log_floor", float("nan")),
         ],
     )
     def test_bad_field_named(self, field, value):
@@ -362,6 +364,20 @@ class TestChannelBands:
 
     def test_single_spans_the_whole_band(self):
         assert channel_bands("single", self.CFG) == {"single": (0.0, 3800.0, 20)}
+
+    @pytest.mark.parametrize("method, num_coeffs", [("single", 27), ("dual", 14)])
+    def test_num_coeffs_beyond_a_methods_filters_named(self, method, num_coeffs):
+        # 26 single filters, 13 per dual channel.
+        cfg = ExtractionConfig(num_coeffs=num_coeffs)
+        with pytest.raises(ConfigError, match="num_coeffs"):
+            channel_bands(method, cfg)
+
+    def test_num_coeffs_checked_only_against_the_method_read(self):
+        cfg, take = ExtractionConfig(num_coeffs=20), synth_speaker(0, 0, 0.3, 1)
+        assert channel_bands("single", cfg) == {"single": (0.0, 4000.0, 26)}
+        assert extract(take, "single", cfg)["single"].rows.shape[1] == 20
+        with pytest.raises(ConfigError, match="num_coeffs: must be at most dual's 13 filters"):
+            extract(take, "dual", cfg)
 
     def test_dual_splits_at_split_hz(self):
         assert channel_bands("dual", self.CFG) == {
