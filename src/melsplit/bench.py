@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -134,12 +134,23 @@ class ExperimentPlan:
             ("anc_mu_fraction", 0 < self.anc_mu_fraction < math.inf, "must be finite and positive"),
         )
         if self.corpus is None:  # a manifest's takes have their own lengths
-            # A synthesized take must fill a frame and outlast the dual split's kernel.
-            cfg, n = self.extraction, round(self.duration_s * self.sample_rate_hz)
-            need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in self.methods else 0)
-            check_fields(
-                ("duration_s", n >= need, f"gives {n} samples, fewer than extraction's {need}")
-            )
+            n = round(self.duration_s * self.sample_rate_hz)
+            short = _too_short(self, n)
+            check_fields(("duration_s", short is None, f"gives {n} samples, {short}"))
+
+
+def _too_short(plan: ExperimentPlan, n: int) -> str | None:
+    """Why a take of n samples is too short for the plan, or None. A take
+    must fill a frame and outlast the dual split's kernel, then give
+    kmeans_k frames to cluster."""
+    cfg = plan.extraction
+    need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in plan.methods else 0)
+    if n < need:
+        return f"fewer than extraction's {need}"
+    need = cfg.frame_len + (plan.kmeans_k - 1) * cfg.frame_shift
+    if n < need:
+        return f"fewer than the {need} that kmeans_k={plan.kmeans_k} frames need"
+    return None
 
 
 @dataclass(frozen=True)
@@ -178,57 +189,34 @@ def _take_id(p: int, w: int, r: int) -> str:
     return f"p{p}.w{w}.r{r}"
 
 
-class _Takes(Mapping):
-    """{key: AudioBuffer} whose buffer is made by make(key, index[key]) each
-    time it is read, so no take outlives its reader."""
+def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
+    """Synthesize the corpus on read, or load it from a manifest.
 
-    def __init__(self, index: dict, make):
-        self._index = index
-        self._make = make
-
-    def __getitem__(self, key):
-        return self._make(key, self._index[key])
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self):
-        return len(self._index)
-
-
-def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
-    """Synthesize the corpus in memory, or load it from a manifest.
-
-    Returns ({(profile, word, replicate): AudioBuffer}, digest). A benchmark
-    corpus needs two replicates per (profile, word): the first (lowest seed)
-    is the enrolled reference, the second the test recording.
+    Returns (take, keys, digest): take(key) is the AudioBuffer of a
+    (profile, word, replicate) key of `keys`. A synthesized take is made
+    each time it is read, so takes that no pair uses cost nothing, and the
+    sweep reads each one it uses once. A benchmark corpus needs two
+    replicates per (profile, word): the first (lowest seed) is the enrolled
+    reference, the second the test recording.
     """
     if plan.corpus is None:
-        seeds = {
-            (p, w, r): corpus_seed(plan.master_seed, p, w, r)
-            for p in range(plan.profiles)
-            for w in range(plan.words)
-            for r in (0, 1)
-        }
+        keys = [(p, w, r) for p in range(plan.profiles) for w in range(plan.words) for r in (0, 1)]
         blob = json.dumps(
             {
                 "profiles": plan.profiles,
                 "words": plan.words,
                 "duration_s": plan.duration_s,
                 "sample_rate_hz": plan.sample_rate_hz,
-                "seeds": list(seeds.values()),
+                "seeds": [corpus_seed(plan.master_seed, *key) for key in keys],
             },
             sort_keys=True,
         ).encode()
-        # A take is synthesized when it is read: takes that no pair uses cost
-        # nothing, and the sweep reads each one it uses once.
-        corpus = _Takes(
-            seeds,
-            lambda key, seed: synth_speaker(
-                key[0], key[1], plan.duration_s, seed, plan.sample_rate_hz
-            ),
-        )
-        return corpus, hashlib.sha256(blob).hexdigest()
+
+        def take(key):
+            seed = corpus_seed(plan.master_seed, *key)
+            return synth_speaker(key[0], key[1], plan.duration_s, seed, plan.sample_rate_hz)
+
+        return take, keys, hashlib.sha256(blob).hexdigest()
 
     corpus: dict[tuple[int, int, int], AudioBuffer] = {}
     manifest_path = Path(plan.corpus)
@@ -259,15 +247,20 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Mapping, str]:
             if not wav_path.is_absolute():
                 wav_path = manifest_path.parent / wav_path
             buffer = read_wav(wav_path)
+            entry = f"corpus entry {wav_path} (profile {p}, word {w})"
             if buffer.sample_rate_hz != plan.sample_rate_hz:
                 raise ConfigError(
-                    f"corpus entry {wav_path} (profile {p}, word {w}) is sampled at "
-                    f"{buffer.sample_rate_hz} Hz, but plan sample_rate_hz is {plan.sample_rate_hz}"
+                    f"{entry} is sampled at {buffer.sample_rate_hz} Hz, "
+                    f"but plan sample_rate_hz is {plan.sample_rate_hz}"
                 )
             if not np.any(buffer.samples):
-                raise ConfigError(f"corpus entry {wav_path} (profile {p}, word {w}) is silent")
+                raise ConfigError(f"{entry} is silent")
+            short = _too_short(plan, len(buffer))
+            if short:
+                raise ConfigError(f"{entry} has {len(buffer)} samples, {short}")
             corpus[(p, w, r)] = buffer
-    return corpus, hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+    digest = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+    return corpus.__getitem__, list(corpus), digest
 
 
 def _make_pairs(
@@ -479,13 +472,16 @@ def _point_features(
     by channel_id, in row order and, within a take, point order.
 
     Runs of up to _SPECTRA_TAKES rows go through the linear spectra stage
-    together, one channel_spectra call per signal; the unit noise's call is
-    skipped when every point is clean. _take_points then builds each take's
-    points from its spectra. `replicate` names a take's source id, which
-    seeds k-means.
+    together, one channel_spectra call per signal, S(a) and S(u); the unit
+    noise's call is skipped when every point is clean. A take's points are
+    then one spectra_features call on the (points, L, C) stack of
+    S(a) + c * S(u), or of S(a) at the clean point. This equals extracting
+    the take mixed in the time domain up to float rounding, and bit for bit
+    at the clean point. `replicate` names a take's source id, which seeds
+    k-means.
     """
     cfg, rate, lead = plan.extraction, plan.sample_rate_hz, _lead_samples(plan)
-    scales = [stack.scales(snr_db) for snr_db in points]
+    scales = list(zip(*(stack.scales(snr_db) for snr_db in points)))  # [take][point]
     noisy = any(snr_db != CLEAN_SNR_DB for snr_db in points)
     features = []
     for start in range(0, len(rows), _SPECTRA_TAKES):
@@ -496,37 +492,20 @@ def _point_features(
             units = [AudioBuffer(stack.unit[i, lead:], rate) for i in run]
             spectra_u = channel_spectra(units, method, cfg)
         for i, s_a, s_u in zip(run, spectra_a, spectra_u):
-            take_scales = [c[i] for c in scales]
-            features += _take_points(stack.keys[i], take_scales, s_a, s_u, method, plan, replicate)
+            mixed = np.empty((len(points),) + s_a.shape)
+            for row, c in zip(mixed, scales[i]):
+                if c is None:
+                    row[...] = s_a
+                else:
+                    np.add(s_a, np.multiply(s_u, c, out=row), out=row)
+            source_id = _take_id(*stack.keys[i], replicate)
+            extracted = spectra_features(mixed, method, cfg, rate, source_id)
+            del mixed  # held over the next run's channel_spectra, it raised peak RSS
+            features += [
+                {ch: FeatureMatrix(fm.rows[j], ch, source_id) for ch, fm in extracted.items()}
+                for j in range(len(points))
+            ]
     return features
-
-
-def _take_points(
-    key: tuple,
-    scales: list,
-    spectra_a: np.ndarray,
-    spectra_u: np.ndarray | None,
-    method: str,
-    plan: ExperimentPlan,
-    replicate: int,
-) -> list[dict]:
-    """A take's features at each of its points from the spectra of its
-    signals, S(a) and S(u): one spectra_features call on the (points, L, C)
-    stack of S(a) + c * S(u), or of S(a) where the point's scale is None.
-    This equals extracting the take mixed in the time domain up to float
-    rounding, and bit for bit at a None scale."""
-    stack = np.empty((len(scales),) + spectra_a.shape)
-    for row, c in zip(stack, scales):
-        if c is None:
-            row[...] = spectra_a
-        else:
-            np.add(spectra_a, np.multiply(spectra_u, c, out=row), out=row)
-    source_id = _take_id(*key, replicate)
-    features = spectra_features(stack, method, plan.extraction, plan.sample_rate_hz, source_id)
-    return [
-        {channel: FeatureMatrix(fm.rows[j], channel, source_id) for channel, fm in features.items()}
-        for j in range(len(stack))
-    ]
 
 
 def _enroll_points(
@@ -581,9 +560,9 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     the clean and ANC-off points, then, once _cancel_stacks has run each
     stack's two cancellers, their cancelled rows for the ANC-on points.
     """
-    corpus, digest = _build_corpus(plan)
-    profile_ids = sorted({key[0] for key in corpus})
-    word_ids = sorted({key[1] for key in corpus})
+    take, keys, digest = _build_corpus(plan)
+    profile_ids = sorted({key[0] for key in keys})
+    word_ids = sorted({key[1] for key in keys})
     if len(word_ids) <= plan.calib_words:
         raise ConfigError("corpus has too few words for the calibration split")
     calib_words = word_ids[-plan.calib_words :]
@@ -595,7 +574,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     def enroll_clean(keys, replicate: int) -> dict:
         """{method: {key: models}} of replicate `replicate` of each key, noise-free."""
-        stacks = _noise_stacks(plan, {key: corpus[key + (replicate,)] for key in keys}, noisy=False)
+        stacks = _noise_stacks(plan, {key: take(key + (replicate,)) for key in keys}, noisy=False)
         return {
             m: _enroll_points(plan, m, [CLEAN_SNR_DB], stacks, replicate)[CLEAN_SNR_DB]
             for m in plan.methods
@@ -609,7 +588,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
         for m in plan.methods
     }
 
-    clean_takes = {key: corpus[key + (1,)] for key in sorted({pair.test for pair in pairs})}
+    clean_takes = {key: take(key + (1,)) for key in sorted({pair.test for pair in pairs})}
     points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
     stacks = _noise_stacks(plan, clean_takes, bool(points))
     cells: list[CellResult] = []

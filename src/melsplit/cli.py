@@ -206,10 +206,11 @@ def cmd_filter(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _effective_config(args)
     buffer = read_wav(args.infile)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
     feats = extract(buffer, args.method, cfg, stem)
+    # Made once the features exist, so that a failed run leaves no directory.
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bands = channel_bands(args.method, cfg)
     for channel_id, (band_lo, band_hi, filters) in bands.items():
         fm = feats[channel_id]

@@ -244,6 +244,31 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=r"p1_w2_r1\.wav \(profile 1, word 2\)"):
             run_sweep(mini_plan(corpus=str(manifest)))
 
+    @pytest.mark.parametrize(
+        "short_s, kmeans_k, named",
+        [
+            (0.02, 2, r"p1_w2_r1\.wav \(profile 1, word 2\) has 320 samples, fewer than "
+                      r"extraction's 400$"),
+            (0.3, 29, r"p0_w0_r[01]\.wav \(profile 0, word 0\) has 4800 samples, fewer than "
+                      r"the 4880 that kmeans_k=29"),
+        ],
+        ids=["frame", "kmeans_k"],
+    )
+    def test_short_manifest_entry_named(self, tmp_path, short_s, kmeans_k, named):
+        entries = []
+        for p in range(3):
+            for w in range(4):
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    duration = short_s if (p, w, r) == (1, 2, 1) else 0.3
+                    name = f"p{p}_w{w}_r{r}.wav"
+                    write_wav(synth_speaker(p, w, duration, seed), tmp_path / name)
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": name})
+        manifest = tmp_path / "manifest.json"
+        write_manifest(entries, manifest)
+        with pytest.raises(ConfigError, match=named):
+            run_sweep(mini_plan(corpus=str(manifest), kmeans_k=kmeans_k))
+
     def test_manifest_sample_rate_mismatch_named(self, tmp_path):
         entries = []
         for p in range(3):
@@ -332,6 +357,14 @@ class TestRunSweep:
             corpus_seed(plan.master_seed, p, w, 1) for p in range(plan.profiles) for w in calib_words
         }
         assert calib_takes <= {seed for _, _, seed in calls}
+        # No take that no pair reads is synthesized: the references of the
+        # trial and calibration pairs, and their test takes.
+        words = list(range(plan.words))
+        pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
+        pairs = _make_pairs(range(plan.profiles), words[: -plan.calib_words], plan.trials, pair_rng)
+        pairs += _calibration_pairs(range(plan.profiles), words[-plan.calib_words :])
+        used = {p.ref + (0,) for p in pairs} | {p.test + (1,) for p in pairs}
+        assert set(calls) == {(p, w, corpus_seed(plan.master_seed, p, w, r)) for p, w, r in used}
 
     def test_unit_noise_drawn_once_per_take_per_sweep(self, monkeypatch):
         drawn = []
@@ -445,14 +478,14 @@ class TestRunSweep:
         """{(method, anc, snr_db): counts} with every test take mixed in the
         time domain by _stack_takes, before and after _cancel_stacks, then
         extracted whole and enrolled in one enroll_many call per condition."""
-        corpus, _ = _build_corpus(plan)
-        profile_ids = sorted({key[0] for key in corpus})
-        words = sorted({key[1] for key in corpus})
+        take, keys, _ = _build_corpus(plan)
+        profile_ids = sorted({key[0] for key in keys})
+        words = sorted({key[1] for key in keys})
         pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
         pairs = _make_pairs(profile_ids, words[: -plan.calib_words], plan.trials, pair_rng)
         calib_pairs = _calibration_pairs(profile_ids, words[-plan.calib_words :])
-        refs = {key: corpus[key + (0,)] for key in sorted({p.ref for p in pairs + calib_pairs})}
-        tests = {key: corpus[key + (1,)] for key in sorted({p.test for p in pairs})}
+        refs = {key: take(key + (0,)) for key in sorted({p.ref for p in pairs + calib_pairs})}
+        tests = {key: take(key + (1,)) for key in sorted({p.test for p in pairs})}
         points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
         stacks = _noise_stacks(plan, tests, True)
         conditions = [(plan.anc, CLEAN_SNR_DB, _stack_takes(plan, stacks, CLEAN_SNR_DB))]
@@ -657,10 +690,26 @@ class TestPlanSerialization:
         extraction = {"frame_len": 256, "fir_taps": 321}
         with pytest.raises(ConfigError, match=r"^config field duration_s: gives 320 .* 322$"):
             plan_from_dict({"duration_s": 0.02, "extraction": extraction})
-        plan = plan_from_dict({"duration_s": 0.02, "extraction": extraction, "methods": ["single"]})
+        plan = plan_from_dict(
+            {"duration_s": 0.02, "extraction": extraction, "methods": ["single"], "kmeans_k": 1}
+        )
         assert round(plan.duration_s * plan.sample_rate_hz) == plan.extraction.frame_len + 64
         # A manifest's takes have their own lengths.
         assert plan_from_dict({"duration_s": 0.02, "corpus": "m.json"}).duration_s == 0.02
+
+    def test_synthesized_takes_must_give_kmeans_k_frames(self):
+        # 0.6 s is 9600 samples: 58 frames of 400 shifted by 160.
+        named = (
+            "^config field duration_s: gives 9600 samples, fewer than the 13040 that kmeans_k=80"
+        )
+        with pytest.raises(ConfigError, match=named):
+            plan_from_dict({"kmeans_k": 80, "snr_points_db": ["clean"], "anc": ["off"]})
+        assert plan_from_dict({"kmeans_k": 58}).kmeans_k == 58
+        with pytest.raises(ConfigError, match="fewer than the 9680 that kmeans_k=59"):
+            plan_from_dict({"kmeans_k": 59})
+        # A take shorter than a frame is named by extraction's need first.
+        with pytest.raises(ConfigError, match=r"gives 320 samples, fewer than extraction's 400$"):
+            plan_from_dict({"duration_s": 0.02, "kmeans_k": 80})
 
     def test_num_coeffs_checked_against_the_plans_methods(self):
         # 20 coefficients fit the 26 single-channel filters, not the 13 per dual channel.

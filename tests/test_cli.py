@@ -299,6 +299,16 @@ class TestExtract:
                        "--in", tmp_path / "no.wav", "--out", tmp_path)
         assert code == 1  # not 0 (success), not 2 (usage)
 
+    def test_failed_run_leaves_no_new_directory(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        save_config(PipelineConfig(num_coeffs=20), path)
+        wav = make_word_wav(tmp_path / "take.wav", duration=0.3)
+        out = tmp_path / "new_dir"
+        assert run_cli("--config", path, "extract", "--method", "dual", "--in", wav,
+                       "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", METHODS)
     def test_sidecars_follow_the_config_table(self, tmp_path, method):
         cfg = PipelineConfig(split_hz=1500.0)
