@@ -12,10 +12,14 @@ cancel every SNR point of 52 takes, the number of distinct test takes in a
 default sweep on master seed 1; the same 52 takes' single- and dual-channel
 features at the default plan's 4 noisy SNR points are built as a sweep builds
 them, from each take's and its unit noise's spectra, and the spectra of one
-stack of takes are timed alone. The lockstep k-means case enrolls 64
-dual-channel takes in one call, and the scorer scores a default condition's
-80 dual-channel trial pairs in one call.
+stack of takes are timed alone. The lockstep k-means cases enroll 64
+distinct dual-channel takes in one call, and one chunk of a ``sweep_noanc``
+sweep: 13 dual-channel takes at its 5 SNR points, 65 takes that share 13
+source ids and so 13 k-means seeds per channel. The scorer scores a default
+condition's 80 dual-channel trial pairs in one call.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +46,10 @@ from melsplit.signal_io import (
 )
 
 PLAN = ExperimentPlan(master_seed=1)
+NOANC_PLAN = replace(PLAN, anc=("off",), trials=128)
 BATCH_ROWS = 52
 ENROLL_TAKES = 64
+CHUNK_TAKES = 13  # ceil(64 test takes / 5 points), a sweep_noanc chunk
 
 
 def _take(p: int, w: int, r: int = 1):
@@ -85,6 +91,18 @@ def test_enroll_many_64_dual_takes(benchmark):
     takes = [extract(_take(p, w), "dual", PLAN.extraction, f"p{p}.w{w}.r1") for p, w in keys]
     models = benchmark(enroll_many, takes, PLAN.kmeans_k, PLAN.master_seed)
     assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
+
+
+def test_enroll_many_sweep_noanc_chunk(benchmark):
+    # As _enroll_points enrolls a chunk: each take at every point, under
+    # the one source id that seeds its fits.
+    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:CHUNK_TAKES]
+    (stack,) = _noise_stacks(NOANC_PLAN, {key: _take(*key) for key in keys}, True)
+    points = list(NOANC_PLAN.snr_points_db)
+    takes = _point_features(stack, range(CHUNK_TAKES), points, "dual", NOANC_PLAN, 1)
+    models = benchmark(enroll_many, takes, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
+    assert len(models) == CHUNK_TAKES * len(points) == 65
+    assert len({m["ch1"].seed for m in models}) == CHUNK_TAKES
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])

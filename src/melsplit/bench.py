@@ -10,12 +10,14 @@ the corpus, and the master seed.
 
 Every take the sweep enrolls sits in a _NoiseStack of equal-length takes.
 Reference and calibration takes are enrolled noise-free. A test take at a
-noisy point is a linear mix of signals drawn or cancelled once per sweep:
-clean + c*u with ANC off, and the cancelled clean take plus c times the
-cancelled unit noise with ANC on. Extraction's first stage is linear too
-(mfcc.channel_spectra), so the sweep computes each signal's spectra once and
-builds every point's features from S(a) + c*S(u); no noisy take is formed in
-the time domain.
+noisy point is a linear mix of two signals: clean + c*u with ANC off, and
+the cancelled clean take plus c times the cancelled unit noise with ANC on.
+Where a canceller runs, the unit noise is drawn once per sweep into a stack
+that the canceller writes over; otherwise each take's u is drawn where its
+spectra are taken, and no stack of it is kept. Extraction's first stage is
+linear too (mfcc.channel_spectra), so the sweep computes each signal's
+spectra once per method and builds every point's features from
+S(a) + c*S(u); no noisy take is formed in the time domain.
 """
 
 from __future__ import annotations
@@ -135,21 +137,21 @@ class ExperimentPlan:
         )
         if self.corpus is None:  # a manifest's takes have their own lengths
             n = round(self.duration_s * self.sample_rate_hz)
-            short = _too_short(self, n)
+            short = too_short(self.extraction, self.methods, self.kmeans_k, n)
             check_fields(("duration_s", short is None, f"gives {n} samples, {short}"))
 
 
-def _too_short(plan: ExperimentPlan, n: int) -> str | None:
-    """Why a take of n samples is too short for the plan, or None. A take
-    must fill a frame and outlast the dual split's kernel, then give
-    kmeans_k frames to cluster."""
-    cfg = plan.extraction
-    need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in plan.methods else 0)
+def too_short(cfg: ExtractionConfig, methods, kmeans_k: int, n: int) -> str | None:
+    """Why a take of n samples is too short to extract by `methods` and
+    enroll with kmeans_k clusters, or None. A take must fill a frame and
+    outlast the dual split's kernel, then give kmeans_k frames to cluster.
+    The sweep checks its plan with it, and the CLI's verdict its two takes."""
+    need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in methods else 0)
     if n < need:
         return f"fewer than extraction's {need}"
-    need = cfg.frame_len + (plan.kmeans_k - 1) * cfg.frame_shift
+    need = cfg.frame_len + (kmeans_k - 1) * cfg.frame_shift
     if n < need:
-        return f"fewer than the {need} that kmeans_k={plan.kmeans_k} frames need"
+        return f"fewer than the {need} that kmeans_k={kmeans_k} frames need"
     return None
 
 
@@ -255,7 +257,7 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
                 )
             if not np.any(buffer.samples):
                 raise ConfigError(f"{entry} is silent")
-            short = _too_short(plan, len(buffer))
+            short = too_short(plan.extraction, plan.methods, plan.kmeans_k, len(buffer))
             if short:
                 raise ConfigError(f"{entry} has {len(buffer)} samples, {short}")
             corpus[(p, w, r)] = buffer
@@ -329,17 +331,18 @@ def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class _NoiseStack:
-    """Equal-length takes and their unit noise, laid out once per sweep.
+    """Equal-length takes, laid out once per sweep, and their unit noise.
 
-    A stack holds test takes, or noise-free reference or calibration takes,
-    which have no unit noise, unit powers or steps. samples[i] is the clean
-    take of keys[i]. When a canceller reads the takes, it is row i of
-    `clean`, a (B, pad + n) stack whose rows open with `pad` zeros;
-    otherwise `clean` is None and samples[i] is the take's own array. Row i
-    of `unit` is _unit_noise of keys[i], (lead + n) samples. The powers are
-    each take's mean squares, taken once: of the clean take and of the unit
-    noise under it. steps[i] is take i's canceller step on its unit
-    reference, anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)).
+    A stack holds test takes, or noise-free reference or calibration takes.
+    samples[i] is the clean take of keys[i] and clean_power[i] its mean
+    square. The other fields are filled only where a canceller reads the
+    takes. Then samples[i] is row i of `clean`, a (B, pad + n) stack whose
+    rows open with `pad` zeros; row i of `unit` is _unit_noise of keys[i],
+    (lead + n) samples; unit_power[i] is the mean square of the noise under
+    the take, and steps[i] is take i's canceller step on its unit reference,
+    anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)). Otherwise `clean`
+    and `unit` are None, samples[i] is the take's own array, and noise()
+    draws each take's unit noise when it is read.
 
     LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
     mu*c**2 (its weights are c times the others). The step that targets a
@@ -347,9 +350,10 @@ class _NoiseStack:
     so on the unit reference it is steps[i] at every SNR point, and every
     point of a take shares one canceller run.
 
-    A point's take is samples[i] + c * unit[i, lead:], or samples[i] alone
-    at the clean point. Once _cancel_stacks has written the canceller's
-    errors over `clean` and `unit`, the same formula gives the ANC-on take.
+    A point's take is samples[i] + c * u, with u and c from noise(), or
+    samples[i] alone at the clean point. Once _cancel_stacks has written
+    the canceller's errors over `clean` and `unit`, the same formula gives
+    the ANC-on take.
     """
 
     keys: list
@@ -361,18 +365,29 @@ class _NoiseStack:
     unit_power: list
     steps: list
 
-    def scales(self, snr_db: float) -> list:
-        """Each take's noise scale c at `snr_db`, or None at the clean point."""
-        if snr_db == CLEAN_SNR_DB:
-            return [None] * len(self.keys)
-        return [noise_scale(*powers, snr_db) for powers in zip(self.clean_power, self.unit_power)]
+    def noise(self, plan: ExperimentPlan, i: int, points: list) -> tuple[np.ndarray, list]:
+        """Take i's unit noise u under its samples, and its scale c at each
+        of `points`, None at the clean point. u is a row of `unit` when the
+        stack has one, else a fresh draw whose power is taken from it: the
+        mean square that _noise_stacks takes of a row, so c is the same."""
+        lead = _lead_samples(plan)
+        if self.unit is not None:
+            u, power = self.unit[i, lead:], self.unit_power[i]
+        else:
+            u = _unit_noise(plan, self.keys[i], len(self.samples[i]))[lead:]
+            power = float(np.mean(u**2))
+        scales = [
+            None if snr_db == CLEAN_SNR_DB else noise_scale(self.clean_power[i], power, snr_db)
+            for snr_db in points
+        ]
+        return u, scales
 
 
 def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[_NoiseStack]:
-    """One _NoiseStack per take length; with unit noise only if `noisy`, and
-    with the padded clean stack only if `noisy` and the plan runs a
-    canceller. Each take is popped out of clean_takes as its stack takes it
-    over, so that no take is held twice.
+    """One _NoiseStack per take length, with the canceller's stacks (the
+    padded clean takes and the unit noise) only if `noisy` and the plan runs
+    a canceller. Each take is popped out of clean_takes as its stack takes
+    it over, so that no take is held twice.
 
     Each clean row opens with pad = min(lead, anc_taps) zeros: a
     canceller of the clean take alone sees a zero primary, so its weights
@@ -384,24 +399,24 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
         by_length.setdefault(len(clean), []).append(key)
     lead = _lead_samples(plan)
     pad = min(lead, plan.anc_taps)
+    cancelled = noisy and "on" in plan.anc
     stacks = []
     for n, keys in by_length.items():
         # The unit stack is allocated while the clean takes are still held,
         # and the takes are freed as the clean stack is filled: with the
         # clean stack filled first, perfbench's sweep_default runs peaked
         # about 5 MB higher in RSS (glibc 2.36 heap reuse). Stacks that no
-        # canceller reads keep the takes' own arrays, since a clean stack
-        # there raised sweep_noanc's peak RSS by 4 MB.
-        unit, unit_power, steps = None, [], []
-        if noisy:
+        # canceller reads keep the takes' own arrays and no unit stack:
+        # a clean stack there raised sweep_noanc's peak RSS by 4 MB, and
+        # the unit stack held 4 MB more.
+        clean, unit, unit_power, steps = None, None, [], []
+        if cancelled:
             unit = np.empty((len(keys), lead + n))
             for i, key in enumerate(keys):
                 unit[i] = drawn = _unit_noise(plan, key, n)
                 unit_power.append(float(np.mean(drawn[lead:] ** 2)))
                 power = float(np.mean(drawn**2))
                 steps.append(plan.anc_mu_fraction / ((plan.anc_taps + 1) * power))
-        clean = None
-        if noisy and "on" in plan.anc:
             clean = np.empty((len(keys), pad + n))
             clean[:, :pad] = 0.0
         samples, clean_power = [], []
@@ -436,15 +451,18 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list
 
 def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
     """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
-    clean take at the clean point, else clean + c * unit[lead:], the ANC-off
-    take, or, once _cancel_stacks has cancelled the stacks, the ANC-on
-    take. The sweep never forms these; they are the take-level reference
-    for its spectra-level mixing."""
-    lead, takes = _lead_samples(plan), {}
+    clean take at the clean point, else clean + c * u, the ANC-off take,
+    or, once _cancel_stacks has cancelled the stacks, the ANC-on take. The
+    sweep never forms these; they are the take-level reference for its
+    spectra-level mixing."""
+    takes = {}
     for stack in stacks:
-        for i, c in enumerate(stack.scales(snr_db)):
-            a = stack.samples[i]
-            mixed = a.copy() if c is None else a + c * stack.unit[i, lead:]
+        for i, a in enumerate(stack.samples):
+            if snr_db == CLEAN_SNR_DB:
+                mixed = a.copy()
+            else:
+                u, (c,) = stack.noise(plan, i, [snr_db])
+                mixed = a + c * u
             takes[stack.keys[i]] = AudioBuffer(mixed, plan.sample_rate_hz)
     return takes
 
@@ -473,27 +491,27 @@ def _point_features(
 
     Runs of up to _SPECTRA_TAKES rows go through the linear spectra stage
     together, one channel_spectra call per signal, S(a) and S(u); the unit
-    noise's call is skipped when every point is clean. A take's points are
-    then one spectra_features call on the (points, L, C) stack of
-    S(a) + c * S(u), or of S(a) at the clean point. This equals extracting
-    the take mixed in the time domain up to float rounding, and bit for bit
-    at the clean point. `replicate` names a take's source id, which seeds
-    k-means.
+    noise is read (_NoiseStack.noise) and its call made only when some point
+    is noisy. A take's points are then one spectra_features call on the
+    (points, L, C) stack of S(a) + c * S(u), or of S(a) at the clean point.
+    This equals extracting the take mixed in the time domain up to float
+    rounding, and bit for bit at the clean point. `replicate` names a take's
+    source id, which seeds k-means.
     """
-    cfg, rate, lead = plan.extraction, plan.sample_rate_hz, _lead_samples(plan)
-    scales = list(zip(*(stack.scales(snr_db) for snr_db in points)))  # [take][point]
+    cfg, rate = plan.extraction, plan.sample_rate_hz
     noisy = any(snr_db != CLEAN_SNR_DB for snr_db in points)
     features = []
     for start in range(0, len(rows), _SPECTRA_TAKES):
         run = rows[start : start + _SPECTRA_TAKES]
         spectra_a = channel_spectra([AudioBuffer(stack.samples[i], rate) for i in run], method, cfg)
-        spectra_u = [None] * len(run)
+        spectra_u, scales = [None] * len(run), [[None] * len(points)] * len(run)
         if noisy:
-            units = [AudioBuffer(stack.unit[i, lead:], rate) for i in run]
-            spectra_u = channel_spectra(units, method, cfg)
-        for i, s_a, s_u in zip(run, spectra_a, spectra_u):
+            units, scales = zip(*(stack.noise(plan, i, points) for i in run))
+            spectra_u = channel_spectra([AudioBuffer(u, rate) for u in units], method, cfg)
+            del units  # fresh draws when no canceller keeps them; not held past their spectra
+        for i, s_a, s_u, take_scales in zip(run, spectra_a, spectra_u, scales):
             mixed = np.empty((len(points),) + s_a.shape)
-            for row, c in zip(mixed, scales[i]):
+            for row, c in zip(mixed, take_scales):
                 if c is None:
                     row[...] = s_a
                 else:

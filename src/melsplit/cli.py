@@ -21,7 +21,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
 from .cluster import channel_scores, enroll_many
-from .errors import DimensionError, PipelineError
+from .errors import ConfigError, DimensionError, PipelineError
 from .fir import (
     design_bandpass,
     design_highpass,
@@ -241,6 +241,10 @@ def cmd_verdict(args) -> int:
     test = read_wav(args.test)
     ref = read_wav(args.ref)
     _check_same_rate(args.test, test, args.ref, ref)
+    for path, take in ((args.test, test), (args.ref, ref)):
+        short = bench_mod.too_short(cfg, (args.method,), cfg.kmeans_k, len(take))
+        if short:
+            raise ConfigError(f"{path} has {len(take)} samples, {short}")
     if args.anc:
         reference = _read_noise_reference(args.reference, args.test, test)
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))

@@ -101,10 +101,16 @@ def kmeans_many(
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
 
+    # The starting points depend only on (seed, n, k), so each distinct
+    # seed chooses them once: the sweep fits a take at every SNR point
+    # under one seed.
+    starts: dict[int, np.ndarray] = {}
     centroids = np.empty((rows, k, d))
     for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(_entropy(seed))
-        centroids[t] = pts[t, np.sort(rng.choice(n, size=k, replace=False))]
+        if seed not in starts:
+            rng = np.random.default_rng(_entropy(seed))
+            starts[seed] = np.sort(rng.choice(n, size=k, replace=False))
+        centroids[t] = pts[t, starts[seed]]
     assignments = np.full((rows, n), -1)
     iterations = np.zeros(rows, dtype=int)
     clusters = np.arange(k)

@@ -381,6 +381,31 @@ class TestRunSweep:
         run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,)))
         assert drawn == []
 
+    def test_no_canceller_keeps_no_unit_stack(self, monkeypatch):
+        # With no canceller to read it, no stack holds the unit noise: each
+        # test take's noise is drawn where its spectra are taken, once per
+        # method.
+        drawn, built = [], []
+        real_unit_noise = melsplit.bench._unit_noise
+        real_noise_stacks = melsplit.bench._noise_stacks
+
+        def recording_unit_noise(plan, key, n):
+            drawn.append(key)
+            return real_unit_noise(plan, key, n)
+
+        def recording_noise_stacks(*args, **kwargs):
+            stacks = real_noise_stacks(*args, **kwargs)
+            built.extend(stacks)
+            return stacks
+
+        monkeypatch.setattr(melsplit.bench, "_unit_noise", recording_unit_noise)
+        monkeypatch.setattr(melsplit.bench, "_noise_stacks", recording_noise_stacks)
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), anc=("off",))
+        run_sweep(plan)
+        assert built and all(stack.unit is None and not stack.unit_power for stack in built)
+        test_keys = built[-1].keys  # the last stack built holds the test takes
+        assert sorted(drawn) == sorted(key for key in test_keys for _ in plan.methods)
+
     def test_one_kmeans_fit_per_take_channel_and_condition(self, monkeypatch):
         fits, calls = [], []
         real_kmeans_many = melsplit.cluster.kmeans_many
@@ -490,8 +515,9 @@ class TestRunSweep:
         stacks = _noise_stacks(plan, tests, True)
         conditions = [(plan.anc, CLEAN_SNR_DB, _stack_takes(plan, stacks, CLEAN_SNR_DB))]
         conditions += [(("off",), s, _stack_takes(plan, stacks, s)) for s in points]
-        _cancel_stacks(plan, stacks, points)
-        conditions += [(("on",), s, _stack_takes(plan, stacks, s)) for s in points]
+        if "on" in plan.anc:
+            _cancel_stacks(plan, stacks, points)
+            conditions += [(("on",), s, _stack_takes(plan, stacks, s)) for s in points]
         counts = {}
         for method in plan.methods:
             ref_models = self.enroll_takes(refs, method, plan, 0)
@@ -502,14 +528,22 @@ class TestRunSweep:
                     counts[method, anc, snr_db] = confusion(*scores, thresholds[method])
         return counts
 
-    def test_cells_match_takes_mixed_in_the_time_domain(self):
-        # The sweep builds each point's features from the spectra of the
-        # takes' signals; its cells equal those of the takes themselves.
-        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18)
+    def check_cells_match_time_domain(self, anc):
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18, anc=anc)
         report = run_sweep(plan)
         expected = self.time_domain_counts(plan, report.config_echo["thresholds"])
         assert {(c.method, c.anc, c.snr_db): c.counts for c in report.cells} == expected
         assert len({(k.tp, k.fn) for k in expected.values()}) > 2
+
+    def test_cells_match_takes_mixed_in_the_time_domain(self):
+        # The sweep builds each point's features from the spectra of the
+        # takes' signals; its cells equal those of the takes themselves.
+        self.check_cells_match_time_domain(("off", "on"))
+
+    def test_cells_match_takes_mixed_in_the_time_domain_without_a_canceller(self):
+        # Without a canceller, no stack keeps the unit noise: the sweep and
+        # _stack_takes each draw it where they read it.
+        self.check_cells_match_time_domain(("off",))
 
     def test_test_takes_enroll_at_all_their_points_in_chunks(self, monkeypatch):
         # A chunk of ceil(B / points) test takes is enrolled at all its points
@@ -832,8 +866,10 @@ class TestMixWithLead:
         unit = _unit_noise(plan, self.KEY, len(clean))
         assert len(unit) == len(clean)
         assert stacks[0].keys == [self.KEY]
-        assert stacks[0].unit.shape == (1, len(clean))
-        assert np.array_equal(stacks[0].unit[0], unit)
+        # No canceller reads the stack, so it keeps no unit noise: the
+        # noise is drawn when it is read.
+        assert stacks[0].unit is None and stacks[0].unit_power == stacks[0].steps == []
+        assert np.array_equal(stacks[0].noise(plan, 0, [-6.0])[0], unit)
         assert stacks[0].clean is None and stacks[0].samples[0] is clean.samples
         # the ANC-off take is the clean take plus the unit noise, scaled to
         # the target SNR

@@ -407,6 +407,23 @@ class TestVerdict:
         for name in (str(test), str(noise), "16000 Hz", "22050 Hz"):
             assert name in err
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_take_too_short_for_kmeans_k_names_file_and_field(self, tmp_path, capsys, method):
+        # 0.3 s gives 28 frames, too few for 40 clusters: the take is
+        # refused before it is extracted, naming the file and the field.
+        test = make_word_wav(tmp_path / "a.wav", duration=0.3)
+        ref = make_word_wav(tmp_path / "b.wav", duration=1.0)
+        config = tmp_path / "k.json"
+        config.write_text(json.dumps({"kmeans_k": 40}))
+        assert run_cli("--config", config, "verdict", "--test", test, "--ref", ref,
+                       "--method", method) == 1
+        err = capsys.readouterr().err
+        for name in (str(test), "4800 samples", "kmeans_k=40"):
+            assert name in err
+        assert str(ref) not in err
+        assert run_cli("--config", config, "verdict", "--test", ref, "--ref", ref,
+                       "--method", method) == 0
+
     def test_anc_requires_reference(self, tmp_path):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)
         assert usage_exit_code("verdict", "--test", src, "--ref", src, "--anc") == 2

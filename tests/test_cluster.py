@@ -236,13 +236,18 @@ class TestKmeansMany:
             k = int(rng.integers(1, min(n, 5) + 1))
             points = rng.standard_normal((rows, n, d)) * rng.uniform(0.1, 100)
             points[:, : n // 3] = points[:, :1]  # duplicates, so some fits reseed
-            seeds = rng.integers(0, 2**40, rows).tolist()
-            for row, seed, model in zip(points, seeds, kmeans_many(points, k, seeds)):
-                centroids, assignments, inertia, iterations = serial_lloyd(row, k, seed)
-                assert np.array_equal(model.centroids, centroids)
-                assert np.array_equal(model.assignments, assignments)
-                assert model.inertia == inertia
-                assert model.iterations_run == iterations
+            distinct = rng.integers(0, 2**40, rows).tolist()
+            # The same stack with seeds repeated, as the sweep fits a take at
+            # each SNR point under one seed: each row still starts from its
+            # own points.
+            repeated = [distinct[t % 2] for t in range(rows)]
+            for seeds in (distinct, repeated):
+                for row, seed, model in zip(points, seeds, kmeans_many(points, k, seeds)):
+                    centroids, assignments, inertia, iterations = serial_lloyd(row, k, seed)
+                    assert np.array_equal(model.centroids, centroids)
+                    assert np.array_equal(model.assignments, assignments)
+                    assert model.inertia == inertia
+                    assert model.iterations_run == iterations
 
     @pytest.mark.parametrize("points, k, seed, centroids, assignments, inertia, iterations", PINNED_FITS)
     def test_outputs_pinned(self, points, k, seed, centroids, assignments, inertia, iterations):
