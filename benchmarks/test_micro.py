@@ -35,7 +35,7 @@ from melsplit.bench import (
     _point_features,
     _take_id,
 )
-from melsplit.cluster import enroll_many, kmeans, scores
+from melsplit.cluster import enroll_many, kmeans_many, scores
 from melsplit.mfcc import channel_bands, channel_spectra, extract
 from melsplit.signal_io import (
     NoiseSpec,
@@ -77,7 +77,7 @@ def test_synth_speaker(benchmark, duration_s):
 
 def test_kmeans(benchmark, dual_features):
     rows = dual_features["ch1"].rows
-    model = benchmark(kmeans, rows, PLAN.kmeans_k, 7)
+    (model,) = benchmark(kmeans_many, rows[None], PLAN.kmeans_k, [7])
     assert model.centroids.shape == (PLAN.kmeans_k, rows.shape[1])
 
 
@@ -150,8 +150,8 @@ def test_point_features_52_takes_4_points(benchmark, method):
 @pytest.mark.parametrize("method", ["single", "dual"])
 def test_channel_spectra_4_takes(benchmark, method):
     # One stacked call, as the sweep's _point_features makes.
-    takes = [_take(p, 0) for p in range(_SPECTRA_TAKES)]
-    spectra = benchmark(channel_spectra, takes, method, PLAN.extraction)
+    takes = [_take(p, 0).samples for p in range(_SPECTRA_TAKES)]
+    spectra = benchmark(channel_spectra, takes, method, PLAN.extraction, PLAN.sample_rate_hz)
     assert spectra.shape[:2] == (_SPECTRA_TAKES, 58)
 
 

@@ -15,7 +15,7 @@ from .cluster import (
     calibrate_threshold,
     channel_scores,
     enroll_many,
-    kmeans,
+    kmeans_many,
     scores,
 )
 from .errors import (

@@ -105,8 +105,9 @@ class ExperimentPlan:
             raise ConfigError(
                 f"snr_points_db entries must be finite and at most {CLEAN_SNR_DB:g} (clean)"
             )
-        if len(set(self.snr_points_db)) != len(self.snr_points_db):
-            raise ConfigError("snr_points_db must be distinct")
+        for name in ("snr_points_db", "methods", "anc"):
+            entries = getattr(self, name)
+            check_fields((name, len(set(entries)) == len(entries), "entries must be distinct"))
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
@@ -503,11 +504,11 @@ def _point_features(
     features = []
     for start in range(0, len(rows), _SPECTRA_TAKES):
         run = rows[start : start + _SPECTRA_TAKES]
-        spectra_a = channel_spectra([AudioBuffer(stack.samples[i], rate) for i in run], method, cfg)
+        spectra_a = channel_spectra([stack.samples[i] for i in run], method, cfg, rate)
         spectra_u, scales = [None] * len(run), [[None] * len(points)] * len(run)
         if noisy:
             units, scales = zip(*(stack.noise(plan, i, points) for i in run))
-            spectra_u = channel_spectra([AudioBuffer(u, rate) for u in units], method, cfg)
+            spectra_u = channel_spectra(units, method, cfg, rate)
             del units  # fresh draws when no canceller keeps them; not held past their spectra
         for i, s_a, s_u, take_scales in zip(run, spectra_a, spectra_u, scales):
             mixed = np.empty((len(points),) + s_a.shape)

@@ -377,13 +377,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and args.config:
         parser.error("bench does not read --config; put sweep settings in a --plan file")
-    if args.command == "verdict" and args.anc and not args.reference:
-        parser.error("--anc requires --reference")
+    if args.command == "verdict" and args.anc != bool(args.reference):
+        parser.error("--anc requires --reference" if args.anc else "--reference requires --anc")
     if args.command == "filter":
         needed = {"lp": ("hi",), "hp": ("lo",), "bp": ("lo", "hi")}[args.kind]
-        for flag in needed:
-            if getattr(args, flag) is None:
-                parser.error(f"--kind {args.kind} requires --{flag}")
+        for flag in ("lo", "hi"):
+            if (getattr(args, flag) is None) == (flag in needed):
+                verb = "requires" if flag in needed else "takes no"
+                parser.error(f"--kind {args.kind} {verb} --{flag}")
     try:
         return args.handler(args)
     except (PipelineError, OSError) as exc:

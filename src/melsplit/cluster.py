@@ -9,7 +9,7 @@ once can be scored against any number of others. The threshold comes from
 an equal-error scan over genuine and impostor calibration scores.
 
 There is one Lloyd kernel, kmeans_many, which fits a stack of
-equal-shaped point sets in lockstep; kmeans is its one-row case.
+equal-shaped point sets in lockstep; one point set is a stack of one.
 enroll_many enrolls a list of takes with one kernel call per matrix shape,
 whatever the channel; channel_scores scores a list of pairs with one
 stacked distance per channel. One take or pair is a list of one.
@@ -50,26 +50,6 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> ClusterModel:
-    """Lloyd iterations from a seeded random choice of k distinct points.
-
-    Assignment ties break toward the lowest cluster index. An empty cluster
-    is reseeded to the point currently farthest from its assigned centroid.
-    Iteration stops when no centroid moves more than tol or at max_iter.
-    This is kmeans_many on a stack of one.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return kmeans_many(pts[None], k, [seed], max_iter, tol)[0]
-
-
 def kmeans_many(
     points: np.ndarray,
     k: int,
@@ -79,13 +59,16 @@ def kmeans_many(
 ) -> list[ClusterModel]:
     """Fit a (T, n, d) stack of point sets in lockstep, one model per row.
 
-    Row t is clustered exactly as kmeans(points[t], k, seeds[t]) describes,
-    and rows never interact: each stops on its own tol or max_iter test, and
-    only rows still moving take part in the next iteration. Centroid sums are
-    one one-hot einsum that adds each cluster's members in point order, the
-    order pts[members].mean(axis=0) sums them in when d > 1, so centroids
-    match that mean bit for bit. (numpy sums a single column pairwise, so
-    for 1-D points they can differ from it in the last bit.)
+    Row t runs Lloyd iterations from a choice of k distinct points drawn
+    from seeds[t]. Assignment ties break toward the lowest cluster index. An
+    empty cluster is reseeded to the point currently farthest from its
+    assigned centroid. A row stops when no centroid moves more than tol or
+    at max_iter. Rows never interact: only rows still moving take part in
+    the next iteration, so a row fits as it would in a stack of one.
+    Centroid sums are one one-hot einsum that adds each cluster's members in
+    point order, the order pts[members].mean(axis=0) sums them in when
+    d > 1, so centroids match that mean bit for bit. (numpy sums a single
+    column pairwise, so for d = 1 they can differ from it in the last bit.)
     """
     pts = np.asarray(points, dtype=np.float64)
     seeds = list(seeds)

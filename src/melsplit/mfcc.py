@@ -78,6 +78,7 @@ class ExtractionConfig:
     def __post_init__(self):
         check_fields(
             ("frame_shift", self.frame_shift > 0, "must be positive"),
+            ("frame_len", self.frame_len >= 2, "must be >= 2"),
             ("frame_len", self.frame_len >= self.frame_shift, "must be >= frame_shift"),
             (
                 "fft_size",
@@ -333,59 +334,57 @@ def _spectrum_operator(
 
 
 def channel_spectra(
-    takes: AudioBuffer | Sequence[AudioBuffer], method: str, cfg: ExtractionConfig
+    takes: Sequence[np.ndarray], method: str, cfg: ExtractionConfig, sample_rate_hz: int
 ) -> np.ndarray:
     """The linear stage of extraction: frame spectra, linear in the samples.
 
-    `takes` is one buffer, for which this returns (L, C) spectra, or a
-    sequence of B buffers of one length and sample rate, for which it
-    returns (B, L, C), row b being the spectra of takes[b]. A take's
-    spectra are its frames, extended by the band split's kernel, folded
-    about their centres and multiplied by _spectrum_operator: the real parts
-    of every channel's bins, then their imaginary parts. The single channel
-    has no split, so its frames are the take's own. Framing, the FIR split,
-    the window and the DFT are all linear, so the spectra of a + c*b are the
-    spectra of a plus c times those of b, up to float rounding;
-    spectra_features takes them the rest of the way. Raises what the staged
-    path raises on the same input, in its order: the dual band split's
-    checks, then the banks', then the framing's.
+    `takes` is a sequence of B equal-length 1-D sample arrays, or a (B, n)
+    array, all at sample_rate_hz; this returns their (B, L, C) spectra, row
+    b being those of takes[b]. A take's spectra are its frames, extended by
+    the band split's kernel, folded about their centres and multiplied by
+    _spectrum_operator: the real parts of every channel's bins, then their
+    imaginary parts. The single channel has no split, so its frames are the
+    take's own. Framing, the FIR split, the window and the DFT are all
+    linear, so the spectra of a + c*b are the spectra of a plus c times
+    those of b, up to float rounding; spectra_features takes them the rest
+    of the way. Raises what the staged path raises on the same input, in
+    its order: the dual band split's checks, then the banks', then the
+    framing's.
     """
-    buffers = [takes] if isinstance(takes, AudioBuffer) else list(takes)
-    if not buffers:
-        raise DimensionError("need at least one take")
-    length, rate = len(buffers[0]), buffers[0].sample_rate_hz
-    if any(len(b) != length or b.sample_rate_hz != rate for b in buffers):
-        raise DimensionError("stacked takes must share one length and sample rate")
+    shapes = {np.shape(x) for x in takes}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+        raise DimensionError(f"stacked takes must share one length; got shapes {sorted(shapes)}")
+    ((length,),) = shapes
     bands = tuple(channel_bands(method, cfg).values())
     reach = 0
     if method == "dual":
-        if not cfg.split_hz < cfg.band_top_hz < rate / 2.0:
+        if not cfg.split_hz < cfg.band_top_hz < sample_rate_hz / 2.0:
             raise ParameterError("need split_hz < top_hz < the Nyquist frequency")
         if length <= cfg.fir_taps:
             raise DimensionError(
                 f"buffer ({length}) must be longer than the kernel ({cfg.fir_taps})"
             )
         reach = (cfg.fir_taps - 1) // 2
-    operator, _ = _spectrum_operator(bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, rate)
+    operator, _ = _spectrum_operator(
+        bands, cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
+    )
     count = _frame_count(length, cfg.frame_len, cfg.frame_shift)
     # "same"-mode convolution is a full convolution of the zero-padded input.
-    padded = np.zeros((len(buffers), length + 2 * reach))
-    for row, buffer in zip(padded, buffers):
-        row[reach : reach + length] = buffer.samples
+    padded = np.zeros((len(takes), length + 2 * reach))
+    padded[:, reach : reach + length] = takes
     frames = sliding_window_view(padded, cfg.frame_len + 2 * reach, axis=1)
     frames = frames[:, :: cfg.frame_shift]
     half, width = operator.shape
     head, tail = frames[..., :half], frames[..., ::-1][..., :half]
     # The sums, then the differences, in one (B*L, H) buffer: the folded
     # frames of a stack take no more memory than one gather of them would.
-    folded = np.empty((len(buffers) * count, half))
-    spectra = np.empty((len(buffers) * count, width))
+    folded = np.empty((len(takes) * count, half))
+    spectra = np.empty((len(takes) * count, width))
     np.add(head, tail, out=folded.reshape(head.shape))
     np.matmul(folded, operator[:, : width // 2], out=spectra[:, : width // 2])
     np.subtract(head, tail, out=folded.reshape(head.shape))
     np.matmul(folded, operator[:, width // 2 :], out=spectra[:, width // 2 :])
-    spectra = spectra.reshape(len(buffers), count, width)
-    return spectra[0] if isinstance(takes, AudioBuffer) else spectra
+    return spectra.reshape(len(takes), count, width)
 
 
 def spectra_features(
@@ -433,5 +432,6 @@ def extract(
     lowpassed signal with a bank over [0, split_hz], ch2 from the
     bandpassed signal with a bank over [split_hz, band_top_hz].
     """
-    spectra = channel_spectra(buffer, method, cfg)
-    return spectra_features(spectra, method, cfg, buffer.sample_rate_hz, source_id)
+    rate = buffer.sample_rate_hz
+    spectra = channel_spectra([buffer.samples], method, cfg, rate)[0]
+    return spectra_features(spectra, method, cfg, rate, source_id)

@@ -330,23 +330,6 @@ def _harmonic_stack(base_phase, phases, amps_a, amps_b, blend):
     return out
 
 
-# Past this many half-widths from its centre, depth * exp(-z**2 / 2) is below
-# 2.6e-18 for any depth <= 1, under half the spacing of doubles just below
-# 1.0 (5.6e-17), so the gap factor 1 - depth * exp(-z**2 / 2) rounds to 1.0.
-_GAP_REACH = 9.0
-
-
-def _apply_gap(envelope: np.ndarray, edge: float, halfwidth: float, depth: float) -> None:
-    """Multiply envelope in place by the gap factor 1 - depth * exp(-z**2 / 2),
-    z = (t - edge) / halfwidth, for 0 <= depth <= 1. The factor is computed
-    only within _GAP_REACH half-widths of the edge: beyond, it is exactly 1.0,
-    so every sample equals the whole-take formula's."""
-    lo = max(0, int(np.floor(edge - _GAP_REACH * halfwidth)))
-    hi = min(len(envelope), int(np.ceil(edge + _GAP_REACH * halfwidth)) + 1)
-    gap = np.exp(-0.5 * ((np.arange(lo, hi) - edge) / halfwidth) ** 2)
-    envelope[lo:hi] *= 1.0 - depth * gap
-
-
 def synth_speaker(
     profile_id: int,
     word_id: int,
@@ -418,7 +401,8 @@ def synth_speaker(
     decay = max(2, int(word["decay"] * n))
     envelope[:attack] = 0.5 - 0.5 * np.cos(np.pi * np.arange(attack) / attack)
     envelope[n - decay :] = 0.5 + 0.5 * np.cos(np.pi * np.arange(decay) / decay)
-    _apply_gap(envelope, edge, ramp_halfwidth, word["gap_depth"])
+    gap = np.exp(-0.5 * ((np.arange(n) - edge) / ramp_halfwidth) ** 2)
+    envelope *= 1.0 - word["gap_depth"] * gap
 
     signal *= envelope
     # Breath floor under the harmonics, so the spectrum has no empty bands.

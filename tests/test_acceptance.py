@@ -13,7 +13,7 @@ import pytest
 
 from melsplit.anc import LmsConfig, LmsState, lms_step, run_anc
 from melsplit.bench import ExperimentPlan, emit_curves, run_sweep
-from melsplit.cluster import ConfusionCounts, accuracy, kmeans
+from melsplit.cluster import ConfusionCounts, accuracy, kmeans_many
 from melsplit.fir import design_bandpass, design_lowpass
 from melsplit.mfcc import fft_magnitude_sq, hz_to_mel
 from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_snr
@@ -164,7 +164,7 @@ def test_criterion_6_kmeans_matches_brute_force():
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, min(3, n) + 1))
         points = rng.standard_normal((n, int(rng.integers(1, 4))))
-        best_seeded = min(kmeans(points, k, seed=s).inertia for s in range(16))
+        best_seeded = min(kmeans_many(points[None], k, [s])[0].inertia for s in range(16))
         optimum = brute_force(points, k)
         assert best_seeded == pytest.approx(optimum, rel=1e-9, abs=1e-12), f"instance {instance}"
     report_line("criterion 6 (k-means optimality)",

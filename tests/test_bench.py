@@ -838,8 +838,16 @@ class TestPlanSerialization:
             load_plan(path)
 
     def test_duplicate_snr_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config field snr_points_db: entries must be"):
             ExperimentPlan(snr_points_db=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "field, value", [("methods", ("single", "single")), ("anc", ("off", "on", "off"))]
+    )
+    def test_duplicate_methods_and_anc_rejected(self, field, value):
+        # A repeated entry would sweep copies of the same cells.
+        with pytest.raises(ConfigError, match=f"^config field {field}: entries must be distinct"):
+            mini_plan(**{field: value})
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):

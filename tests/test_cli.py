@@ -260,6 +260,16 @@ class TestFilter:
         assert usage_exit_code("filter", "--kind", "lp", "--in", src,
                                "--out", tmp_path / "o.wav") == 2
 
+    @pytest.mark.parametrize("kind, flag", [("lp", "--lo"), ("hp", "--hi")])
+    def test_unused_cutoff_usage_error(self, tmp_path, capsys, kind, flag):
+        # A cutoff the kind does not read is an error, not silently ignored.
+        src = make_word_wav(tmp_path / "w.wav", duration=0.2)
+        out = tmp_path / "o.wav"
+        assert usage_exit_code("filter", "--kind", kind, "--lo", 300, "--hi", 1000,
+                               "--in", src, "--out", out) == 2
+        assert f"--kind {kind} takes no {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_single_row_count_on_one_second(self, tmp_path):
@@ -427,6 +437,13 @@ class TestVerdict:
     def test_anc_requires_reference(self, tmp_path):
         src = make_word_wav(tmp_path / "w.wav", duration=0.3)
         assert usage_exit_code("verdict", "--test", src, "--ref", src, "--anc") == 2
+
+    def test_reference_requires_anc(self, tmp_path, capsys):
+        # Without --anc the noise reference would never be read.
+        src = make_word_wav(tmp_path / "w.wav", duration=0.3)
+        assert usage_exit_code("verdict", "--test", src, "--ref", src,
+                               "--reference", tmp_path / "missing.wav") == 2
+        assert "--reference requires --anc" in capsys.readouterr().err
 
     def test_verdict_with_anc(self, tmp_path):
         src = make_word_wav(tmp_path / "w.wav", duration=0.4)

@@ -19,7 +19,6 @@ from melsplit.cluster import (
     channel_scores,
     confusion,
     enroll_many,
-    kmeans,
     kmeans_many,
     scores,
 )
@@ -31,8 +30,6 @@ from melsplit.signal_io import _entropy, synth_speaker
 def brute_force_inertia(points, k):
     """Optimal k-means objective by exhaustive assignment enumeration."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
     n = len(points)
     best = np.inf
     for assignment in itertools.product(range(k), repeat=n):
@@ -48,27 +45,27 @@ def brute_force_inertia(points, k):
 
 class TestKmeans:
     def test_two_well_separated_groups(self):
-        points = np.array([0.0, 1.0, 10.0, 11.0])
-        model = kmeans(points, 2, seed=7)
+        points = np.array([[0.0], [1.0], [10.0], [11.0]])
+        model = kmeans_many(points[None], 2, [7])[0]
         assert sorted(model.centroids.ravel().tolist()) == pytest.approx([0.5, 10.5])
         assert model.inertia == pytest.approx(1.0)
 
     def test_k_equals_n(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        model = kmeans(points, 3, seed=0)
+        model = kmeans_many(points[None], 3, [0])[0]
         assert model.inertia == pytest.approx(0.0)
         assert sorted(model.centroids.tolist()) == sorted(points.tolist())
 
     def test_k_one_is_global_mean(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((20, 3))
-        model = kmeans(points, 1, seed=5)
+        model = kmeans_many(points[None], 1, [5])[0]
         assert np.allclose(model.centroids[0], points.mean(axis=0))
 
     def test_centroids_are_member_means(self):
         rng = np.random.default_rng(3)
         points = rng.standard_normal((40, 2))
-        model = kmeans(points, 3, seed=11)
+        model = kmeans_many(points[None], 3, [11])[0]
         for j in range(3):
             members = points[model.assignments == j]
             if len(members):
@@ -77,7 +74,7 @@ class TestKmeans:
     def test_points_assigned_to_nearest_centroid(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((40, 2))
-        model = kmeans(points, 3, seed=13)
+        model = kmeans_many(points[None], 3, [13])[0]
         dists = np.linalg.norm(points[:, None, :] - model.centroids[None], axis=2)
         assert np.array_equal(model.assignments, np.argmin(dists, axis=1))
 
@@ -85,7 +82,7 @@ class TestKmeans:
         # rerunning with a growing iteration cap traces the descent path
         rng = np.random.default_rng(5)
         points = rng.standard_normal((30, 2))
-        inertias = [kmeans(points, 3, seed=3, max_iter=i).inertia for i in range(1, 10)]
+        inertias = [kmeans_many(points[None], 3, [3], max_iter=i)[0].inertia for i in range(1, 10)]
         assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
 
     def test_best_of_16_matches_brute_force(self):
@@ -94,23 +91,23 @@ class TestKmeans:
             n = int(rng.integers(4, 9))
             k = int(rng.integers(1, 4))
             points = rng.standard_normal((n, 2))
-            best = min(kmeans(points, k, seed=s).inertia for s in range(16))
+            best = min(kmeans_many(points[None], k, [s])[0].inertia for s in range(16))
             assert best == pytest.approx(brute_force_inertia(points, k), rel=1e-9, abs=1e-12)
 
     def test_duplicate_points_handled(self):
         points = np.zeros((6, 2))
-        model = kmeans(points, 2, seed=1)
+        model = kmeans_many(points[None], 2, [1])[0]
         assert model.inertia == 0.0
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ParameterError):
-            kmeans(np.zeros((3, 2)), 4, seed=0)
+            kmeans_many(np.zeros((1, 3, 2)), 4, [0])
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(6)
         points = rng.standard_normal((25, 3))
-        a = kmeans(points, 2, seed=9)
-        b = kmeans(points, 2, seed=9)
+        a = kmeans_many(points[None], 2, [9])[0]
+        b = kmeans_many(points[None], 2, [9])[0]
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
 
@@ -163,7 +160,7 @@ def fit_stack_and_rows(points, k, seeds, **kwargs):
     many = kmeans_many(points, k, seeds, **kwargs)
     assert len(many) == len(points)
     for row, seed, model in zip(points, seeds, many):
-        assert_same_model(model, kmeans(row, k, seed, **kwargs))
+        assert_same_model(model, kmeans_many(row[None], k, [seed], **kwargs)[0])
     return many
 
 
@@ -251,7 +248,7 @@ class TestKmeansMany:
 
     @pytest.mark.parametrize("points, k, seed, centroids, assignments, inertia, iterations", PINNED_FITS)
     def test_outputs_pinned(self, points, k, seed, centroids, assignments, inertia, iterations):
-        model = kmeans(np.array(points), k, seed)
+        model = kmeans_many(np.array(points)[None], k, [seed])[0]
         assert np.array_equal(model.centroids, centroids)
         assert np.array_equal(model.assignments, assignments)
         assert model.inertia == inertia
@@ -263,7 +260,7 @@ class TestKmeansMany:
         with pytest.raises(DimensionError):
             kmeans_many(np.zeros((5, 2)), 2, [1] * 5)
         with pytest.raises(ParameterError, match="max_iter"):
-            kmeans(np.arange(4.0), 2, 1, max_iter=0)
+            kmeans_many(np.arange(4.0).reshape(1, 4, 1), 2, [1], max_iter=0)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ParameterError):
@@ -429,7 +426,7 @@ class TestEnrollScore:
         for features, take_models in zip(takes, models):
             for channel, f in features.items():
                 seed = real_side_seed(6, f.source_id, channel)
-                assert_same_model(take_models[channel], kmeans(f.rows, 2, seed))
+                assert_same_model(take_models[channel], kmeans_many(f.rows[None], 2, [seed])[0])
 
     def test_channel_set_mismatch_raises(self):
         (single,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)

@@ -352,6 +352,11 @@ class TestExtractionConfig:
         with pytest.raises(ConfigError, match=field):
             ExtractionConfig(**{field: value})
 
+    def test_one_sample_frame_rejected(self):
+        # The Hamming window needs two samples; the config says so, by field.
+        with pytest.raises(ConfigError, match="^config field frame_len: must be >= 2$"):
+            ExtractionConfig(frame_len=1, frame_shift=1, fft_size=1)
+
 
 class TestChannelBands:
     CFG = ExtractionConfig(
@@ -635,20 +640,24 @@ class TestExtractDualChannel:
     @pytest.mark.parametrize("method", METHODS)
     def test_stacked_spectra_equal_per_take_calls(self, method):
         rng = np.random.default_rng(18)
-        takes = [buf(rng.standard_normal(3000)) for _ in range(5)]
-        alone = [channel_spectra(x, method, ExtractionConfig()) for x in takes]
-        # A one-row stack, and stacks that are not a multiple of four takes.
+        takes = rng.standard_normal((5, 3000))
+        alone = [channel_spectra([x], method, ExtractionConfig(), SR)[0] for x in takes]
+        # A one-row stack, and stacks that are not a multiple of four takes,
+        # passed as a (B, n) array and as a list of rows.
         for count in (1, 3, 5):
-            stacked = channel_spectra(takes[:count], method, ExtractionConfig())
+            stacked = channel_spectra(takes[:count], method, ExtractionConfig(), SR)
+            assert np.array_equal(
+                stacked, channel_spectra(list(takes[:count]), method, ExtractionConfig(), SR)
+            )
             assert stacked.shape == (count,) + alone[0].shape
             for row, spectra in zip(stacked, alone):
                 assert np.max(np.abs(row - spectra)) <= 1e-12 * np.max(np.abs(spectra))
 
     def test_stacked_takes_must_share_length_and_rate(self):
         x = np.random.default_rng(19).standard_normal(3000)
-        for other in (buf(x[:2900]), buf(x, 8000)):
-            with pytest.raises(DimensionError, match="one length and sample rate"):
-                channel_spectra([buf(x), other], "single", ExtractionConfig())
+        for takes in ([x, x[:2900]], [x, x[None]], []):
+            with pytest.raises(DimensionError, match="one length"):
+                channel_spectra(takes, "single", ExtractionConfig(), SR)
 
     def test_equal_row_counts(self):
         x = buf(np.random.default_rng(9).standard_normal(8000))
@@ -730,7 +739,7 @@ class TestSpectraStages:
     def test_spectra_are_linear(self, method):
         for seed, c in [(1, 0.02), (2, 0.3), (3, 1.5)]:
             a, b = self.take_and_noise(seed)
-            s_a, s_b, s_mix = (channel_spectra(buf(x), method, self.CFG) for x in (a, b, a + c * b))
+            s_a, s_b, s_mix = channel_spectra([a, b, a + c * b], method, self.CFG, SR)
             assert s_mix.shape == s_a.shape == s_b.shape
             assert np.max(np.abs(s_a + c * s_b - s_mix)) <= 1e-12 * np.max(np.abs(s_mix))
 
@@ -738,8 +747,8 @@ class TestSpectraStages:
     def test_features_of_combined_spectra_match_the_mixed_take(self, method):
         for seed, c in [(4, 0.02), (5, 0.3), (6, 1.5)]:
             a, b = self.take_and_noise(seed)
-            spectra = channel_spectra(buf(a), method, self.CFG)
-            spectra = spectra + c * channel_spectra(buf(b), method, self.CFG)
+            s_a, s_b = channel_spectra([a, b], method, self.CFG, SR)
+            spectra = s_a + c * s_b
             combined = spectra_features(spectra, method, self.CFG, SR, "utt")
             mixed = extract(buf(a + c * b), method, self.CFG, "utt")
             assert list(combined) == list(mixed)
@@ -751,7 +760,8 @@ class TestSpectraStages:
     @pytest.mark.parametrize("cfg, rate", [(CFG, SR), (TestChannelBands.CFG, 8000)])
     def test_clean_path_is_the_extractor_bit_for_bit(self, method, cfg, rate):
         x = buf(np.random.default_rng(15).standard_normal(7000), rate)
-        staged = spectra_features(channel_spectra(x, method, cfg), method, cfg, rate, "utt")
+        spectra = channel_spectra([x.samples], method, cfg, rate)[0]
+        staged = spectra_features(spectra, method, cfg, rate, "utt")
         for fm, ref in zip(staged.values(), extract(x, method, cfg, "utt").values(), strict=True):
             assert fm.channel_id == ref.channel_id and fm.source_id == ref.source_id
             assert np.array_equal(fm.rows, ref.rows)

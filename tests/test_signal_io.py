@@ -17,9 +17,7 @@ from melsplit.mfcc import extract
 from melsplit.signal_io import (
     AudioBuffer,
     NoiseSpec,
-    _apply_gap,
     _harmonic_stack,
-    _word_params,
     corpus_seed,
     measure_snr_db,
     mix_at_snr,
@@ -283,30 +281,6 @@ class TestSynthSpeaker:
         path = tmp_path / "take.wav"
         write_wav(synth_speaker(*take), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PCM_DIGESTS[take]
-
-
-class TestApplyGap:
-    @pytest.mark.parametrize("duration_s", [0.3, 0.6, 2.0])
-    def test_equals_the_whole_take_formula(self, duration_s):
-        # The gap factor is computed only near the edge; every sample must
-        # come out bit for bit as when it is computed over the whole take.
-        # Each word's own split and depth, at the ends of their jitter, and
-        # the deepest gap the window allows.
-        n = round(duration_s * SR)
-        halfwidth = max(2.0, 0.04 * n)
-        rng = np.random.default_rng(n)
-        envelope = rng.uniform(0.0, 1.0, n)
-        cases = [(0.2, 1.0), (0.8, 1.0)]
-        for word_id in range(20):
-            word = _word_params(word_id)
-            cases += [(word["split"] + jitter, word["gap_depth"]) for jitter in (-0.02, 0.02)]
-        for split, depth in cases:
-            edge = split * n
-            gap = np.exp(-0.5 * ((np.arange(n) - edge) / halfwidth) ** 2)
-            expected = envelope * (1.0 - depth * gap)
-            actual = envelope.copy()
-            _apply_gap(actual, edge, halfwidth, depth)
-            assert actual.tobytes() == expected.tobytes(), (split, depth)
 
 
 class TestHarmonicStack:
