@@ -24,12 +24,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from melsplit.anc import LmsConfig, run_anc, run_anc_batch
+from melsplit.anc import LmsConfig, run_anc
 from melsplit.bench import (
     _SPECTRA_TAKES,
     CLEAN_SNR_DB,
     ExperimentPlan,
-    _lead_samples,
+    _cancel_stacks,
     _make_pairs,
     _noise_stacks,
     _point_features,
@@ -156,24 +156,21 @@ def test_channel_spectra_4_takes(benchmark, method):
 
 
 def test_run_anc_batch_basis_pass_52_rows(benchmark):
-    # A sweep's two canceller runs: the clean takes, opened by anc_taps
-    # zeros, with the unit noise as the reference, then the unit noise in
-    # place against itself; both write over fresh copies of their stacks
-    # each round.
+    # A sweep's two canceller runs, by _cancel_stacks: the clean takes,
+    # opened by anc_taps zeros, with the unit noise as the reference, then
+    # the unit noise in place against itself; both write over fresh copies
+    # of their stacks each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
     (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
-    lead = _lead_samples(PLAN)
+    points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     rounds = []
 
-    def basis_pass(clean, unit):
-        run_anc_batch(clean, unit[:, lead - stack.pad :], PLAN.anc_taps, stack.steps)
-        run_anc_batch(unit, unit, PLAN.anc_taps, stack.steps)
-
     def setup():
-        rounds.append((stack.clean.copy(), stack.unit.copy()))
-        return rounds[-1], {}
+        clean, unit = stack.clean.copy(), stack.unit.copy()
+        rounds.append((clean, unit))
+        return (PLAN, [replace(stack, clean=clean, unit=unit)], points), {}
 
-    benchmark.pedantic(basis_pass, setup=setup, rounds=3)
+    benchmark.pedantic(_cancel_stacks, setup=setup, rounds=3)
     assert stack.clean.shape == (BATCH_ROWS, 9631) and stack.unit.shape == (BATCH_ROWS, 13600)
     for done, start in zip(rounds[-1], (stack.clean, stack.unit)):
         assert np.all(np.isfinite(done)) and not np.array_equal(done, start)

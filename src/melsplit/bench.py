@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -107,15 +106,16 @@ class ExperimentPlan:
             )
         for name in ("snr_points_db", "methods", "anc"):
             entries = getattr(self, name)
-            check_fields((name, len(set(entries)) == len(entries), "entries must be distinct"))
-        bad = set(self.methods) - set(METHODS)
-        if bad or not self.methods:
-            raise ConfigError(f"methods must be a non-empty subset of {METHODS}")
+            check_fields(
+                (name, len(entries) > 0, "must not be empty"),
+                (name, len(set(entries)) == len(entries), "entries must be distinct"),
+            )
+        if set(self.methods) - set(METHODS):
+            raise ConfigError(f"methods must be a subset of {METHODS}")
         for method in self.methods:
             channel_bands(method, self.extraction)  # checks num_coeffs
-        bad = set(self.anc) - set(ANC_MODES)
-        if bad or not self.anc:
-            raise ConfigError(f"anc must be a non-empty subset of {ANC_MODES}")
+        if set(self.anc) - set(ANC_MODES):
+            raise ConfigError(f"anc must be a subset of {ANC_MODES}")
         if self.profiles < 2:
             raise ConfigError("need at least 2 profiles for impostor trials")
         if not 1 <= self.calib_words < self.words:
@@ -196,11 +196,12 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
     """Synthesize the corpus on read, or load it from a manifest.
 
     Returns (take, keys, digest): take(key) is the AudioBuffer of a
-    (profile, word, replicate) key of `keys`. A synthesized take is made
-    each time it is read, so takes that no pair uses cost nothing, and the
-    sweep reads each one it uses once. A benchmark corpus needs two
-    replicates per (profile, word): the first (lowest seed) is the enrolled
-    reference, the second the test recording.
+    (profile, word, replicate) key of `keys`. The sweep reads each take it
+    uses once. A synthesized take is made each time it is read, so takes
+    that no pair uses cost nothing; a manifest's take is popped out of the
+    loaded corpus as it is read, so it is freed once the sweep drops it. A
+    benchmark corpus needs two replicates per (profile, word): the first
+    (lowest seed) is the enrolled reference, the second the test recording.
     """
     if plan.corpus is None:
         keys = [(p, w, r) for p in range(plan.profiles) for w in range(plan.words) for r in (0, 1)]
@@ -263,7 +264,7 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
                 raise ConfigError(f"{entry} has {len(buffer)} samples, {short}")
             corpus[(p, w, r)] = buffer
     digest = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
-    return corpus.__getitem__, list(corpus), digest
+    return corpus.pop, list(corpus), digest
 
 
 def _make_pairs(
@@ -337,19 +338,12 @@ class _NoiseStack:
     A stack holds test takes, or noise-free reference or calibration takes.
     samples[i] is the clean take of keys[i] and clean_power[i] its mean
     square. The other fields are filled only where a canceller reads the
-    takes. Then samples[i] is row i of `clean`, a (B, pad + n) stack whose
-    rows open with `pad` zeros; row i of `unit` is _unit_noise of keys[i],
-    (lead + n) samples; unit_power[i] is the mean square of the noise under
-    the take, and steps[i] is take i's canceller step on its unit reference,
-    anc_mu_fraction / ((anc_taps + 1) * mean(unit[i]**2)). Otherwise `clean`
-    and `unit` are None, samples[i] is the take's own array, and noise()
-    draws each take's unit noise when it is read.
-
-    LMS on (d, c*u) with step mu gives the errors of LMS on (d, u) with step
-    mu*c**2 (its weights are c times the others). The step that targets a
-    fixed misadjustment against the power of c*u is mu = steps[i] / c**2,
-    so on the unit reference it is steps[i] at every SNR point, and every
-    point of a take shares one canceller run.
+    takes. Then samples[i] is the tail of row i of `clean`, a stack whose
+    rows open with min(lead, anc_taps) zeros (see _noise_stacks); row i of
+    `unit` is _unit_noise of keys[i], (lead + n) samples, and unit_power[i]
+    is the mean square of the noise under the take. Otherwise `clean` and
+    `unit` are None, samples[i] is the take's own array, and noise() draws
+    each take's unit noise when it is read.
 
     A point's take is samples[i] + c * u, with u and c from noise(), or
     samples[i] alone at the clean point. Once _cancel_stacks has written
@@ -359,12 +353,10 @@ class _NoiseStack:
 
     keys: list
     samples: list
-    pad: int
     clean: np.ndarray | None
     unit: np.ndarray | None
     clean_power: list
     unit_power: list
-    steps: list
 
     def noise(self, plan: ExperimentPlan, i: int, points: list) -> tuple[np.ndarray, list]:
         """Take i's unit noise u under its samples, and its scale c at each
@@ -410,14 +402,12 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
         # canceller reads keep the takes' own arrays and no unit stack:
         # a clean stack there raised sweep_noanc's peak RSS by 4 MB, and
         # the unit stack held 4 MB more.
-        clean, unit, unit_power, steps = None, None, [], []
+        clean, unit, unit_power = None, None, []
         if cancelled:
             unit = np.empty((len(keys), lead + n))
             for i, key in enumerate(keys):
                 unit[i] = drawn = _unit_noise(plan, key, n)
                 unit_power.append(float(np.mean(drawn[lead:] ** 2)))
-                power = float(np.mean(drawn**2))
-                steps.append(plan.anc_mu_fraction / ((plan.anc_taps + 1) * power))
             clean = np.empty((len(keys), pad + n))
             clean[:, :pad] = 0.0
         samples, clean_power = [], []
@@ -428,7 +418,7 @@ def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[
                 clean[i, pad:] = take
                 take = clean[i, pad:]
             samples.append(take)
-        stacks.append(_NoiseStack(keys, samples, pad, clean, unit, clean_power, unit_power, steps))
+        stacks.append(_NoiseStack(keys, samples, clean, unit, clean_power, unit_power))
     return stacks
 
 
@@ -436,18 +426,36 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list
     """Write the canceller's errors over every stack, so that the stacks
     then give the ANC-on test takes of every noisy point in `points`.
 
-    Every ANC-off take must be read first. The step does not depend on the
-    point (see _NoiseStack), so each stack's cancellers run twice, however
-    many points there are: on the clean stack, with the unit noise as
-    reference, then on the unit noise against itself.
+    Every ANC-off take must be read first. LMS on (d, c*u) with step mu
+    gives the errors of LMS on (d, u) with step mu*c**2 (its weights are c
+    times the others). A take's step on c*u, anc_mu_fraction / ((anc_taps
+    + 1) * mean((c*u)**2)), targets a fixed misadjustment, so its step on
+    u, mu*c**2, is the same at every SNR point. Each stack's cancellers
+    thus run twice, however many points there are: on the clean stack with
+    u as reference, from the lead-in step where its rows' zeros start (see
+    _noise_stacks), then on u against itself. A divergence is re-raised
+    naming its take, the points it serves and its step in the canceller
+    input.
     """
-    lead = _lead_samples(plan)
     for stack in stacks:
-        skip = lead - stack.pad
-        with _naming(stack, points, skip):
-            run_anc_batch(stack.clean, stack.unit[:, skip:], plan.anc_taps, stack.steps)
-        with _naming(stack, points, 0):
-            run_anc_batch(stack.unit, stack.unit, plan.anc_taps, stack.steps)
+        steps = [
+            plan.anc_mu_fraction / ((plan.anc_taps + 1) * float(np.mean(row**2)))
+            for row in stack.unit
+        ]
+        skip = stack.unit.shape[1] - stack.clean.shape[1]
+        for primary, reference, offset in (
+            (stack.clean, stack.unit[:, skip:], skip),
+            (stack.unit, stack.unit, 0),
+        ):
+            try:
+                run_anc_batch(primary, reference, plan.anc_taps, steps)
+            except DivergenceError as exc:
+                take = _take_id(*stack.keys[exc.row], 1)
+                step = exc.step_index + offset
+                snr = ", ".join(f"{s:g}" for s in points)
+                raise DivergenceError(
+                    step, f"ANC diverged on take {take} at SNR {snr} dB, step {step}"
+                ) from exc
 
 
 def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
@@ -466,22 +474,6 @@ def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float)
                 mixed = a + c * u
             takes[stack.keys[i]] = AudioBuffer(mixed, plan.sample_rate_hz)
     return takes
-
-
-@contextmanager
-def _naming(stack: _NoiseStack, points: list[float], offset: int):
-    """Re-raise a canceller's DivergenceError naming its take, the SNR
-    points it serves and its step in the canceller input, whose first
-    `offset` steps the run skipped."""
-    try:
-        yield
-    except DivergenceError as exc:
-        take = _take_id(*stack.keys[exc.row], 1)
-        step = exc.step_index + offset
-        snr = ", ".join(f"{s:g}" for s in points)
-        raise DivergenceError(
-            step, f"ANC diverged on take {take} at SNR {snr} dB, step {step}"
-        ) from exc
 
 
 def _point_features(

@@ -344,9 +344,9 @@ def synth_speaker(
     whose gains shift between two vowel-like segments of the word; a shaped
     breath floor fills the rest of the band. Distinct profiles are separable
     in cepstral-feature space; two seeds of the same (profile, word) are
-    near neighbours. The blend between the segments' stacks is computed
-    only across its ramp; before it only the first stack is evaluated and
-    after it only the second (see _harmonic_stack).
+    near neighbours. The segments' stacks are blended across a ramp;
+    before it only the first stack is evaluated and after it only the
+    second (see _harmonic_stack).
     """
     if not 0 < duration_s < np.inf:
         raise ParameterError(f"duration_s must be finite and positive, got {duration_s}")
@@ -384,14 +384,9 @@ def synth_speaker(
 
     edge = split * n
     ramp_halfwidth = max(2.0, 0.04 * n)
-    # The raised cosine is 0 before the ramp and 1 after it; it is computed
-    # over the ramp and a sample either side, where clipping gives those ends.
-    lo = max(0, int(np.floor(edge - ramp_halfwidth)) - 1)
-    hi = min(n, int(np.ceil(edge + ramp_halfwidth)) + 2)
-    ramp = np.clip((np.arange(lo, hi) - edge) / (2.0 * ramp_halfwidth) + 0.5, 0.0, 1.0)
-    blend = np.zeros(n)
-    blend[lo:hi] = 0.5 - 0.5 * np.cos(np.pi * ramp)
-    blend[hi:] = 1.0
+    # The clip makes the raised cosine exactly 0 before the ramp and 1 after it.
+    ramp = np.clip((np.arange(n) - edge) / (2.0 * ramp_halfwidth) + 0.5, 0.0, 1.0)
+    blend = 0.5 - 0.5 * np.cos(np.pi * ramp)
     signal = _harmonic_stack(base_phase, phases, amps_a, amps_b, blend)
 
     # Envelope: raised-cosine attack and decay with a dip at the segment

@@ -100,8 +100,10 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(plan)
 
-    def test_corpus_from_manifest(self, tmp_path):
-        # a two-replicate corpus on disk reproduces the in-memory protocol
+    def test_corpus_from_manifest(self, tmp_path, monkeypatch):
+        # a two-replicate corpus on disk reproduces the in-memory protocol;
+        # the sweep reads each take once and the corpus lets go of it then,
+        # so only the takes that no pair reads stay loaded
         entries = []
         for p in range(3):
             for w in range(4):
@@ -115,10 +117,28 @@ class TestRunSweep:
                     )
         manifest = tmp_path / "manifest.json"
         write_manifest(entries, manifest)
+        built, read = [], []
+        real_build_corpus = melsplit.bench._build_corpus
+
+        def recording_build_corpus(plan):
+            take, keys, digest = real_build_corpus(plan)
+            built.append((take.__self__, keys))
+
+            def recording_take(key):
+                read.append(key)
+                return take(key)
+
+            return recording_take, keys, digest
+
+        monkeypatch.setattr(melsplit.bench, "_build_corpus", recording_build_corpus)
         plan = mini_plan(corpus=str(manifest), snr_points_db=(CLEAN_SNR_DB,), anc=("off",))
         report = run_sweep(plan)
         assert len(report.cells) == 2
         assert report.corpus_digest
+        ((corpus, keys),) = built
+        assert len(read) == len(set(read))
+        assert sorted(corpus) == sorted(set(keys) - set(read))
+        assert (len(keys), len(corpus)) == (24, 6)
 
     def test_unequal_take_lengths(self, tmp_path, monkeypatch):
         # Takes of two durations: each condition's takes enroll in groups of
@@ -841,6 +861,12 @@ class TestPlanSerialization:
         with pytest.raises(ConfigError, match="^config field snr_points_db: entries must be"):
             ExperimentPlan(snr_points_db=(0.0, 0.0))
 
+    @pytest.mark.parametrize("field", ["snr_points_db", "methods", "anc"])
+    def test_empty_lists_rejected(self, field):
+        # An empty list would sweep no cells.
+        with pytest.raises(ConfigError, match=f"^config field {field}: must not be empty$"):
+            plan_from_dict({field: []})
+
     @pytest.mark.parametrize(
         "field, value", [("methods", ("single", "single")), ("anc", ("off", "on", "off"))]
     )
@@ -876,7 +902,7 @@ class TestMixWithLead:
         assert stacks[0].keys == [self.KEY]
         # No canceller reads the stack, so it keeps no unit noise: the
         # noise is drawn when it is read.
-        assert stacks[0].unit is None and stacks[0].unit_power == stacks[0].steps == []
+        assert stacks[0].unit is None and stacks[0].unit_power == []
         assert np.array_equal(stacks[0].noise(plan, 0, [-6.0])[0], unit)
         assert stacks[0].clean is None and stacks[0].samples[0] is clean.samples
         # the ANC-off take is the clean take plus the unit noise, scaled to
@@ -893,7 +919,7 @@ class TestMixWithLead:
         stacks = _noise_stacks(plan, {self.KEY: clean}, True)
         lead = round(plan.anc_lead_s * clean.sample_rate_hz)
         assert len(_unit_noise(plan, self.KEY, len(clean))) == lead + len(clean)
-        assert stacks[0].pad == plan.anc_taps < lead
+        assert plan.anc_taps < lead
         assert stacks[0].clean.shape == (1, plan.anc_taps + len(clean))
         assert not np.any(stacks[0].clean[:, : plan.anc_taps])
         assert np.array_equal(stacks[0].samples[0], clean.samples)
@@ -925,6 +951,43 @@ class TestMixWithLead:
         for points in ([-10.0], [0.0, -6.0, -16.0]):
             self.check_on_takes(plan, points)
 
+    def check_divergence_step(self, clean, primary, reference):
+        """_cancel_stacks on the one-take stack of `clean` names the step at
+        which run_anc diverges on (primary, reference) with the take's step."""
+        plan = mini_plan(anc_mu_fraction=50.0)
+        unit = _unit_noise(plan, self.KEY, len(clean))
+        mu = plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(unit**2))
+        rate = plan.sample_rate_hz
+        with pytest.raises(DivergenceError) as expected:
+            run_anc(
+                AudioBuffer(primary(unit), rate),
+                AudioBuffer(reference(unit), rate),
+                melsplit.anc.LmsConfig(plan.anc_taps, mu),
+            )
+        step = expected.value.step_index
+        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
+        pattern = rf"take p1\.w2\.r1 at SNR 0, -16 dB, step {step}$"
+        with pytest.raises(DivergenceError, match=pattern) as caught:
+            _cancel_stacks(plan, stacks, [0.0, -16.0])
+        assert caught.value.step_index == step
+        return step
+
+    def test_clean_run_divergence_names_its_step_in_the_input(self):
+        # The clean run skips the lead-in steps that its zeros stand in for;
+        # the step it names counts them, as run_anc does on the whole input.
+        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+
+        def primary(unit):
+            return np.concatenate([np.zeros(len(unit) - len(clean)), clean.samples])
+
+        step = self.check_divergence_step(clean, primary, lambda unit: unit)
+        assert step > round(mini_plan().anc_lead_s * clean.sample_rate_hz)
+
+    def test_unit_run_divergence_names_its_step(self):
+        # A silent take's clean run cannot diverge, so the unit run does.
+        clean = AudioBuffer(np.zeros(4800), 16000)
+        assert self.check_divergence_step(clean, lambda unit: unit, lambda unit: unit) == 8
+
     def check_on_takes(self, plan, points):
         clean, stacks, takes = self.mix(plan, points)
         unit = _unit_noise(plan, self.KEY, len(clean))
@@ -937,7 +1000,6 @@ class TestMixWithLead:
             primary = reference.copy()
             primary[lead:] += clean.samples
             mu = plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(reference**2))
-            assert stacks[0].steps[0] == pytest.approx(mu * scale**2, rel=1e-12)
             expected = run_anc(
                 AudioBuffer(primary, plan.sample_rate_hz),
                 AudioBuffer(reference, plan.sample_rate_hz),

@@ -522,6 +522,7 @@ class TestBench:
             # Shorter than one sample, and shorter than one frame.
             ({"duration_s": 1e-6, "trials": 2}, "config field duration_s"),
             ({"duration_s": 0.02, "trials": 2}, "config field duration_s"),
+            ({"snr_points_db": []}, "config field snr_points_db: must not be empty"),
         ],
     )
     def test_bad_plan_field_is_error_line(self, tmp_path, capsys, plan, message):
@@ -531,7 +532,7 @@ class TestBench:
                        "--out", tmp_path / "r.json", "--curves", tmp_path / "c.csv")
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "c.csv").exists()
 
     def test_default_plan_loads(self, tmp_path):
         plan_path = tmp_path / "plan.json"
