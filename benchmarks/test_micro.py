@@ -33,7 +33,9 @@ from melsplit.bench import (
     _make_pairs,
     _noise_stacks,
     _point_features,
+    _stack_reader,
     _take_id,
+    _take_reader,
 )
 from melsplit.cluster import enroll_many, kmeans_many, scores
 from melsplit.mfcc import channel_bands, channel_spectra, extract
@@ -50,6 +52,7 @@ NOANC_PLAN = replace(PLAN, anc=("off",), trials=128)
 BATCH_ROWS = 52
 ENROLL_TAKES = 64
 CHUNK_TAKES = 13  # ceil(64 test takes / 5 points), a sweep_noanc chunk
+TAKE_SAMPLES = round(PLAN.duration_s * PLAN.sample_rate_hz)
 
 
 def _take(p: int, w: int, r: int = 1):
@@ -97,9 +100,10 @@ def test_enroll_many_sweep_noanc_chunk(benchmark):
     # As _enroll_points enrolls a chunk: each take at every point, under
     # the one source id that seeds its fits.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:CHUNK_TAKES]
-    (stack,) = _noise_stacks(NOANC_PLAN, {key: _take(*key) for key in keys}, True)
-    points = list(NOANC_PLAN.snr_points_db)
-    takes = _point_features(stack, range(CHUNK_TAKES), points, "dual", NOANC_PLAN, 1)
+    plan = replace(NOANC_PLAN, methods=("dual",))
+    read = _take_reader(plan, lambda key: _take(*key), 1, True)
+    points = list(plan.snr_points_db)
+    takes = _point_features(read, keys, points, plan, 1)["dual"]
     models = benchmark(enroll_many, takes, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
     assert len(models) == CHUNK_TAKES * len(points) == 65
     assert len({m["ch1"].seed for m in models}) == CHUNK_TAKES
@@ -139,10 +143,10 @@ def test_point_features_52_takes_4_points(benchmark, method):
     # Two spectra per take, then power, banks, log and DCT at each point:
     # the work of 4 * 52 extract calls on takes mixed in the time domain.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
+    plan = replace(PLAN, methods=(method,))
+    read = _stack_reader(plan, _noise_stacks(plan, {TAKE_SAMPLES: keys}, lambda key: _take(*key)))
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
-    rows = range(BATCH_ROWS)
-    features = benchmark(_point_features, stack, rows, points, method, PLAN, 1)
+    features = benchmark(_point_features, read, keys, points, plan, 1)[method]
     assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
     assert list(features[0]) == list(channel_bands(method, PLAN.extraction))
 
@@ -161,7 +165,7 @@ def test_run_anc_batch_basis_pass_52_rows(benchmark):
     # the unit noise in place against itself; both write over fresh copies
     # of their stacks each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    (stack,) = _noise_stacks(PLAN, {key: _take(*key) for key in keys}, True)
+    (stack,) = _noise_stacks(PLAN, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     rounds = []
 

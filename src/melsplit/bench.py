@@ -8,16 +8,20 @@ split and frozen, so accuracy falls as noise grows instead of being
 re-absorbed by recalibration. Everything is a pure function of the plan,
 the corpus, and the master seed.
 
-Every take the sweep enrolls sits in a _NoiseStack of equal-length takes.
 Reference and calibration takes are enrolled noise-free. A test take at a
 noisy point is a linear mix of two signals: clean + c*u with ANC off, and
 the cancelled clean take plus c times the cancelled unit noise with ANC on.
-Where a canceller runs, the unit noise is drawn once per sweep into a stack
-that the canceller writes over; otherwise each take's u is drawn where its
-spectra are taken, and no stack of it is kept. Extraction's first stage is
-linear too (mfcc.channel_spectra), so the sweep computes each signal's
-spectra once per method and builds every point's features from
-S(a) + c*S(u); no noisy take is formed in the time domain.
+Extraction's first stage is linear too (mfcc.channel_spectra), so the sweep
+computes each signal's spectra once per method and builds every point's
+features from S(a) + c*S(u); no noisy take is formed in the time domain.
+
+A sweep holds a take only while its spectra run is in flight: it reads the
+takes from the corpus a few at a time, draws a test take's unit noise as it
+reads the take, and keeps only their features until they are enrolled.
+The exception is a sweep whose canceller runs on some noisy point: it reads
+its test takes once into a _NoiseStack per take length, draws their unit
+noise into it, and holds both for the whole sweep, since the canceller runs
+on every take in lockstep and writes its errors over them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -66,10 +70,10 @@ CLEAN_SNR_DB = 60.0
 
 ANC_MODES = ("off", "on")
 
-# Takes per channel_spectra call in _point_features. A stack shares the
-# call's overhead and its matrix products. Over two sweep_noanc sweeps,
-# stacks of 4 raised peak RSS by about 1 MB over one take per call, and
-# stacks of 16 by about 5 MB.
+# Takes per channel_spectra call in _point_features, and so the most takes
+# a sweep without a canceller holds at once. A run shares the call's
+# overhead and its matrix products: one take per call slowed a sweep by
+# 6-11%, and 16 takes per call raised sweep_noanc's peak RSS by about 5 MB.
 _SPECTRA_TAKES = 4
 
 
@@ -192,11 +196,12 @@ def _take_id(p: int, w: int, r: int) -> str:
     return f"p{p}.w{w}.r{r}"
 
 
-def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
+def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, dict, str]:
     """Synthesize the corpus on read, or load it from a manifest.
 
-    Returns (take, keys, digest): take(key) is the AudioBuffer of a
-    (profile, word, replicate) key of `keys`. The sweep reads each take it
+    Returns (take, lengths, digest): take(key) is the AudioBuffer of a
+    (profile, word, replicate) key of `lengths`, and lengths[key] its
+    length in samples, known without reading it. The sweep reads each take it
     uses once. A synthesized take is made each time it is read, so takes
     that no pair uses cost nothing; a manifest's take is popped out of the
     loaded corpus as it is read, so it is freed once the sweep drops it. A
@@ -220,7 +225,8 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
             seed = corpus_seed(plan.master_seed, *key)
             return synth_speaker(key[0], key[1], plan.duration_s, seed, plan.sample_rate_hz)
 
-        return take, keys, hashlib.sha256(blob).hexdigest()
+        n = round(plan.duration_s * plan.sample_rate_hz)
+        return take, dict.fromkeys(keys, n), hashlib.sha256(blob).hexdigest()
 
     corpus: dict[tuple[int, int, int], AudioBuffer] = {}
     manifest_path = Path(plan.corpus)
@@ -264,7 +270,8 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, list, str]:
                 raise ConfigError(f"{entry} has {len(buffer)} samples, {short}")
             corpus[(p, w, r)] = buffer
     digest = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
-    return corpus.pop, list(corpus), digest
+    lengths = {key: len(buffer) for key, buffer in corpus.items()}
+    return corpus.pop, lengths, digest
 
 
 def _make_pairs(
@@ -333,93 +340,82 @@ def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class _NoiseStack:
-    """Equal-length takes, laid out once per sweep, and their unit noise.
+    """Equal-length test takes laid out for the canceller, once per sweep.
 
-    A stack holds test takes, or noise-free reference or calibration takes.
-    samples[i] is the clean take of keys[i] and clean_power[i] its mean
-    square. The other fields are filled only where a canceller reads the
-    takes. Then samples[i] is the tail of row i of `clean`, a stack whose
-    rows open with min(lead, anc_taps) zeros (see _noise_stacks); row i of
-    `unit` is _unit_noise of keys[i], (lead + n) samples, and unit_power[i]
-    is the mean square of the noise under the take. Otherwise `clean` and
-    `unit` are None, samples[i] is the take's own array, and noise() draws
-    each take's unit noise when it is read.
-
-    A point's take is samples[i] + c * u, with u and c from noise(), or
-    samples[i] alone at the clean point. Once _cancel_stacks has written
-    the canceller's errors over `clean` and `unit`, the same formula gives
-    the ANC-on take.
+    Row i of `clean` is the take of keys[i], opened by min(lead, anc_taps)
+    zeros (see _noise_stacks); row i of `unit` is _unit_noise of keys[i],
+    (lead + n) samples. clean_power[i] is the take's mean square and
+    unit_power[i] that of the noise under it. _stack_reader reads a take's
+    signals out of the rows; once _cancel_stacks has written the
+    canceller's errors over them, it reads the ANC-on signals.
     """
 
     keys: list
-    samples: list
-    clean: np.ndarray | None
-    unit: np.ndarray | None
+    clean: np.ndarray
+    unit: np.ndarray
     clean_power: list
     unit_power: list
 
-    def noise(self, plan: ExperimentPlan, i: int, points: list) -> tuple[np.ndarray, list]:
-        """Take i's unit noise u under its samples, and its scale c at each
-        of `points`, None at the clean point. u is a row of `unit` when the
-        stack has one, else a fresh draw whose power is taken from it: the
-        mean square that _noise_stacks takes of a row, so c is the same."""
-        lead = _lead_samples(plan)
-        if self.unit is not None:
-            u, power = self.unit[i, lead:], self.unit_power[i]
-        else:
-            u = _unit_noise(plan, self.keys[i], len(self.samples[i]))[lead:]
-            power = float(np.mean(u**2))
-        scales = [
-            None if snr_db == CLEAN_SNR_DB else noise_scale(self.clean_power[i], power, snr_db)
-            for snr_db in points
-        ]
-        return u, scales
 
-
-def _noise_stacks(plan: ExperimentPlan, clean_takes: dict, noisy: bool) -> list[_NoiseStack]:
-    """One _NoiseStack per take length, with the canceller's stacks (the
-    padded clean takes and the unit noise) only if `noisy` and the plan runs
-    a canceller. Each take is popped out of clean_takes as its stack takes
-    it over, so that no take is held twice.
+def _noise_stacks(plan: ExperimentPlan, groups: dict, take: Callable) -> list[_NoiseStack]:
+    """One canceller _NoiseStack per entry of `groups`, {n: keys of the
+    takes of n samples}; take(key) is the AudioBuffer of a key's take.
 
     Each clean row opens with pad = min(lead, anc_taps) zeros: a
     canceller of the clean take alone sees a zero primary, so its weights
     stay zero through the lead-in, and it can start its run pad steps
     before the take with the lead-in's last anc_taps samples as history.
     """
-    by_length: dict[int, list] = {}
-    for key, clean in clean_takes.items():
-        by_length.setdefault(len(clean), []).append(key)
     lead = _lead_samples(plan)
     pad = min(lead, plan.anc_taps)
-    cancelled = noisy and "on" in plan.anc
     stacks = []
-    for n, keys in by_length.items():
-        # The unit stack is allocated while the clean takes are still held,
-        # and the takes are freed as the clean stack is filled: with the
-        # clean stack filled first, perfbench's sweep_default runs peaked
-        # about 5 MB higher in RSS (glibc 2.36 heap reuse). Stacks that no
-        # canceller reads keep the takes' own arrays and no unit stack:
-        # a clean stack there raised sweep_noanc's peak RSS by 4 MB, and
-        # the unit stack held 4 MB more.
-        clean, unit, unit_power = None, None, []
-        if cancelled:
-            unit = np.empty((len(keys), lead + n))
-            for i, key in enumerate(keys):
-                unit[i] = drawn = _unit_noise(plan, key, n)
-                unit_power.append(float(np.mean(drawn[lead:] ** 2)))
-            clean = np.empty((len(keys), pad + n))
-            clean[:, :pad] = 0.0
-        samples, clean_power = [], []
+    for n, keys in groups.items():
+        # The unit stack is drawn first, then each take is read straight
+        # into its clean row, so no take is held past it. With every take
+        # read before the stacks, perfbench's sweep_default runs on seeds
+        # 1 and 9 peaked 5-7 MB higher in RSS (glibc 2.36 heap reuse).
+        unit = np.empty((len(keys), lead + n))
+        unit_power = []
         for i, key in enumerate(keys):
-            take = clean_takes.pop(key).samples
-            clean_power.append(float(np.mean(take**2)))
-            if clean is not None:
-                clean[i, pad:] = take
-                take = clean[i, pad:]
-            samples.append(take)
-        stacks.append(_NoiseStack(keys, samples, clean, unit, clean_power, unit_power))
+            unit[i] = drawn = _unit_noise(plan, key, n)
+            unit_power.append(float(np.mean(drawn[lead:] ** 2)))
+        clean = np.empty((len(keys), pad + n))
+        clean[:, :pad] = 0.0
+        clean_power = []
+        for i, key in enumerate(keys):
+            clean[i, pad:] = samples = take(key).samples
+            clean_power.append(float(np.mean(samples**2)))
+        stacks.append(_NoiseStack(keys, clean, unit, clean_power, unit_power))
     return stacks
+
+
+def _stack_reader(plan: ExperimentPlan, stacks: list[_NoiseStack]) -> Callable:
+    """read(key) of _point_features over the stacks' rows: views, so that
+    it reads the ANC-on signals once _cancel_stacks has run."""
+    rows = {key: (stack, i) for stack in stacks for i, key in enumerate(stack.keys)}
+    lead = _lead_samples(plan)
+
+    def read(key):
+        stack, i = rows[key]
+        u = stack.unit[i, lead:]
+        return stack.clean[i, -len(u) :], u, stack.clean_power[i], stack.unit_power[i]
+
+    return read
+
+
+def _take_reader(plan: ExperimentPlan, take: Callable, replicate: int, noisy: bool) -> Callable:
+    """read(key) of _point_features straight from the corpus: replicate
+    `replicate` of the key's take and, if `noisy`, its unit noise, drawn
+    and its power taken here, once per sweep for both methods."""
+
+    def read(key):
+        a = take(key + (replicate,)).samples
+        if not noisy:
+            return a, None, None, None
+        u = _unit_noise(plan, key, len(a))[_lead_samples(plan) :]
+        return a, u, float(np.mean(a**2)), float(np.mean(u**2))
+
+    return read
 
 
 def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> None:
@@ -458,89 +454,79 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list
                 ) from exc
 
 
-def _stack_takes(plan: ExperimentPlan, stacks: list[_NoiseStack], snr_db: float) -> dict:
-    """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
-    clean take at the clean point, else clean + c * u, the ANC-off take,
-    or, once _cancel_stacks has cancelled the stacks, the ANC-on take. The
-    sweep never forms these; they are the take-level reference for its
-    spectra-level mixing."""
-    takes = {}
-    for stack in stacks:
-        for i, a in enumerate(stack.samples):
-            if snr_db == CLEAN_SNR_DB:
-                mixed = a.copy()
-            else:
-                u, (c,) = stack.noise(plan, i, [snr_db])
-                mixed = a + c * u
-            takes[stack.keys[i]] = AudioBuffer(mixed, plan.sample_rate_hz)
-    return takes
-
-
 def _point_features(
-    stack: _NoiseStack, rows: range, points: list, method: str, plan: ExperimentPlan, replicate: int
-) -> list[dict]:
-    """The features of the stack's takes `rows` at each of `points`, keyed
-    by channel_id, in row order and, within a take, point order.
+    read: Callable, keys: list, points: list, plan: ExperimentPlan, replicate: int
+) -> dict[str, list[dict]]:
+    """{method: features} of the takes of `keys` at each of `points`, keyed
+    by channel_id, in key order and, within a take, point order.
 
-    Runs of up to _SPECTRA_TAKES rows go through the linear spectra stage
-    together, one channel_spectra call per signal, S(a) and S(u); the unit
-    noise is read (_NoiseStack.noise) and its call made only when some point
-    is noisy. A take's points are then one spectra_features call on the
-    (points, L, C) stack of S(a) + c * S(u), or of S(a) at the clean point.
-    This equals extracting the take mixed in the time domain up to float
-    rounding, and bit for bit at the clean point. `replicate` names a take's
-    source id, which seeds k-means.
+    read(key) gives a take's signals (a, u, clean_power, unit_power); u
+    and the powers are read only when some point is noisy. Runs of up to
+    _SPECTRA_TAKES takes are read together, and each run goes through the
+    linear spectra stage once per method, one channel_spectra call per
+    signal, S(a) and S(u). A take's points are then one spectra_features
+    call on the (points, L, C) stack of S(a) + c * S(u), or of S(a) at the
+    clean point. This equals extracting the take mixed in the time domain
+    up to float rounding, and bit for bit at the clean point. `replicate`
+    names a take's source id, which seeds k-means.
     """
     cfg, rate = plan.extraction, plan.sample_rate_hz
     noisy = any(snr_db != CLEAN_SNR_DB for snr_db in points)
-    features = []
-    for start in range(0, len(rows), _SPECTRA_TAKES):
-        run = rows[start : start + _SPECTRA_TAKES]
-        spectra_a = channel_spectra([stack.samples[i] for i in run], method, cfg, rate)
-        spectra_u, scales = [None] * len(run), [[None] * len(points)] * len(run)
-        if noisy:
-            units, scales = zip(*(stack.noise(plan, i, points) for i in run))
-            spectra_u = channel_spectra(units, method, cfg, rate)
-            del units  # fresh draws when no canceller keeps them; not held past their spectra
-        for i, s_a, s_u, take_scales in zip(run, spectra_a, spectra_u, scales):
-            mixed = np.empty((len(points),) + s_a.shape)
-            for row, c in zip(mixed, take_scales):
-                if c is None:
-                    row[...] = s_a
-                else:
-                    np.add(s_a, np.multiply(s_u, c, out=row), out=row)
-            source_id = _take_id(*stack.keys[i], replicate)
-            extracted = spectra_features(mixed, method, cfg, rate, source_id)
-            del mixed  # held over the next run's channel_spectra, it raised peak RSS
-            features += [
-                {ch: FeatureMatrix(fm.rows[j], ch, source_id) for ch, fm in extracted.items()}
-                for j in range(len(points))
-            ]
+    features: dict[str, list[dict]] = {method: [] for method in plan.methods}
+    for start in range(0, len(keys), _SPECTRA_TAKES):
+        run = keys[start : start + _SPECTRA_TAKES]
+        signals = [read(key) for key in run]
+        scales = [
+            [None if s == CLEAN_SNR_DB else noise_scale(clean_power, unit_power, s) for s in points]
+            for _, _, clean_power, unit_power in signals
+        ]
+        for method in plan.methods:
+            spectra_a = channel_spectra([a for a, *_ in signals], method, cfg, rate)
+            spectra_u = [None] * len(run)
+            if noisy:
+                spectra_u = channel_spectra([u for _, u, *_ in signals], method, cfg, rate)
+            for key, s_a, s_u, take_scales in zip(run, spectra_a, spectra_u, scales):
+                mixed = np.empty((len(points),) + s_a.shape)
+                for row, c in zip(mixed, take_scales):
+                    if c is None:
+                        row[...] = s_a
+                    else:
+                        np.add(s_a, np.multiply(s_u, c, out=row), out=row)
+                source_id = _take_id(*key, replicate)
+                extracted = spectra_features(mixed, method, cfg, rate, source_id)
+                del mixed  # held over the next run's channel_spectra, it raised peak RSS
+                features[method] += [
+                    {ch: FeatureMatrix(fm.rows[j], ch, source_id) for ch, fm in extracted.items()}
+                    for j in range(len(points))
+                ]
+        del signals  # not held while the next run is read
     return features
 
 
 def _enroll_points(
-    plan: ExperimentPlan, method: str, points: list, stacks: list[_NoiseStack], replicate: int
-) -> dict[float, dict]:
-    """Enroll every take of `stacks`, replicate `replicate` of its key, at
-    each of `points`: {snr_db: {(profile, word): {channel_id: ClusterModel}}}.
+    plan: ExperimentPlan, points: list, groups: Iterable[list], read: Callable, replicate: int
+) -> dict[str, dict[float, dict]]:
+    """Enroll replicate `replicate` of every key of `groups`, lists of keys
+    of equal-length takes, at each of `points`:
+    {method: {snr_db: {(profile, word): {channel_id: ClusterModel}}}}.
 
-    A stack's B takes go in chunks of ceil(B / len(points)), whose features
-    _point_features builds a few takes at a time and which are enrolled at
-    all their points in one enroll_many call, so a call holds about B rows,
-    as one call per point would, and no more than a chunk's features are held.
+    A group's B takes go in chunks of ceil(B / len(points)), whose features
+    _point_features builds a few takes at a time from read(key) and which
+    are enrolled at all their points in one enroll_many call per method,
+    so a call holds about B rows, as one call per point would, and no more
+    than a chunk's features are held.
     """
-    models: dict[float, dict] = {snr_db: {} for snr_db in points}
-    for stack in stacks:
-        takes = range(len(stack.keys))
-        size = -(-len(takes) // len(points))
-        for start in range(0, len(takes), size):
-            rows = takes[start : start + size]
-            features = _point_features(stack, rows, points, method, plan, replicate)
-            enrolled = iter(enroll_many(features, plan.kmeans_k, plan.master_seed))
-            for i in rows:
-                for snr_db in points:
-                    models[snr_db][stack.keys[i]] = next(enrolled)
+    models = {method: {snr_db: {} for snr_db in points} for method in plan.methods}
+    for keys in groups:
+        size = -(-len(keys) // len(points))
+        for start in range(0, len(keys), size):
+            chunk = keys[start : start + size]
+            features = _point_features(read, chunk, points, plan, replicate)
+            for method in plan.methods:
+                enrolled = iter(enroll_many(features.pop(method), plan.kmeans_k, plan.master_seed))
+                for key in chunk:
+                    for snr_db in points:
+                        models[method][snr_db][key] = next(enrolled)
     return models
 
 
@@ -564,16 +550,18 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     trial pairs are then scored from the cached models in one call.
     The clean condition scores the same takes under every ANC mode, so it is
     scored once per method and reported in each mode's cell.
-    Every take sits in a _NoiseStack and goes through _enroll_points, which
-    builds and enrolls its features at each of its points from its signals'
-    spectra, computed once per method: the reference and calibration takes
-    alone at the clean point; each test take's clean take and unit noise for
-    the clean and ANC-off points, then, once _cancel_stacks has run each
-    stack's two cancellers, their cancelled rows for the ANC-on points.
+    Every take goes through _enroll_points, which builds and enrolls its
+    features at each of its points from its signals' spectra, computed once
+    per method: the reference and calibration takes alone at the clean
+    point, read from the corpus as they are needed; each test take's clean
+    take and unit noise for the clean and ANC-off points, read the same way
+    unless a canceller runs on a noisy point. Then they are read from the
+    _NoiseStacks, and once _cancel_stacks has run each stack's two
+    cancellers, their cancelled rows give the ANC-on points.
     """
-    take, keys, digest = _build_corpus(plan)
-    profile_ids = sorted({key[0] for key in keys})
-    word_ids = sorted({key[1] for key in keys})
+    take, lengths, digest = _build_corpus(plan)
+    profile_ids = sorted({key[0] for key in lengths})
+    word_ids = sorted({key[1] for key in lengths})
     if len(word_ids) <= plan.calib_words:
         raise ConfigError("corpus has too few words for the calibration split")
     calib_words = word_ids[-plan.calib_words :]
@@ -583,13 +571,19 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
     calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
+    def corpus_groups(keys, replicate: int) -> dict[int, list]:
+        """{n: the keys whose take has n samples}, in first-seen order."""
+        groups: dict[int, list] = {}
+        for key in keys:
+            groups.setdefault(lengths[key + (replicate,)], []).append(key)
+        return groups
+
     def enroll_clean(keys, replicate: int) -> dict:
         """{method: {key: models}} of replicate `replicate` of each key, noise-free."""
-        stacks = _noise_stacks(plan, {key: take(key + (replicate,)) for key in keys}, noisy=False)
-        return {
-            m: _enroll_points(plan, m, [CLEAN_SNR_DB], stacks, replicate)[CLEAN_SNR_DB]
-            for m in plan.methods
-        }
+        read = _take_reader(plan, take, replicate, noisy=False)
+        groups = corpus_groups(keys, replicate).values()
+        models = _enroll_points(plan, [CLEAN_SNR_DB], groups, read, replicate)
+        return {m: models[m][CLEAN_SNR_DB] for m in plan.methods}
 
     ref_models = enroll_clean(sorted({p.ref for p in pairs + calib_pairs}), 0)
     # Per-method threshold from clean calibration words, frozen for the sweep.
@@ -599,16 +593,22 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
         for m in plan.methods
     }
 
-    clean_takes = {key: take(key + (1,)) for key in sorted({pair.test for pair in pairs})}
+    test_keys = sorted({pair.test for pair in pairs})
     points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
-    stacks = _noise_stacks(plan, clean_takes, bool(points))
+    cancelled = "on" in plan.anc and bool(points)
+    groups = corpus_groups(test_keys, 1)
+    if cancelled:
+        stacks = _noise_stacks(plan, groups, lambda key: take(key + (1,)))
+        read = _stack_reader(plan, stacks)
+    else:
+        read = _take_reader(plan, take, 1, bool(points))
     cells: list[CellResult] = []
 
     def tally(mode, group):
+        models = _enroll_points(plan, group, groups.values(), read, 1)
         for method in plan.methods:
-            models = _enroll_points(plan, method, group, stacks, 1)
             for snr_db in group:
-                scores = _score_pairs(models[snr_db], ref_models[method], pairs)
+                scores = _score_pairs(models[method][snr_db], ref_models[method], pairs)
                 counts = confusion(*scores, thresholds[method])
                 for anc_mode in plan.anc if snr_db == CLEAN_SNR_DB else (mode,):
                     cells.append(CellResult(method, anc_mode, snr_db, counts, accuracy(counts)))
@@ -619,7 +619,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     shared = [s for s in plan.snr_points_db if s == CLEAN_SNR_DB or "off" in plan.anc]
     if shared:
         tally("off", shared)
-    if "on" in plan.anc and points:
+    if cancelled:
         _cancel_stacks(plan, stacks, points)
         tally("on", points)
 

@@ -75,10 +75,6 @@ def load_config(path) -> PipelineConfig:
     return settings_from_dict(PipelineConfig, read_settings(path), "config")
 
 
-def save_config(cfg: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 # The flags that override a config field: {argparse dest: PipelineConfig
 # field}. Any other parsed flag leaves the config alone, even under a
 # field's name.

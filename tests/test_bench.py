@@ -18,7 +18,8 @@ from melsplit.bench import (
     _noise_stacks,
     _point_features,
     _score_pairs,
-    _stack_takes,
+    _stack_reader,
+    _take_reader,
     _unit_noise,
     emit_curves,
     load_plan,
@@ -40,6 +41,7 @@ from melsplit.signal_io import (
     write_manifest,
     write_wav,
 )
+from reference import stack_takes
 
 
 def mini_plan(**overrides):
@@ -197,19 +199,6 @@ class TestRunSweep:
         for c in report.cells:
             noisy_off = c.snr_db != CLEAN_SNR_DB and c.anc == "off"
             assert c.counts == (chance if noisy_off else perfect), (c.method, c.anc, c.snr_db)
-
-    def test_anc_on_without_a_noisy_point_builds_no_canceller_stack(self, monkeypatch):
-        built = []
-        real_noise_stacks = melsplit.bench._noise_stacks
-
-        def recording_noise_stacks(*args, **kwargs):
-            stacks = real_noise_stacks(*args, **kwargs)
-            built.extend(stacks)
-            return stacks
-
-        monkeypatch.setattr(melsplit.bench, "_noise_stacks", recording_noise_stacks)
-        run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,), anc=("on",)))
-        assert built and all(stack.clean is None and stack.unit is None for stack in built)
 
     def test_single_replicate_corpus_rejected(self, tmp_path):
         entries = []
@@ -387,6 +376,8 @@ class TestRunSweep:
         assert set(calls) == {(p, w, corpus_seed(plan.master_seed, p, w, r)) for p, w, r in used}
 
     def test_unit_noise_drawn_once_per_take_per_sweep(self, monkeypatch):
+        # Into the canceller's stack, or, with no canceller, where the take
+        # is read; either way once for both methods.
         drawn = []
         real_unit_noise = melsplit.bench._unit_noise
 
@@ -398,33 +389,59 @@ class TestRunSweep:
         run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0)))
         assert drawn and len(drawn) == len(set(drawn))
         drawn.clear()
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), anc=("off",))
+        run_sweep(plan)
+        words = list(range(plan.words))
+        pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
+        pairs = _make_pairs(range(plan.profiles), words[: -plan.calib_words], plan.trials, pair_rng)
+        assert sorted(drawn) == sorted({p.test for p in pairs})
+        drawn.clear()
         run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,)))
         assert drawn == []
 
     def test_no_canceller_keeps_no_unit_stack(self, monkeypatch):
-        # With no canceller to read it, no stack holds the unit noise: each
-        # test take's noise is drawn where its spectra are taken, once per
-        # method.
-        drawn, built = [], []
-        real_unit_noise = melsplit.bench._unit_noise
-        real_noise_stacks = melsplit.bench._noise_stacks
+        self._assert_no_stack_and_one_spectra_run_held(
+            monkeypatch, mini_plan(anc=("off",), snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), trials=18)
+        )
 
-        def recording_unit_noise(plan, key, n):
-            drawn.append(key)
-            return real_unit_noise(plan, key, n)
+    def test_anc_on_without_a_noisy_point_builds_no_canceller_stack(self, monkeypatch):
+        self._assert_no_stack_and_one_spectra_run_held(
+            monkeypatch, mini_plan(anc=("on",), snr_points_db=(CLEAN_SNR_DB,), trials=18)
+        )
 
-        def recording_noise_stacks(*args, **kwargs):
-            stacks = real_noise_stacks(*args, **kwargs)
-            built.extend(stacks)
-            return stacks
+    @staticmethod
+    def _assert_no_stack_and_one_spectra_run_held(monkeypatch, plan):
+        # With no canceller to run, no stack is built: every take is read
+        # from the corpus as its channel_spectra run needs it, so no more
+        # than a run's takes are held unread by the spectra stage.
+        held, most = [], []
+        real_build_corpus = melsplit.bench._build_corpus
+        real_channel_spectra = melsplit.bench.channel_spectra
 
-        monkeypatch.setattr(melsplit.bench, "_unit_noise", recording_unit_noise)
-        monkeypatch.setattr(melsplit.bench, "_noise_stacks", recording_noise_stacks)
-        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), anc=("off",))
+        def recording_build_corpus(plan):
+            take, lengths, digest = real_build_corpus(plan)
+
+            def recording_take(key):
+                buffer = take(key)
+                held.append(buffer.samples)
+                most.append(len(held))
+                return buffer
+
+            return recording_take, lengths, digest
+
+        def recording_channel_spectra(signals, *args):
+            held[:] = [a for a in held if not any(a is s for s in signals)]
+            return real_channel_spectra(signals, *args)
+
+        def no_noise_stacks(*args):
+            raise AssertionError("no canceller runs, so no stack is built")
+
+        monkeypatch.setattr(melsplit.bench, "_build_corpus", recording_build_corpus)
+        monkeypatch.setattr(melsplit.bench, "channel_spectra", recording_channel_spectra)
+        monkeypatch.setattr(melsplit.bench, "_noise_stacks", no_noise_stacks)
         run_sweep(plan)
-        assert built and all(stack.unit is None and not stack.unit_power for stack in built)
-        test_keys = built[-1].keys  # the last stack built holds the test takes
-        assert sorted(drawn) == sorted(key for key in test_keys for _ in plan.methods)
+        assert held == [] and max(most) == melsplit.bench._SPECTRA_TAKES
+        assert len(most) > 3 * melsplit.bench._SPECTRA_TAKES
 
     def test_one_kmeans_fit_per_take_channel_and_condition(self, monkeypatch):
         fits, calls = [], []
@@ -521,7 +538,7 @@ class TestRunSweep:
 
     def time_domain_counts(self, plan, thresholds):
         """{(method, anc, snr_db): counts} with every test take mixed in the
-        time domain by _stack_takes, before and after _cancel_stacks, then
+        time domain by stack_takes, before and after _cancel_stacks, then
         extracted whole and enrolled in one enroll_many call per condition."""
         take, keys, _ = _build_corpus(plan)
         profile_ids = sorted({key[0] for key in keys})
@@ -530,14 +547,15 @@ class TestRunSweep:
         pairs = _make_pairs(profile_ids, words[: -plan.calib_words], plan.trials, pair_rng)
         calib_pairs = _calibration_pairs(profile_ids, words[-plan.calib_words :])
         refs = {key: take(key + (0,)) for key in sorted({p.ref for p in pairs + calib_pairs})}
-        tests = {key: take(key + (1,)) for key in sorted({p.test for p in pairs})}
         points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
-        stacks = _noise_stacks(plan, tests, True)
-        conditions = [(plan.anc, CLEAN_SNR_DB, _stack_takes(plan, stacks, CLEAN_SNR_DB))]
-        conditions += [(("off",), s, _stack_takes(plan, stacks, s)) for s in points]
+        tests = sorted({p.test for p in pairs})
+        n = round(plan.duration_s * plan.sample_rate_hz)
+        stacks = _noise_stacks(plan, {n: tests}, lambda key: take(key + (1,)))
+        conditions = [(plan.anc, CLEAN_SNR_DB, stack_takes(plan, stacks, CLEAN_SNR_DB))]
+        conditions += [(("off",), s, stack_takes(plan, stacks, s)) for s in points]
         if "on" in plan.anc:
             _cancel_stacks(plan, stacks, points)
-            conditions += [(("on",), s, _stack_takes(plan, stacks, s)) for s in points]
+            conditions += [(("on",), s, stack_takes(plan, stacks, s)) for s in points]
         counts = {}
         for method in plan.methods:
             ref_models = self.enroll_takes(refs, method, plan, 0)
@@ -561,8 +579,8 @@ class TestRunSweep:
         self.check_cells_match_time_domain(("off", "on"))
 
     def test_cells_match_takes_mixed_in_the_time_domain_without_a_canceller(self):
-        # Without a canceller, no stack keeps the unit noise: the sweep and
-        # _stack_takes each draw it where they read it.
+        # Without a canceller, the sweep reads each take and draws its unit
+        # noise as it goes; the reference reads them out of a stack.
         self.check_cells_match_time_domain(("off",))
 
     def test_test_takes_enroll_at_all_their_points_in_chunks(self, monkeypatch):
@@ -588,25 +606,24 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_point_features_of_stacked_takes_equal_each_take_alone(self, method):
-        # Nine takes in two lengths: each stack's rows go through the
-        # spectra stage a few takes at a time, so the six-take stack splits
-        # into a full run and a shorter one, and the three-take stack is short.
-        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0))
+        # Nine takes in two lengths: each length's takes go through the
+        # spectra stage a few at a time, so the six-take group splits into a
+        # full run and a shorter one, and the three-take group is short.
+        plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), methods=(method,))
         takes = {
             (p, w): synth_speaker(p, w, 0.3 if w < 2 else 0.25, corpus_seed(5, p, w, 1))
             for p in range(3)
             for w in range(3)
         }
         points = list(plan.snr_points_db)
-        stacks = _noise_stacks(plan, takes, True)
-        assert [len(stack.samples[0]) for stack in stacks] == [4800, 4000]
-        assert [len(stack.keys) for stack in stacks] == [6, 3]
+        groups = [[key for key in takes if len(takes[key]) == n] for n in (4800, 4000)]
+        assert [len(keys) for keys in groups] == [6, 3]
+        read = _take_reader(plan, lambda key: takes[key[:2]], 1, True)
         stacked, alone = [], []
-        for stack in stacks:
-            rows = range(len(stack.keys))
-            stacked += _point_features(stack, rows, points, method, plan, 1)
-            for i in rows:
-                alone += _point_features(stack, rows[i : i + 1], points, method, plan, 1)
+        for keys in groups:
+            stacked += _point_features(read, keys, points, plan, 1)[method]
+            for key in keys:
+                alone += _point_features(read, [key], points, plan, 1)[method]
         assert len(stacked) == len(alone) == 3 * 9
         for features, expected in zip(stacked, alone):
             assert list(features) == list(expected) == list(channel_bands(method, plan.extraction))
@@ -887,11 +904,11 @@ class TestMixWithLead:
         """The clean take, its stacks, and its takes at each point: the
         ANC-off takes, read first, then the ANC-on takes if the plan has them."""
         clean = synth_speaker(*self.KEY, 0.3, seed=4)
-        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
-        takes = {"off": {s: _stack_takes(plan, stacks, s)[self.KEY] for s in points}}
+        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
+        takes = {"off": {s: stack_takes(plan, stacks, s)[self.KEY] for s in points}}
         if "on" in plan.anc:
             _cancel_stacks(plan, stacks, points)
-            takes["on"] = {s: _stack_takes(plan, stacks, s)[self.KEY] for s in points}
+            takes["on"] = {s: stack_takes(plan, stacks, s)[self.KEY] for s in points}
         return clean, stacks, takes
 
     def test_hits_target_snr(self):
@@ -900,11 +917,14 @@ class TestMixWithLead:
         unit = _unit_noise(plan, self.KEY, len(clean))
         assert len(unit) == len(clean)
         assert stacks[0].keys == [self.KEY]
-        # No canceller reads the stack, so it keeps no unit noise: the
-        # noise is drawn when it is read.
-        assert stacks[0].unit is None and stacks[0].unit_power == []
-        assert np.array_equal(stacks[0].noise(plan, 0, [-6.0])[0], unit)
-        assert stacks[0].clean is None and stacks[0].samples[0] is clean.samples
+        # With no canceller there is no lead-in: a stack's rows are the take
+        # and its unit noise, and the sweep reads the same signals from the
+        # corpus, with the same powers.
+        signals = _stack_reader(plan, stacks)(self.KEY)
+        assert np.array_equal(signals[0], clean.samples) and np.array_equal(signals[1], unit)
+        assert signals[2:] == (float(np.mean(clean.samples**2)), float(np.mean(unit**2)))
+        read = _take_reader(plan, lambda key: clean, 1, True)(self.KEY)
+        assert all(np.array_equal(x, y) for x, y in zip(read, signals))
         # the ANC-off take is the clean take plus the unit noise, scaled to
         # the target SNR
         noisy = takes["off"][-6.0]
@@ -916,14 +936,15 @@ class TestMixWithLead:
         # The layout before any canceller runs: the cancellers write over it.
         plan = mini_plan()
         clean = synth_speaker(*self.KEY, 0.3, seed=4)
-        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
+        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
         lead = round(plan.anc_lead_s * clean.sample_rate_hz)
         assert len(_unit_noise(plan, self.KEY, len(clean))) == lead + len(clean)
         assert plan.anc_taps < lead
         assert stacks[0].clean.shape == (1, plan.anc_taps + len(clean))
         assert not np.any(stacks[0].clean[:, : plan.anc_taps])
-        assert np.array_equal(stacks[0].samples[0], clean.samples)
-        assert np.shares_memory(stacks[0].samples[0], stacks[0].clean)
+        take = _stack_reader(plan, stacks)(self.KEY)[0]
+        assert np.array_equal(take, clean.samples)
+        assert np.shares_memory(take, stacks[0].clean)
 
     @pytest.mark.parametrize("anc", [("off",), ("off", "on")])
     def test_off_take_is_the_primary_tail_bit_for_bit(self, anc):
@@ -965,7 +986,7 @@ class TestMixWithLead:
                 melsplit.anc.LmsConfig(plan.anc_taps, mu),
             )
         step = expected.value.step_index
-        stacks = _noise_stacks(plan, {self.KEY: clean}, True)
+        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
         pattern = rf"take p1\.w2\.r1 at SNR 0, -16 dB, step {step}$"
         with pytest.raises(DivergenceError, match=pattern) as caught:
             _cancel_stacks(plan, stacks, [0.0, -16.0])

@@ -16,7 +16,6 @@ from melsplit.cli import (
     _effective_config,
     load_config,
     main,
-    save_config,
 )
 from melsplit.anc import LmsConfig, run_anc
 from melsplit.bench import ExperimentPlan, load_plan, plan_to_dict
@@ -30,6 +29,7 @@ from melsplit.signal_io import (
     read_wav,
     write_wav,
 )
+from reference import save_config
 
 SR = 16000
 
