@@ -33,7 +33,6 @@ from melsplit.bench import (
     _make_pairs,
     _noise_stacks,
     _point_features,
-    _stack_reader,
     _take_id,
     _take_reader,
 )
@@ -144,7 +143,7 @@ def test_point_features_52_takes_4_points(benchmark, method):
     # the work of 4 * 52 extract calls on takes mixed in the time domain.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
     plan = replace(PLAN, methods=(method,))
-    read = _stack_reader(plan, _noise_stacks(plan, {TAKE_SAMPLES: keys}, lambda key: _take(*key)))
+    _, read = _noise_stacks(plan, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     features = benchmark(_point_features, read, keys, points, plan, 1)[method]
     assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
@@ -165,18 +164,18 @@ def test_run_anc_batch_basis_pass_52_rows(benchmark):
     # the unit noise in place against itself; both write over fresh copies
     # of their stacks each round.
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    (stack,) = _noise_stacks(PLAN, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
+    ((_, clean, unit),), _ = _noise_stacks(PLAN, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     rounds = []
 
     def setup():
-        clean, unit = stack.clean.copy(), stack.unit.copy()
-        rounds.append((clean, unit))
-        return (PLAN, [replace(stack, clean=clean, unit=unit)], points), {}
+        copies = clean.copy(), unit.copy()
+        rounds.append(copies)
+        return (PLAN, [(keys, *copies)], points), {}
 
     benchmark.pedantic(_cancel_stacks, setup=setup, rounds=3)
-    assert stack.clean.shape == (BATCH_ROWS, 9631) and stack.unit.shape == (BATCH_ROWS, 13600)
-    for done, start in zip(rounds[-1], (stack.clean, stack.unit)):
+    assert clean.shape == (BATCH_ROWS, 9631) and unit.shape == (BATCH_ROWS, 13600)
+    for done, start in zip(rounds[-1], (clean, unit)):
         assert np.all(np.isfinite(done)) and not np.array_equal(done, start)
 
 

@@ -19,9 +19,11 @@ A sweep holds a take only while its spectra run is in flight: it reads the
 takes from the corpus a few at a time, draws a test take's unit noise as it
 reads the take, and keeps only their features until they are enrolled.
 The exception is a sweep whose canceller runs on some noisy point: it reads
-its test takes once into a _NoiseStack per take length, draws their unit
-noise into it, and holds both for the whole sweep, since the canceller runs
-on every take in lockstep and writes its errors over them.
+its test takes once into a clean stack per take length, draws their unit
+noise and its lead-in into a unit stack, and holds both for the whole
+sweep, since the canceller runs on every take in lockstep and writes its
+errors over them. _noise_stacks alone lays out these rows; every other
+reader goes through the views it gives.
 """
 
 from __future__ import annotations
@@ -316,59 +318,39 @@ def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_
     ]
 
 
-def _lead_samples(plan: ExperimentPlan) -> int:
-    """Length of the noise-only lead-in that opens each canceller input;
-    0 when the plan runs no canceller, since only the canceller reads it."""
-    if "on" not in plan.anc:
-        return 0
-    return int(round(plan.anc_lead_s * plan.sample_rate_hz))
-
-
-def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], n: int) -> np.ndarray:
-    """Test take `key`'s unit noise, in the order the canceller reads it.
-
-    Its first _lead_samples(plan) samples are the noise-only lead-in that
-    opens each canceller input, so the adaptive filter converges before
-    speech starts; the last n lie under the take's n samples. The draw is
-    seeded by (master seed, key) only, so the noise of `key` at every SNR
-    point is this sequence times a scale.
+def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], count: int) -> np.ndarray:
+    """`count` samples of test take `key`'s unit noise. The first n lie
+    under the take's n samples in every plan; a canceller's lead-in reads
+    the ones after them (see _noise_stacks). The draw is seeded by (master
+    seed, key) only, so the noise of `key` at every SNR point is this
+    sequence times a scale.
     """
     rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key, 0xA01E)))
-    unit = rng.standard_normal(n + _lead_samples(plan))
-    return np.concatenate([unit[n:], unit[:n]])
+    return rng.standard_normal(count)
 
 
-@dataclass(frozen=True)
-class _NoiseStack:
-    """Equal-length test takes laid out for the canceller, once per sweep.
+def _noise_stacks(plan: ExperimentPlan, groups: dict, take: Callable) -> tuple[list, Callable]:
+    """The canceller's stacks of the takes of `groups`, {n: keys of the
+    takes of n samples}, and read(key) of _point_features over their rows;
+    take(key) is the AudioBuffer of a key's take. The only code that knows
+    how a canceller row is laid out.
 
-    Row i of `clean` is the take of keys[i], opened by min(lead, anc_taps)
-    zeros (see _noise_stacks); row i of `unit` is _unit_noise of keys[i],
-    (lead + n) samples. clean_power[i] is the take's mean square and
-    unit_power[i] that of the noise under it. _stack_reader reads a take's
-    signals out of the rows; once _cancel_stacks has written the
-    canceller's errors over them, it reads the ANC-on signals.
-    """
-
-    keys: list
-    clean: np.ndarray
-    unit: np.ndarray
-    clean_power: list
-    unit_power: list
-
-
-def _noise_stacks(plan: ExperimentPlan, groups: dict, take: Callable) -> list[_NoiseStack]:
-    """One canceller _NoiseStack per entry of `groups`, {n: keys of the
-    takes of n samples}; take(key) is the AudioBuffer of a key's take.
-
-    Each clean row opens with pad = min(lead, anc_taps) zeros: a
+    Each stack is (keys, clean, unit), one per entry of `groups`. Row i of
+    `unit` opens with the lead-in, the last `lead` samples of keys[i]'s
+    _unit_noise of n + lead, so the adaptive filter converges before speech
+    starts, and goes on with its first n, which lie under the take. Row i of
+    `clean` is the take opened by pad = min(lead, anc_taps) zeros: a
     canceller of the clean take alone sees a zero primary, so its weights
     stay zero through the lead-in, and it can start its run pad steps
     before the take with the lead-in's last anc_taps samples as history.
+    read(key) gives views of the key's rows after the lead-in and the
+    pad, and the powers of the take and of the noise under it; once
+    _cancel_stacks has written the canceller's errors over the rows, it
+    gives the ANC-on signals.
     """
-    lead = _lead_samples(plan)
+    lead = round(plan.anc_lead_s * plan.sample_rate_hz)
     pad = min(lead, plan.anc_taps)
-    stacks = []
+    stacks, rows = [], {}
     for n, keys in groups.items():
         # The unit stack is drawn first, then each take is read straight
         # into its clean row, so no take is held past it. With every take
@@ -376,31 +358,17 @@ def _noise_stacks(plan: ExperimentPlan, groups: dict, take: Callable) -> list[_N
         # 1 and 9 peaked 5-7 MB higher in RSS (glibc 2.36 heap reuse).
         unit = np.empty((len(keys), lead + n))
         unit_power = []
-        for i, key in enumerate(keys):
-            unit[i] = drawn = _unit_noise(plan, key, n)
-            unit_power.append(float(np.mean(drawn[lead:] ** 2)))
+        for row, key in zip(unit, keys):
+            drawn = _unit_noise(plan, key, n + lead)
+            row[:lead], row[lead:] = drawn[n:], drawn[:n]
+            unit_power.append(float(np.mean(drawn[:n] ** 2)))
         clean = np.empty((len(keys), pad + n))
         clean[:, :pad] = 0.0
-        clean_power = []
         for i, key in enumerate(keys):
             clean[i, pad:] = samples = take(key).samples
-            clean_power.append(float(np.mean(samples**2)))
-        stacks.append(_NoiseStack(keys, clean, unit, clean_power, unit_power))
-    return stacks
-
-
-def _stack_reader(plan: ExperimentPlan, stacks: list[_NoiseStack]) -> Callable:
-    """read(key) of _point_features over the stacks' rows: views, so that
-    it reads the ANC-on signals once _cancel_stacks has run."""
-    rows = {key: (stack, i) for stack in stacks for i, key in enumerate(stack.keys)}
-    lead = _lead_samples(plan)
-
-    def read(key):
-        stack, i = rows[key]
-        u = stack.unit[i, lead:]
-        return stack.clean[i, -len(u) :], u, stack.clean_power[i], stack.unit_power[i]
-
-    return read
+            rows[key] = (clean[i, pad:], unit[i, lead:], float(np.mean(samples**2)), unit_power[i])
+        stacks.append((keys, clean, unit))
+    return stacks, rows.__getitem__
 
 
 def _take_reader(plan: ExperimentPlan, take: Callable, replicate: int, noisy: bool) -> Callable:
@@ -412,15 +380,16 @@ def _take_reader(plan: ExperimentPlan, take: Callable, replicate: int, noisy: bo
         a = take(key + (replicate,)).samples
         if not noisy:
             return a, None, None, None
-        u = _unit_noise(plan, key, len(a))[_lead_samples(plan) :]
+        u = _unit_noise(plan, key, len(a))
         return a, u, float(np.mean(a**2)), float(np.mean(u**2))
 
     return read
 
 
-def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list[float]) -> None:
-    """Write the canceller's errors over every stack, so that the stacks
-    then give the ANC-on test takes of every noisy point in `points`.
+def _cancel_stacks(plan: ExperimentPlan, stacks: list, points: list[float]) -> None:
+    """Write the canceller's errors over every (keys, clean, unit) stack of
+    _noise_stacks, so that its read(key) then gives the ANC-on test takes
+    of every noisy point in `points`.
 
     Every ANC-off take must be read first. LMS on (d, c*u) with step mu
     gives the errors of LMS on (d, u) with step mu*c**2 (its weights are c
@@ -428,25 +397,20 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list[_NoiseStack], points: list
     + 1) * mean((c*u)**2)), targets a fixed misadjustment, so its step on
     u, mu*c**2, is the same at every SNR point. Each stack's cancellers
     thus run twice, however many points there are: on the clean stack with
-    u as reference, from the lead-in step where its rows' zeros start (see
-    _noise_stacks), then on u against itself. A divergence is re-raised
-    naming its take, the points it serves and its step in the canceller
-    input.
+    u as reference, from the lead-in step where its rows' zeros start, then
+    on u against itself. A divergence is re-raised naming its take, the
+    points it serves and its step in the canceller input.
     """
-    for stack in stacks:
+    for keys, clean, unit in stacks:
         steps = [
-            plan.anc_mu_fraction / ((plan.anc_taps + 1) * float(np.mean(row**2)))
-            for row in stack.unit
+            plan.anc_mu_fraction / ((plan.anc_taps + 1) * float(np.mean(row**2))) for row in unit
         ]
-        skip = stack.unit.shape[1] - stack.clean.shape[1]
-        for primary, reference, offset in (
-            (stack.clean, stack.unit[:, skip:], skip),
-            (stack.unit, stack.unit, 0),
-        ):
+        skip = unit.shape[1] - clean.shape[1]
+        for primary, reference, offset in ((clean, unit[:, skip:], skip), (unit, unit, 0)):
             try:
                 run_anc_batch(primary, reference, plan.anc_taps, steps)
             except DivergenceError as exc:
-                take = _take_id(*stack.keys[exc.row], 1)
+                take = _take_id(*keys[exc.row], 1)
                 step = exc.step_index + offset
                 snr = ", ".join(f"{s:g}" for s in points)
                 raise DivergenceError(
@@ -556,7 +520,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     point, read from the corpus as they are needed; each test take's clean
     take and unit noise for the clean and ANC-off points, read the same way
     unless a canceller runs on a noisy point. Then they are read from the
-    _NoiseStacks, and once _cancel_stacks has run each stack's two
+    rows of _noise_stacks, and once _cancel_stacks has run each stack's two
     cancellers, their cancelled rows give the ANC-on points.
     """
     take, lengths, digest = _build_corpus(plan)
@@ -598,8 +562,7 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     cancelled = "on" in plan.anc and bool(points)
     groups = corpus_groups(test_keys, 1)
     if cancelled:
-        stacks = _noise_stacks(plan, groups, lambda key: take(key + (1,)))
-        read = _stack_reader(plan, stacks)
+        stacks, read = _noise_stacks(plan, groups, lambda key: take(key + (1,)))
     else:
         read = _take_reader(plan, take, 1, bool(points))
     cells: list[CellResult] = []
@@ -625,6 +588,8 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
 
     cells.sort(key=lambda c: (c.method, c.anc, c.snr_db))
     echo = plan_to_dict(plan)
+    if plan.corpus is not None:  # the manifest, not the plan, sets these
+        echo.update(profiles=len(profile_ids), words=len(word_ids), duration_s=None)
     echo["thresholds"] = {m: thresholds[m] for m in sorted(thresholds)}
     return SweepReport(tuple(cells), echo, digest)
 

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -75,24 +75,14 @@ def load_config(path) -> PipelineConfig:
     return settings_from_dict(PipelineConfig, read_settings(path), "config")
 
 
-# The flags that override a config field: {argparse dest: PipelineConfig
-# field}. Any other parsed flag leaves the config alone, even under a
-# field's name.
-CONFIG_FLAGS = {
-    "seed": "seed",
-    "anc_taps": "anc_taps",
-    "anc_mu": "anc_mu",
-    "fir_taps": "fir_taps",
-    "threshold": "threshold",
-}
-
-
 def _effective_config(args) -> PipelineConfig:
+    """The config file's fields, or the defaults, with each flag given on
+    the command line whose dest names a PipelineConfig field over them."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
     overrides = {
-        field_name: getattr(args, dest)
-        for dest, field_name in CONFIG_FLAGS.items()
-        if getattr(args, dest, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
     }
     return replace(cfg, **overrides) if overrides else cfg
 

@@ -8,19 +8,19 @@ tests compare the package against them, or use them to write fixtures.
 import json
 from pathlib import Path
 
-from melsplit.bench import CLEAN_SNR_DB, _stack_reader
+from melsplit.bench import CLEAN_SNR_DB
 from melsplit.cli import PipelineConfig
 from melsplit.signal_io import AudioBuffer, noise_scale
 
 
-def stack_takes(plan, stacks, snr_db: float) -> dict:
-    """{key: AudioBuffer} of every stacked take at `snr_db`: a copy of the
-    clean take at the clean point, else clean + c * u, the ANC-off take,
-    or, once bench._cancel_stacks has cancelled the stacks, the ANC-on
-    take. The time-domain reference for the sweep's spectra-level mixing."""
-    read = _stack_reader(plan, stacks)
+def stack_takes(plan, stacks, read, snr_db: float) -> dict:
+    """{key: AudioBuffer} of every take of bench._noise_stacks's `stacks`,
+    read through its `read`, at `snr_db`: a copy of the clean take at the
+    clean point, else clean + c * u, the ANC-off take, or, once
+    bench._cancel_stacks has cancelled the stacks, the ANC-on take. The
+    time-domain reference for the sweep's spectra-level mixing."""
     takes = {}
-    for key in (key for stack in stacks for key in stack.keys):
+    for key in (key for keys, _, _ in stacks for key in keys):
         a, u, clean_power, unit_power = read(key)
         if snr_db == CLEAN_SNR_DB:
             mixed = a.copy()

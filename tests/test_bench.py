@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import melsplit.bench
+import melsplit.cli
 import melsplit.cluster
 from melsplit.bench import (
     CLEAN_SNR_DB,
@@ -18,7 +19,6 @@ from melsplit.bench import (
     _noise_stacks,
     _point_features,
     _score_pairs,
-    _stack_reader,
     _take_reader,
     _unit_noise,
     emit_curves,
@@ -141,6 +141,23 @@ class TestRunSweep:
         assert len(read) == len(set(read))
         assert sorted(corpus) == sorted(set(keys) - set(read))
         assert (len(keys), len(corpus)) == (24, 6)
+
+    def test_manifest_sweep_echoes_the_manifests_grid(self, tmp_path):
+        # The manifest decides the profiles, words and take lengths, so the
+        # report echoes its counts and no duration, not the plan's defaults.
+        corpus = tmp_path / "corpus"
+        assert melsplit.cli.main([
+            "synth", "--out", str(corpus), "--profiles", "3", "--words", "4",
+            "--replicates", "2", "--duration", "0.3", "--seed", "5",
+        ]) == 0
+        plan = plan_from_dict({
+            "corpus": str(corpus / "manifest.json"), "trials": 8,
+            "snr_points_db": ["clean", 0.0], "anc": ["off"], "calib_words": 1,
+        })
+        assert (plan.profiles, plan.words, plan.duration_s) == (8, 10, 0.6)
+        config = report_to_dict(run_sweep(plan))["config"]
+        assert (config["profiles"], config["words"], config["duration_s"]) == (3, 4, None)
+        assert config["corpus"] == plan.corpus and config["trials"] == 8
 
     def test_unequal_take_lengths(self, tmp_path, monkeypatch):
         # Takes of two durations: each condition's takes enroll in groups of
@@ -550,12 +567,12 @@ class TestRunSweep:
         points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
         tests = sorted({p.test for p in pairs})
         n = round(plan.duration_s * plan.sample_rate_hz)
-        stacks = _noise_stacks(plan, {n: tests}, lambda key: take(key + (1,)))
-        conditions = [(plan.anc, CLEAN_SNR_DB, stack_takes(plan, stacks, CLEAN_SNR_DB))]
-        conditions += [(("off",), s, stack_takes(plan, stacks, s)) for s in points]
+        stacks, read = _noise_stacks(plan, {n: tests}, lambda key: take(key + (1,)))
+        conditions = [(plan.anc, CLEAN_SNR_DB, stack_takes(plan, stacks, read, CLEAN_SNR_DB))]
+        conditions += [(("off",), s, stack_takes(plan, stacks, read, s)) for s in points]
         if "on" in plan.anc:
             _cancel_stacks(plan, stacks, points)
-            conditions += [(("on",), s, stack_takes(plan, stacks, s)) for s in points]
+            conditions += [(("on",), s, stack_takes(plan, stacks, read, s)) for s in points]
         counts = {}
         for method in plan.methods:
             ref_models = self.enroll_takes(refs, method, plan, 0)
@@ -897,34 +914,130 @@ class TestPlanSerialization:
             ExperimentPlan(methods=("triple",))
 
 
+# The knob test's small synthesized plan, and one other valid value for each
+# of its fields and each extraction field. "corpus" is a manifest that the
+# test writes with `melsplit synth`.
+KNOB_BASE = dict(
+    profiles=3, words=3, calib_words=1, trials=6, duration_s=0.3,
+    snr_points_db=(CLEAN_SNR_DB, 0.0), anc=("off", "on"),
+)
+KNOB_VALUES = {
+    "snr_points_db": (CLEAN_SNR_DB, -6.0),
+    "methods": ("dual",),
+    "anc": ("off",),
+    "corpus": "manifest",
+    "trials": 4,
+    "master_seed": 9,
+    "profiles": 4,
+    "words": 4,
+    "duration_s": 0.4,
+    "sample_rate_hz": 12000,
+    "calib_words": 2,
+    "anc_taps": 15,
+    "anc_mu_fraction": 0.2,
+    "anc_lead_s": 0.05,
+    "kmeans_k": 3,
+    "extraction.frame_len": 320,
+    "extraction.frame_shift": 128,
+    "extraction.fft_size": 1024,
+    "extraction.filters_single": 20,
+    "extraction.filters_per_channel": 16,
+    "extraction.num_coeffs": 10,
+    "extraction.split_hz": 1500.0,
+    "extraction.band_top_hz": 3500.0,
+    "extraction.fir_taps": 51,
+    # Below about 0.01 the floor changes nothing: the smallest mel energy
+    # in a default sweep is 0.0085.
+    "extraction.log_floor": 1.0,
+}
+
+
+class TestKnobs:
+    @pytest.fixture(scope="class")
+    def knob_sweep(self, tmp_path_factory):
+        """sweep(plan): the plan's report echo, as JSON reads it back, its
+        cells, and the (genuine, impostor, threshold) of every confusion
+        call; the manifest that the "corpus" knob names; and the sweep of
+        the base plan."""
+        corpus = tmp_path_factory.mktemp("knobs")
+        assert melsplit.cli.main([
+            "synth", "--out", str(corpus), "--profiles", "3", "--words", "3",
+            "--replicates", "2", "--duration", "0.3", "--seed", "5",
+        ]) == 0
+
+        def sweep(plan):
+            triples = []
+            real_confusion = melsplit.bench.confusion
+
+            def recording_confusion(genuine, impostor, threshold):
+                triples.append((genuine.tobytes(), impostor.tobytes(), threshold))
+                return real_confusion(genuine, impostor, threshold)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(melsplit.bench, "confusion", recording_confusion)
+                report = run_sweep(plan)
+            config = json.loads(json.dumps(report_to_dict(report)["config"]))
+            cells = [(c.method, c.anc, c.snr_db, c.counts) for c in report.cells]
+            return config, cells, triples
+
+        return sweep, str(corpus / "manifest.json"), sweep(ExperimentPlan(**KNOB_BASE))
+
+    @pytest.mark.parametrize("knob", sorted(KNOB_VALUES))
+    def test_every_knob_is_echoed_and_changes_the_outcome(self, knob_sweep, knob):
+        assert set(KNOB_VALUES) == {
+            f.name for f in fields(ExperimentPlan) if f.name != "extraction"
+        } | {f"extraction.{f.name}" for f in fields(ExtractionConfig)}
+        sweep, manifest, (_, base_cells, base_triples) = knob_sweep
+        value = manifest if knob == "corpus" else KNOB_VALUES[knob]
+        name, _, sub = knob.partition(".")
+        if sub:
+            plan = ExperimentPlan(**KNOB_BASE, extraction=ExtractionConfig(**{sub: value}))
+        else:
+            plan = ExperimentPlan(**dict(KNOB_BASE, **{name: value}))
+        config, cells, triples = sweep(plan)
+        echoed = config[name][sub] if sub else config[name]
+        if knob == "snr_points_db":
+            value = ["clean" if s == CLEAN_SNR_DB else s for s in value]
+        assert echoed == json.loads(json.dumps(value))
+        assert cells != base_cells or triples != base_triples
+
+
 class TestMixWithLead:
     KEY = (1, 2)
 
     def mix(self, plan, points):
-        """The clean take, its stacks, and its takes at each point: the
-        ANC-off takes, read first, then the ANC-on takes if the plan has them."""
+        """The clean take, its stacks and reader, and its takes at each
+        point: the ANC-off takes, read first, then the ANC-on takes if the
+        plan has them."""
         clean = synth_speaker(*self.KEY, 0.3, seed=4)
-        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
-        takes = {"off": {s: stack_takes(plan, stacks, s)[self.KEY] for s in points}}
+        stacks, read = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
+        takes = {"off": {s: stack_takes(plan, stacks, read, s)[self.KEY] for s in points}}
         if "on" in plan.anc:
             _cancel_stacks(plan, stacks, points)
-            takes["on"] = {s: stack_takes(plan, stacks, s)[self.KEY] for s in points}
-        return clean, stacks, takes
+            takes["on"] = {s: stack_takes(plan, stacks, read, s)[self.KEY] for s in points}
+        return clean, (stacks, read), takes
+
+    def canceller_noise(self, plan, n):
+        """The unit noise as the canceller reads it: the draw of n + lead
+        normals, its last lead first, then the n that lie under the take."""
+        lead = round(plan.anc_lead_s * plan.sample_rate_hz)
+        drawn = _unit_noise(plan, self.KEY, n + lead)
+        return np.concatenate([drawn[n:], drawn[:n]])
 
     def test_hits_target_snr(self):
         plan = mini_plan(anc=("off",))
-        clean, stacks, takes = self.mix(plan, [-6.0])
+        clean, (stacks, read), takes = self.mix(plan, [-6.0])
         unit = _unit_noise(plan, self.KEY, len(clean))
         assert len(unit) == len(clean)
-        assert stacks[0].keys == [self.KEY]
-        # With no canceller there is no lead-in: a stack's rows are the take
-        # and its unit noise, and the sweep reads the same signals from the
-        # corpus, with the same powers.
-        signals = _stack_reader(plan, stacks)(self.KEY)
+        assert stacks[0][0] == [self.KEY]
+        # A stack's reader gives the take and the unit noise under it, with
+        # the same powers, and the sweep reads the same signals bit for bit
+        # from the corpus, where it draws no lead-in.
+        signals = read(self.KEY)
         assert np.array_equal(signals[0], clean.samples) and np.array_equal(signals[1], unit)
         assert signals[2:] == (float(np.mean(clean.samples**2)), float(np.mean(unit**2)))
-        read = _take_reader(plan, lambda key: clean, 1, True)(self.KEY)
-        assert all(np.array_equal(x, y) for x, y in zip(read, signals))
+        from_corpus = _take_reader(plan, lambda key: clean, 1, True)(self.KEY)
+        assert all(np.array_equal(x, y) for x, y in zip(from_corpus, signals))
         # the ANC-off take is the clean take plus the unit noise, scaled to
         # the target SNR
         noisy = takes["off"][-6.0]
@@ -936,15 +1049,21 @@ class TestMixWithLead:
         # The layout before any canceller runs: the cancellers write over it.
         plan = mini_plan()
         clean = synth_speaker(*self.KEY, 0.3, seed=4)
-        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
+        n = len(clean)
+        ((keys, clean_stack, unit_stack),), read = _noise_stacks(
+            plan, {n: [self.KEY]}, {self.KEY: clean}.get
+        )
         lead = round(plan.anc_lead_s * clean.sample_rate_hz)
-        assert len(_unit_noise(plan, self.KEY, len(clean))) == lead + len(clean)
-        assert plan.anc_taps < lead
-        assert stacks[0].clean.shape == (1, plan.anc_taps + len(clean))
-        assert not np.any(stacks[0].clean[:, : plan.anc_taps])
-        take = _stack_reader(plan, stacks)(self.KEY)[0]
+        assert keys == [self.KEY] and plan.anc_taps < lead
+        # The unit row is the draw of n + lead, its tail first; the take's
+        # n samples of noise are the draw's head, as the corpus reader draws.
+        assert np.array_equal(unit_stack[0], self.canceller_noise(plan, n))
+        assert np.array_equal(unit_stack[0, lead:], _unit_noise(plan, self.KEY, n))
+        assert clean_stack.shape == (1, plan.anc_taps + n)
+        assert not np.any(clean_stack[:, : plan.anc_taps])
+        take, unit = read(self.KEY)[:2]
         assert np.array_equal(take, clean.samples)
-        assert np.shares_memory(take, stacks[0].clean)
+        assert np.shares_memory(take, clean_stack) and np.shares_memory(unit, unit_stack)
 
     @pytest.mark.parametrize("anc", [("off",), ("off", "on")])
     def test_off_take_is_the_primary_tail_bit_for_bit(self, anc):
@@ -976,7 +1095,7 @@ class TestMixWithLead:
         """_cancel_stacks on the one-take stack of `clean` names the step at
         which run_anc diverges on (primary, reference) with the take's step."""
         plan = mini_plan(anc_mu_fraction=50.0)
-        unit = _unit_noise(plan, self.KEY, len(clean))
+        unit = self.canceller_noise(plan, len(clean))
         mu = plan.anc_mu_fraction / ((plan.anc_taps + 1) * np.mean(unit**2))
         rate = plan.sample_rate_hz
         with pytest.raises(DivergenceError) as expected:
@@ -986,7 +1105,7 @@ class TestMixWithLead:
                 melsplit.anc.LmsConfig(plan.anc_taps, mu),
             )
         step = expected.value.step_index
-        stacks = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
+        stacks, _ = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
         pattern = rf"take p1\.w2\.r1 at SNR 0, -16 dB, step {step}$"
         with pytest.raises(DivergenceError, match=pattern) as caught:
             _cancel_stacks(plan, stacks, [0.0, -16.0])
@@ -1010,8 +1129,8 @@ class TestMixWithLead:
         assert self.check_divergence_step(clean, lambda unit: unit, lambda unit: unit) == 8
 
     def check_on_takes(self, plan, points):
-        clean, stacks, takes = self.mix(plan, points)
-        unit = _unit_noise(plan, self.KEY, len(clean))
+        clean, _, takes = self.mix(plan, points)
+        unit = self.canceller_noise(plan, len(clean))
         lead = len(unit) - len(clean)
         for snr_db in points:
             scale = noise_scale(

@@ -4,13 +4,12 @@ import argparse
 import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from melsplit.cli import (
-    CONFIG_FLAGS,
     PipelineConfig,
     _build_parser,
     _effective_config,
@@ -657,22 +656,28 @@ class TestPipelineConfig:
         assert payload["threshold"] == 0.5
         assert payload["config"]["threshold"] == 0.5
 
-    def test_flag_table_names_real_dests_and_fields(self):
+    def test_config_flags_are_the_five_field_dests(self):
+        # A flag overrides the config field its dest names, so a new flag
+        # under a field's name would silently become an override.
         parser = _build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for sub in subparsers.choices.values() for a in sub._actions}
-        assert set(CONFIG_FLAGS) <= dests
-        assert set(CONFIG_FLAGS.values()) <= {f.name for f in fields(PipelineConfig)}
+        dests |= {a.dest for a in parser._actions}
+        assert dests & {f.name for f in fields(PipelineConfig)} == {
+            "seed", "anc_taps", "anc_mu", "fir_taps", "threshold"
+        }
 
-    def test_dest_outside_the_table_does_not_override(self, tmp_path):
+    def test_only_given_field_dests_override(self, tmp_path):
         cfg_path = tmp_path / "config.json"
-        save_config(PipelineConfig(kmeans_k=3, split_hz=1500.0), cfg_path)
-        # a later flag whose dest happens to be a config field's name
-        args = argparse.Namespace(config=str(cfg_path), kmeans_k=5, split_hz=900.0, threshold=2.5)
-        assert {"kmeans_k", "split_hz"}.isdisjoint(CONFIG_FLAGS)
+        save_config(PipelineConfig(kmeans_k=3, split_hz=1500.0, threshold=4.0), cfg_path)
+        # an unset flag (None) and a dest that names no field leave the
+        # config alone; a set dest that names a field overrides it
+        args = argparse.Namespace(
+            config=str(cfg_path), kmeans_k=5, split_hz=None, threshold=2.5, profiles=7
+        )
         cfg = _effective_config(args)
-        assert (cfg.kmeans_k, cfg.split_hz) == (3, 1500.0)
-        assert cfg.threshold == 2.5
+        assert (cfg.kmeans_k, cfg.split_hz, cfg.threshold) == (5, 1500.0, 2.5)
+        assert cfg == replace(load_config(cfg_path), kmeans_k=5, threshold=2.5)
 
     def test_config_flows_into_extract(self, tmp_path):
         cfg_path = tmp_path / "config.json"
