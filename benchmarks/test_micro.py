@@ -67,7 +67,7 @@ def take():
 
 @pytest.fixture(scope="module")
 def dual_features(take):
-    return extract(take, "dual", PLAN.extraction, "p0.w0.r1")
+    return extract(take, "dual", PLAN.extraction)
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
@@ -78,20 +78,23 @@ def test_synth_speaker(benchmark, duration_s):
 
 
 def test_kmeans(benchmark, dual_features):
-    rows = dual_features["ch1"].rows
+    rows = dual_features["ch1"]
     (model,) = benchmark(kmeans_many, rows[None], PLAN.kmeans_k, [7])
     assert model.centroids.shape == (PLAN.kmeans_k, rows.shape[1])
 
 
 def test_enroll_dual_take(benchmark, dual_features):
-    (models,) = benchmark(enroll_many, [dual_features], PLAN.kmeans_k, PLAN.master_seed)
+    (models,) = benchmark(
+        enroll_many, [dual_features], ["p0.w0.r1"], PLAN.kmeans_k, PLAN.master_seed
+    )
     assert sorted(models) == ["ch1", "ch2"]
 
 
 def test_enroll_many_64_dual_takes(benchmark):
     keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:ENROLL_TAKES]
-    takes = [extract(_take(p, w), "dual", PLAN.extraction, f"p{p}.w{w}.r1") for p, w in keys]
-    models = benchmark(enroll_many, takes, PLAN.kmeans_k, PLAN.master_seed)
+    takes = [extract(_take(p, w), "dual", PLAN.extraction) for p, w in keys]
+    ids = [_take_id(p, w, 1) for p, w in keys]
+    models = benchmark(enroll_many, takes, ids, PLAN.kmeans_k, PLAN.master_seed)
     assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
 
 
@@ -102,8 +105,9 @@ def test_enroll_many_sweep_noanc_chunk(benchmark):
     plan = replace(NOANC_PLAN, methods=("dual",))
     read = _take_reader(plan, lambda key: _take(*key), 1, True)
     points = list(plan.snr_points_db)
-    takes = _point_features(read, keys, points, plan, 1)["dual"]
-    models = benchmark(enroll_many, takes, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
+    takes = _point_features(read, keys, points, plan)["dual"]
+    ids = [_take_id(*key, 1) for key in keys for _ in points]
+    models = benchmark(enroll_many, takes, ids, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
     assert len(models) == CHUNK_TAKES * len(points) == 65
     assert len({m["ch1"].seed for m in models}) == CHUNK_TAKES
 
@@ -111,15 +115,15 @@ def test_enroll_many_sweep_noanc_chunk(benchmark):
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
 def test_extract_dual_channel(benchmark, duration_s):
     take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
-    ch1, ch2 = benchmark(extract, take, "dual", PLAN.extraction, "p0.w0.r1").values()
-    assert ch1.rows.shape == ch2.rows.shape
+    ch1, ch2 = benchmark(extract, take, "dual", PLAN.extraction).values()
+    assert ch1.shape == ch2.shape
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
 def test_extract_single_channel(benchmark, duration_s):
     take = synth_speaker(0, 0, duration_s, 1, PLAN.sample_rate_hz)
-    features = benchmark(extract, take, "single", PLAN.extraction, "p0.w0.r1")["single"]
-    assert features.rows.shape[1] == PLAN.extraction.num_coeffs
+    features = benchmark(extract, take, "single", PLAN.extraction)["single"]
+    assert features.shape[1] == PLAN.extraction.num_coeffs
 
 
 def test_scores_80_dual_pairs(benchmark):
@@ -129,8 +133,9 @@ def test_scores_80_dual_pairs(benchmark):
     rng = np.random.default_rng(_entropy(PLAN.master_seed, 0xBA1A))
     pairs = _make_pairs(list(range(PLAN.profiles)), words, PLAN.trials, rng)
     keys = [(p, w, r) for p in range(PLAN.profiles) for w in words for r in (0, 1)]
-    takes = [extract(_take(*key), "dual", PLAN.extraction, _take_id(*key)) for key in keys]
-    models = dict(zip(keys, enroll_many(takes, PLAN.kmeans_k, PLAN.master_seed)))
+    takes = [extract(_take(*key), "dual", PLAN.extraction) for key in keys]
+    ids = [_take_id(*key) for key in keys]
+    models = dict(zip(keys, enroll_many(takes, ids, PLAN.kmeans_k, PLAN.master_seed)))
     tests = [models[p.test + (1,)] for p in pairs]
     refs = [models[p.ref + (0,)] for p in pairs]
     combined = benchmark(scores, tests, refs)
@@ -145,7 +150,7 @@ def test_point_features_52_takes_4_points(benchmark, method):
     plan = replace(PLAN, methods=(method,))
     _, read = _noise_stacks(plan, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
-    features = benchmark(_point_features, read, keys, points, plan, 1)[method]
+    features = benchmark(_point_features, read, keys, points, plan)[method]
     assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
     assert list(features[0]) == list(channel_bands(method, PLAN.extraction))
 

@@ -38,7 +38,6 @@ from .fir import (
 )
 from .mfcc import (
     ExtractionConfig,
-    FeatureMatrix,
     build_filterbank,
     dct_cepstra,
     extract,

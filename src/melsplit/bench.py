@@ -50,7 +50,6 @@ from .errors import ConfigError, DivergenceError, ParameterError
 from .mfcc import (
     METHODS,
     ExtractionConfig,
-    FeatureMatrix,
     channel_bands,
     channel_spectra,
     spectra_features,
@@ -122,10 +121,6 @@ class ExperimentPlan:
             channel_bands(method, self.extraction)  # checks num_coeffs
         if set(self.anc) - set(ANC_MODES):
             raise ConfigError(f"anc must be a subset of {ANC_MODES}")
-        if self.profiles < 2:
-            raise ConfigError("need at least 2 profiles for impostor trials")
-        if not 1 <= self.calib_words < self.words:
-            raise ConfigError("calib_words must leave at least one trial word")
         check_shared_fields(
             self.sample_rate_hz, self.extraction.band_top_hz, self.anc_taps, self.kmeans_k
         )
@@ -141,8 +136,13 @@ class ExperimentPlan:
                 "must be finite and >= 0",
             ),
             ("anc_mu_fraction", 0 < self.anc_mu_fraction < math.inf, "must be finite and positive"),
+            ("calib_words", self.calib_words >= 1, "must be >= 1"),
         )
-        if self.corpus is None:  # a manifest's takes have their own lengths
+        if self.corpus is None:  # a manifest sets its own grid and take lengths
+            if self.profiles < 2:
+                raise ConfigError("need at least 2 profiles for impostor trials")
+            if self.calib_words >= self.words:
+                raise ConfigError("calib_words must leave at least one trial word")
             n = round(self.duration_s * self.sample_rate_hz)
             short = too_short(self.extraction, self.methods, self.kmeans_k, n)
             check_fields(("duration_s", short is None, f"gives {n} samples, {short}"))
@@ -419,10 +419,11 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list, points: list[float]) -> N
 
 
 def _point_features(
-    read: Callable, keys: list, points: list, plan: ExperimentPlan, replicate: int
+    read: Callable, keys: list, points: list, plan: ExperimentPlan
 ) -> dict[str, list[dict]]:
-    """{method: features} of the takes of `keys` at each of `points`, keyed
-    by channel_id, in key order and, within a take, point order.
+    """{method: [{channel_id: rows}, ...]}: the feature rows of the takes
+    of `keys` at each of `points`, in key order and, within a take, point
+    order.
 
     read(key) gives a take's signals (a, u, clean_power, unit_power); u
     and the powers are read only when some point is noisy. Runs of up to
@@ -431,8 +432,7 @@ def _point_features(
     signal, S(a) and S(u). A take's points are then one spectra_features
     call on the (points, L, C) stack of S(a) + c * S(u), or of S(a) at the
     clean point. This equals extracting the take mixed in the time domain
-    up to float rounding, and bit for bit at the clean point. `replicate`
-    names a take's source id, which seeds k-means.
+    up to float rounding, and bit for bit at the clean point.
     """
     cfg, rate = plan.extraction, plan.sample_rate_hz
     noisy = any(snr_db != CLEAN_SNR_DB for snr_db in points)
@@ -456,12 +456,10 @@ def _point_features(
                         row[...] = s_a
                     else:
                         np.add(s_a, np.multiply(s_u, c, out=row), out=row)
-                source_id = _take_id(*key, replicate)
-                extracted = spectra_features(mixed, method, cfg, rate, source_id)
+                extracted = spectra_features(mixed, method, cfg, rate)
                 del mixed  # held over the next run's channel_spectra, it raised peak RSS
                 features[method] += [
-                    {ch: FeatureMatrix(fm.rows[j], ch, source_id) for ch, fm in extracted.items()}
-                    for j in range(len(points))
+                    {ch: rows[j] for ch, rows in extracted.items()} for j in range(len(points))
                 ]
         del signals  # not held while the next run is read
     return features
@@ -478,19 +476,21 @@ def _enroll_points(
     _point_features builds a few takes at a time from read(key) and which
     are enrolled at all their points in one enroll_many call per method,
     so a call holds about B rows, as one call per point would, and no more
-    than a chunk's features are held.
+    than a chunk's features are held. Every point of a take is enrolled
+    under the take's _take_id, which seeds its k-means fits.
     """
     models = {method: {snr_db: {} for snr_db in points} for method in plan.methods}
     for keys in groups:
         size = -(-len(keys) // len(points))
         for start in range(0, len(keys), size):
             chunk = keys[start : start + size]
-            features = _point_features(read, chunk, points, plan, replicate)
+            features = _point_features(read, chunk, points, plan)
+            slots = [(key, snr_db) for key in chunk for snr_db in points]
+            ids = [_take_id(*key, replicate) for key, _ in slots]
             for method in plan.methods:
-                enrolled = iter(enroll_many(features.pop(method), plan.kmeans_k, plan.master_seed))
-                for key in chunk:
-                    for snr_db in points:
-                        models[method][snr_db][key] = next(enrolled)
+                fitted = enroll_many(features.pop(method), ids, plan.kmeans_k, plan.master_seed)
+                for (key, snr_db), model in zip(slots, fitted, strict=True):
+                    models[method][snr_db][key] = model
     return models
 
 
@@ -526,6 +526,10 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     take, lengths, digest = _build_corpus(plan)
     profile_ids = sorted({key[0] for key in lengths})
     word_ids = sorted({key[1] for key in lengths})
+    if len(profile_ids) < 2:
+        raise ConfigError(
+            f"corpus has {len(profile_ids)} profile(s); impostor trials need at least 2"
+        )
     if len(word_ids) <= plan.calib_words:
         raise ConfigError("corpus has too few words for the calibration split")
     calib_words = word_ids[-plan.calib_words :]

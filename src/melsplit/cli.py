@@ -2,10 +2,11 @@
 
 One binary with subcommands mirroring the processing stages: synth, mix,
 anc, filter, extract, verdict, bench. verdict enrolls both takes with
-cluster.enroll_many and thresholds the mean of their channel_scores, the
-decision the sweep counts. Exit codes: 0 success, 2 usage error, 1
-runtime/pipeline error. Tunables resolve as CLI flag > config file >
-built-in default; bench reads its settings from a --plan file instead.
+cluster.enroll_many, named by their file stems, and thresholds the mean of
+their channel_scores, the decision the sweep counts. Exit codes: 0
+success, 2 usage error, 1 runtime/pipeline error. Tunables resolve as CLI
+flag > config file > built-in default; bench reads its settings from a
+--plan file instead.
 """
 
 from __future__ import annotations
@@ -193,13 +194,13 @@ def cmd_extract(args) -> int:
     cfg = _effective_config(args)
     buffer = read_wav(args.infile)
     stem = Path(args.infile).stem
-    feats = extract(buffer, args.method, cfg, stem)
+    feats = extract(buffer, args.method, cfg)
     # Made once the features exist, so that a failed run leaves no directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bands = channel_bands(args.method, cfg)
     for channel_id, (band_lo, band_hi, filters) in bands.items():
-        fm = feats[channel_id]
+        rows = feats[channel_id]
         meta = {
             "N": cfg.frame_len,
             "M": cfg.frame_shift,
@@ -211,14 +212,14 @@ def cmd_extract(args) -> int:
             "band_lo": band_lo,
             "band_hi": band_hi,
         }
-        lines = ["frame_index," + ",".join(f"c{i + 1}" for i in range(fm.rows.shape[1]))]
-        lines += [f"{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(fm.rows)]
+        lines = ["frame_index," + ",".join(f"c{i + 1}" for i in range(rows.shape[1]))]
+        lines += [f"{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(rows)]
         csv_path = out_dir / (f"{stem}.csv" if len(bands) == 1 else f"{stem}.{channel_id}.csv")
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         csv_path.with_suffix(".json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        print(f"wrote {csv_path} ({fm.rows.shape[0]} rows)")
+        print(f"wrote {csv_path} ({rows.shape[0]} rows)")
     return 0
 
 
@@ -236,9 +237,8 @@ def cmd_verdict(args) -> int:
         result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
         test = result.error_signal
     test_id, ref_id = Path(args.test).stem, Path(args.ref).stem
-    test_feats = extract(test, args.method, cfg, test_id)
-    ref_feats = extract(ref, args.method, cfg, ref_id)
-    test_models, ref_models = enroll_many([test_feats, ref_feats], cfg.kmeans_k, cfg.seed)
+    takes = [extract(test, args.method, cfg), extract(ref, args.method, cfg)]
+    test_models, ref_models = enroll_many(takes, [test_id, ref_id], cfg.kmeans_k, cfg.seed)
     per_channel = {c: float(s[0]) for c, s in channel_scores([test_models], [ref_models]).items()}
     combined = sum(per_channel.values()) / len(per_channel)
     payload = {

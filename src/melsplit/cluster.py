@@ -10,7 +10,8 @@ an equal-error scan over genuine and impostor calibration scores.
 
 There is one Lloyd kernel, kmeans_many, which fits a stack of
 equal-shaped point sets in lockstep; one point set is a stack of one.
-enroll_many enrolls a list of takes with one kernel call per matrix shape,
+enroll_many enrolls a list of takes, each a {channel_id: rows} dict named
+by a source id that seeds its fits, with one kernel call per matrix shape,
 whatever the channel; channel_scores scores a list of pairs with one
 stacked distance per channel. One take or pair is a list of one.
 """
@@ -23,7 +24,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
-from .mfcc import FeatureMatrix
 from .signal_io import _derive_seed, _entropy, _string_key
 
 
@@ -164,31 +164,34 @@ def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
 
 
 def enroll_many(
-    takes: Sequence[Mapping[str, FeatureMatrix]], k: int, seed: int
+    takes: Sequence[Mapping[str, np.ndarray]], source_ids: Sequence[str], k: int, seed: int
 ) -> list[dict[str, ClusterModel]]:
     """Enroll a list of takes at once: one {channel_id: ClusterModel} each.
 
-    The matrices of every channel are grouped by shape and each group is
-    fitted in one kmeans_many call, so a dual take's two channels fit
-    together. A fit is seeded from (seed, source id, channel), so a take
+    takes[i] holds take i's (n, d) feature rows by channel and source_ids[i]
+    names the take. The rows of every channel are grouped by shape and each
+    group is fitted in one kmeans_many call, so a dual take's two channels
+    fit together. A fit is seeded from (seed, source id, channel), so a take
     enrolls to the same centroids whichever side of a comparison it sits
     on and whichever takes it is enrolled with, and a cached model scores
     exactly as a fresh fit would. Each distinct (source id, channel) seed is
     derived once per call, however many of the takes share it.
     """
+    if len(takes) != len(source_ids):
+        raise DimensionError(f"need one source id per take: {len(takes)}, {len(source_ids)}")
     models: list[dict[str, ClusterModel]] = [{} for _ in takes]
     groups: dict[tuple, list[tuple[int, str]]] = {}
     side_seeds: dict[tuple[str, str], int] = {}
-    for i, features in enumerate(takes):
-        for channel, fm in features.items():
-            groups.setdefault(fm.rows.shape, []).append((i, channel))
-            if (fm.source_id, channel) not in side_seeds:
-                side_seeds[fm.source_id, channel] = _side_seed(seed, fm.source_id, channel)
+    for i, (features, source_id) in enumerate(zip(takes, source_ids)):
+        for channel, rows in features.items():
+            groups.setdefault(rows.shape, []).append((i, channel))
+            if (source_id, channel) not in side_seeds:
+                side_seeds[source_id, channel] = _side_seed(seed, source_id, channel)
     for _, members in sorted(groups.items()):
         fitted = kmeans_many(
-            np.stack([takes[i][channel].rows for i, channel in members]),
+            np.stack([takes[i][channel] for i, channel in members]),
             k,
-            [side_seeds[takes[i][channel].source_id, channel] for i, channel in members],
+            [side_seeds[source_ids[i], channel] for i, channel in members],
         )
         for (i, channel), model in zip(members, fitted):
             models[i][channel] = model

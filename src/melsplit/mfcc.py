@@ -7,9 +7,10 @@ dual-channel variant first splits the signal at 1 kHz (lowpass / bandpass)
 and runs an independent bank per channel, so the narrow low band keeps its
 own full filter resolution.
 
-The stages pass plain arrays: frame_blocking returns the (L, N) frames and
-build_filterbank the (P, K/2+1) weight matrix. Only extraction's output,
-FeatureMatrix, carries labels: its channel and source ids.
+The stages pass plain arrays: frame_blocking returns the (L, N) frames,
+build_filterbank the (P, K/2+1) weight matrix, and extraction a dict of
+cepstral row arrays keyed by channel id. Nothing here names a take: a
+caller that needs a take's label keeps it beside the features.
 
 Extraction runs in two stages. channel_spectra is the linear one: the
 product of a take's frames with one memoized matrix per channel layout,
@@ -62,6 +63,11 @@ class ExtractionConfig:
     Construction validates every field and raises ConfigError naming the
     first one that is out of range. num_coeffs is checked against a
     method's filter counts when its layout is read (channel_bands).
+
+    log_floor binds only where a filter's energy falls below it, as in
+    digital silence or a pure tone. The synthetic corpus's smallest mel
+    energy is about 0.0085, so on it any floor below about 1e-2 changes
+    nothing.
     """
 
     frame_len: int = 400
@@ -93,15 +99,6 @@ class ExtractionConfig:
             ("fir_taps", self.fir_taps % 2 == 1 and self.fir_taps >= 3, "must be odd and >= 3"),
             ("log_floor", 0 < self.log_floor < np.inf, "must be finite and positive"),
         )
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-frame cepstral coefficient rows for one channel of one utterance."""
-
-    rows: np.ndarray
-    channel_id: str
-    source_id: str = ""
 
 
 def _frame_count(length: int, frame_len_n: int, shift_m: int) -> int:
@@ -388,16 +385,12 @@ def channel_spectra(
 
 
 def spectra_features(
-    spectra: np.ndarray,
-    method: str,
-    cfg: ExtractionConfig,
-    sample_rate_hz: int,
-    source_id: str = "",
-) -> dict[str, FeatureMatrix]:
+    spectra: np.ndarray, method: str, cfg: ExtractionConfig, sample_rate_hz: int
+) -> dict[str, np.ndarray]:
     """Cepstra of each channel of `method` from its channel_spectra, keyed by
     channel_id: power, the channel's bank from channel_bands, log and cosine
     transform. `spectra` may carry leading batch dimensions, (..., L, C);
-    each FeatureMatrix's rows then carry the same ones, (..., L, Q)."""
+    each channel's rows then carry the same ones, (..., L, Q)."""
     bands = channel_bands(method, cfg)
     _, bin_slices = _spectrum_operator(
         tuple(bands.values()), cfg.frame_len, cfg.fft_size, cfg.fir_taps, sample_rate_hz
@@ -413,25 +406,23 @@ def spectra_features(
         width = bins.stop - bins.start
         energies = log_mel_energies(power[:, col : col + width], bank[:, bins], cfg.log_floor)
         col += width
-        rows = dct_cepstra(energies, cfg.num_coeffs).reshape(spectra.shape[:-1] + (-1,))
-        features[channel_id] = FeatureMatrix(rows, channel_id, source_id)
+        rows = dct_cepstra(energies, cfg.num_coeffs)
+        features[channel_id] = rows.reshape(spectra.shape[:-1] + (-1,))
     return features
 
 
 def extract(
-    buffer: AudioBuffer,
-    method: str,
-    cfg: ExtractionConfig = ExtractionConfig(),
-    source_id: str = "",
-) -> dict[str, FeatureMatrix]:
+    buffer: AudioBuffer, method: str, cfg: ExtractionConfig = ExtractionConfig()
+) -> dict[str, np.ndarray]:
     """Cepstra of each channel of `method`, keyed by channel_id:
-    channel_spectra, then spectra_features.
+    channel_spectra, then spectra_features. Each channel's rows are an
+    (L, Q) array, one row per frame.
 
-    "single" gives one matrix, from one bank over [0, band_top_hz]. "dual"
+    "single" gives one array, from one bank over [0, band_top_hz]. "dual"
     gives two time-aligned ones with equal row counts: ch1 from the
     lowpassed signal with a bank over [0, split_hz], ch2 from the
     bandpassed signal with a bank over [split_hz, band_top_hz].
     """
     rate = buffer.sample_rate_hz
     spectra = channel_spectra([buffer.samples], method, cfg, rate)[0]
-    return spectra_features(spectra, method, cfg, rate, source_id)
+    return spectra_features(spectra, method, cfg, rate)

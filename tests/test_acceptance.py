@@ -7,6 +7,7 @@ check.
 """
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,6 +21,64 @@ from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_sn
 
 SR = 16000
 SWEEP_SEEDS = (1, 2, 3)
+
+
+# The default plan's outcomes on master seeds 1-3: both calibrated
+# thresholds, and each (method, anc) condition's (tp, tn, fp, fn) at
+# -16, -10, -6 and 0 dB and clean.
+DEFAULT_PLAN_PINNED = {
+    1: (
+        {"single": 6.479756592991489, "dual": 4.420653108391252},
+        {
+            ("dual", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (5, 39, 1, 35), (39, 40, 0, 1)
+            ],
+            ("dual", "on"): [
+                (40, 39, 1, 0), (40, 39, 1, 0), (40, 39, 1, 0), (40, 39, 1, 0), (39, 40, 0, 1)
+            ],
+            ("single", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (36, 40, 0, 4)
+            ],
+            ("single", "on"): [
+                (36, 40, 0, 4), (36, 40, 0, 4), (36, 40, 0, 4), (36, 40, 0, 4), (36, 40, 0, 4)
+            ],
+        },
+    ),
+    2: (
+        {"single": 8.733223101990422, "dual": 4.62985019630887},
+        {
+            ("dual", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (10, 40, 0, 30), (39, 38, 2, 1)
+            ],
+            ("dual", "on"): [
+                (39, 38, 2, 1), (39, 38, 2, 1), (39, 38, 2, 1), (39, 38, 2, 1), (39, 38, 2, 1)
+            ],
+            ("single", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (2, 40, 0, 38), (38, 36, 4, 2)
+            ],
+            ("single", "on"): [
+                (38, 35, 5, 2), (38, 35, 5, 2), (38, 35, 5, 2), (38, 35, 5, 2), (38, 36, 4, 2)
+            ],
+        },
+    ),
+    3: (
+        {"single": 7.535152954370362, "dual": 4.180418363267817},
+        {
+            ("dual", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (5, 40, 0, 35), (37, 39, 1, 3)
+            ],
+            ("dual", "on"): [
+                (37, 39, 1, 3), (37, 39, 1, 3), (37, 39, 1, 3), (37, 39, 1, 3), (37, 39, 1, 3)
+            ],
+            ("single", "off"): [
+                (0, 40, 0, 40), (0, 40, 0, 40), (0, 40, 0, 40), (2, 40, 0, 38), (36, 39, 1, 4)
+            ],
+            ("single", "on"): [
+                (35, 39, 1, 5), (35, 39, 1, 5), (35, 39, 1, 5), (35, 39, 1, 5), (36, 39, 1, 4)
+            ],
+        },
+    ),
+}
 
 
 def report_line(criterion, detail):
@@ -224,3 +283,20 @@ def test_criterion_9_accuracy_accounting(sweep_reports):
             checked += 1
     report_line("criterion 9 (Eq-20 accounting)",
                 f"{checked} cells recomputed exactly from stored counts")
+
+
+@pytest.mark.slow
+def test_default_plan_outcomes_pinned(sweep_reports):
+    reports, _, _ = sweep_reports
+    snrs_ascending = sorted(ExperimentPlan().snr_points_db)
+    for seed, (thresholds, counts) in DEFAULT_PLAN_PINNED.items():
+        report = reports[seed]
+        assert report.config_echo["thresholds"] == pytest.approx(thresholds, rel=1e-12)
+        cells = {
+            (method, anc): [astuple(report.cell(method, anc, s).counts) for s in snrs_ascending]
+            for method, anc in counts
+        }
+        assert cells == counts, seed
+        assert len(report.cells) == sum(map(len, counts.values()))
+    report_line("default plan outcomes",
+                f"every cell's counts and both thresholds match on seeds {SWEEP_SEEDS}")

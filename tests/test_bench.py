@@ -142,22 +142,48 @@ class TestRunSweep:
         assert sorted(corpus) == sorted(set(keys) - set(read))
         assert (len(keys), len(corpus)) == (24, 6)
 
+    MANIFEST_PLAN = {
+        "trials": 8, "snr_points_db": ["clean", 0.0], "anc": ["off"], "calib_words": 1,
+    }
+
+    @staticmethod
+    def synth_manifest(tmp_path, profiles, words):
+        """A `melsplit synth` corpus of 0.3 s takes, two replicates each."""
+        corpus = tmp_path / "corpus"
+        assert melsplit.cli.main([
+            "synth", "--out", str(corpus), "--profiles", str(profiles), "--words", str(words),
+            "--replicates", "2", "--duration", "0.3", "--seed", "5",
+        ]) == 0
+        return str(corpus / "manifest.json")
+
     def test_manifest_sweep_echoes_the_manifests_grid(self, tmp_path):
         # The manifest decides the profiles, words and take lengths, so the
         # report echoes its counts and no duration, not the plan's defaults.
-        corpus = tmp_path / "corpus"
-        assert melsplit.cli.main([
-            "synth", "--out", str(corpus), "--profiles", "3", "--words", "4",
-            "--replicates", "2", "--duration", "0.3", "--seed", "5",
-        ]) == 0
-        plan = plan_from_dict({
-            "corpus": str(corpus / "manifest.json"), "trials": 8,
-            "snr_points_db": ["clean", 0.0], "anc": ["off"], "calib_words": 1,
-        })
+        plan = plan_from_dict(dict(self.MANIFEST_PLAN, corpus=self.synth_manifest(tmp_path, 3, 4)))
         assert (plan.profiles, plan.words, plan.duration_s) == (8, 10, 0.6)
         config = report_to_dict(run_sweep(plan))["config"]
         assert (config["profiles"], config["words"], config["duration_s"]) == (3, 4, None)
         assert config["corpus"] == plan.corpus and config["trials"] == 8
+
+    def test_manifest_plan_is_checked_against_the_manifests_grid(self, tmp_path):
+        # The plan's own profiles and words are not the manifest's, so a
+        # manifest plan checks calib_words and the profile count on the
+        # corpus it loads, not on them.
+        corpus = self.synth_manifest(tmp_path, 3, 4)
+        one_profile = plan_from_dict(dict(self.MANIFEST_PLAN, corpus=corpus, profiles=1))
+        config = report_to_dict(run_sweep(one_profile))["config"]
+        assert (config["profiles"], config["words"]) == (3, 4)
+        many_words = plan_from_dict(dict(self.MANIFEST_PLAN, corpus=corpus, calib_words=10))
+        with pytest.raises(ConfigError, match="too few words for the calibration split"):
+            run_sweep(many_words)
+        with pytest.raises(ConfigError, match="calib_words: must be >= 1"):
+            plan_from_dict(dict(self.MANIFEST_PLAN, corpus=corpus, calib_words=0))
+
+    def test_one_profile_manifest_rejected(self, tmp_path):
+        # No impostor pair can be drawn from one profile.
+        plan = plan_from_dict(dict(self.MANIFEST_PLAN, corpus=self.synth_manifest(tmp_path, 1, 4)))
+        with pytest.raises(ConfigError, match=r"corpus has 1 profile\(s\); impostor trials need"):
+            run_sweep(plan)
 
     def test_unequal_take_lengths(self, tmp_path, monkeypatch):
         # Takes of two durations: each condition's takes enroll in groups of
@@ -176,19 +202,19 @@ class TestRunSweep:
         calls = []
         real_enroll_many = melsplit.bench.enroll_many
 
-        def recording_enroll_many(takes, k, seed):
-            models = real_enroll_many(takes, k, seed)
-            calls.append((takes, k, seed, models))
+        def recording_enroll_many(takes, source_ids, k, seed):
+            models = real_enroll_many(takes, source_ids, k, seed)
+            calls.append((takes, source_ids, k, seed, models))
             return models
 
         monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
         report = run_sweep(mini_plan(corpus=str(manifest)))
         assert len(report.cells) == 8
         row_counts = set()
-        for takes, k, seed, models in calls:
-            for features, take_models in zip(takes, models):
-                row_counts.update(fm.rows.shape[0] for fm in features.values())
-                (alone,) = enroll_many([features], k, seed)
+        for takes, source_ids, k, seed, models in calls:
+            for features, source, take_models in zip(takes, source_ids, models):
+                row_counts.update(rows.shape[0] for rows in features.values())
+                (alone,) = enroll_many([features], [source], k, seed)
                 assert list(take_models) == list(alone)
                 for channel, model in alone.items():
                     assert np.array_equal(take_models[channel].centroids, model.centroids)
@@ -494,9 +520,9 @@ class TestRunSweep:
         real_enroll_many = melsplit.bench.enroll_many
         real_score_pairs = melsplit.bench._score_pairs
 
-        def recording_enroll_many(takes, *args):
-            enrolled.update(next(iter(features.values())).source_id for features in takes)
-            return real_enroll_many(takes, *args)
+        def recording_enroll_many(takes, source_ids, *args):
+            enrolled.update(source_ids)
+            return real_enroll_many(takes, source_ids, *args)
 
         def recording_score_pairs(test_models, ref_models, pairs):
             scored.update(melsplit.bench._take_id(*pair.ref, 0) for pair in pairs)
@@ -547,11 +573,9 @@ class TestRunSweep:
     def enroll_takes(takes, method, plan, replicate):
         """{key: models} of each whole take, extracted by mfcc.extract and
         enrolled in one enroll_many call."""
-        features = [
-            extract(buffer, method, plan.extraction, melsplit.bench._take_id(*key, replicate))
-            for key, buffer in takes.items()
-        ]
-        return dict(zip(takes, enroll_many(features, plan.kmeans_k, plan.master_seed)))
+        features = [extract(buffer, method, plan.extraction) for buffer in takes.values()]
+        ids = [melsplit.bench._take_id(*key, replicate) for key in takes]
+        return dict(zip(takes, enroll_many(features, ids, plan.kmeans_k, plan.master_seed)))
 
     def time_domain_counts(self, plan, thresholds):
         """{(method, anc, snr_db): counts} with every test take mixed in the
@@ -606,9 +630,9 @@ class TestRunSweep:
         calls = []
         real_enroll_many = melsplit.bench.enroll_many
 
-        def recording_enroll_many(takes, *args):
-            calls.append([next(iter(features.values())).source_id for features in takes])
-            return real_enroll_many(takes, *args)
+        def recording_enroll_many(takes, source_ids, *args):
+            calls.append(list(source_ids))
+            return real_enroll_many(takes, source_ids, *args)
 
         monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
         plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -6.0, -16.0), trials=18, methods=("dual",))
@@ -638,30 +662,20 @@ class TestRunSweep:
         read = _take_reader(plan, lambda key: takes[key[:2]], 1, True)
         stacked, alone = [], []
         for keys in groups:
-            stacked += _point_features(read, keys, points, plan, 1)[method]
+            stacked += _point_features(read, keys, points, plan)[method]
             for key in keys:
-                alone += _point_features(read, [key], points, plan, 1)[method]
+                alone += _point_features(read, [key], points, plan)[method]
         assert len(stacked) == len(alone) == 3 * 9
         for features, expected in zip(stacked, alone):
             assert list(features) == list(expected) == list(channel_bands(method, plan.extraction))
-            for channel, fm in features.items():
-                assert fm.source_id == expected[channel].source_id
-                assert np.max(np.abs(fm.rows - expected[channel].rows)) <= 1e-12
+            for channel, rows in features.items():
+                assert np.max(np.abs(rows - expected[channel])) <= 1e-12
 
     def test_clean_counts_same_with_and_without_anc(self, mini_report):
         for method in ("single", "dual"):
             on = mini_report.cell(method, "on", CLEAN_SNR_DB).counts
             off = mini_report.cell(method, "off", CLEAN_SNR_DB).counts
             assert on == off
-
-
-class TestFeatures:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_keyed_by_channel_id(self, method):
-        cfg = ExtractionConfig(split_hz=1500.0)
-        feats = extract(synth_speaker(0, 1, 0.3, seed=2), method, cfg, "u")
-        assert list(feats) == list(channel_bands(method, cfg))
-        assert all(fm.channel_id == key for key, fm in feats.items())
 
 
 class TestCalibrationPairs:

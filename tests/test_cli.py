@@ -296,12 +296,12 @@ class TestExtract:
         src = make_word_wav(tmp_path / "w.wav", duration=0.5)
         out = tmp_path / "features"
         assert run_cli("extract", "--method", method, "--in", src, "--out", out) == 0
-        features = extract(read_wav(src), method, PipelineConfig(), "w")
-        for channel_id, fm in features.items():
+        features = extract(read_wav(src), method, PipelineConfig())
+        for channel_id, rows in features.items():
             name = "w.csv" if len(features) == 1 else f"w.{channel_id}.csv"
             table = np.loadtxt(out / name, delimiter=",", skiprows=1)
-            assert np.array_equal(table[:, 0], np.arange(len(fm.rows)))
-            assert np.array_equal(table[:, 1:], fm.rows)
+            assert np.array_equal(table[:, 0], np.arange(len(rows)))
+            assert np.array_equal(table[:, 1:], rows)
 
     def test_missing_input_distinct_exit(self, tmp_path):
         code = run_cli("extract", "--method", "single",
@@ -727,3 +727,69 @@ class TestParserReuse:
         single, dual = json.loads(fresh[0][1]), json.loads(fresh[1][1])
         assert (single["threshold"], dual["threshold"]) == (50.0, PipelineConfig().threshold)
         assert set(single["per_channel_scores"]) == {"single"}
+
+
+# One other valid value per PipelineConfig field, for the knob test.
+CLI_KNOB_VALUES = {
+    "frame_len": 320,
+    "frame_shift": 128,
+    "fft_size": 1024,
+    "filters_single": 20,
+    "filters_per_channel": 16,
+    "num_coeffs": 10,
+    "split_hz": 1500.0,
+    "band_top_hz": 3500.0,
+    "fir_taps": 51,
+    "log_floor": 1.0,
+    "sample_rate_hz": 12000,
+    "anc_taps": 15,
+    "anc_mu": 0.002,
+    "kmeans_k": 3,
+    "threshold": 100.0,  # the base pair scores about 8.4, so the decision flips
+    "seed": 9,
+}
+
+
+class TestKnobs:
+    @pytest.fixture(scope="class")
+    def knob_verdict(self, tmp_path_factory):
+        """verdict(cfg, knob): the verdict payload, read back from JSON,
+        under config `cfg`, on inputs that exercise `knob`: two 0.5 s takes
+        of different profiles, by the single method for filters_single;
+        for the canceller's knobs, the noisy 2 s take with --anc and its
+        noise reference against a clean take of its profile."""
+        tmp = tmp_path_factory.mktemp("cli_knobs")
+        a = make_word_wav(tmp / "a.wav", profile=1, duration=0.5)
+        b = make_word_wav(tmp / "b.wav", profile=4, seed=6, duration=0.5)
+        noisy, noise = noisy_take_wavs(tmp)
+        ref = make_word_wav(tmp / "ref.wav", profile=2, word=4, seed=18, duration=2.0)
+
+        def verdict(cfg, knob):
+            argv = ["--test", a, "--ref", b]
+            if knob in ("anc_taps", "anc_mu"):
+                argv = ["--test", noisy, "--ref", ref, "--anc", "--reference", noise]
+            if knob == "filters_single":
+                argv += ["--method", "single"]
+            save_config(cfg, tmp / "config.json")
+            out = tmp / "verdict.json"
+            assert run_cli("--config", tmp / "config.json", "verdict", *argv, "--out", out) == 0
+            return json.loads(out.read_text())
+
+        return verdict
+
+    @pytest.mark.parametrize("knob", [f.name for f in fields(PipelineConfig)])
+    def test_every_knob_is_echoed_and_changes_the_outcome(self, tmp_path, knob_verdict, knob):
+        assert set(CLI_KNOB_VALUES) == {f.name for f in fields(PipelineConfig)}
+        value = CLI_KNOB_VALUES[knob]
+        payload = knob_verdict(PipelineConfig(**{knob: value}), knob)
+        assert payload["config"][knob] == value
+        if knob == "sample_rate_hz":
+            # Only synth reads it: it sets the rate of the WAVs synth writes.
+            save_config(PipelineConfig(sample_rate_hz=value), tmp_path / "config.json")
+            assert run_cli("--config", tmp_path / "config.json", "synth", "--out", tmp_path,
+                           "--profiles", 1, "--words", 1, "--duration", 0.2) == 0
+            assert read_wav(tmp_path / "p00_w00_r0.wav").sample_rate_hz == value != SR
+            return
+        base = knob_verdict(PipelineConfig(), knob)
+        outcome = ("score", "per_channel_scores", "decision")
+        assert [payload[k] for k in outcome] != [base[k] for k in outcome]

@@ -23,7 +23,7 @@ from melsplit.cluster import (
     scores,
 )
 from melsplit.errors import ConfigError, DimensionError, ParameterError
-from melsplit.mfcc import FeatureMatrix, extract
+from melsplit.mfcc import extract
 from melsplit.signal_io import _entropy, synth_speaker
 
 
@@ -267,13 +267,10 @@ class TestKmeansMany:
             kmeans_many(np.zeros((2, 3, 2)), 4, [0, 1])
 
 
-def fm(rows, channel="single", source="u"):
-    return FeatureMatrix(np.asarray(rows, dtype=np.float64), channel, source)
-
-
-def pair_score(test, ref, k, seed):
-    """Score a pair as the CLI's verdict does: both takes enrolled in one call."""
-    test_models, ref_models = enroll_many([test, ref], k, seed)
+def pair_score(test, ref, ids, k, seed):
+    """Score a pair as the CLI's verdict does: both takes enrolled in one
+    call, under their source ids."""
+    test_models, ref_models = enroll_many([test, ref], ids, k, seed)
     (combined,) = scores([test_models], [ref_models])
     return combined
 
@@ -281,28 +278,28 @@ def pair_score(test, ref, k, seed):
 class TestVerdict:
     def test_self_comparison_scores_zero(self):
         rng = np.random.default_rng(7)
-        rows = rng.standard_normal((30, 4))
-        a = {"single": fm(rows, source="same")}
-        assert pair_score(a, a, k=2, seed=3) == 0.0
+        a = {"single": rng.standard_normal((30, 4))}
+        assert pair_score(a, a, ["same", "same"], k=2, seed=3) == 0.0
 
     def test_score_symmetry(self):
         rng = np.random.default_rng(8)
-        a = {"single": fm(rng.standard_normal((25, 4)), source="utt-a")}
-        b = {"single": fm(rng.standard_normal((25, 4)) + 2.0, source="utt-b")}
-        s_ab, s_ba = pair_score(a, b, k=2, seed=5), pair_score(b, a, k=2, seed=5)
+        a = {"single": rng.standard_normal((25, 4))}
+        b = {"single": rng.standard_normal((25, 4)) + 2.0}
+        s_ab = pair_score(a, b, ["utt-a", "utt-b"], k=2, seed=5)
+        s_ba = pair_score(b, a, ["utt-b", "utt-a"], k=2, seed=5)
         assert s_ab == pytest.approx(s_ba, abs=1e-9)
 
     def test_combined_score_is_mean_of_channels(self):
         rng = np.random.default_rng(9)
         test = {
-            "ch1": fm(rng.standard_normal((20, 3)), "ch1", "t"),
-            "ch2": fm(rng.standard_normal((20, 3)), "ch2", "t"),
+            "ch1": rng.standard_normal((20, 3)),
+            "ch2": rng.standard_normal((20, 3)),
         }
         ref = {
-            "ch1": fm(rng.standard_normal((20, 3)) + 1.0, "ch1", "r"),
-            "ch2": fm(rng.standard_normal((20, 3)) - 1.0, "ch2", "r"),
+            "ch1": rng.standard_normal((20, 3)) + 1.0,
+            "ch2": rng.standard_normal((20, 3)) - 1.0,
         }
-        test_models, ref_models = enroll_many([test, ref], 2, 1)
+        test_models, ref_models = enroll_many([test, ref], ["t", "r"], 2, 1)
         per_channel = channel_scores([test_models], [ref_models])
         combined = scores([test_models], [ref_models])
         assert combined == pytest.approx(np.mean(list(per_channel.values()), axis=0))
@@ -310,19 +307,18 @@ class TestVerdict:
 
     def test_decision_boundary_inclusive(self):
         rng = np.random.default_rng(10)
-        rows = rng.standard_normal((20, 3))
-        a = {"single": fm(rows, source="a")}
-        self_score = pair_score(a, a, k=1, seed=0)
+        a = {"single": rng.standard_normal((20, 3))}
+        self_score = pair_score(a, a, ["a", "a"], k=1, seed=0)
         assert self_score == 0.0
         # score 0 <= threshold 0 counts as identical
         assert confusion([self_score], [], threshold=0.0) == ConfusionCounts(tp=1)
 
     def test_channel_set_mismatch(self):
         rng = np.random.default_rng(11)
-        a = {"ch1": fm(rng.standard_normal((10, 3)), "ch1", "a")}
-        b = {"single": fm(rng.standard_normal((10, 3)), "single", "b")}
+        a = {"ch1": rng.standard_normal((10, 3))}
+        b = {"single": rng.standard_normal((10, 3))}
         with pytest.raises(ConfigError):
-            pair_score(a, b, k=1, seed=0)
+            pair_score(a, b, ["a", "b"], k=1, seed=0)
 
     def test_distinct_clusters_separate_sources(self):
         # two synthetic "speakers": clouds at distance 6 vs re-draws nearby
@@ -330,29 +326,35 @@ class TestVerdict:
         base = rng.standard_normal((40, 4))
         same = base + 0.05 * rng.standard_normal((40, 4))
         other = base + 6.0
-        t = {"single": fm(base, source="t")}
-        g = {"single": fm(same, source="g")}
-        i = {"single": fm(other, source="i")}
-        genuine = pair_score(t, g, k=2, seed=2)
-        impostor = pair_score(t, i, k=2, seed=2)
+        t, g, i = {"single": base}, {"single": same}, {"single": other}
+        genuine = pair_score(t, g, ["t", "g"], k=2, seed=2)
+        impostor = pair_score(t, i, ["t", "i"], k=2, seed=2)
         assert impostor > genuine
+
+
+def take_id(profile, word, replicate):
+    return f"p{profile}.w{word}.r{replicate}"
 
 
 def take_features(method, profile, word, replicate, duration=0.4):
     """A synthetic take's features keyed by channel, as the sweep builds them."""
     buffer = synth_speaker(profile, word, duration, seed=100 * profile + 10 * word + replicate)
-    source = f"p{profile}.w{word}.r{replicate}"
-    return extract(buffer, method, source_id=source)
+    return extract(buffer, method)
+
+
+def enroll_keys(method, keys, k, seed):
+    """The models of the synthetic takes of `keys`, enrolled in one call."""
+    takes = [take_features(method, *key) for key in keys]
+    return enroll_many(takes, [take_id(*key) for key in keys], k, seed)
 
 
 class TestEnrollScore:
     @pytest.mark.parametrize("method", ["single", "dual"])
     @pytest.mark.parametrize("other_profile", [0, 1])
     def test_score_of_enrolled_takes_is_verdict_score(self, method, other_profile):
-        test = take_features(method, 0, 3, 1)
-        ref = take_features(method, other_profile, 3, 0)
-        test_models, ref_models = enroll_many([test, ref], 2, 4)
-        (test_alone,), (ref_alone,) = enroll_many([test], 2, 4), enroll_many([ref], 2, 4)
+        test_models, ref_models = enroll_keys(method, [(0, 3, 1), (other_profile, 3, 0)], 2, 4)
+        (test_alone,) = enroll_keys(method, [(0, 3, 1)], 2, 4)
+        (ref_alone,) = enroll_keys(method, [(other_profile, 3, 0)], 2, 4)
         alone = channel_scores([test_alone], [ref_alone])
         together = channel_scores([test_models], [ref_models])
         assert list(alone) == list(together)
@@ -367,9 +369,10 @@ class TestEnrollScore:
     def test_enroll_many_matches_separate_enrolls(self, method, ref_duration):
         test = take_features(method, 0, 3, 1)
         ref = take_features(method, 1, 3, 0, duration=ref_duration)
-        stacked = enroll_many([test, ref], 2, 4)
-        for models, features in zip(stacked, (test, ref)):
-            (alone,) = enroll_many([features], 2, 4)
+        ids = [take_id(0, 3, 1), take_id(1, 3, 0)]
+        stacked = enroll_many([test, ref], ids, 2, 4)
+        for models, features, source in zip(stacked, (test, ref), ids):
+            (alone,) = enroll_many([features], [source], 2, 4)
             assert list(models) == list(alone)
             for channel in alone:
                 assert_same_model(models[channel], alone[channel])
@@ -385,20 +388,21 @@ class TestEnrollScore:
             return real_kmeans_many(points, *args, **kwargs)
 
         monkeypatch.setattr(melsplit.cluster, "kmeans_many", recording_kmeans_many)
-        takes = [take_features("dual", p, 2, 1) for p in range(3)]
-        models = enroll_many(takes, 2, 8)
+        keys = [(p, 2, 1) for p in range(3)]
+        takes = [take_features("dual", *key) for key in keys]
+        models = enroll_many(takes, [take_id(*key) for key in keys], 2, 8)
         assert len(calls) == 1 and calls[0][0] == 6
-        for features, take_models in zip(takes, models):
+        for key, features, take_models in zip(keys, takes, models):
             assert list(take_models) == ["ch1", "ch2"]
-            for channel, f in features.items():
-                seed = melsplit.cluster._side_seed(8, f.source_id, channel)
-                (alone,) = real_kmeans_many(f.rows[None], 2, [seed])
+            for channel, rows in features.items():
+                seed = melsplit.cluster._side_seed(8, take_id(*key), channel)
+                (alone,) = real_kmeans_many(rows[None], 2, [seed])
                 assert_same_model(take_models[channel], alone)
 
     @pytest.mark.parametrize("method", ["single", "dual"])
     def test_enrolling_twice_gives_identical_centroids(self, method):
         feats = take_features(method, 2, 1, 1)
-        (first,), (second,) = enroll_many([feats], 2, 9), enroll_many([feats], 2, 9)
+        (first,), (second,) = (enroll_many([feats], [take_id(2, 1, 1)], 2, 9) for _ in range(2))
         assert list(first) == list(second) == sorted(feats)
         for channel in feats:
             assert np.array_equal(first[channel].centroids, second[channel].centroids)
@@ -417,24 +421,34 @@ class TestEnrollScore:
 
         monkeypatch.setattr(melsplit.cluster, "_side_seed", recording_side_seed)
         rng = np.random.default_rng(13)
-        takes = [
-            {ch: fm(rng.standard_normal((20, 3)), ch, source) for ch in ("ch1", "ch2")}
-            for source in ("a", "b", "a", "a", "b")
-        ]
-        models = enroll_many(takes, 2, 6)
+        sources = ["a", "b", "a", "a", "b"]
+        takes = [{ch: rng.standard_normal((20, 3)) for ch in ("ch1", "ch2")} for _ in sources]
+        models = enroll_many(takes, sources, 2, 6)
         assert sorted(derived) == [("a", "ch1"), ("a", "ch2"), ("b", "ch1"), ("b", "ch2")]
-        for features, take_models in zip(takes, models):
-            for channel, f in features.items():
-                seed = real_side_seed(6, f.source_id, channel)
-                assert_same_model(take_models[channel], kmeans_many(f.rows[None], 2, [seed])[0])
+        for features, source, take_models in zip(takes, sources, models):
+            for channel, rows in features.items():
+                seed = real_side_seed(6, source, channel)
+                assert_same_model(take_models[channel], kmeans_many(rows[None], 2, [seed])[0])
+
+    def test_one_source_id_per_take(self):
+        takes = [take_features("single", 0, 0, 0), take_features("single", 0, 1, 0)]
+        for ids in ([], ["a"], ["a", "b", "c"]):
+            with pytest.raises(DimensionError, match=rf"one source id per take: 2, {len(ids)}"):
+                enroll_many(takes, ids, 2, 1)
 
     def test_channel_set_mismatch_raises(self):
-        (single,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
-        (dual,) = enroll_many([take_features("dual", 0, 0, 1)], 2, 1)
+        (single,) = enroll_keys("single", [(0, 0, 0)], 2, 1)
+        (dual,) = enroll_keys("dual", [(0, 0, 1)], 2, 1)
         with pytest.raises(ConfigError, match="channel sets differ"):
             scores([single], [dual])
         with pytest.raises(ConfigError, match="channel sets differ"):
-            pair_score(take_features("single", 0, 0, 0), take_features("dual", 0, 0, 1), 2, 1)
+            pair_score(
+                take_features("single", 0, 0, 0),
+                take_features("dual", 0, 0, 1),
+                [take_id(0, 0, 0), take_id(0, 0, 1)],
+                2,
+                1,
+            )
 
 
 def reference_channel_scores(test_models, ref_models):
@@ -453,8 +467,7 @@ class TestScores:
         # Every test take of 3 profiles x 2 words against each profile's
         # reference of its word: 6 genuine and 12 impostor pairs.
         keys = [(p, w, r) for p in range(3) for w in range(2) for r in (0, 1)]
-        enrolled = enroll_many([take_features(method, *key) for key in keys], 2, 4)
-        models = dict(zip(keys, enrolled))
+        models = dict(zip(keys, enroll_keys(method, keys, 2, 4)))
         pairs = [((p, w, 1), (q, w, 0)) for p in range(3) for q in range(3) for w in range(2)]
         tests = [models[test] for test, _ in pairs]
         refs = [models[ref] for _, ref in pairs]
@@ -469,8 +482,8 @@ class TestScores:
         assert len(set(combined)) == len(pairs)
 
     def test_channel_sets_must_agree_within_and_across_pairs(self):
-        (single,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
-        (dual,) = enroll_many([take_features("dual", 0, 0, 1)], 2, 1)
+        (single,) = enroll_keys("single", [(0, 0, 0)], 2, 1)
+        (dual,) = enroll_keys("dual", [(0, 0, 1)], 2, 1)
         within = r"pair 0: channel sets differ: \['single'\] vs \['ch1', 'ch2'\]"
         with pytest.raises(ConfigError, match=within):
             channel_scores([single], [dual])
@@ -479,7 +492,7 @@ class TestScores:
             scores([single, dual], [single, dual])
 
     def test_pair_counts_must_be_equal_and_nonzero(self):
-        (models,) = enroll_many([take_features("single", 0, 0, 0)], 2, 1)
+        (models,) = enroll_keys("single", [(0, 0, 0)], 2, 1)
         for tests, refs in (([], []), ([models], []), ([models], [models, models])):
             with pytest.raises(DimensionError):
                 channel_scores(tests, refs)
@@ -559,12 +572,12 @@ class TestConfusion:
         rng = np.random.default_rng(13)
         sides = [
             (
-                {"single": fm(rng.standard_normal((12, 2)), source=f"t{i}")},
-                {"single": fm(rng.standard_normal((12, 2)) + rng.uniform(0, 2), source=f"r{i}")},
+                {"single": rng.standard_normal((12, 2))},
+                {"single": rng.standard_normal((12, 2)) + rng.uniform(0, 2)},
             )
-            for i in range(40)
+            for _ in range(40)
         ]
-        scores = [pair_score(t, r, k=2, seed=3) for t, r in sides]
+        scores = [pair_score(t, r, [f"t{i}", f"r{i}"], k=2, seed=3) for i, (t, r) in enumerate(sides)]
         threshold = sorted(scores)[20]  # one score sits exactly on the threshold
         # The CLI's verdict rule: identical when the score is at or below the threshold.
         identical = [s <= threshold for s in scores]

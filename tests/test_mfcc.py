@@ -291,7 +291,7 @@ class TestLogMelEnergies:
         floored = extract(silence, "single", ExtractionConfig(log_floor=1e-6))["single"]
         default = extract(silence, "single")["single"]
         # every filter energy of a silent frame sits on the floor
-        assert not np.allclose(floored.rows, default.rows)
+        assert not np.allclose(floored, default)
 
 
 class TestDctCepstra:
@@ -380,7 +380,7 @@ class TestChannelBands:
     def test_num_coeffs_checked_only_against_the_method_read(self):
         cfg, take = ExtractionConfig(num_coeffs=20), synth_speaker(0, 0, 0.3, 1)
         assert channel_bands("single", cfg) == {"single": (0.0, 4000.0, 26)}
-        assert extract(take, "single", cfg)["single"].rows.shape[1] == 20
+        assert extract(take, "single", cfg)["single"].shape[1] == 20
         with pytest.raises(ConfigError, match="num_coeffs: must be at most dual's 13 filters"):
             extract(take, "dual", cfg)
 
@@ -408,10 +408,10 @@ class TestChannelBands:
         # Once with the spectrum operator's cache cold, once with it warm.
         melsplit.mfcc._spectrum_operator.cache_clear()
         for _ in range(2):
-            matrices = extract(x, method, self.CFG).values()
+            features = extract(x, method, self.CFG)
         table = channel_bands(method, self.CFG)
         assert built == 2 * list(table.values())
-        assert [fm.channel_id for fm in matrices] == list(table)
+        assert list(features) == list(table)
 
 
 # Inputs that the dual pipeline rejects: (cfg, rate, length of the take).
@@ -440,18 +440,18 @@ class TestExtractSingleChannel:
     def test_row_count_formula(self):
         cfg = ExtractionConfig()
         x = buf(np.random.default_rng(0).standard_normal(16000))
-        fm = extract(x, "single", cfg)["single"]
-        assert fm.rows.shape == ((16000 - 400) // 160 + 1, 12)
+        got = extract(x, "single", cfg)["single"]
+        assert got.shape == ((16000 - 400) // 160 + 1, 12)
 
     def test_silence_rows_identical(self):
-        fm = extract(buf(np.zeros(4000)), "single")["single"]
-        assert np.all(fm.rows == fm.rows[0])
+        got = extract(buf(np.zeros(4000)), "single")["single"]
+        assert np.all(got == got[0])
 
     def test_matches_composed_pipeline(self):
         cfg = ExtractionConfig()
         rng = np.random.default_rng(6)
         x = buf(rng.standard_normal(3200))
-        fm = extract(x, "single", cfg)["single"]
+        got = extract(x, "single", cfg)["single"]
         frames = frame_blocking(x, cfg.frame_len, cfg.frame_shift)
         bank = build_filterbank(0.0, cfg.band_top_hz, cfg.filters_single, cfg.fft_size, SR)
         for l in range(len(frames)):
@@ -459,7 +459,7 @@ class TestExtractSingleChannel:
             power = fft_magnitude_sq(windowed, cfg.fft_size)
             energies = log_mel_energies(power, bank)
             row = dct_cepstra(energies, cfg.num_coeffs)
-            assert np.allclose(fm.rows[l], row, rtol=1e-10, atol=1e-10)
+            assert np.allclose(got[l], row, rtol=1e-10, atol=1e-10)
 
     def test_tone_separability(self):
         # 300 Hz vs 2500 Hz tones sit far apart; re-takes of the same tone
@@ -470,7 +470,7 @@ class TestExtractSingleChannel:
             rng = np.random.default_rng(seed)
             noise = rng.standard_normal(8000)
             scale = np.sqrt(np.mean(clean**2) / (np.mean(noise**2) * 10 ** (-noise_db / 10)))
-            return extract(buf(clean + scale * noise), "single")["single"].rows.mean(axis=0)
+            return extract(buf(clean + scale * noise), "single")["single"].mean(axis=0)
 
         low_a, low_b = tone_features(300.0, 1), tone_features(300.0, 2)
         high = tone_features(2500.0, 3)
@@ -482,14 +482,14 @@ class TestExtractSingleChannel:
         x = buf(np.random.default_rng(7).standard_normal(4000))
         a = extract(x, "single")["single"]
         b = extract(x, "single")["single"]
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a, b)
 
     def test_amplitude_scaling_shifts_but_differences_invariant(self):
         rng = np.random.default_rng(8)
         # loud broadband signal: no energy hits the log floor
         x = rng.standard_normal(4000) * 0.3 + 0.01
-        a = extract(buf(x), "single")["single"].rows
-        b = extract(buf(2.0 * x), "single")["single"].rows
+        a = extract(buf(x), "single")["single"]
+        b = extract(buf(2.0 * x), "single")["single"]
         diff_a = a[1:] - a[:-1]
         diff_b = b[1:] - b[:-1]
         assert np.max(np.abs(diff_a - diff_b)) <= 1e-9
@@ -505,9 +505,9 @@ class TestExtractSingleChannel:
             with pytest.raises(type(staged)):
                 extract(x, "single", cfg)
         else:
-            fm = extract(x, "single", cfg)["single"]
-            assert fm.rows.shape == rows.shape
-            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+            got = extract(x, "single", cfg)["single"]
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-10
 
 
 def composed_dual(x, cfg):
@@ -540,9 +540,9 @@ class TestExtractDualChannel:
         x = buf(np.random.default_rng(13).standard_normal(length), rate)
         ch1, ch2 = extract(x, "dual", cfg).values()
         expected = composed_dual(x, cfg)
-        for fm, rows in zip((ch1, ch2), expected):
-            assert fm.rows.shape == rows.shape
-            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+        for got, rows in zip((ch1, ch2), expected):
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-10
 
     @pytest.mark.parametrize("cfg, rate, length", BAD_INPUTS)
     def test_raises_what_the_composed_pipeline_raises(self, cfg, rate, length):
@@ -588,9 +588,9 @@ class TestExtractDualChannel:
             expected = composed_dual(x, cfg)
         else:
             expected = (composed_single(x, cfg),)
-        for fm, rows in zip(extract(x, method, cfg).values(), expected, strict=True):
-            assert fm.rows.shape == rows.shape
-            assert np.max(np.abs(fm.rows - rows)) <= 1e-10
+        for got, rows in zip(extract(x, method, cfg).values(), expected, strict=True):
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-10
 
     @staticmethod
     def unfolded_operator(bands, frame_len, fft_size, fir_taps, rate):
@@ -661,10 +661,9 @@ class TestExtractDualChannel:
 
     def test_equal_row_counts(self):
         x = buf(np.random.default_rng(9).standard_normal(8000))
-        ch1, ch2 = extract(x, "dual").values()
-        assert ch1.rows.shape == ch2.rows.shape
-        assert ch1.channel_id == CHANNEL_ONE
-        assert ch2.channel_id == CHANNEL_TWO
+        features = extract(x, "dual")
+        assert list(features) == [CHANNEL_ONE, CHANNEL_TWO]
+        assert features[CHANNEL_ONE].shape == features[CHANNEL_TWO].shape
 
     @staticmethod
     def am_tone(freq):
@@ -687,11 +686,11 @@ class TestExtractDualChannel:
 
     def test_low_tone_confined_to_channel_one(self):
         ch1, ch2 = extract(self.am_tone(300.0), "dual", self.CONFINEMENT_CFG).values()
-        assert self.frame_variance(ch2.rows) <= 0.05 * self.frame_variance(ch1.rows)
+        assert self.frame_variance(ch2) <= 0.05 * self.frame_variance(ch1)
 
     def test_high_tone_confined_to_channel_two(self):
         ch1, ch2 = extract(self.am_tone(2500.0), "dual", self.CONFINEMENT_CFG).values()
-        assert self.frame_variance(ch1.rows) <= 0.05 * self.frame_variance(ch2.rows)
+        assert self.frame_variance(ch1) <= 0.05 * self.frame_variance(ch2)
 
     def test_low_tone_energy_confinement(self):
         # band confinement in the linear energy domain at default settings
@@ -715,13 +714,8 @@ class TestExtractDualChannel:
         x = buf(np.random.default_rng(10).standard_normal(6000))
         a1, a2 = extract(x, "dual").values()
         b1, b2 = extract(x, "dual").values()
-        assert np.array_equal(a1.rows, b1.rows)
-        assert np.array_equal(a2.rows, b2.rows)
-
-    def test_source_id_propagates(self):
-        x = buf(np.random.default_rng(11).standard_normal(4000))
-        ch1, ch2 = extract(x, "dual", source_id="utt-7").values()
-        assert ch1.source_id == ch2.source_id == "utt-7"
+        assert np.array_equal(a1, b1)
+        assert np.array_equal(a2, b2)
 
 
 class TestSpectraStages:
@@ -749,22 +743,23 @@ class TestSpectraStages:
             a, b = self.take_and_noise(seed)
             s_a, s_b = channel_spectra([a, b], method, self.CFG, SR)
             spectra = s_a + c * s_b
-            combined = spectra_features(spectra, method, self.CFG, SR, "utt")
-            mixed = extract(buf(a + c * b), method, self.CFG, "utt")
+            combined = spectra_features(spectra, method, self.CFG, SR)
+            mixed = extract(buf(a + c * b), method, self.CFG)
             assert list(combined) == list(mixed)
-            for fm, ref in zip(combined.values(), mixed.values(), strict=True):
-                assert fm.source_id == "utt" and fm.rows.shape == ref.rows.shape
-                assert np.max(np.abs(fm.rows - ref.rows)) <= 1e-12
+            for rows, ref in zip(combined.values(), mixed.values(), strict=True):
+                assert rows.shape == ref.shape
+                assert np.max(np.abs(rows - ref)) <= 1e-12
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("cfg, rate", [(CFG, SR), (TestChannelBands.CFG, 8000)])
     def test_clean_path_is_the_extractor_bit_for_bit(self, method, cfg, rate):
         x = buf(np.random.default_rng(15).standard_normal(7000), rate)
         spectra = channel_spectra([x.samples], method, cfg, rate)[0]
-        staged = spectra_features(spectra, method, cfg, rate, "utt")
-        for fm, ref in zip(staged.values(), extract(x, method, cfg, "utt").values(), strict=True):
-            assert fm.channel_id == ref.channel_id and fm.source_id == ref.source_id
-            assert np.array_equal(fm.rows, ref.rows)
+        staged = spectra_features(spectra, method, cfg, rate)
+        whole = extract(x, method, cfg)
+        assert list(staged) == list(whole)
+        for rows, ref in zip(staged.values(), whole.values(), strict=True):
+            assert np.array_equal(rows, ref)
 
     def test_single_checks_its_bank_before_framing(self):
         # As in build_filterbank then frame_blocking: a buffer shorter than a

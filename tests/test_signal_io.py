@@ -247,9 +247,9 @@ class TestSynthSpeaker:
     def test_profiles_separable_in_feature_space(self):
         # corpus-design oracle: cross-profile centroid distance beats the
         # same-profile different-seed distance
-        base = extract(synth_speaker(0, 0, 0.6, seed=10), "single")["single"].rows.mean(axis=0)
-        again = extract(synth_speaker(0, 0, 0.6, seed=20), "single")["single"].rows.mean(axis=0)
-        other = extract(synth_speaker(1, 0, 0.6, seed=30), "single")["single"].rows.mean(axis=0)
+        base = extract(synth_speaker(0, 0, 0.6, seed=10), "single")["single"].mean(axis=0)
+        again = extract(synth_speaker(0, 0, 0.6, seed=20), "single")["single"].mean(axis=0)
+        other = extract(synth_speaker(1, 0, 0.6, seed=30), "single")["single"].mean(axis=0)
         same_dist = np.linalg.norm(base - again)
         cross_dist = np.linalg.norm(base - other)
         assert cross_dist > same_dist
