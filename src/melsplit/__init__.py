@@ -6,7 +6,7 @@ or dual-channel), and k-means centroid matching, plus a benchmark harness
 that sweeps SNR against identification accuracy.
 """
 
-from .anc import AncResult, LmsConfig, LmsState, lms_step, mse_trace, run_anc
+from .anc import AncResult, LmsConfig, mse_trace, run_anc
 from .bench import CLEAN_SNR_DB, ExperimentPlan, SweepReport, emit_curves, run_sweep
 from .cluster import (
     ClusterModel,
@@ -34,15 +34,12 @@ from .fir import (
     design_highpass,
     design_lowpass,
     filter_zero_phase,
-    split_channels,
 )
 from .mfcc import (
     ExtractionConfig,
     build_filterbank,
     dct_cepstra,
     extract,
-    fft_magnitude_sq,
-    frame_blocking,
     hamming_window,
     hz_to_mel,
     log_mel_energies,

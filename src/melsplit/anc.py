@@ -14,7 +14,7 @@ gives the same errors and weights as stepping the recursion, up to float
 summation order. run_anc_batch steps a (B, n) stack of independent
 cancellers, one per row, in lockstep, a few vectorised calls per sample, and
 writes their errors over the primaries, which may be the references
-themselves. lms_step is the scalar reference both are tested against.
+themselves.
 
 Both loops share one divergence rule: a run has diverged at the first step
 whose error is non-finite or beyond _DIVERGED times its primary's peak, and
@@ -74,56 +74,18 @@ class LmsConfig:
             raise ParameterError("step_mu must be finite and positive")
 
 
-@dataclass
-class LmsState:
-    """Weights plus the most recent reference samples, newest first."""
-
-    weights: np.ndarray
-    delay_line: np.ndarray
-    k: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.delay_line = np.asarray(self.delay_line, dtype=np.float64)
-        if self.weights.shape != self.delay_line.shape:
-            raise DimensionError("weights and delay line must have equal length")
-
-
 @dataclass(frozen=True)
 class AncResult:
     """Output of a full cancellation run.
 
     error_signal is the denoised estimate (primary minus predicted noise),
-    combiner_output the noise prediction, mse_trace the windowed mean of
-    squared errors, final_weights the converged tap vector.
+    mse_trace the windowed mean of squared errors, final_weights the
+    converged tap vector.
     """
 
     error_signal: AudioBuffer
-    combiner_output: AudioBuffer
     mse_trace: np.ndarray
     final_weights: np.ndarray
-
-
-def lms_step(
-    state: LmsState, d_k: float, x_k: float, mu: float
-) -> tuple[LmsState, float, float]:
-    """One LMS iteration.
-
-    Pushes x_k into the delay line, forms the combiner output y_k, the error
-    e_k = d_k - y_k, and updates the weights by 2*mu*e_k along the delay
-    line. Returns (new state, e_k, y_k).
-    """
-    if not mu > 0:
-        raise ParameterError("mu must be positive")
-    delay = np.empty_like(state.delay_line)
-    delay[0] = x_k
-    delay[1:] = state.delay_line[:-1]
-    y_k = float(np.dot(state.weights, delay))
-    e_k = d_k - y_k
-    weights = state.weights + (2.0 * mu * e_k) * delay
-    if not np.all(np.isfinite(weights)):
-        raise DivergenceError(state.k)
-    return LmsState(weights, delay, state.k + 1), e_k, y_k
 
 
 def run_anc(
@@ -160,10 +122,8 @@ def run_anc(
         raise DivergenceError(found[0])
     if not np.all(np.isfinite(weights)):
         raise DivergenceError(len(d) - 1)
-    rate = primary.sample_rate_hz
     return AncResult(
-        error_signal=AudioBuffer(errors, rate),
-        combiner_output=AudioBuffer(d - errors, rate),
+        error_signal=AudioBuffer(errors, primary.sample_rate_hz),
         mse_trace=mse_trace(errors, MSE_WINDOW),
         final_weights=weights,
     )

@@ -2,11 +2,12 @@
 
 One binary with subcommands mirroring the processing stages: synth, mix,
 anc, filter, extract, verdict, bench. verdict enrolls both takes with
-cluster.enroll_many, named by their file stems, and thresholds the mean of
-their channel_scores, the decision the sweep counts. Exit codes: 0
-success, 2 usage error, 1 runtime/pipeline error. Tunables resolve as CLI
-flag > config file > built-in default; bench reads its settings from a
---plan file instead.
+cluster.enroll_many, named by their file stems, and thresholds their
+cluster.scores (the mean of their channel_scores), the decision the sweep
+counts. extract and verdict take only WAVs at the config's sample_rate_hz.
+Exit codes: 0 success, 2 usage error, 1 runtime/pipeline error. Tunables
+resolve as CLI flag > config file > built-in default; bench reads its
+settings from a --plan file instead.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
-from .cluster import channel_scores, enroll_many
+from .cluster import channel_scores, enroll_many, scores
 from .errors import ConfigError, DimensionError, PipelineError
 from .fir import (
     design_bandpass,
@@ -146,6 +147,14 @@ def _check_same_rate(path_a, a, path_b, b) -> None:
         )
 
 
+def _check_config_rate(cfg, *inputs) -> None:
+    """Raise ConfigError naming every (path, take)'s rate unless all are at
+    the config's sample_rate_hz."""
+    if any(take.sample_rate_hz != cfg.sample_rate_hz for _, take in inputs):
+        rates = ", ".join(f"{p} is sampled at {t.sample_rate_hz} Hz" for p, t in inputs)
+        raise ConfigError(f"{rates}, but config sample_rate_hz is {cfg.sample_rate_hz}")
+
+
 def _read_noise_reference(path, primary_path, primary):
     """Read the canceller's noise reference; it must match the primary
     sample for sample."""
@@ -193,6 +202,7 @@ def cmd_filter(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _effective_config(args)
     buffer = read_wav(args.infile)
+    _check_config_rate(cfg, (args.infile, buffer))
     stem = Path(args.infile).stem
     feats = extract(buffer, args.method, cfg)
     # Made once the features exist, so that a failed run leaves no directory.
@@ -227,7 +237,7 @@ def cmd_verdict(args) -> int:
     cfg = _effective_config(args)
     test = read_wav(args.test)
     ref = read_wav(args.ref)
-    _check_same_rate(args.test, test, args.ref, ref)
+    _check_config_rate(cfg, (args.test, test), (args.ref, ref))
     for path, take in ((args.test, test), (args.ref, ref)):
         short = bench_mod.too_short(cfg, (args.method,), cfg.kmeans_k, len(take))
         if short:
@@ -240,7 +250,7 @@ def cmd_verdict(args) -> int:
     takes = [extract(test, args.method, cfg), extract(ref, args.method, cfg)]
     test_models, ref_models = enroll_many(takes, [test_id, ref_id], cfg.kmeans_k, cfg.seed)
     per_channel = {c: float(s[0]) for c, s in channel_scores([test_models], [ref_models]).items()}
-    combined = sum(per_channel.values()) / len(per_channel)
+    combined = float(scores([test_models], [ref_models])[0])
     payload = {
         "test_id": test_id,
         "ref_id": ref_id,

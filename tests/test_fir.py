@@ -13,9 +13,9 @@ from melsplit.fir import (
     design_highpass,
     design_lowpass,
     filter_zero_phase,
-    split_channels,
 )
 from melsplit.signal_io import AudioBuffer
+from reference import split_channels
 
 SR = 16000
 
