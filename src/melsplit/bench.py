@@ -54,7 +54,13 @@ from .mfcc import (
     channel_spectra,
     spectra_features,
 )
-from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
+from .settings import (
+    check_fields,
+    check_sample_rates,
+    check_shared_fields,
+    read_settings,
+    settings_from_dict,
+)
 from .signal_io import (
     AudioBuffer,
     _entropy,
@@ -152,7 +158,7 @@ def too_short(cfg: ExtractionConfig, methods, kmeans_k: int, n: int) -> str | No
     """Why a take of n samples is too short to extract by `methods` and
     enroll with kmeans_k clusters, or None. A take must fill a frame and
     outlast the dual split's kernel, then give kmeans_k frames to cluster.
-    The sweep checks its plan with it, and the CLI's verdict its two takes."""
+    The sweep checks its plan with it; check_long_enough checks a take."""
     need = max(cfg.frame_len, cfg.fir_taps + 1 if "dual" in methods else 0)
     if n < need:
         return f"fewer than extraction's {need}"
@@ -160,6 +166,13 @@ def too_short(cfg: ExtractionConfig, methods, kmeans_k: int, n: int) -> str | No
     if n < need:
         return f"fewer than the {need} that kmeans_k={kmeans_k} frames need"
     return None
+
+
+def check_long_enough(cfg: ExtractionConfig, methods, kmeans_k: int, name, take) -> None:
+    """Raise ConfigError naming `take` if too_short finds it too short."""
+    short = too_short(cfg, methods, kmeans_k, len(take))
+    if short:
+        raise ConfigError(f"{name} has {len(take)} samples, {short}")
 
 
 @dataclass(frozen=True)
@@ -255,21 +268,13 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, dict, str]:
             )
         group.sort(key=lambda e: e["seed"])
         for r, e in enumerate(group[:2]):
-            wav_path = Path(e["path"])
-            if not wav_path.is_absolute():
-                wav_path = manifest_path.parent / wav_path
+            wav_path = manifest_path.parent / e["path"]  # an absolute path stays as it is
             buffer = read_wav(wav_path)
             entry = f"corpus entry {wav_path} (profile {p}, word {w})"
-            if buffer.sample_rate_hz != plan.sample_rate_hz:
-                raise ConfigError(
-                    f"{entry} is sampled at {buffer.sample_rate_hz} Hz, "
-                    f"but plan sample_rate_hz is {plan.sample_rate_hz}"
-                )
+            check_sample_rates([(entry, buffer.sample_rate_hz)], plan.sample_rate_hz, "plan")
             if not np.any(buffer.samples):
                 raise ConfigError(f"{entry} is silent")
-            short = too_short(plan.extraction, plan.methods, plan.kmeans_k, len(buffer))
-            if short:
-                raise ConfigError(f"{entry} has {len(buffer)} samples, {short}")
+            check_long_enough(plan.extraction, plan.methods, plan.kmeans_k, entry, buffer)
             corpus[(p, w, r)] = buffer
     digest = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
     lengths = {key: len(buffer) for key, buffer in corpus.items()}

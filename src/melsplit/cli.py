@@ -4,7 +4,8 @@ One binary with subcommands mirroring the processing stages: synth, mix,
 anc, filter, extract, verdict, bench. verdict enrolls both takes with
 cluster.enroll_many, named by their file stems, and thresholds their
 cluster.scores (the mean of their channel_scores), the decision the sweep
-counts. extract and verdict take only WAVs at the config's sample_rate_hz.
+counts. Every WAV a subcommand reads must be at the config's sample_rate_hz,
+or it exits 1 naming each file and its rate, before it writes anything.
 Exit codes: 0 success, 2 usage error, 1 runtime/pipeline error. Tunables
 resolve as CLI flag > config file > built-in default; bench reads its
 settings from a --plan file instead.
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from .anc import LmsConfig, run_anc
 from .cluster import channel_scores, enroll_many, scores
-from .errors import ConfigError, DimensionError, PipelineError
+from .errors import DimensionError, PipelineError
 from .fir import (
     design_bandpass,
     design_highpass,
@@ -32,7 +33,13 @@ from .fir import (
     filter_zero_phase,
 )
 from .mfcc import METHODS, ExtractionConfig, channel_bands, extract
-from .settings import check_fields, check_shared_fields, read_settings, settings_from_dict
+from .settings import (
+    check_fields,
+    check_sample_rates,
+    check_shared_fields,
+    read_settings,
+    settings_from_dict,
+)
 from .signal_io import (
     NoiseSpec,
     corpus_seed,
@@ -89,6 +96,26 @@ def _effective_config(args) -> PipelineConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _read_wavs(cfg, *paths) -> list:
+    """Read the WAV at each of `paths` in turn (a None path, an optional
+    input not given, gives None); raise ConfigError naming every file unless
+    all are at the config's sample_rate_hz."""
+    takes = [read_wav(path) if path else None for path in paths]
+    named = [(path, take.sample_rate_hz) for path, take in zip(paths, takes) if path]
+    check_sample_rates(named, cfg.sample_rate_hz, "config")
+    return takes
+
+
+def _cancel(cfg, primary_path, primary, reference_path, reference):
+    """Cancel `primary`'s noise given a reference of the same length."""
+    if len(reference) != len(primary):
+        raise DimensionError(
+            f"lengths differ: {primary_path} has {len(primary)} samples, "
+            f"{reference_path} has {len(reference)}"
+        )
+    return run_anc(primary, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -122,15 +149,9 @@ def cmd_synth(args) -> int:
 
 def cmd_mix(args) -> int:
     cfg = _effective_config(args)
-    clean = read_wav(args.infile)
-    noise = read_wav(args.noise) if args.noise else None
-    spec = NoiseSpec(
-        "recorded" if noise is not None else "white-gaussian",
-        args.snr_db,
-        cfg.seed,
-        noise,
-    )
-    noisy, noise_only = mix_at_snr(clean, spec)
+    clean, noise = _read_wavs(cfg, args.infile, args.noise)
+    kind = "recorded" if noise is not None else "white-gaussian"
+    noisy, noise_only = mix_at_snr(clean, NoiseSpec(kind, args.snr_db, cfg.seed, noise))
     clipped = write_wav(noisy, args.out)
     if args.noise_out:
         clipped += write_wav(noise_only, args.noise_out)
@@ -139,40 +160,10 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _check_same_rate(path_a, a, path_b, b) -> None:
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise DimensionError(
-            f"sample rates differ: {path_a} is at {a.sample_rate_hz} Hz, "
-            f"{path_b} at {b.sample_rate_hz} Hz"
-        )
-
-
-def _check_config_rate(cfg, *inputs) -> None:
-    """Raise ConfigError naming every (path, take)'s rate unless all are at
-    the config's sample_rate_hz."""
-    if any(take.sample_rate_hz != cfg.sample_rate_hz for _, take in inputs):
-        rates = ", ".join(f"{p} is sampled at {t.sample_rate_hz} Hz" for p, t in inputs)
-        raise ConfigError(f"{rates}, but config sample_rate_hz is {cfg.sample_rate_hz}")
-
-
-def _read_noise_reference(path, primary_path, primary):
-    """Read the canceller's noise reference; it must match the primary
-    sample for sample."""
-    reference = read_wav(path)
-    _check_same_rate(primary_path, primary, path, reference)
-    if len(reference) != len(primary):
-        raise DimensionError(
-            f"lengths differ: {primary_path} has {len(primary)} samples, "
-            f"{path} has {len(reference)}"
-        )
-    return reference
-
-
 def cmd_anc(args) -> int:
     cfg = _effective_config(args)
-    primary = read_wav(args.primary)
-    reference = _read_noise_reference(args.reference, args.primary, primary)
-    result = run_anc(primary, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
+    primary, reference = _read_wavs(cfg, args.primary, args.reference)
+    result = _cancel(cfg, args.primary, primary, args.reference, reference)
     clipped = write_wav(result.error_signal, args.out)
     if args.mse_csv:
         lines = ["window_index,mse"]
@@ -184,15 +175,14 @@ def cmd_anc(args) -> int:
 
 def cmd_filter(args) -> int:
     cfg = _effective_config(args)
-    buffer = read_wav(args.infile)
+    [buffer] = _read_wavs(cfg, args.infile)
     if args.kind == "lp":
-        kernel = design_lowpass(args.hi, cfg.fir_taps, buffer.sample_rate_hz)
+        kernel = design_lowpass(args.hi, cfg.fir_taps, cfg.sample_rate_hz)
     elif args.kind == "hp":
-        kernel = design_highpass(args.lo, cfg.fir_taps, buffer.sample_rate_hz)
+        kernel = design_highpass(args.lo, cfg.fir_taps, cfg.sample_rate_hz)
     else:
-        kernel = design_bandpass(args.lo, args.hi, cfg.fir_taps, buffer.sample_rate_hz)
-    filtered = filter_zero_phase(buffer, kernel)
-    clipped = write_wav(filtered, args.out)
+        kernel = design_bandpass(args.lo, args.hi, cfg.fir_taps, cfg.sample_rate_hz)
+    clipped = write_wav(filter_zero_phase(buffer, kernel), args.out)
     if args.taps_csv:
         export_taps_csv(kernel, args.taps_csv)
     print(f"wrote {args.out} ({clipped} samples clipped)")
@@ -201,8 +191,9 @@ def cmd_filter(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _effective_config(args)
-    buffer = read_wav(args.infile)
-    _check_config_rate(cfg, (args.infile, buffer))
+    [buffer] = _read_wavs(cfg, args.infile)
+    # Extraction fills frames but clusters none, so kmeans_k=1.
+    bench_mod.check_long_enough(cfg, (args.method,), 1, args.infile, buffer)
     stem = Path(args.infile).stem
     feats = extract(buffer, args.method, cfg)
     # Made once the features exist, so that a failed run leaves no directory.
@@ -235,17 +226,11 @@ def cmd_extract(args) -> int:
 
 def cmd_verdict(args) -> int:
     cfg = _effective_config(args)
-    test = read_wav(args.test)
-    ref = read_wav(args.ref)
-    _check_config_rate(cfg, (args.test, test), (args.ref, ref))
+    test, ref, reference = _read_wavs(cfg, args.test, args.ref, args.reference)
     for path, take in ((args.test, test), (args.ref, ref)):
-        short = bench_mod.too_short(cfg, (args.method,), cfg.kmeans_k, len(take))
-        if short:
-            raise ConfigError(f"{path} has {len(take)} samples, {short}")
+        bench_mod.check_long_enough(cfg, (args.method,), cfg.kmeans_k, path, take)
     if args.anc:
-        reference = _read_noise_reference(args.reference, args.test, test)
-        result = run_anc(test, reference, LmsConfig(cfg.anc_taps, cfg.anc_mu))
-        test = result.error_signal
+        test = _cancel(cfg, args.test, test, args.reference, reference).error_signal
     test_id, ref_id = Path(args.test).stem, Path(args.ref).stem
     takes = [extract(test, args.method, cfg), extract(ref, args.method, cfg)]
     test_models, ref_models = enroll_many(takes, [test_id, ref_id], cfg.kmeans_k, cfg.seed)

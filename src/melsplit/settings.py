@@ -41,6 +41,15 @@ def check_shared_fields(
     )
 
 
+def check_sample_rates(named_rates, expected: int, owner: str) -> None:
+    """Every WAV that enters the program is at its settings' sample rate:
+    raise ConfigError naming each (name, rate) of `named_rates` unless all
+    are `expected`, the sample_rate_hz of `owner` (the config or plan)."""
+    if any(rate != expected for _, rate in named_rates):
+        rates = ", ".join(f"{name} is sampled at {rate} Hz" for name, rate in named_rates)
+        raise ConfigError(f"{rates}, but {owner} sample_rate_hz is {expected}")
+
+
 def read_settings(path):
     """Parse a JSON settings file (a pipeline config or an experiment plan)."""
     try:

@@ -37,6 +37,7 @@ from melsplit.signal_io import (
     corpus_seed,
     measure_snr_db,
     noise_scale,
+    read_wav,
     synth_speaker,
     write_manifest,
     write_wav,
@@ -141,6 +142,29 @@ class TestRunSweep:
         assert len(read) == len(set(read))
         assert sorted(corpus) == sorted(set(keys) - set(read))
         assert (len(keys), len(corpus)) == (24, 6)
+
+    def test_manifest_paths_resolve_from_its_directory_unless_absolute(self, tmp_path):
+        # The takes sit beside the manifest's directory: the first replicate
+        # is named relative to it, the second by absolute path. The corpus
+        # ranks each (profile, word)'s takes by seed.
+        (tmp_path / "takes").mkdir()
+        (tmp_path / "lists").mkdir()
+        entries, written = [], {}
+        for p in range(3):
+            for w in range(4):
+                for r in (0, 1):
+                    seed = corpus_seed(77, p, w, r)
+                    wav = tmp_path / "takes" / f"p{p}_w{w}_r{r}.wav"
+                    write_wav(synth_speaker(p, w, 0.3, seed), wav)
+                    written.setdefault((p, w), []).append((seed, wav))
+                    path = str(wav) if r else f"../takes/{wav.name}"
+                    entries.append({"profile_id": p, "word_id": w, "seed": seed, "path": path})
+        write_manifest(entries, tmp_path / "lists" / "manifest.json")
+        take, lengths, _ = _build_corpus(mini_plan(corpus=str(tmp_path / "lists/manifest.json")))
+        assert len(lengths) == 24
+        for (p, w), takes in written.items():
+            for r, (_, wav) in enumerate(sorted(takes)):
+                assert np.array_equal(take((p, w, r)).samples, read_wav(wav).samples)
 
     MANIFEST_PLAN = {
         "trials": 8, "snr_points_db": ["clean", 0.0], "anc": ["off"], "calib_words": 1,

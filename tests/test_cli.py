@@ -303,6 +303,20 @@ class TestExtract:
             assert np.array_equal(table[:, 0], np.arange(len(rows)))
             assert np.array_equal(table[:, 1:], rows)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_take_too_short_to_extract_names_file(self, tmp_path, capsys, method):
+        # 320 samples do not fill one 400-sample frame; 480 do, and extract
+        # clusters nothing, so they pass although kmeans_k=2 frames need 560.
+        short = make_word_wav(tmp_path / "short.wav", duration=0.02)
+        out = tmp_path / "features"
+        assert run_cli("extract", "--method", method, "--in", short, "--out", out) == 1
+        err = capsys.readouterr().err
+        for name in (str(short), "320 samples", "fewer than extraction's 400"):
+            assert name in err
+        assert not out.exists()
+        one_frame = make_word_wav(tmp_path / "one.wav", duration=0.03)
+        assert run_cli("extract", "--method", method, "--in", one_frame, "--out", out) == 0
+
     def test_missing_input_distinct_exit(self, tmp_path):
         code = run_cli("extract", "--method", "single",
                        "--in", tmp_path / "no.wav", "--out", tmp_path)
@@ -397,8 +411,16 @@ class TestVerdict:
 
     @pytest.mark.parametrize(
         "argv",
-        [("verdict", "--method", "single"), ("verdict", "--method", "dual"), ("extract",)],
-        ids=["verdict-single", "verdict-dual", "extract"],
+        [
+            ("verdict", "--method", "single", "--test", "TEST", "--ref", "REF"),
+            ("verdict", "--method", "dual", "--test", "TEST", "--ref", "REF"),
+            ("extract", "--method", "single", "--in", "TEST"),
+            ("mix", "--snr-db", 0, "--in", "TEST", "--noise-out", "OUT2"),
+            ("mix", "--snr-db", 0, "--in", "TEST", "--noise", "REF", "--noise-out", "OUT2"),
+            ("anc", "--primary", "TEST", "--reference", "REF", "--mse-csv", "OUT2"),
+            ("filter", "--kind", "lp", "--hi", 1000, "--in", "TEST", "--taps-csv", "OUT2"),
+        ],
+        ids=["verdict-single", "verdict-dual", "extract", "mix", "mix-noise", "anc", "filter"],
     )
     def test_wavs_off_the_config_rate_are_rejected(self, tmp_path, capsys, argv):
         from melsplit.signal_io import synth_speaker
@@ -406,17 +428,14 @@ class TestVerdict:
         test, ref = tmp_path / "test.wav", tmp_path / "ref.wav"
         write_wav(synth_speaker(0, 0, 0.5, 5, 8000), test)
         write_wav(synth_speaker(1, 0, 0.5, 6, 8000), ref)
-        out = tmp_path / "out"
-        if argv[0] == "verdict":
-            argv += ("--test", test, "--ref", ref, "--out", out)
-        else:
-            argv += ("--method", "single", "--in", test, "--out", out)
-        assert run_cli(*argv) == 1
+        paths = {"TEST": test, "REF": ref, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+        assert run_cli(*(paths.get(a, a) for a in argv + ("--out", "OUT"))) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert not out.exists()
-        for name in (f"{test} is sampled at 8000 Hz", "config sample_rate_hz is 16000"):
+        assert sorted(tmp_path.iterdir()) == [ref, test]  # nothing written
+        for name in [f"{paths[a]} is sampled at 8000 Hz" for a in ("TEST", "REF") if a in argv]:
             assert name in captured.err
+        assert captured.err.endswith("config sample_rate_hz is 16000\n")
 
     def test_anc_reference_length_mismatch_names_both_files(self, tmp_path, capsys):
         test = make_word_wav(tmp_path / "test.wav", duration=1.0)
@@ -807,8 +826,8 @@ class TestKnobs:
         assert set(CLI_KNOB_VALUES) == {f.name for f in fields(PipelineConfig)}
         value = CLI_KNOB_VALUES[knob]
         if knob == "sample_rate_hz":
-            # verdict rejects WAVs at any other rate than the config's, and
-            # synth writes its WAVs at the config's rate.
+            # Every subcommand that reads WAVs rejects one at any other rate
+            # than the config's, and synth writes its WAVs at the config's rate.
             config = tmp_path / "config.json"
             save_config(PipelineConfig(sample_rate_hz=value), config)
             a = make_word_wav(tmp_path / "a.wav", profile=1, duration=0.5)
@@ -823,6 +842,23 @@ class TestKnobs:
             assert run_cli("--config", config, "verdict", "--test", take, "--ref", take,
                            "--out", out) == 0
             assert json.loads(out.read_text())["config"][knob] == value
+            # mix, anc and filter run a 16 kHz WAV at the default rate and
+            # refuse it at the knob's; they run the knob's take at its rate.
+            out = tmp_path / "out.wav"
+            for argv in (
+                ("mix", "--snr-db", 0, "--in", None),
+                ("anc", "--primary", None, "--reference", None),
+                ("filter", "--kind", "bp", "--lo", 1000, "--hi", 4000, "--in", None),
+            ):
+                for wav, config_argv, code, rate in (
+                    (a, (), 0, SR),
+                    (a, ("--config", config), 1, None),
+                    (take, ("--config", config), 0, value),
+                ):
+                    out.unlink(missing_ok=True)
+                    filled = (wav if x is None else x for x in argv)
+                    assert run_cli(*config_argv, *filled, "--out", out) == code
+                    assert (read_wav(out).sample_rate_hz if out.exists() else None) == rate
             return
         payload = knob_verdict(PipelineConfig(**{knob: value}), knob)
         assert payload["config"][knob] == value
