@@ -7,9 +7,10 @@ Run from the repository root with
 Inputs have the default plan's shapes: 0.6 s takes at 16 kHz, a 0.25 s
 canceller lead-in and k = 2; synthesis, extraction and the single-recording
 canceller are also timed on the 2 s takes that ``verify_stream`` writes, the
-canceller with the CLI's 32 taps. The canceller batch is the two runs that
-cancel every SNR point of 52 takes, the number of distinct test takes in a
-default sweep on master seed 1; the same 52 takes' single- and dual-channel
+canceller with the CLI's 32 taps, and that canceller on a 0.6 s take too,
+since the CLI also cancels short takes. The canceller batch is the two runs
+that cancel every SNR point of 52 takes, the number of distinct test takes in
+a default sweep on master seed 1; the same 52 takes' single- and dual-channel
 features at the default plan's 4 noisy SNR points are built as a sweep builds
 them, from each take's and its unit noise's spectra, and the spectra of one
 stack of takes are timed alone. The lockstep k-means cases enroll 64
@@ -184,7 +185,17 @@ def test_run_anc_batch_basis_pass_52_rows(benchmark):
         assert np.all(np.isfinite(done)) and not np.array_equal(done, start)
 
 
-def test_run_anc_2s_32_taps(benchmark):
-    noisy, noise = mix_at_snr(synth_speaker(5, 0, 2.0, 1), NoiseSpec("white-gaussian", -6.0, 3))
+def _bench_run_anc(benchmark, duration_s):
+    noisy, noise = mix_at_snr(
+        synth_speaker(5, 0, duration_s, 1), NoiseSpec("white-gaussian", -6.0, 3)
+    )
     result = benchmark(run_anc, noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
     assert len(result.error_signal) == len(noisy)
+
+
+def test_run_anc_2s_32_taps(benchmark):
+    _bench_run_anc(benchmark, 2.0)
+
+
+def test_run_anc_0_6s_32_taps(benchmark):
+    _bench_run_anc(benchmark, 0.6)

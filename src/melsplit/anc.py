@@ -41,8 +41,8 @@ MSE_WINDOW = 256
 
 # run_anc steps a recording in blocks of this many samples and solves this
 # many blocks' triangular systems at once.
-_BLOCK = 32
-_CHUNK_BLOCKS = 64
+_BLOCK = 16
+_CHUNK_BLOCKS = 128
 
 # run_anc_batch checks its error signals for divergence once per this many
 # steps rather than on every step.

@@ -145,7 +145,7 @@ def write_wav(buffer: AudioBuffer, path) -> int:
     scaled = np.rint(np.clip(samples, -1.0, 1.0) * PCM_FULL_SCALE)
     ints = np.clip(scaled, -32768, 32767).astype("<i2")
     try:
-        with wave.open(str(path), "wb") as writer:
+        with open(path, "wb") as handle, wave.open(handle, "wb") as writer:
             writer.setnchannels(1)
             writer.setsampwidth(2)
             writer.setframerate(buffer.sample_rate_hz)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from melsplit.anc import (
+    _BLOCK,
+    _CHUNK_BLOCKS,
     _DIVERGED,
     LmsConfig,
     mse_trace,
@@ -208,11 +210,18 @@ class TestRunAnc:
         "n, order_l",
         [
             pytest.param(20, 31, id="20-31-False"),  # shorter than the delay line
-            pytest.param(31, 31, id="31-31-False"),  # one step short of a block
-            pytest.param(32, 31, id="32-31-False"),  # one block
-            pytest.param(33, 31, id="33-31-False"),  # one step into a second block
+            pytest.param(_BLOCK - 1, 31, id="block-short"),  # one step short of a block
+            pytest.param(_BLOCK, 31, id="block"),  # one block
+            pytest.param(_BLOCK + 1, 31, id="block-plus-one"),  # one step into block two
             # two chunks of blocks and a partial block
-            pytest.param(2 * 32 * 64 + 17, 31, id="4113-31-False"),
+            pytest.param(
+                2 * _BLOCK * _CHUNK_BLOCKS + _BLOCK // 2, 31, id="two-chunks-partial-block"
+            ),
+            # fixed lengths around a 32-step block and past two 2048-step chunks
+            pytest.param(31, 31, id="31-31-False"),
+            pytest.param(32, 31, id="32-31-False"),
+            pytest.param(33, 31, id="33-31-False"),
+            pytest.param(4113, 31, id="4113-31-False"),
             pytest.param(500, 0, id="500-0-False"),  # a one-tap canceller
         ],
     )

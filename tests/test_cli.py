@@ -1,9 +1,11 @@
 """Command-line interface tests: subcommands, exit codes, config handling."""
 
 import argparse
+import gc
 import hashlib
 import json
 import re
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -124,6 +126,19 @@ class TestMix:
     def test_missing_input_runtime_error(self, tmp_path):
         assert run_cli("mix", "--in", tmp_path / "no.wav", "--snr-db", 0,
                        "--out", tmp_path / "o.wav") == 1
+
+    def test_missing_out_dir_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # A writer left half built by a failed open would report its own
+        # error through sys.unraisablehook when collected.
+        src = make_word_wav(tmp_path / "w.wav", duration=0.2)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        assert run_cli("mix", "--in", src, "--snr-db", 0,
+                       "--out", tmp_path / "missing" / "m.wav") == 1
+        gc.collect()
+        assert unraisable == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("snr_db", ["nan", "-inf"])
     def test_undefined_snr_is_error_line(self, tmp_path, capsys, snr_db):
