@@ -53,17 +53,20 @@ BATCH_ROWS = 52
 ENROLL_TAKES = 64
 CHUNK_TAKES = 13  # ceil(64 test takes / 5 points), a sweep_noanc chunk
 TAKE_SAMPLES = round(PLAN.duration_s * PLAN.sample_rate_hz)
+# The corpus keys (profile, word, replicate) of the default plan's test takes.
+TEST_KEYS = [(p, w, 1) for p in range(PLAN.profiles) for w in range(PLAN.words)]
 
 
-def _take(p: int, w: int, r: int = 1):
-    return synth_speaker(
-        p, w, PLAN.duration_s, corpus_seed(PLAN.master_seed, p, w, r), PLAN.sample_rate_hz
-    )
+def _take(key):
+    """The default plan's corpus take of `key`."""
+    p, w, _ = key
+    seed = corpus_seed(PLAN.master_seed, *key)
+    return synth_speaker(p, w, PLAN.duration_s, seed, PLAN.sample_rate_hz)
 
 
 @pytest.fixture(scope="module")
 def take():
-    return _take(0, 0)
+    return _take(TEST_KEYS[0])
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +95,9 @@ def test_enroll_dual_take(benchmark, dual_features):
 
 
 def test_enroll_many_64_dual_takes(benchmark):
-    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:ENROLL_TAKES]
-    takes = [extract(_take(p, w), "dual", PLAN.extraction) for p, w in keys]
-    ids = [_take_id(p, w, 1) for p, w in keys]
+    keys = TEST_KEYS[:ENROLL_TAKES]
+    takes = [extract(_take(key), "dual", PLAN.extraction) for key in keys]
+    ids = [_take_id(*key) for key in keys]
     models = benchmark(enroll_many, takes, ids, PLAN.kmeans_k, PLAN.master_seed)
     assert len(models) == ENROLL_TAKES and sorted(models[0]) == ["ch1", "ch2"]
 
@@ -102,12 +105,12 @@ def test_enroll_many_64_dual_takes(benchmark):
 def test_enroll_many_sweep_noanc_chunk(benchmark):
     # As _enroll_points enrolls a chunk: each take at every point, under
     # the one source id that seeds its fits.
-    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:CHUNK_TAKES]
+    keys = TEST_KEYS[:CHUNK_TAKES]
     plan = replace(NOANC_PLAN, methods=("dual",))
-    read = _take_reader(plan, lambda key: _take(*key), 1, True)
+    read = _take_reader(plan, _take, True)
     points = list(plan.snr_points_db)
     takes = _point_features(read, keys, points, plan)["dual"]
-    ids = [_take_id(*key, 1) for key in keys for _ in points]
+    ids = [_take_id(*key) for key in keys for _ in points]
     models = benchmark(enroll_many, takes, ids, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
     assert len(models) == CHUNK_TAKES * len(points) == 65
     assert len({m["ch1"].seed for m in models}) == CHUNK_TAKES
@@ -134,11 +137,11 @@ def test_scores_80_dual_pairs(benchmark):
     rng = np.random.default_rng(_entropy(PLAN.master_seed, 0xBA1A))
     pairs = _make_pairs(list(range(PLAN.profiles)), words, PLAN.trials, rng)
     keys = [(p, w, r) for p in range(PLAN.profiles) for w in words for r in (0, 1)]
-    takes = [extract(_take(*key), "dual", PLAN.extraction) for key in keys]
+    takes = [extract(_take(key), "dual", PLAN.extraction) for key in keys]
     ids = [_take_id(*key) for key in keys]
     models = dict(zip(keys, enroll_many(takes, ids, PLAN.kmeans_k, PLAN.master_seed)))
-    tests = [models[p.test + (1,)] for p in pairs]
-    refs = [models[p.ref + (0,)] for p in pairs]
+    tests = [models[test] for test, _ in pairs]
+    refs = [models[ref] for _, ref in pairs]
     combined = benchmark(scores, tests, refs)
     assert combined.shape == (len(pairs),) == (PLAN.trials,)
 
@@ -147,9 +150,9 @@ def test_scores_80_dual_pairs(benchmark):
 def test_point_features_52_takes_4_points(benchmark, method):
     # Two spectra per take, then power, banks, log and DCT at each point:
     # the work of 4 * 52 extract calls on takes mixed in the time domain.
-    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
+    keys = TEST_KEYS[:BATCH_ROWS]
     plan = replace(PLAN, methods=(method,))
-    _, read = _noise_stacks(plan, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
+    _, read = _noise_stacks(plan, {TAKE_SAMPLES: keys}, _take)
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     features = benchmark(_point_features, read, keys, points, plan)[method]
     assert len(features) == BATCH_ROWS * len(points) == 4 * BATCH_ROWS
@@ -159,7 +162,7 @@ def test_point_features_52_takes_4_points(benchmark, method):
 @pytest.mark.parametrize("method", ["single", "dual"])
 def test_channel_spectra_4_takes(benchmark, method):
     # One stacked call, as the sweep's _point_features makes.
-    takes = [_take(p, 0).samples for p in range(_SPECTRA_TAKES)]
+    takes = [_take((p, 0, 1)).samples for p in range(_SPECTRA_TAKES)]
     spectra = benchmark(channel_spectra, takes, method, PLAN.extraction, PLAN.sample_rate_hz)
     assert spectra.shape[:2] == (_SPECTRA_TAKES, 58)
 
@@ -169,8 +172,8 @@ def test_run_anc_batch_basis_pass_52_rows(benchmark):
     # opened by anc_taps zeros, with the unit noise as the reference, then
     # the unit noise in place against itself; both write over fresh copies
     # of their stacks each round.
-    keys = [(p, w) for p in range(PLAN.profiles) for w in range(PLAN.words)][:BATCH_ROWS]
-    ((_, clean, unit),), _ = _noise_stacks(PLAN, {TAKE_SAMPLES: keys}, lambda key: _take(*key))
+    keys = TEST_KEYS[:BATCH_ROWS]
+    ((_, clean, unit),), _ = _noise_stacks(PLAN, {TAKE_SAMPLES: keys}, _take)
     points = [s for s in PLAN.snr_points_db if s != CLEAN_SNR_DB]
     rounds = []
 

@@ -8,6 +8,11 @@ split and frozen, so accuracy falls as noise grows instead of being
 re-absorbed by recalibration. Everything is a pure function of the plan,
 the corpus, and the master seed.
 
+Every take, trial pair and enrolled model is named by its corpus key,
+(profile, word, replicate). A pair is a (test, ref) tuple of keys: the
+test take is replicate 1 of a word and its reference replicate 0 of the
+same word, and the pair is genuine when the two share a profile.
+
 Reference and calibration takes are enrolled noise-free. A test take at a
 noisy point is a linear mix of two signals: clean + c*u with ANC off, and
 the cancelled clean take plus c times the cancelled unit noise with ANC on.
@@ -199,13 +204,6 @@ class SweepReport:
         raise KeyError((method, anc, snr_db))
 
 
-@dataclass(frozen=True)
-class _TrialPair:
-    test: tuple[int, int]
-    ref: tuple[int, int]
-    genuine: bool
-
-
 def _take_id(p: int, w: int, r: int) -> str:
     """Source id of a corpus take; it seeds k-means, so it shapes the scores."""
     return f"p{p}.w{w}.r{r}"
@@ -215,13 +213,14 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, dict, str]:
     """Synthesize the corpus on read, or load it from a manifest.
 
     Returns (take, lengths, digest): take(key) is the AudioBuffer of a
-    (profile, word, replicate) key of `lengths`, and lengths[key] its
-    length in samples, known without reading it. The sweep reads each take it
-    uses once. A synthesized take is made each time it is read, so takes
-    that no pair uses cost nothing; a manifest's take is popped out of the
-    loaded corpus as it is read, so it is freed once the sweep drops it. A
-    benchmark corpus needs two replicates per (profile, word): the first
-    (lowest seed) is the enrolled reference, the second the test recording.
+    corpus key (profile, word, replicate) of `lengths`, and lengths[key]
+    its length in samples, known without reading it. The sweep reads each
+    take it uses once. A synthesized take is made each time it is read, so
+    takes that no pair uses cost nothing; a manifest's take is popped out of
+    the loaded corpus as it is read, so it is freed once the sweep drops it.
+    A benchmark corpus needs two replicates per (profile, word): replicate
+    0, the lower seed, is the enrolled reference, and replicate 1 the test
+    recording.
     """
     if plan.corpus is None:
         keys = [(p, w, r) for p in range(plan.profiles) for w in range(plan.words) for r in (0, 1)]
@@ -283,12 +282,13 @@ def _build_corpus(plan: ExperimentPlan) -> tuple[Callable, dict, str]:
 
 def _make_pairs(
     profile_ids: list[int], trial_words: list[int], trials: int, rng: np.random.Generator
-) -> list[_TrialPair]:
-    """Fixed, balanced trial pairs: genuine = same (profile, word) across
-    replicates; impostor = same word, different profile."""
+) -> list[tuple]:
+    """Fixed, balanced (test, ref) pairs of corpus keys: the test take is
+    replicate 1 of a (profile, word) and its reference replicate 0 of the
+    same word, by the same profile (genuine) or another (impostor)."""
     n_genuine = trials // 2
     n_impostor = trials - n_genuine
-    genuine_pool = [(p, w) for p in profile_ids for w in trial_words]
+    genuine_pool = [(p, w, p) for p in profile_ids for w in trial_words]
     impostor_pool = [
         (p, w, q)
         for p in profile_ids
@@ -301,36 +301,35 @@ def _make_pairs(
             f"trials={trials} exceeds the corpus trial pool "
             f"({len(genuine_pool)} genuine, {len(impostor_pool)} impostor)"
         )
-    pairs: list[_TrialPair] = []
-    for i in rng.choice(len(genuine_pool), size=n_genuine, replace=False):
-        p, w = genuine_pool[i]
-        pairs.append(_TrialPair(test=(p, w), ref=(p, w), genuine=True))
-    for i in rng.choice(len(impostor_pool), size=n_impostor, replace=False):
-        p, w, q = impostor_pool[i]
-        pairs.append(_TrialPair(test=(p, w), ref=(q, w), genuine=False))
-    return pairs
+    picks = [
+        pool[i]
+        for pool, size in ((genuine_pool, n_genuine), (impostor_pool, n_impostor))
+        for i in rng.choice(len(pool), size=size, replace=False)
+    ]
+    return [((p, w, 1), (q, w, 0)) for p, w, q in picks]
 
 
-def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[_TrialPair]:
-    """Each clean calibration take against its own reference and against the
-    same word of another profile, rotating through the others word by word."""
+def _calibration_pairs(profile_ids: list[int], calib_words: list[int]) -> list[tuple]:
+    """(test, ref) pairs of corpus keys, as _make_pairs gives: each clean
+    calibration take against its own reference and against the same word of
+    another profile, rotating through the others word by word."""
     n = len(profile_ids)
     return [
-        _TrialPair(test=(p, w), ref=(q, w), genuine=q == p)
+        ((p, w, 1), (q, w, 0))
         for idx, w in enumerate(calib_words)
         for i, p in enumerate(profile_ids)
         for q in (p, profile_ids[(i + 1 + idx % (n - 1)) % n])
     ]
 
 
-def _unit_noise(plan: ExperimentPlan, key: tuple[int, int], count: int) -> np.ndarray:
+def _unit_noise(plan: ExperimentPlan, key: tuple, count: int) -> np.ndarray:
     """`count` samples of test take `key`'s unit noise. The first n lie
     under the take's n samples in every plan; a canceller's lead-in reads
-    the ones after them (see _noise_stacks). The draw is seeded by (master
-    seed, key) only, so the noise of `key` at every SNR point is this
-    sequence times a scale.
+    the ones after them (see _noise_stacks). The draw is seeded by the
+    master seed and the key's (profile, word) only, so the noise of `key`
+    at every SNR point is this sequence times a scale.
     """
-    rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key, 0xA01E)))
+    rng = np.random.default_rng(_entropy(corpus_seed(plan.master_seed, *key[:2], 0xA01E)))
     return rng.standard_normal(count)
 
 
@@ -376,13 +375,13 @@ def _noise_stacks(plan: ExperimentPlan, groups: dict, take: Callable) -> tuple[l
     return stacks, rows.__getitem__
 
 
-def _take_reader(plan: ExperimentPlan, take: Callable, replicate: int, noisy: bool) -> Callable:
-    """read(key) of _point_features straight from the corpus: replicate
-    `replicate` of the key's take and, if `noisy`, its unit noise, drawn
-    and its power taken here, once per sweep for both methods."""
+def _take_reader(plan: ExperimentPlan, take: Callable, noisy: bool) -> Callable:
+    """read(key) of _point_features straight from the corpus: the key's
+    take and, if `noisy`, its unit noise, drawn and its power taken here,
+    once per sweep for both methods."""
 
     def read(key):
-        a = take(key + (replicate,)).samples
+        a = take(key).samples
         if not noisy:
             return a, None, None, None
         u = _unit_noise(plan, key, len(a))
@@ -415,7 +414,7 @@ def _cancel_stacks(plan: ExperimentPlan, stacks: list, points: list[float]) -> N
             try:
                 run_anc_batch(primary, reference, plan.anc_taps, steps)
             except DivergenceError as exc:
-                take = _take_id(*keys[exc.row], 1)
+                take = _take_id(*keys[exc.row])
                 step = exc.step_index + offset
                 snr = ", ".join(f"{s:g}" for s in points)
                 raise DivergenceError(
@@ -471,11 +470,11 @@ def _point_features(
 
 
 def _enroll_points(
-    plan: ExperimentPlan, points: list, groups: Iterable[list], read: Callable, replicate: int
+    plan: ExperimentPlan, points: list, groups: Iterable[list], read: Callable
 ) -> dict[str, dict[float, dict]]:
-    """Enroll replicate `replicate` of every key of `groups`, lists of keys
-    of equal-length takes, at each of `points`:
-    {method: {snr_db: {(profile, word): {channel_id: ClusterModel}}}}.
+    """Enroll the take of every key of `groups`, lists of keys of
+    equal-length takes, at each of `points`:
+    {method: {snr_db: {key: {channel_id: ClusterModel}}}}.
 
     A group's B takes go in chunks of ceil(B / len(points)), whose features
     _point_features builds a few takes at a time from read(key) and which
@@ -491,7 +490,7 @@ def _enroll_points(
             chunk = keys[start : start + size]
             features = _point_features(read, chunk, points, plan)
             slots = [(key, snr_db) for key in chunk for snr_db in points]
-            ids = [_take_id(*key, replicate) for key, _ in slots]
+            ids = [_take_id(*key) for key, _ in slots]
             for method in plan.methods:
                 fitted = enroll_many(features.pop(method), ids, plan.kmeans_k, plan.master_seed)
                 for (key, snr_db), model in zip(slots, fitted, strict=True):
@@ -500,12 +499,13 @@ def _enroll_points(
 
 
 def _score_pairs(
-    test_models: dict, ref_models: dict, pairs: list[_TrialPair]
+    test_models: dict, ref_models: dict, pairs: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every pair from the enrolled models of its two takes, in one
-    scores call. Returns (genuine_scores, impostor_scores) in pair order."""
-    combined = scores([test_models[p.test] for p in pairs], [ref_models[p.ref] for p in pairs])
-    genuine = np.array([p.genuine for p in pairs])
+    """Score every (test, ref) pair from the enrolled models of its two
+    takes, in one scores call. A pair is genuine when its two keys share a
+    profile. Returns (genuine_scores, impostor_scores) in pair order."""
+    combined = scores([test_models[t] for t, _ in pairs], [ref_models[r] for _, r in pairs])
+    genuine = np.array([t[0] == r[0] for t, r in pairs])
     return combined[genuine], combined[~genuine]
 
 
@@ -544,40 +544,38 @@ def run_sweep(plan: ExperimentPlan) -> SweepReport:
     pairs = _make_pairs(profile_ids, trial_words, plan.trials, pair_rng)
     calib_pairs = _calibration_pairs(profile_ids, calib_words)
 
-    def corpus_groups(keys, replicate: int) -> dict[int, list]:
+    def corpus_groups(keys) -> dict[int, list]:
         """{n: the keys whose take has n samples}, in first-seen order."""
         groups: dict[int, list] = {}
         for key in keys:
-            groups.setdefault(lengths[key + (replicate,)], []).append(key)
+            groups.setdefault(lengths[key], []).append(key)
         return groups
 
-    def enroll_clean(keys, replicate: int) -> dict:
-        """{method: {key: models}} of replicate `replicate` of each key, noise-free."""
-        read = _take_reader(plan, take, replicate, noisy=False)
-        groups = corpus_groups(keys, replicate).values()
-        models = _enroll_points(plan, [CLEAN_SNR_DB], groups, read, replicate)
+    def enroll_clean(keys) -> dict:
+        """{method: {key: models}} of each key's take, noise-free."""
+        read = _take_reader(plan, take, noisy=False)
+        models = _enroll_points(plan, [CLEAN_SNR_DB], corpus_groups(keys).values(), read)
         return {m: models[m][CLEAN_SNR_DB] for m in plan.methods}
 
-    ref_models = enroll_clean(sorted({p.ref for p in pairs + calib_pairs}), 0)
+    ref_models = enroll_clean(sorted({ref for _, ref in pairs + calib_pairs}))
     # Per-method threshold from clean calibration words, frozen for the sweep.
-    calib_models = enroll_clean(dict.fromkeys(p.test for p in calib_pairs), 1)
+    calib_models = enroll_clean(dict.fromkeys(test for test, _ in calib_pairs))
     thresholds = {
         m: calibrate_threshold(*_score_pairs(calib_models[m], ref_models[m], calib_pairs))
         for m in plan.methods
     }
 
-    test_keys = sorted({pair.test for pair in pairs})
     points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
     cancelled = "on" in plan.anc and bool(points)
-    groups = corpus_groups(test_keys, 1)
+    groups = corpus_groups(sorted({test for test, _ in pairs}))
     if cancelled:
-        stacks, read = _noise_stacks(plan, groups, lambda key: take(key + (1,)))
+        stacks, read = _noise_stacks(plan, groups, take)
     else:
-        read = _take_reader(plan, take, 1, bool(points))
+        read = _take_reader(plan, take, bool(points))
     cells: list[CellResult] = []
 
     def tally(mode, group):
-        models = _enroll_points(plan, group, groups.values(), read, 1)
+        models = _enroll_points(plan, group, groups.values(), read)
         for method in plan.methods:
             for snr_db in group:
                 scores = _score_pairs(models[method][snr_db], ref_models[method], pairs)

@@ -145,10 +145,10 @@ def _reseed_empty(
     n = len(pts)
     for j in np.flatnonzero(counts == 0):
         own = sq_dist[np.arange(n), assignments]
-        # Only steal from clusters that keep at least one point.
+        # Only steal from clusters that keep at least one point. One exists:
+        # kmeans_many rejects k > n, so while a cluster is empty the n >= k
+        # points fill at most k - 1 clusters, and one of them holds two or more.
         donors = counts[assignments] > 1
-        if not donors.any():
-            continue
         own = np.where(donors, own, -np.inf)
         far = int(np.argmax(own))
         counts[assignments[far]] -= 1

@@ -73,10 +73,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

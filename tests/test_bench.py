@@ -439,7 +439,7 @@ class TestRunSweep:
         pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
         pairs = _make_pairs(range(plan.profiles), words[: -plan.calib_words], plan.trials, pair_rng)
         pairs += _calibration_pairs(range(plan.profiles), words[-plan.calib_words :])
-        used = {p.ref + (0,) for p in pairs} | {p.test + (1,) for p in pairs}
+        used = {key for pair in pairs for key in pair}
         assert set(calls) == {(p, w, corpus_seed(plan.master_seed, p, w, r)) for p, w, r in used}
 
     def test_unit_noise_drawn_once_per_take_per_sweep(self, monkeypatch):
@@ -461,7 +461,7 @@ class TestRunSweep:
         words = list(range(plan.words))
         pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
         pairs = _make_pairs(range(plan.profiles), words[: -plan.calib_words], plan.trials, pair_rng)
-        assert sorted(drawn) == sorted({p.test for p in pairs})
+        assert sorted(drawn) == sorted({test for test, _ in pairs})
         drawn.clear()
         run_sweep(mini_plan(snr_points_db=(CLEAN_SNR_DB,)))
         assert drawn == []
@@ -549,7 +549,7 @@ class TestRunSweep:
             return real_enroll_many(takes, source_ids, *args)
 
         def recording_score_pairs(test_models, ref_models, pairs):
-            scored.update(melsplit.bench._take_id(*pair.ref, 0) for pair in pairs)
+            scored.update(melsplit.bench._take_id(*ref) for _, ref in pairs)
             return real_score_pairs(test_models, ref_models, pairs)
 
         monkeypatch.setattr(melsplit.bench, "enroll_many", recording_enroll_many)
@@ -594,11 +594,11 @@ class TestRunSweep:
         assert 0 <= caught.value.step_index < inputs
 
     @staticmethod
-    def enroll_takes(takes, method, plan, replicate):
+    def enroll_takes(takes, method, plan):
         """{key: models} of each whole take, extracted by mfcc.extract and
         enrolled in one enroll_many call."""
         features = [extract(buffer, method, plan.extraction) for buffer in takes.values()]
-        ids = [melsplit.bench._take_id(*key, replicate) for key in takes]
+        ids = [melsplit.bench._take_id(*key) for key in takes]
         return dict(zip(takes, enroll_many(features, ids, plan.kmeans_k, plan.master_seed)))
 
     def time_domain_counts(self, plan, thresholds):
@@ -611,11 +611,11 @@ class TestRunSweep:
         pair_rng = np.random.default_rng(melsplit.signal_io._entropy(plan.master_seed, 0xBA1A))
         pairs = _make_pairs(profile_ids, words[: -plan.calib_words], plan.trials, pair_rng)
         calib_pairs = _calibration_pairs(profile_ids, words[-plan.calib_words :])
-        refs = {key: take(key + (0,)) for key in sorted({p.ref for p in pairs + calib_pairs})}
+        refs = {key: take(key) for key in sorted({ref for _, ref in pairs + calib_pairs})}
         points = [s for s in plan.snr_points_db if s != CLEAN_SNR_DB]
-        tests = sorted({p.test for p in pairs})
+        tests = sorted({test for test, _ in pairs})
         n = round(plan.duration_s * plan.sample_rate_hz)
-        stacks, read = _noise_stacks(plan, {n: tests}, lambda key: take(key + (1,)))
+        stacks, read = _noise_stacks(plan, {n: tests}, take)
         conditions = [(plan.anc, CLEAN_SNR_DB, stack_takes(plan, stacks, read, CLEAN_SNR_DB))]
         conditions += [(("off",), s, stack_takes(plan, stacks, read, s)) for s in points]
         if "on" in plan.anc:
@@ -623,9 +623,9 @@ class TestRunSweep:
             conditions += [(("on",), s, stack_takes(plan, stacks, read, s)) for s in points]
         counts = {}
         for method in plan.methods:
-            ref_models = self.enroll_takes(refs, method, plan, 0)
+            ref_models = self.enroll_takes(refs, method, plan)
             for modes, snr_db, takes in conditions:
-                test_models = self.enroll_takes(takes, method, plan, 1)
+                test_models = self.enroll_takes(takes, method, plan)
                 scores = _score_pairs(test_models, ref_models, pairs)
                 for anc in modes:
                     counts[method, anc, snr_db] = confusion(*scores, thresholds[method])
@@ -676,14 +676,14 @@ class TestRunSweep:
         # full run and a shorter one, and the three-take group is short.
         plan = mini_plan(snr_points_db=(CLEAN_SNR_DB, 0.0, -16.0), methods=(method,))
         takes = {
-            (p, w): synth_speaker(p, w, 0.3 if w < 2 else 0.25, corpus_seed(5, p, w, 1))
+            (p, w, 1): synth_speaker(p, w, 0.3 if w < 2 else 0.25, corpus_seed(5, p, w, 1))
             for p in range(3)
             for w in range(3)
         }
         points = list(plan.snr_points_db)
         groups = [[key for key in takes if len(takes[key]) == n] for n in (4800, 4000)]
         assert [len(keys) for keys in groups] == [6, 3]
-        read = _take_reader(plan, lambda key: takes[key[:2]], 1, True)
+        read = _take_reader(plan, takes.get, True)
         stacked, alone = [], []
         for keys in groups:
             stacked += _point_features(read, keys, points, plan)[method]
@@ -706,18 +706,45 @@ class TestCalibrationPairs:
     def test_impostor_never_scores_own_profile(self):
         # two profiles, two calibration words: the rotation must skip the
         # test's own profile on the second word
+        # Each take's second pair is its impostor pair.
         pairs = _calibration_pairs([0, 1], [1, 2])
-        impostors = [pair for pair in pairs if not pair.genuine]
+        impostors = pairs[1::2]
         assert len(impostors) == 4
-        assert all(pair.ref[0] != pair.test[0] for pair in impostors)
+        assert all(ref[0] != test[0] for test, ref in impostors)
 
     def test_one_genuine_and_one_impostor_per_take(self):
         pairs = _calibration_pairs([0, 1, 2], [3, 4])
         for genuine in (True, False):
-            tests = sorted(pair.test for pair in pairs if pair.genuine == genuine)
-            assert tests == sorted((p, w) for p in range(3) for w in (3, 4))
-        assert all(pair.ref == pair.test for pair in pairs if pair.genuine)
-        assert all(pair.ref[1] == pair.test[1] for pair in pairs)
+            tests = sorted(test for test, ref in pairs if (test[0] == ref[0]) == genuine)
+            assert tests == sorted((p, w, 1) for p in range(3) for w in (3, 4))
+        assert all(ref == test[:2] + (0,) for test, ref in pairs if test[0] == ref[0])
+        assert all(ref[1] == test[1] for test, ref in pairs)
+
+    def test_pairs_are_corpus_keys_and_genuine_when_profiles_match(self, monkeypatch):
+        # A pair is (test, ref): replicate 1 of a word against replicate 0 of
+        # the same word, and _score_pairs counts it genuine exactly when the
+        # two keys share a profile.
+        profile_ids = [0, 1, 2]
+        pairs = _make_pairs(profile_ids, [0, 1, 2], 18, np.random.default_rng(3))
+        pairs += _calibration_pairs(profile_ids, [3, 4])
+        for test, ref in pairs:
+            assert len(test) == len(ref) == 3
+            assert (test[2], ref[2]) == (1, 0) and test[1] == ref[1]
+        scored = []
+
+        def indexed_scores(tests, refs):
+            scored.append((tests, refs))
+            return np.arange(len(tests), dtype=float)
+
+        monkeypatch.setattr(melsplit.bench, "scores", indexed_scores)
+        models = {key: key for pair in pairs for key in pair}
+        genuine, impostor = _score_pairs(models, models, pairs)
+        assert scored == [([test for test, _ in pairs], [ref for _, ref in pairs])]
+        shared = [test[0] == ref[0] for test, ref in pairs]
+        assert list(genuine) == [i for i, same in enumerate(shared) if same]
+        assert list(impostor) == [i for i, same in enumerate(shared) if not same]
+        # Half of the 18 trials, and one pair of each of the 6 calibration takes.
+        assert len(genuine) == 9 + 6
 
 
 class TestEmitCurves:
@@ -1041,13 +1068,13 @@ class TestKnobs:
 
 
 class TestMixWithLead:
-    KEY = (1, 2)
+    KEY = (1, 2, 1)
 
     def mix(self, plan, points):
         """The clean take, its stacks and reader, and its takes at each
         point: the ANC-off takes, read first, then the ANC-on takes if the
         plan has them."""
-        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+        clean = synth_speaker(*self.KEY[:2], 0.3, seed=4)
         stacks, read = _noise_stacks(plan, {len(clean): [self.KEY]}, {self.KEY: clean}.get)
         takes = {"off": {s: stack_takes(plan, stacks, read, s)[self.KEY] for s in points}}
         if "on" in plan.anc:
@@ -1074,7 +1101,7 @@ class TestMixWithLead:
         signals = read(self.KEY)
         assert np.array_equal(signals[0], clean.samples) and np.array_equal(signals[1], unit)
         assert signals[2:] == (float(np.mean(clean.samples**2)), float(np.mean(unit**2)))
-        from_corpus = _take_reader(plan, lambda key: clean, 1, True)(self.KEY)
+        from_corpus = _take_reader(plan, {self.KEY: clean}.get, True)(self.KEY)
         assert all(np.array_equal(x, y) for x, y in zip(from_corpus, signals))
         # the ANC-off take is the clean take plus the unit noise, scaled to
         # the target SNR
@@ -1086,7 +1113,7 @@ class TestMixWithLead:
     def test_canceller_stacks_open_with_lead_in_and_zeros(self):
         # The layout before any canceller runs: the cancellers write over it.
         plan = mini_plan()
-        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+        clean = synth_speaker(*self.KEY[:2], 0.3, seed=4)
         n = len(clean)
         ((keys, clean_stack, unit_stack),), read = _noise_stacks(
             plan, {n: [self.KEY]}, {self.KEY: clean}.get
@@ -1112,7 +1139,7 @@ class TestMixWithLead:
         n = len(clean)
         lead = round(plan.anc_lead_s * plan.sample_rate_hz) if "on" in anc else 0
         rng = np.random.default_rng(
-            melsplit.signal_io._entropy(corpus_seed(plan.master_seed, *self.KEY, 0xA01E))
+            melsplit.signal_io._entropy(corpus_seed(plan.master_seed, *self.KEY[:2], 0xA01E))
         )
         drawn = rng.standard_normal(n + lead)
         scale = noise_scale(
@@ -1153,7 +1180,7 @@ class TestMixWithLead:
     def test_clean_run_divergence_names_its_step_in_the_input(self):
         # The clean run skips the lead-in steps that its zeros stand in for;
         # the step it names counts them, as run_anc does on the whole input.
-        clean = synth_speaker(*self.KEY, 0.3, seed=4)
+        clean = synth_speaker(*self.KEY[:2], 0.3, seed=4)
 
         def primary(unit):
             return np.concatenate([np.zeros(len(unit) - len(clean)), clean.samples])
