@@ -83,8 +83,8 @@ def test_synth_speaker(benchmark, duration_s):
 
 def test_kmeans(benchmark, dual_features):
     rows = dual_features["ch1"]
-    (model,) = benchmark(kmeans_many, rows[None], PLAN.kmeans_k, [7])
-    assert model.centroids.shape == (PLAN.kmeans_k, rows.shape[1])
+    centroids, iterations = benchmark(kmeans_many, rows[None], PLAN.kmeans_k, [7])
+    assert centroids.shape == (1, PLAN.kmeans_k, rows.shape[1]) and iterations.shape == (1,)
 
 
 def test_enroll_dual_take(benchmark, dual_features):
@@ -113,7 +113,10 @@ def test_enroll_many_sweep_noanc_chunk(benchmark):
     ids = [_take_id(*key) for key in keys for _ in points]
     models = benchmark(enroll_many, takes, ids, NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
     assert len(models) == CHUNK_TAKES * len(points) == 65
-    assert len({m["ch1"].seed for m in models}) == CHUNK_TAKES
+    # Each row fits under its take's source id, as it would enrolled alone.
+    for features, source, take_models in zip(takes, ids, models):
+        (alone,) = enroll_many([features], [source], NOANC_PLAN.kmeans_k, NOANC_PLAN.master_seed)
+        assert all(np.array_equal(take_models[c], alone[c]) for c in alone)
 
 
 @pytest.mark.parametrize("duration_s", [0.6, 2.0])
@@ -192,8 +195,8 @@ def _bench_run_anc(benchmark, duration_s):
     noisy, noise = mix_at_snr(
         synth_speaker(5, 0, duration_s, 1), NoiseSpec("white-gaussian", -6.0, 3)
     )
-    result = benchmark(run_anc, noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
-    assert len(result.error_signal) == len(noisy)
+    errors = benchmark(run_anc, noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
+    assert len(errors) == len(noisy)
 
 
 def test_run_anc_2s_32_taps(benchmark):

@@ -6,10 +6,9 @@ or dual-channel), and k-means centroid matching, plus a benchmark harness
 that sweeps SNR against identification accuracy.
 """
 
-from .anc import AncResult, LmsConfig, mse_trace, run_anc
+from .anc import LmsConfig, mse_trace, run_anc
 from .bench import CLEAN_SNR_DB, ExperimentPlan, SweepReport, emit_curves, run_sweep
 from .cluster import (
-    ClusterModel,
     ConfusionCounts,
     accuracy,
     calibrate_threshold,

@@ -7,14 +7,15 @@ error gradient: w' = w + 2*mu*e_k*x_k. The running error signal is the
 denoised output.
 
 Two loops run it, both from zero weights. run_anc cancels one recording
-with exact block LMS: the errors of a block of steps solve a triangular
-system whose matrix does not depend on the weights, so a chunk of blocks is
-solved at once and only a short chain of block updates runs serially. It
-gives the same errors and weights as stepping the recursion, up to float
-summation order. run_anc_batch steps a (B, n) stack of independent
-cancellers, one per row, in lockstep, a few vectorised calls per sample, and
-writes their errors over the primaries, which may be the references
-themselves.
+and returns its error signal; mse_trace summarises such a signal in
+windows, as the CLI's anc --mse-csv writes it. run_anc uses exact block
+LMS: the errors of a block of steps solve a triangular system whose matrix
+does not depend on the weights, so a chunk of blocks is solved at once and
+only a short chain of block updates runs serially. It gives the same errors
+and weights as stepping the recursion, up to float summation order.
+run_anc_batch steps a (B, n) stack of independent cancellers, one per row,
+in lockstep, a few vectorised calls per sample, and writes their errors
+over the primaries, which may be the references themselves.
 
 Both loops share one divergence rule: a run has diverged at the first step
 whose error is non-finite or beyond _DIVERGED times its primary's peak, and
@@ -74,24 +75,11 @@ class LmsConfig:
             raise ParameterError("step_mu must be finite and positive")
 
 
-@dataclass(frozen=True)
-class AncResult:
-    """Output of a full cancellation run.
-
-    error_signal is the denoised estimate (primary minus predicted noise),
-    mse_trace the windowed mean of squared errors, final_weights the
-    converged tap vector.
-    """
-
-    error_signal: AudioBuffer
-    mse_trace: np.ndarray
-    final_weights: np.ndarray
-
-
 def run_anc(
     primary: AudioBuffer, reference: AudioBuffer, config: LmsConfig
-) -> AncResult:
-    """Run the LMS canceller over a whole recording, from zero weights.
+) -> AudioBuffer:
+    """Run the LMS canceller over a whole recording, from zero weights, and
+    return its error signal, the denoised estimate.
 
     The reference should carry the noise that contaminates the primary; a
     zero reference leaves the primary untouched. Raises DivergenceError
@@ -122,11 +110,7 @@ def run_anc(
         raise DivergenceError(found[0])
     if not np.all(np.isfinite(weights)):
         raise DivergenceError(len(d) - 1)
-    return AncResult(
-        error_signal=AudioBuffer(errors, primary.sample_rate_hz),
-        mse_trace=mse_trace(errors, MSE_WINDOW),
-        final_weights=weights,
-    )
+    return AudioBuffer(errors, primary.sample_rate_hz)
 
 
 def _block_lms(d: np.ndarray, windows: np.ndarray, mu: float, errors: np.ndarray) -> np.ndarray:

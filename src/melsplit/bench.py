@@ -474,7 +474,7 @@ def _enroll_points(
 ) -> dict[str, dict[float, dict]]:
     """Enroll the take of every key of `groups`, lists of keys of
     equal-length takes, at each of `points`:
-    {method: {snr_db: {key: {channel_id: ClusterModel}}}}.
+    {method: {snr_db: {key: {channel_id: centroids}}}}.
 
     A group's B takes go in chunks of ceil(B / len(points)), whose features
     _point_features builds a few takes at a time from read(key) and which

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .anc import LmsConfig, run_anc
+from .anc import MSE_WINDOW, LmsConfig, mse_trace, run_anc
 from .cluster import channel_scores, enroll_many, scores
 from .errors import DimensionError, PipelineError
 from .fir import (
@@ -163,11 +163,11 @@ def cmd_mix(args) -> int:
 def cmd_anc(args) -> int:
     cfg = _effective_config(args)
     primary, reference = _read_wavs(cfg, args.primary, args.reference)
-    result = _cancel(cfg, args.primary, primary, args.reference, reference)
-    clipped = write_wav(result.error_signal, args.out)
+    denoised = _cancel(cfg, args.primary, primary, args.reference, reference)
+    clipped = write_wav(denoised, args.out)
     if args.mse_csv:
-        lines = ["window_index,mse"]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(result.mse_trace)]
+        trace = mse_trace(denoised.samples, MSE_WINDOW)
+        lines = ["window_index,mse"] + [f"{i},{float(v)!r}" for i, v in enumerate(trace)]
         Path(args.mse_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {args.out} ({clipped} samples clipped)")
     return 0
@@ -230,7 +230,7 @@ def cmd_verdict(args) -> int:
     for path, take in ((args.test, test), (args.ref, ref)):
         bench_mod.check_long_enough(cfg, (args.method,), cfg.kmeans_k, path, take)
     if args.anc:
-        test = _cancel(cfg, args.test, test, args.reference, reference).error_signal
+        test = _cancel(cfg, args.test, test, args.reference, reference)
     test_id, ref_id = Path(args.test).stem, Path(args.ref).stem
     takes = [extract(test, args.method, cfg), extract(ref, args.method, cfg)]
     test_models, ref_models = enroll_many(takes, [test_id, ref_id], cfg.kmeans_k, cfg.seed)

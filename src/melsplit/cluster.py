@@ -9,11 +9,13 @@ once can be scored against any number of others. The threshold comes from
 an equal-error scan over genuine and impostor calibration scores.
 
 There is one Lloyd kernel, kmeans_many, which fits a stack of
-equal-shaped point sets in lockstep; one point set is a stack of one.
-enroll_many enrolls a list of takes, each a {channel_id: rows} dict named
-by a source id that seeds its fits, with one kernel call per matrix shape,
-whatever the channel; channel_scores scores a list of pairs with one
-stacked distance per channel. One take or pair is a list of one.
+equal-shaped point sets in lockstep and returns their centroids as one
+array; one point set is a stack of one. enroll_many enrolls a list of
+takes, each a {channel_id: rows} dict named by a source id that seeds its
+fits, with one kernel call per matrix shape, whatever the channel, and
+gives each take back as a {channel_id: centroids} dict; channel_scores
+scores a list of such pairs with one stacked distance per channel. One take
+or pair is a list of one.
 """
 
 from __future__ import annotations
@@ -25,17 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ParameterError
 from .signal_io import _derive_seed, _entropy, _string_key
-
-
-@dataclass(frozen=True)
-class ClusterModel:
-    """Fitted centroids with per-point assignments."""
-
-    centroids: np.ndarray
-    assignments: np.ndarray
-    inertia: float
-    iterations_run: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -56,8 +47,9 @@ def kmeans_many(
     seeds: Sequence[int],
     max_iter: int = 100,
     tol: float = 1e-9,
-) -> list[ClusterModel]:
-    """Fit a (T, n, d) stack of point sets in lockstep, one model per row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit a (T, n, d) stack of point sets in lockstep: the (T, k, d)
+    centroids and the (T,) Lloyd iterations each row ran.
 
     Row t runs Lloyd iterations from a choice of k distinct points drawn
     from seeds[t]. Assignment ties break toward the lowest cluster index. An
@@ -94,7 +86,6 @@ def kmeans_many(
             rng = np.random.default_rng(_entropy(seed))
             starts[seed] = np.sort(rng.choice(n, size=k, replace=False))
         centroids[t] = pts[t, starts[seed]]
-    assignments = np.full((rows, n), -1)
     iterations = np.zeros(rows, dtype=int)
     clusters = np.arange(k)
     live = np.arange(rows)  # rows still iterating; live_pts is pts[live]
@@ -118,41 +109,34 @@ def kmeans_many(
         new[filled] = sums[filled] / counts[filled][:, None]
         moving = np.max(np.abs(new - old), axis=(1, 2)) >= tol
         centroids[live] = new
-        assignments[live] = labels
         iterations[live] = iteration
         if not moving.all():
             live = live[moving]
             if not len(live):
                 break
             live_pts = pts[live]
-
-    residuals = pts - centroids[np.arange(rows)[:, None], assignments]
-    inertia = np.sum(np.square(residuals, out=residuals).reshape(rows, -1), axis=1)
-    return [
-        ClusterModel(centroids[t], assignments[t], float(inertia[t]), int(iterations[t]), seed)
-        for t, seed in enumerate(seeds)
-    ]
+    return centroids, iterations
 
 
 def _reseed_empty(
     pts: np.ndarray,
     sq_dist: np.ndarray,
-    assignments: np.ndarray,
+    labels: np.ndarray,
     counts: np.ndarray,
     centroids: np.ndarray,
 ) -> None:
     """Give each empty cluster the point farthest from its own centroid, in place."""
     n = len(pts)
     for j in np.flatnonzero(counts == 0):
-        own = sq_dist[np.arange(n), assignments]
+        own = sq_dist[np.arange(n), labels]
         # Only steal from clusters that keep at least one point. One exists:
         # kmeans_many rejects k > n, so while a cluster is empty the n >= k
         # points fill at most k - 1 clusters, and one of them holds two or more.
-        donors = counts[assignments] > 1
+        donors = counts[labels] > 1
         own = np.where(donors, own, -np.inf)
         far = int(np.argmax(own))
-        counts[assignments[far]] -= 1
-        assignments[far] = j
+        counts[labels[far]] -= 1
+        labels[far] = j
         counts[j] = 1
         centroids[j] = pts[far]
         sq_dist[far, j] = 0.0
@@ -165,21 +149,22 @@ def _side_seed(seed: int, source_id: str, channel_id: str) -> int:
 
 def enroll_many(
     takes: Sequence[Mapping[str, np.ndarray]], source_ids: Sequence[str], k: int, seed: int
-) -> list[dict[str, ClusterModel]]:
-    """Enroll a list of takes at once: one {channel_id: ClusterModel} each.
+) -> list[dict[str, np.ndarray]]:
+    """Enroll a list of takes at once: one {channel_id: (k, d) centroids}
+    dict each.
 
     takes[i] holds take i's (n, d) feature rows by channel and source_ids[i]
     names the take. The rows of every channel are grouped by shape and each
     group is fitted in one kmeans_many call, so a dual take's two channels
     fit together. A fit is seeded from (seed, source id, channel), so a take
     enrolls to the same centroids whichever side of a comparison it sits
-    on and whichever takes it is enrolled with, and a cached model scores
+    on and whichever takes it is enrolled with, and cached centroids score
     exactly as a fresh fit would. Each distinct (source id, channel) seed is
     derived once per call, however many of the takes share it.
     """
     if len(takes) != len(source_ids):
         raise DimensionError(f"need one source id per take: {len(takes)}, {len(source_ids)}")
-    models: list[dict[str, ClusterModel]] = [{} for _ in takes]
+    models: list[dict[str, np.ndarray]] = [{} for _ in takes]
     groups: dict[tuple, list[tuple[int, str]]] = {}
     side_seeds: dict[tuple[str, str], int] = {}
     for i, (features, source_id) in enumerate(zip(takes, source_ids)):
@@ -188,18 +173,18 @@ def enroll_many(
             if (source_id, channel) not in side_seeds:
                 side_seeds[source_id, channel] = _side_seed(seed, source_id, channel)
     for _, members in sorted(groups.items()):
-        fitted = kmeans_many(
+        centroids, _ = kmeans_many(
             np.stack([takes[i][channel] for i, channel in members]),
             k,
             [side_seeds[source_ids[i], channel] for i, channel in members],
         )
-        for (i, channel), model in zip(members, fitted):
-            models[i][channel] = model
+        for (i, channel), fitted in zip(members, centroids):
+            models[i][channel] = fitted
     return [dict(sorted(m.items())) for m in models]
 
 
 def channel_scores(
-    tests: Sequence[Mapping[str, ClusterModel]], refs: Sequence[Mapping[str, ClusterModel]]
+    tests: Sequence[Mapping[str, np.ndarray]], refs: Sequence[Mapping[str, np.ndarray]]
 ) -> dict[str, np.ndarray]:
     """{channel_id: (P,) array} for P pairs of enrolled takes: entry i is
     the minimum distance over the centroid pairs of tests[i] and refs[i].
@@ -213,15 +198,15 @@ def channel_scores(
                 raise ConfigError(f"pair {i}: channel sets differ: {sorted(a)} vs {sorted(b)}")
     per_channel: dict[str, np.ndarray] = {}
     for channel in sorted(tests[0]):
-        test_c = np.stack([m[channel].centroids for m in tests])
-        ref_c = np.stack([m[channel].centroids for m in refs])
+        test_c = np.stack([m[channel] for m in tests])
+        ref_c = np.stack([m[channel] for m in refs])
         pairwise = np.sqrt(np.sum((test_c[:, :, None, :] - ref_c[:, None, :, :]) ** 2, axis=3))
         per_channel[channel] = pairwise.min(axis=(1, 2))
     return per_channel
 
 
 def scores(
-    tests: Sequence[Mapping[str, ClusterModel]], refs: Sequence[Mapping[str, ClusterModel]]
+    tests: Sequence[Mapping[str, np.ndarray]], refs: Sequence[Mapping[str, np.ndarray]]
 ) -> np.ndarray:
     """Combined scores of P pairs: the mean of their channel_scores."""
     per_channel = list(channel_scores(tests, refs).values())

@@ -103,8 +103,9 @@ class NoiseSpec:
 def read_wav(path) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file into a buffer scaled to [-1, 1].
 
-    Raises FormatError for malformed files, UnsupportedFormatError for
-    stereo or non-16-bit data (no silent downmix).
+    Raises FormatError for malformed files, a data chunk shorter than its
+    header declares included, and UnsupportedFormatError for stereo or
+    non-16-bit data (no silent downmix).
     """
     try:
         with wave.open(str(path), "rb") as reader:
@@ -123,6 +124,11 @@ def read_wav(path) -> AudioBuffer:
     if sample_width != 2:
         raise UnsupportedFormatError(
             f"{path}: expected 16-bit PCM, got {8 * sample_width}-bit"
+        )
+    if len(payload) != 2 * n_frames:
+        raise FormatError(
+            f"{path}: data cut short: header declares {n_frames} frames, "
+            f"file holds {len(payload) // 2}"
         )
     ints = np.frombuffer(payload, dtype="<i2")
     return AudioBuffer(ints.astype(np.float64) / PCM_FULL_SCALE, rate)

@@ -5,7 +5,9 @@ and never forms a noisy take, and the CLI only reads config files. The
 staged extraction path (frame_blocking, the window, fft_magnitude_sq, and
 for dual split_channels first) and the scalar LMS recursion (lms_step) are
 the oracles that the package's folded spectrum matrix and both of its LMS
-kernels are compared against. The tests compare the package against them,
+kernels are compared against. nearest labels points by the centroids
+kmeans_many returns and gives their inertia, which the package never needs
+once it has the centroids. The tests compare the package against these,
 or use them to write fixtures.
 """
 
@@ -118,3 +120,13 @@ def lms_step(
     if not np.all(np.isfinite(weights)):
         raise DivergenceError(state.k)
     return LmsState(weights, delay, state.k + 1), e_k, y_k
+
+
+def nearest(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each point's nearest centroid, a tie going to the lowest index as in
+    kmeans_many, and the inertia: the sum of squared distances from the
+    points to their nearest centroids."""
+    points = np.asarray(points, dtype=np.float64)
+    sq_dist = np.sum((points[:, None, :] - centroids[None]) ** 2, axis=2)
+    labels = np.argmin(sq_dist, axis=1)
+    return labels, float(np.sum((points - centroids[labels]) ** 2))

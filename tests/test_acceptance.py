@@ -18,7 +18,7 @@ from melsplit.cluster import ConfusionCounts, accuracy, kmeans_many
 from melsplit.fir import design_bandpass, design_lowpass
 from melsplit.mfcc import hz_to_mel
 from melsplit.signal_io import AudioBuffer, NoiseSpec, measure_snr_db, mix_at_snr
-from reference import LmsState, fft_magnitude_sq, lms_step
+from reference import LmsState, fft_magnitude_sq, lms_step, nearest
 
 SR = 16000
 SWEEP_SEEDS = (1, 2, 3)
@@ -170,11 +170,11 @@ def test_criterion_4_anc_efficacy():
     t = np.arange(5 * SR) / SR
     clean = AudioBuffer(0.5 * np.sin(2 * np.pi * 500 * t), SR)
     noisy, noise = mix_at_snr(clean, NoiseSpec("white-gaussian", 0.0, seed=42))
-    result = run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
+    errors = run_anc(noisy, noise, LmsConfig(order_l=31, step_mu=0.005))
     last = slice(-SR, None)
     pre = measure_snr_db(AudioBuffer(clean.samples[last], SR), AudioBuffer(noisy.samples[last], SR))
     post = measure_snr_db(
-        AudioBuffer(clean.samples[last], SR), AudioBuffer(result.error_signal.samples[last], SR)
+        AudioBuffer(clean.samples[last], SR), AudioBuffer(errors.samples[last], SR)
     )
     assert post - pre >= 10.0
     report_line("criterion 4 (ANC efficacy)",
@@ -224,7 +224,8 @@ def test_criterion_6_kmeans_matches_brute_force():
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, min(3, n) + 1))
         points = rng.standard_normal((n, int(rng.integers(1, 4))))
-        best_seeded = min(kmeans_many(points[None], k, [s])[0].inertia for s in range(16))
+        fits = [kmeans_many(points[None], k, [s])[0][0] for s in range(16)]
+        best_seeded = min(nearest(points, centroids)[1] for centroids in fits)
         optimum = brute_force(points, k)
         assert best_seeded == pytest.approx(optimum, rel=1e-9, abs=1e-12), f"instance {instance}"
     report_line("criterion 6 (k-means optimality)",

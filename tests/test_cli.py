@@ -18,7 +18,7 @@ from melsplit.cli import (
     load_config,
     main,
 )
-from melsplit.anc import LmsConfig, run_anc
+from melsplit.anc import MSE_WINDOW, LmsConfig, mse_trace, run_anc
 from melsplit.bench import ExperimentPlan, load_plan, plan_to_dict
 from melsplit.errors import ConfigError
 from melsplit.mfcc import METHODS, ExtractionConfig, channel_bands, extract
@@ -172,7 +172,8 @@ class TestAnc:
                        "--out", tmp_path / "out.wav", "--mse-csv", mse_csv) == 0
         table = np.loadtxt(mse_csv, delimiter=",", skiprows=1)
         config = LmsConfig(PipelineConfig().anc_taps, PipelineConfig().anc_mu)
-        trace = run_anc(read_wav(primary), read_wav(reference), config).mse_trace
+        errors = run_anc(read_wav(primary), read_wav(reference), config)
+        trace = mse_trace(errors.samples, MSE_WINDOW)
         assert np.array_equal(table[:, 0], np.arange(len(trace)))
         assert np.array_equal(table[:, 1], trace)
 
@@ -331,6 +332,16 @@ class TestExtract:
         assert not out.exists()
         one_frame = make_word_wav(tmp_path / "one.wav", duration=0.03)
         assert run_cli("extract", "--method", method, "--in", one_frame, "--out", out) == 0
+
+    def test_input_cut_short_is_one_error_line(self, tmp_path, capsys):
+        # The data chunk ends inside a sample, one byte short of its header.
+        wav = make_word_wav(tmp_path / "trunc.wav")
+        wav.write_bytes(wav.read_bytes()[:-1])
+        out = tmp_path / "feat"
+        assert run_cli("extract", "--method", "dual", "--in", wav, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {wav}: data cut short") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_input_distinct_exit(self, tmp_path):
         code = run_cli("extract", "--method", "single",

@@ -2,7 +2,9 @@
 
 The k-means oracle enumerates every assignment of points to clusters and
 takes the best within-cluster sum of squares, so the seeded implementation
-can be checked against the true optimum at desk scale.
+can be checked against the true optimum at desk scale. kmeans_many returns
+only centroids and iteration counts; reference.nearest labels the points by
+those centroids and gives the inertia.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from melsplit.cluster import (
 from melsplit.errors import ConfigError, DimensionError, ParameterError
 from melsplit.mfcc import extract
 from melsplit.signal_io import _entropy, synth_speaker
+from reference import nearest
 
 
 def brute_force_inertia(points, k):
@@ -43,46 +46,62 @@ def brute_force_inertia(points, k):
     return best
 
 
+def fit_one(points, k, seed, **kwargs):
+    """The (k, d) centroids of one point set, fitted as a stack of one."""
+    centroids, _ = kmeans_many(np.asarray(points)[None], k, [seed], **kwargs)
+    return centroids[0]
+
+
+def fit_inertia(points, k, seed, **kwargs):
+    """The inertia of one point set about its fitted centroids."""
+    return nearest(points, fit_one(points, k, seed, **kwargs))[1]
+
+
 class TestKmeans:
     def test_two_well_separated_groups(self):
         points = np.array([[0.0], [1.0], [10.0], [11.0]])
-        model = kmeans_many(points[None], 2, [7])[0]
-        assert sorted(model.centroids.ravel().tolist()) == pytest.approx([0.5, 10.5])
-        assert model.inertia == pytest.approx(1.0)
+        centroids = fit_one(points, 2, 7)
+        assert sorted(centroids.ravel().tolist()) == pytest.approx([0.5, 10.5])
+        assert nearest(points, centroids)[1] == pytest.approx(1.0)
 
     def test_k_equals_n(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        model = kmeans_many(points[None], 3, [0])[0]
-        assert model.inertia == pytest.approx(0.0)
-        assert sorted(model.centroids.tolist()) == sorted(points.tolist())
+        centroids = fit_one(points, 3, 0)
+        assert nearest(points, centroids)[1] == pytest.approx(0.0)
+        assert sorted(centroids.tolist()) == sorted(points.tolist())
 
     def test_k_one_is_global_mean(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((20, 3))
-        model = kmeans_many(points[None], 1, [5])[0]
-        assert np.allclose(model.centroids[0], points.mean(axis=0))
+        assert np.allclose(fit_one(points, 1, 5)[0], points.mean(axis=0))
 
     def test_centroids_are_member_means(self):
         rng = np.random.default_rng(3)
         points = rng.standard_normal((40, 2))
-        model = kmeans_many(points[None], 3, [11])[0]
+        centroids = fit_one(points, 3, 11)
+        labels, _ = nearest(points, centroids)
         for j in range(3):
-            members = points[model.assignments == j]
+            members = points[labels == j]
             if len(members):
-                assert np.max(np.abs(model.centroids[j] - members.mean(axis=0))) <= 1e-9
+                assert np.max(np.abs(centroids[j] - members.mean(axis=0))) <= 1e-9
 
     def test_points_assigned_to_nearest_centroid(self):
         rng = np.random.default_rng(4)
         points = rng.standard_normal((40, 2))
-        model = kmeans_many(points[None], 3, [13])[0]
-        dists = np.linalg.norm(points[:, None, :] - model.centroids[None], axis=2)
-        assert np.array_equal(model.assignments, np.argmin(dists, axis=1))
+        centroids = fit_one(points, 3, 13)
+        dists = np.linalg.norm(points[:, None, :] - centroids[None], axis=2)
+        labels, total = nearest(points, centroids)
+        assert np.array_equal(labels, np.argmin(dists, axis=1))
+        assert total == pytest.approx(np.sum(dists.min(axis=1) ** 2))
+        # A point equidistant from two centroids goes to the lower index.
+        tie_labels, _ = nearest(np.array([[0.5], [0.5]]), np.array([[1.0], [0.0]]))
+        assert tie_labels.tolist() == [0, 0]
 
     def test_inertia_non_increasing_over_iterations(self):
         # rerunning with a growing iteration cap traces the descent path
         rng = np.random.default_rng(5)
         points = rng.standard_normal((30, 2))
-        inertias = [kmeans_many(points[None], 3, [3], max_iter=i)[0].inertia for i in range(1, 10)]
+        inertias = [fit_inertia(points, 3, 3, max_iter=i) for i in range(1, 10)]
         assert all(b <= a + 1e-12 for a, b in zip(inertias, inertias[1:]))
 
     def test_best_of_16_matches_brute_force(self):
@@ -91,13 +110,12 @@ class TestKmeans:
             n = int(rng.integers(4, 9))
             k = int(rng.integers(1, 4))
             points = rng.standard_normal((n, 2))
-            best = min(kmeans_many(points[None], k, [s])[0].inertia for s in range(16))
+            best = min(fit_inertia(points, k, s) for s in range(16))
             assert best == pytest.approx(brute_force_inertia(points, k), rel=1e-9, abs=1e-12)
 
     def test_duplicate_points_handled(self):
         points = np.zeros((6, 2))
-        model = kmeans_many(points[None], 2, [1])[0]
-        assert model.inertia == 0.0
+        assert fit_inertia(points, 2, 1) == 0.0
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ParameterError):
@@ -106,15 +124,16 @@ class TestKmeans:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(6)
         points = rng.standard_normal((25, 3))
-        a = kmeans_many(points[None], 2, [9])[0]
-        b = kmeans_many(points[None], 2, [9])[0]
-        assert np.array_equal(a.centroids, b.centroids)
-        assert np.array_equal(a.assignments, b.assignments)
+        a = kmeans_many(points[None], 2, [9])
+        b = kmeans_many(points[None], 2, [9])
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 def serial_lloyd(points, k, seed, max_iter=100):
     """Reference Lloyd loop, one point set at a time: the seeded start, the
-    empty-cluster reseed and the member means that kmeans_many must match."""
+    empty-cluster reseed and the member means that kmeans_many must match.
+    Returns the centroids and the iterations run."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     rng = np.random.default_rng(_entropy(seed))
@@ -142,31 +161,26 @@ def serial_lloyd(points, k, seed, max_iter=100):
         centroids = new
         if movement < 1e-9:
             break
-    inertia = float(np.sum((pts - centroids[assignments]) ** 2))
-    return centroids, assignments, inertia, iterations
-
-
-def assert_same_model(a, b):
-    assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.assignments, b.assignments)
-    assert a.iterations_run == b.iterations_run
-    assert a.inertia == b.inertia
-    assert a.seed == b.seed
+    return centroids, iterations
 
 
 def fit_stack_and_rows(points, k, seeds, **kwargs):
-    """Fit the stack in lockstep, check each row against fitting it alone,
-    and return the stacked fit."""
-    many = kmeans_many(points, k, seeds, **kwargs)
-    assert len(many) == len(points)
-    for row, seed, model in zip(points, seeds, many):
-        assert_same_model(model, kmeans_many(row[None], k, [seed], **kwargs)[0])
-    return many
+    """Fit the stack in lockstep, check each row's centroids and iterations
+    against fitting it alone, and return the stacked fit."""
+    centroids, iterations = kmeans_many(points, k, seeds, **kwargs)
+    assert centroids.shape == (len(points), k, points.shape[2])
+    assert iterations.shape == (len(points),)
+    for t, (row, seed) in enumerate(zip(points, seeds)):
+        alone_centroids, alone_iterations = kmeans_many(row[None], k, [seed], **kwargs)
+        assert np.array_equal(centroids[t], alone_centroids[0])
+        assert iterations[t] == alone_iterations[0]
+    return centroids, iterations
 
 
 # Two fixed inputs and the kmeans outputs recorded for them with the serial
 # Lloyd loop that kmeans_many replaced. The second opens with two clusters
-# empty, so both are reseeded.
+# empty, so both are reseeded. Both fits converged, so labelling the points
+# by the final centroids gives the recorded assignments and inertia.
 PINNED_POINTS_A = [
     [1.029, 1.642], [1.147, -0.973], [-1.393, 0.067], [0.861, 0.509],
     [1.81, 0.751], [0.64, -0.731], [-1.108, 1.484], [0.049, 0.812],
@@ -195,36 +209,36 @@ class TestKmeansMany:
     def test_rows_converge_at_their_own_iteration(self):
         rng = np.random.default_rng(8)
         points = rng.standard_normal((12, 40, 3))
-        many = fit_stack_and_rows(points, 3, list(range(100, 112)))
-        assert len({m.iterations_run for m in many}) > 1
+        _, iterations = fit_stack_and_rows(points, 3, list(range(100, 112)))
+        assert len(set(iterations.tolist())) > 1
 
     def test_row_capped_by_max_iter(self):
         rng = np.random.default_rng(9)
         points = rng.standard_normal((8, 40, 3))
-        capped = [m.iterations_run for m in kmeans_many(points, 3, range(8))]
-        max_iter = sorted(capped)[len(capped) // 2]
-        many = fit_stack_and_rows(points, 3, list(range(8)), max_iter=max_iter)
-        iterations = [m.iterations_run for m in many]
+        _, uncapped = kmeans_many(points, 3, range(8))
+        max_iter = int(np.sort(uncapped)[len(uncapped) // 2])
+        _, iterations = fit_stack_and_rows(points, 3, list(range(8)), max_iter=max_iter)
         assert max_iter in iterations and min(iterations) < max_iter
 
     def test_reseed_row_beside_plain_rows(self):
         rng = np.random.default_rng(10)
         points = rng.standard_normal((3, 10, 2))
         points[1] = PINNED_POINTS_B
-        many = fit_stack_and_rows(points, 3, [5, 6, 7])
-        assert sorted(set(many[1].assignments.tolist())) == [0, 1, 2]
+        centroids, _ = fit_stack_and_rows(points, 3, [5, 6, 7])
+        labels, _ = nearest(points[1], centroids[1])
+        assert sorted(set(labels.tolist())) == [0, 1, 2]
 
     @pytest.mark.parametrize("k", [1, 13])
     def test_k_one_and_k_n(self, k):
         rng = np.random.default_rng(11)
         points = rng.standard_normal((5, 13, 4))
-        many = fit_stack_and_rows(points, k, [3, 1, 4, 1, 5])
-        for row, model in zip(points, many):
+        centroids, _ = fit_stack_and_rows(points, k, [3, 1, 4, 1, 5])
+        for row, row_centroids in zip(points, centroids):
             if k == 1:
                 # Members are summed in point order, exactly as numpy's mean.
-                assert np.array_equal(model.centroids[0], row.mean(axis=0))
+                assert np.array_equal(row_centroids[0], row.mean(axis=0))
             else:
-                assert model.inertia == 0.0
+                assert nearest(row, row_centroids)[1] == 0.0
 
     def test_matches_serial_reference(self):
         rng = np.random.default_rng(12)
@@ -239,20 +253,20 @@ class TestKmeansMany:
             # own points.
             repeated = [distinct[t % 2] for t in range(rows)]
             for seeds in (distinct, repeated):
-                for row, seed, model in zip(points, seeds, kmeans_many(points, k, seeds)):
-                    centroids, assignments, inertia, iterations = serial_lloyd(row, k, seed)
-                    assert np.array_equal(model.centroids, centroids)
-                    assert np.array_equal(model.assignments, assignments)
-                    assert model.inertia == inertia
-                    assert model.iterations_run == iterations
+                fitted, iterations = kmeans_many(points, k, seeds)
+                for t, (row, seed) in enumerate(zip(points, seeds)):
+                    centroids, serial_iterations = serial_lloyd(row, k, seed)
+                    assert np.array_equal(fitted[t], centroids)
+                    assert iterations[t] == serial_iterations
 
     @pytest.mark.parametrize("points, k, seed, centroids, assignments, inertia, iterations", PINNED_FITS)
     def test_outputs_pinned(self, points, k, seed, centroids, assignments, inertia, iterations):
-        model = kmeans_many(np.array(points)[None], k, [seed])[0]
-        assert np.array_equal(model.centroids, centroids)
-        assert np.array_equal(model.assignments, assignments)
-        assert model.inertia == inertia
-        assert model.iterations_run == iterations
+        fitted, iterations_run = kmeans_many(np.array(points)[None], k, [seed])
+        assert np.array_equal(fitted[0], centroids)
+        assert iterations_run.tolist() == [iterations]
+        labels, total = nearest(points, fitted[0])
+        assert np.array_equal(labels, assignments)
+        assert total == inertia
 
     def test_one_seed_per_row(self):
         with pytest.raises(DimensionError):
@@ -375,7 +389,7 @@ class TestEnrollScore:
             (alone,) = enroll_many([features], [source], 2, 4)
             assert list(models) == list(alone)
             for channel in alone:
-                assert_same_model(models[channel], alone[channel])
+                assert np.array_equal(models[channel], alone[channel])
 
     def test_dual_channels_fit_in_one_call_as_they_fit_alone(self, monkeypatch):
         # Rows of one kmeans_many call never interact, so fitting a dual
@@ -396,8 +410,8 @@ class TestEnrollScore:
             assert list(take_models) == ["ch1", "ch2"]
             for channel, rows in features.items():
                 seed = melsplit.cluster._side_seed(8, take_id(*key), channel)
-                (alone,) = real_kmeans_many(rows[None], 2, [seed])
-                assert_same_model(take_models[channel], alone)
+                alone, _ = real_kmeans_many(rows[None], 2, [seed])
+                assert np.array_equal(take_models[channel], alone[0])
 
     @pytest.mark.parametrize("method", ["single", "dual"])
     def test_enrolling_twice_gives_identical_centroids(self, method):
@@ -405,8 +419,7 @@ class TestEnrollScore:
         (first,), (second,) = (enroll_many([feats], [take_id(2, 1, 1)], 2, 9) for _ in range(2))
         assert list(first) == list(second) == sorted(feats)
         for channel in feats:
-            assert np.array_equal(first[channel].centroids, second[channel].centroids)
-            assert first[channel].seed == second[channel].seed
+            assert np.array_equal(first[channel], second[channel])
 
     def test_seeds_derive_once_per_source_and_channel(self, monkeypatch):
         # A sweep enrolls each test take at several SNR points in one call,
@@ -428,7 +441,7 @@ class TestEnrollScore:
         for features, source, take_models in zip(takes, sources, models):
             for channel, rows in features.items():
                 seed = real_side_seed(6, source, channel)
-                assert_same_model(take_models[channel], kmeans_many(rows[None], 2, [seed])[0])
+                assert np.array_equal(take_models[channel], fit_one(rows, 2, seed))
 
     def test_one_source_id_per_take(self):
         takes = [take_features("single", 0, 0, 0), take_features("single", 0, 1, 0)]
@@ -456,7 +469,7 @@ def reference_channel_scores(test_models, ref_models):
     distance over its (test, reference) centroid pairs."""
     per_channel = {}
     for channel in sorted(test_models):
-        a, b = test_models[channel].centroids, ref_models[channel].centroids
+        a, b = test_models[channel], ref_models[channel]
         per_channel[channel] = np.sqrt(np.sum((a[:, None] - b[None]) ** 2, axis=2)).min()
     return per_channel
 

@@ -120,6 +120,18 @@ class TestWavRoundTrip:
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
 
+    @pytest.mark.parametrize("cut_bytes, present", [(1, 15999), (2000, 15000)])
+    def test_data_cut_short_names_declared_and_present_frames(self, tmp_path, cut_bytes, present):
+        # A cut inside a sample and a cut of whole samples are both format
+        # errors, never a shorter take.
+        path = tmp_path / "cut.wav"
+        write_wav(make_buffer(np.full(16000, 0.25)), path)
+        path.write_bytes(path.read_bytes()[:-cut_bytes])
+        message = f"{path}: data cut short: header declares 16000 frames, file holds {present}"
+        with pytest.raises(FormatError) as info:
+            read_wav(path)
+        assert str(info.value) == message
+
 
 class TestMeasureSnr:
     def test_equal_power_is_zero_db(self):
